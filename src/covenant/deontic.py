@@ -46,18 +46,6 @@ TERMINAL_STATES = frozenset(
     {TokenState.DISCHARGED, TokenState.REVOKED, TokenState.VIOLATED}
 )
 
-# Legal edges of the lifecycle graph, used by replay/audit checks.
-LIFECYCLE_EDGES = frozenset(
-    {
-        (TokenState.CREATED, TokenState.HELD),
-        (TokenState.HELD, TokenState.DELEGATED),
-        (TokenState.DELEGATED, TokenState.HELD),
-        (TokenState.HELD, TokenState.DISCHARGED),
-        (TokenState.HELD, TokenState.REVOKED),
-        (TokenState.HELD, TokenState.VIOLATED),
-    }
-)
-
 
 class HolderKind(str, Enum):
     AGENT = "agent"
@@ -121,7 +109,6 @@ class Token:
     subject: str | None
     state: TokenState
     chain: DelegationChain
-    issued_at: int
     issuer: str
     deadline: int | None = None
     # permit guard: burden action that must be DISCHARGED first
@@ -270,7 +257,6 @@ def create_token(
         subject=subject,
         state=TokenState.HELD,
         chain=DelegationChain((ChainLink(head, holder.name, at),)),
-        issued_at=at,
         issuer=issuer,
         deadline=deadline,
         requires_action=requires_action,

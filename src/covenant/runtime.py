@@ -22,8 +22,6 @@ from . import deontic
 from .deontic import (
     HolderKind,
     HolderRef,
-    IntentRegistry,
-    OUTCOME_ADMISSIBLE,
     OUTCOME_BLOCKED,
     OUTCOME_RECOMMENDED,
     Token,
@@ -117,7 +115,7 @@ class AuditRecord:
             "seq": self.seq,
             "kind": self.kind,
             "actor": self.actor,
-            "detail": _canon(self.detail),
+            "detail": self.detail,
             "prev_hash": self.prev_hash,
             "hash": self.hash,
         }
@@ -138,6 +136,95 @@ class RoleBinding:
     agent_kind: RoleKind
     principal: str
     bound_at: int
+
+
+class Bindings:
+    """Role bindings in bind order, indexed by agent, with a count per role.
+
+    The one place (besides the reference engine) that decides which agents
+    fill a role, a declared group, ALL or ALL_AI_AGENTS. An agent's kind and
+    principal are those of its first binding. A kind is parsed only where AI
+    membership is asked, so a monitor may keep an imported record's spelling.
+    """
+
+    def __init__(self) -> None:
+        # keyed by identity: an edited log may repeat a binding field for field
+        self._all: dict[int, RoleBinding] = {}
+        self._by_agent: dict[str, tuple[RoleBinding, ...]] = {}
+        self._count: dict[str, int] = {}  # role -> fillers
+
+    def __iter__(self):
+        return iter(self._all.values())
+
+    def __bool__(self) -> bool:
+        return bool(self._all)
+
+    def add(self, binding: RoleBinding) -> None:
+        self._all[id(binding)] = binding
+        self._by_agent[binding.agent] = self._by_agent.get(binding.agent, ()) + (binding,)
+        self._count[binding.role] = self._count.get(binding.role, 0) + 1
+
+    def remove(self, role: str, agent: str) -> None:
+        """Drop the earliest binding of `agent` to `role`, if there is one."""
+        bound = self._by_agent.get(agent, ())
+        for i, b in enumerate(bound):
+            if b.role == role:
+                rest = bound[:i] + bound[i + 1 :]
+                if rest:
+                    self._by_agent[agent] = rest
+                else:
+                    del self._by_agent[agent]
+                del self._all[id(b)]
+                self._count[role] -= 1
+                return
+
+    def is_agent(self, agent: str) -> bool:
+        return agent in self._by_agent
+
+    def agent_kind(self, agent: str) -> RoleKind | None:
+        bound = self._by_agent.get(agent)
+        return bound[0].agent_kind if bound else None
+
+    def principal_of(self, agent: str) -> str | None:
+        bound = self._by_agent.get(agent)
+        return bound[0].principal if bound else None
+
+    def roles_of(self, agent: str) -> tuple[str, ...]:
+        return tuple(b.role for b in self._by_agent.get(agent, ()))
+
+    def has_role(self, agent: str, role: str) -> bool:
+        return any(b.role == role for b in self._by_agent.get(agent, ()))
+
+    def count(self, role: str) -> int:
+        return self._count.get(role, 0)
+
+    def in_group(self, agent: str, group: str, template: CommunityTemplate | None) -> bool:
+        if group == "ALL":
+            return self.is_agent(agent)
+        if group == "ALL_AI_AGENTS":
+            kind = self.agent_kind(agent)
+            return kind is not None and RoleKind(kind) in AI_ROLE_KINDS
+        decl = template.group(group) if template is not None else None
+        if decl is None:
+            return False
+        return any(b.role in decl.members for b in self._by_agent.get(agent, ()))
+
+    def any_in_group(self, group: str, template: CommunityTemplate | None) -> bool:
+        if group == "ALL":
+            return bool(self)
+        if group == "ALL_AI_AGENTS":
+            return any(RoleKind(b.agent_kind) in AI_ROLE_KINDS for b in self)
+        decl = template.group(group) if template is not None else None
+        if decl is None:
+            return False
+        return any(self.count(role) for role in decl.members)
+
+    def clone(self) -> Bindings:
+        twin = Bindings()
+        twin._all = dict(self._all)
+        twin._by_agent = dict(self._by_agent)
+        twin._count = dict(self._count)
+        return twin
 
 
 @dataclass(frozen=True)
@@ -194,15 +281,12 @@ class EnterpriseObject:
             data[entry["key"]] = entry["value"]
         return data
 
-    def entries(self) -> tuple[dict, ...]:
-        return tuple(self._journal)
-
     def digest(self) -> str:
         return hashlib.sha256(canonical_json(self._journal).encode("utf-8")).hexdigest()
 
     def clone(self) -> EnterpriseObject:
         twin = EnterpriseObject(self.name, self.discipline)
-        twin._journal = [dict(entry) for entry in self._journal]
+        twin._journal = list(self._journal)
         return twin
 
 
@@ -262,8 +346,7 @@ class CommunityInstance:
         self.mode = mode
         self.owner = owner
         self.tokens = TokenStore()
-        self.intents = IntentRegistry()
-        self._bindings: list[RoleBinding] = []
+        self._bindings = Bindings()
         self._principals: dict[str, Principal] = {owner.id: owner}
         self._records: list[AuditRecord] = []
         self._next_seq = 0
@@ -318,7 +401,7 @@ class CommunityInstance:
         return name in self._principals
 
     def is_agent(self, name: str) -> bool:
-        return any(b.agent == name for b in self._bindings)
+        return self._bindings.is_agent(name)
 
     def is_role(self, name: str) -> bool:
         return self.template.role(name) is not None
@@ -327,39 +410,23 @@ class CommunityInstance:
         return name in BUILTIN_GROUPS or self.template.group(name) is not None
 
     def principal_of(self, agent: str) -> str | None:
-        for b in self._bindings:
-            if b.agent == agent:
-                return b.principal
-        return None
+        return self._bindings.principal_of(agent)
 
     def covers(self, holder: HolderRef, agent: str) -> bool:
         if holder.kind is HolderKind.AGENT:
             return holder.name == agent
         if holder.kind is HolderKind.ROLE:
-            return any(b.agent == agent and b.role == holder.name for b in self._bindings)
-        if holder.name == "ALL":
-            return self.is_agent(agent)
-        if holder.name == "ALL_AI_AGENTS":
-            kind = self.agent_kind(agent)
-            return kind is not None and kind in AI_ROLE_KINDS
-        group = self.template.group(holder.name)
-        if group is None:
-            return False
-        return any(
-            b.agent == agent and b.role in group.members for b in self._bindings
-        )
+            return self._bindings.has_role(agent, holder.name)
+        return self._bindings.in_group(agent, holder.name, self.template)
 
     # ------------------------------------------------------------------
     # queries
 
     def agent_kind(self, agent: str) -> RoleKind | None:
-        for b in self._bindings:
-            if b.agent == agent:
-                return b.agent_kind
-        return None
+        return self._bindings.agent_kind(agent)
 
     def roles_of(self, agent: str) -> tuple[str, ...]:
-        return tuple(b.role for b in self._bindings if b.agent == agent)
+        return self._bindings.roles_of(agent)
 
     def bindings(self) -> tuple[RoleBinding, ...]:
         return tuple(self._bindings)
@@ -374,20 +441,6 @@ class CommunityInstance:
     @property
     def event_count(self) -> int:
         return self._event_counter
-
-    def find_tokens(
-        self,
-        modality: Modality | None = None,
-        action: str | None = None,
-        state: TokenState | None = None,
-    ) -> list[Token]:
-        return [
-            t
-            for t in self.tokens
-            if (modality is None or t.modality is modality)
-            and (action is None or t.action == action)
-            and (state is None or t.state is state)
-        ]
 
     def add_listener(self, listener: Callable[[AuditRecord], None]) -> None:
         self._listeners.append(listener)
@@ -515,16 +568,16 @@ class CommunityInstance:
             raise UnknownPrincipal(
                 f"agent {agent!r} already acts for principal {existing_principal!r}"
             )
-        if any(b.agent == agent and b.role == role for b in self._bindings):
+        if self._bindings.has_role(agent, role):
             raise CardinalityExceeded(f"agent {agent!r} already fills role {role!r}")
-        count = sum(1 for b in self._bindings if b.role == role)
+        count = self._bindings.count(role)
         if decl.max_card is not None and count + 1 > decl.max_card:
             raise CardinalityExceeded(
                 f"role {role!r} already has {count} of at most {decl.max_card} fillers"
             )
         event = self._begin_event()
         binding = RoleBinding(role, agent, kind, principal, self._next_seq)
-        self._bindings.append(binding)
+        self._bindings.add(binding)
         self._append(
             KIND_BINDING,
             agent,
@@ -543,11 +596,10 @@ class CommunityInstance:
         with self._lock:
             if self.template.role(role) is None:
                 raise UnknownRole(f"role {role!r} is not declared")
-            match = [b for b in self._bindings if b.role == role and b.agent == agent]
-            if not match:
+            if not self._bindings.has_role(agent, role):
                 raise UnknownAgent(f"agent {agent!r} does not fill role {role!r}")
             event = self._begin_event()
-            self._bindings.remove(match[0])
+            self._bindings.remove(role, agent)
             self._append(
                 KIND_BINDING,
                 agent,
@@ -599,7 +651,7 @@ class CommunityInstance:
             request = self._append(KIND_ACTION_REQUEST, actor, request_detail)
 
             verdict = deontic.check_action_admissible(self.tokens, self, actor, action, subject)
-            actor_is_ai = self.agent_kind(actor) in AI_ROLE_KINDS
+            actor_is_ai = self._bindings.in_group(actor, "ALL_AI_AGENTS", self.template)
 
             if verdict.admissible and self.mode == MODE_ADVISORY and actor_is_ai:
                 verdict = Verdict(
@@ -1059,8 +1111,7 @@ class CommunityInstance:
             twin.mode = self.mode
             twin.owner = self.owner
             twin.tokens = self.tokens.clone()
-            twin.intents = IntentRegistry()
-            twin._bindings = list(self._bindings)
+            twin._bindings = self._bindings.clone()
             twin._principals = dict(self._principals)
             twin._records = list(self._records)
             twin._next_seq = self._next_seq
@@ -1087,31 +1138,6 @@ def instantiate_community(
     if owner is None:
         owner = Principal("community_owner", "community_owner", "organization")
     return CommunityInstance(template, mode, owner, object_disciplines)
-
-
-def bind_agent(
-    c: CommunityInstance, role: str, agent: str, kind: RoleKind | str, principal: str
-) -> CommunityInstance:
-    c.bind_agent(role, agent, kind, principal)
-    return c
-
-
-def submit_action(
-    c: CommunityInstance,
-    actor: str,
-    action: str,
-    subject: str | None = None,
-    effects: Iterable[ObjectWrite | dict] = (),
-) -> ActionResult:
-    return c.submit_action(actor, action, subject, effects)
-
-
-def apply_speech_act(c: CommunityInstance, act: SpeechAct) -> ApplyResult:
-    return c.apply_speech_act(act)
-
-
-def snapshot(c: CommunityInstance) -> Snapshot:
-    return c.snapshot()
 
 
 # ----------------------------------------------------------------------

@@ -14,11 +14,11 @@ against the oracle over every enumerated trace.
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
+from .deontic import OUTCOME_ADMISSIBLE
 from .errors import GovernanceError, ScopeTooLarge, UnknownIdentifier
 from .reference import (
     PROP_ACCOUNTABILITY,
@@ -29,6 +29,7 @@ from .reference import (
 )
 from .runtime import (
     AuditRecord,
+    Bindings,
     CommunityInstance,
     KIND_BINDING,
     KIND_GENESIS,
@@ -36,21 +37,13 @@ from .runtime import (
     KIND_TOKEN_TRANSITION,
     KIND_VERDICT,
     MODE_AUTONOMOUS,
+    RoleBinding,
     Snapshot,
     SpeechAct,
 )
-from .spec_lang.ast import (
-    AI_ROLE_KINDS,
-    BUILTIN_GROUPS,
-    CommunityTemplate,
-    Modality,
-    RoleKind,
-    SpeechActKind,
-)
+from .spec_lang.ast import BUILTIN_GROUPS, CommunityTemplate, Modality, SpeechActKind
 
 PROPERTY_TEMPLATES = (PROP_SAFETY, PROP_AUTHORITY, PROP_PROHIBITION, PROP_ACCOUNTABILITY)
-
-OUTCOME_ADMISSIBLE = "admissible"
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,7 @@ def _sort_key(v: Violation) -> tuple[int, str]:
 # incremental trace state shared by all checkers
 
 
-@dataclass
+@dataclass(frozen=True)
 class _TokenView:
     modality: str
     action: str
@@ -122,11 +115,24 @@ class _TokenView:
 
 
 class _TraceState:
+    """Everything a monitor learns from the records; checkers keep nothing."""
+
     def __init__(self) -> None:
         self.registered: set[str] = set()
-        self.bindings: list[tuple[str, str, str, str]] = []  # (role, agent, kind, principal)
+        # kinds stay as the record spells them (see Bindings)
+        self.bindings = Bindings()
         self.tokens: dict[int, _TokenView] = {}
         self.discharges: list[dict] = []  # {seq, event, token, action, subject, by}
+        self.gaps: set[_ProhibitionChecker] = set()  # checkers in an embargo gap
+
+    def clone(self) -> _TraceState:
+        twin = _TraceState()
+        twin.registered = set(self.registered)
+        twin.bindings = self.bindings.clone()
+        twin.tokens = dict(self.tokens)
+        twin.discharges = list(self.discharges)
+        twin.gaps = set(self.gaps)
+        return twin
 
     def update(self, record: AuditRecord) -> None:
         detail = record.detail
@@ -137,14 +143,15 @@ class _TraceState:
             if event_type == "register_principal":
                 self.registered.add(detail["principal"])
             elif event_type == "bind":
-                self.bindings.append(
-                    (detail["role"], detail["agent"], detail["agent_kind"], detail["principal"])
-                )
-            elif event_type == "unbind":
-                for i, b in enumerate(self.bindings):
-                    if b[0] == detail["role"] and b[1] == detail["agent"]:
-                        del self.bindings[i]
-                        break
+                role, agent = detail["role"], detail["agent"]
+                kind, principal = detail["agent_kind"], detail["principal"]
+                self.bindings.add(RoleBinding(role, agent, kind, principal, record.seq))
+            elif event_type == "unbind" and self.bindings:
+                # read the agent only when the role has a filler, so a
+                # malformed record with nothing to unbind stays harmless
+                role = detail["role"]
+                if self.bindings.count(role):
+                    self.bindings.remove(role, detail["agent"])
         elif record.kind == KIND_TOKEN_TRANSITION:
             token_id = detail["token"]
             if detail["from"] == "CREATED":
@@ -160,7 +167,8 @@ class _TraceState:
             else:
                 view = self.tokens.get(token_id)
                 if view is not None:
-                    view.state = detail["to"]
+                    view = replace(view, state=detail["to"])
+                    self.tokens[token_id] = view
                     if detail["to"] == "DISCHARGED":
                         self.discharges.append(
                             {
@@ -172,47 +180,6 @@ class _TraceState:
                                 "by": detail.get("by"),
                             }
                         )
-
-    # queries ----------------------------------------------------------
-
-    def agent_bound(self, agent: str) -> bool:
-        return any(b[1] == agent for b in self.bindings)
-
-    def agent_kind(self, agent: str) -> str | None:
-        for b in self.bindings:
-            if b[1] == agent:
-                return b[2]
-        return None
-
-    def agent_has_role(self, agent: str, role: str) -> bool:
-        return any(b[0] == role and b[1] == agent for b in self.bindings)
-
-    def agent_in_group(
-        self, agent: str, group: str, template: CommunityTemplate | None
-    ) -> bool:
-        if group == "ALL":
-            return self.agent_bound(agent)
-        if group == "ALL_AI_AGENTS":
-            kind = self.agent_kind(agent)
-            return kind is not None and RoleKind(kind) in AI_ROLE_KINDS
-        if template is None:
-            return False
-        decl = template.group(group)
-        if decl is None:
-            return False
-        return any(b[1] == agent and b[0] in decl.members for b in self.bindings)
-
-    def member_bound(self, group: str, template: CommunityTemplate | None) -> bool:
-        if group == "ALL":
-            return bool(self.bindings)
-        if group == "ALL_AI_AGENTS":
-            return any(RoleKind(b[2]) in AI_ROLE_KINDS for b in self.bindings)
-        if template is None:
-            return False
-        decl = template.group(group)
-        if decl is None:
-            return False
-        return any(b[0] in decl.members for b in self.bindings)
 
     def guard_discharged(self, guard_action: str, subject: str | None, before_seq: int) -> bool:
         for d in self.discharges:
@@ -261,7 +228,7 @@ class _AuthorityChecker:
             view = state.tokens.get(detail["token"])
             if view is not None and view.action == self.decision_action:
                 by = detail.get("by")
-                if by is None or not state.agent_has_role(by, self.authorized_role):
+                if by is None or not state.bindings.has_role(by, self.authorized_role):
                     return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
             return []
         if _is_admissible_verdict(record) and detail.get("action") == self.decision_action:
@@ -271,7 +238,7 @@ class _AuthorityChecker:
                     d["event"] == event
                     and d["action"] == self.decision_action
                     and d["by"] is not None
-                    and state.agent_has_role(d["by"], self.authorized_role)
+                    and state.bindings.has_role(d["by"], self.authorized_role)
                 ):
                     return []
             return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
@@ -284,7 +251,6 @@ class _ProhibitionChecker:
         self.action = spec.param("action")
         self.group = spec.param("group")
         self.template = template
-        self.in_gap = False
 
     def _embargo_held(self, state: _TraceState) -> bool:
         for view in state.tokens.values():
@@ -302,15 +268,16 @@ class _ProhibitionChecker:
         found: list[Violation] = []
         if _is_admissible_verdict(record) and record.detail.get("action") == self.action:
             actor = record.detail.get("actor")
-            if actor is not None and state.agent_in_group(actor, self.group, self.template):
+            if actor is not None and state.bindings.in_group(actor, self.group, self.template):
                 found.append(Violation(PROP_PROHIBITION, record.seq, (record.seq,)))
         # gap scan: the embargo must be HELD whenever a group member is bound
-        exposed = state.member_bound(self.group, self.template) and not self._embargo_held(state)
-        if exposed and not self.in_gap:
-            self.in_gap = True
+        bound = state.bindings.any_in_group(self.group, self.template)
+        exposed = bound and not self._embargo_held(state)
+        if exposed and self not in state.gaps:
+            state.gaps.add(self)
             found.append(Violation(PROP_PROHIBITION, record.seq, (record.seq,)))
         elif not exposed:
-            self.in_gap = False
+            state.gaps.discard(self)
         return found
 
 
@@ -381,7 +348,12 @@ class TraceMonitor:
         instance.add_listener(lambda record: self.feed(record))
 
     def clone(self) -> TraceMonitor:
-        return copy.deepcopy(self)
+        """Independent copy that shares the template and the checkers."""
+        twin = TraceMonitor.__new__(TraceMonitor)
+        twin._state = self._state.clone()
+        twin._checkers = self._checkers
+        twin.violations = list(self.violations)
+        return twin
 
 
 # ----------------------------------------------------------------------

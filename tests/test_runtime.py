@@ -36,6 +36,7 @@ from covenant.runtime import (
 )
 from covenant.spec_lang import parse_spec
 from covenant.spec_lang.ast import SpeechActKind
+from covenant.verifier import PropertySpec, TraceMonitor
 
 WARD_SOURCE = """\
 community Ward {
@@ -187,6 +188,17 @@ def test_bind_fuzz_matches_reference_model():
         except (KindMismatch, UnknownPrincipal, CardinalityExceeded):
             assert not ok, f"model accepted rejected bind {role} {agent} {kind} {principal}"
     assert {(b.role, b.agent) for b in c.bindings()} == bound
+    # a monitor rebuilds the same index from the records alone
+    monitor = TraceMonitor([PropertySpec.accountability()], c.template)
+    for record in c.records():
+        monitor.feed(record)
+    index = monitor._state.bindings
+    assert tuple(index) == c.bindings()
+    assert [b.bound_at for b in c.bindings()] == sorted(b.bound_at for b in c.bindings())
+    for agent in agents:
+        roles = {r for r, a in bound if a == agent}
+        assert set(index.roles_of(agent)) == roles
+        assert index.agent_kind(agent) == (decl_kind[min(roles)] if roles else None)
 
 
 def test_submit_action_unknown_actor_logs_nothing():

@@ -12,7 +12,9 @@ from covenant.reference import (
     PROP_SAFETY,
 )
 from covenant.runtime import (
+    KIND_BINDING,
     MODE_AUTONOMOUS,
+    AuditRecord,
     Principal,
     SpeechAct,
     instantiate_community,
@@ -280,16 +282,51 @@ def test_monitor_attach_catches_up_on_history():
 def test_monitor_clone_is_independent():
     c = clinic()
     monitor = TraceMonitor(ALL_SPECS, c.template)
-    for record in c.records():
-        monitor.feed(record)
+    monitor.attach(c)
     twin = monitor.clone()
     d = c.clone()
+    d.add_listener(twin.feed)
+    embargo = {"modality": "embargo", "action": "close_file", "state": "HELD"}
     say(d, SpeechActKind.GRANT, "officer_1", action="read_file", to="bot_1")
     d.submit_action("bot_1", "read_file")
-    for record in d.records()[len(c.records()):]:
-        twin.feed(record)
-    assert len(twin.violations) == 1
+    say(d, SpeechActKind.REVOKE, "officer_1", token=_select_token(d, embargo))
+    assert len(twin.violations) == 2  # unguarded read, then the embargo gap
     assert monitor.violations == []
+    # the parent opens its own gap; the twin then closes its gap and unbinds
+    # the officer, neither of which may reach the parent
+    say(c, SpeechActKind.REVOKE, "officer_1", token=_select_token(c, embargo))
+    d.unbind_agent("Bot", "bot_1")
+    d.unbind_agent("Officer", "officer_1")
+    decide = {"modality": "burden", "action": "decide", "state": "HELD"}
+    say(c, SpeechActKind.DISCHARGE, "officer_1", token=_select_token(c, decide))
+    say(c, SpeechActKind.GRANT, "officer_1", action="read_file", to="bot_1")
+    c.submit_action("bot_1", "read_file")
+    assert twin.violations == run_checks(d.records(), ALL_SPECS, c.template)
+    assert monitor.violations == run_checks(c.records(), ALL_SPECS, c.template)
+    assert [v.property for v in monitor.violations] == [PROP_PROHIBITION, PROP_SAFETY]
+
+
+def test_monitor_keeps_duplicate_binds_of_an_edited_log():
+    # a hand-edited log may bind the same (role, agent) twice: the first bind
+    # gives kind and principal, and one unbind drops only the earliest
+    def binding(seq, event_type, **detail):
+        detail.update(event=seq, event_type=event_type)
+        return AuditRecord(seq, KIND_BINDING, detail["agent"], detail, "", "")
+
+    monitor = TraceMonitor([PropertySpec.prohibition("close_file", "ALL_AI_AGENTS")])
+    index = monitor._state.bindings
+
+    def seen():
+        return index.agent_kind("x"), index.principal_of("x"), index.count("Bot")
+
+    monitor.feed(binding(0, "bind", role="Bot", agent="x", agent_kind="llm_agent", principal="P"))
+    monitor.feed(binding(1, "bind", role="Bot", agent="x", agent_kind="human", principal="Q"))
+    assert seen() == ("llm_agent", "P", 2)
+    monitor.feed(binding(2, "unbind", role="Bot", agent="x"))
+    assert [b.bound_at for b in index] == [1]
+    assert seen() == ("human", "Q", 1)
+    # only the bind of the AI kind exposed the group
+    assert [v.at_seq for v in monitor.violations] == [0]
 
 
 def test_unknown_identifiers_are_rejected():
