@@ -124,19 +124,19 @@ class Token:
 
 
 class TokenStore:
-    """All tokens of one community instance, keyed by monotonic integer id."""
+    """All tokens of one community instance, keyed by monotonic integer id.
+
+    Tokens are never removed and each gets its id as it is inserted, so
+    iteration (insertion order) is id order.
+    """
 
     def __init__(self) -> None:
         self._tokens: dict[int, Token] = {}
-        self._next_id = 1
 
-    def add(self, token: Token) -> None:
+    def add(self, **fields) -> Token:
+        token = Token(id=len(self._tokens) + 1, **fields)
         self._tokens[token.id] = token
-
-    def next_id(self) -> int:
-        allocated = self._next_id
-        self._next_id += 1
-        return allocated
+        return token
 
     def get(self, token_id: int) -> Token:
         token = self._tokens.get(token_id)
@@ -145,16 +145,14 @@ class TokenStore:
         return token
 
     def __iter__(self) -> Iterator[Token]:
-        return iter(sorted(self._tokens.values(), key=lambda t: t.id))
+        return iter(self._tokens.values())
 
     def __len__(self) -> int:
         return len(self._tokens)
 
     def clone(self) -> TokenStore:
         twin = TokenStore()
-        twin._next_id = self._next_id
-        for token in self._tokens.values():
-            twin._tokens[token.id] = replace(token)
+        twin._tokens = {token_id: replace(token) for token_id, token in self._tokens.items()}
         return twin
 
     def active_tokens(
@@ -249,8 +247,7 @@ def create_token(
     if not resolves(holder.name):
         raise UnresolvedHolder(f"holder {holder.name!r} ({holder.kind.value}) does not resolve")
 
-    token = Token(
-        id=store.next_id(),
+    return store.add(
         modality=modality,
         action=action,
         holder=holder,
@@ -263,8 +260,6 @@ def create_token(
         unless_action=unless_action,
         unless_target=unless_target,
     )
-    store.add(token)
-    return token
 
 
 def _require_holder(resolver: BindingResolver, token: Token, agent: str, verb: str) -> None:

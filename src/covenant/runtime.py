@@ -82,6 +82,14 @@ READ_WRITE = "read_write"
 ESCALATION_CONDITION_BLOCKED = "policy_violation"
 REVIEW_ACTION = "review"
 
+# speech acts that create a token, and the modality of the token each creates
+_CREATED_MODALITY = {
+    SpeechActKind.DECLARE_BURDEN: Modality.BURDEN,
+    SpeechActKind.DECLARE_PERMIT: Modality.PERMIT,
+    SpeechActKind.DECLARE_EMBARGO: Modality.EMBARGO,
+    SpeechActKind.GRANT: Modality.PERMIT,
+}
+
 
 def canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
@@ -464,16 +472,8 @@ class CommunityInstance:
         self._event_counter += 1
         if sweep:
             for token in deontic.expire_due(self.tokens, self._next_seq):
-                self._append(
-                    KIND_TOKEN_TRANSITION,
-                    None,
-                    {
-                        "event": event,
-                        "token": token.id,
-                        "from": TokenState.HELD.value,
-                        "to": TokenState.VIOLATED.value,
-                        "deadline": token.deadline,
-                    },
+                self._transition(
+                    event, token, TokenState.HELD, TokenState.VIOLATED, deadline=token.deadline
                 )
         return event
 
@@ -484,30 +484,104 @@ class CommunityInstance:
             return HolderRef(HolderKind.GROUP, name)
         return HolderRef(HolderKind.AGENT, name)
 
-    def _log_token_created(self, event: int, token: Token, origin: str) -> AuditRecord:
-        detail: dict = {
-            "event": event,
-            "token": token.id,
-            "from": TokenState.CREATED.value,
-            "to": TokenState.HELD.value,
-            "modality": token.modality.value,
-            "action": token.action,
-            "holder": token.holder.to_detail(),
-            "issuer": token.issuer,
-            "chain_head": token.chain.head,
-            "origin": origin,
-        }
-        if token.subject is not None:
-            detail["subject"] = token.subject
-        if token.deadline is not None:
-            detail["deadline"] = token.deadline
-        if token.requires_action is not None:
-            detail["requires"] = token.requires_action
-        if token.unless_action is not None:
-            detail["unless_action"] = token.unless_action
-        if token.unless_target is not None:
-            detail["unless_target"] = token.unless_target
+    # Record writers. Every token transition, verdict, escalation and speech
+    # act record is written by exactly one of these, so each kind has one shape.
+
+    def _transition(
+        self, event: int, token: Token, frm: TokenState, to: TokenState, **extra
+    ) -> AuditRecord:
+        detail = {"event": event, "token": token.id, "from": frm.value, "to": to.value, **extra}
         return self._append(KIND_TOKEN_TRANSITION, None, detail)
+
+    def _log_token_created(self, event: int, token: Token, origin: str) -> AuditRecord:
+        optional = {
+            "subject": token.subject,
+            "deadline": token.deadline,
+            "requires": token.requires_action,
+            "unless_action": token.unless_action,
+            "unless_target": token.unless_target,
+        }
+        return self._transition(
+            event,
+            token,
+            TokenState.CREATED,
+            TokenState.HELD,
+            modality=token.modality.value,
+            action=token.action,
+            holder=token.holder.to_detail(),
+            issuer=token.issuer,
+            chain_head=token.chain.head,
+            origin=origin,
+            **{key: value for key, value in optional.items() if value is not None},
+        )
+
+    def _log_verdict(
+        self,
+        event: int,
+        request: int,
+        actor: str,
+        action: str,
+        subject: str | None,
+        verdict: Verdict,
+        approved_by: str | None = None,
+    ) -> AuditRecord:
+        detail = verdict.to_detail()
+        detail.update(event=event, request=request, actor=actor, action=action)
+        if subject is not None:
+            detail["subject"] = subject
+        if approved_by is not None:
+            detail["approved_by"] = approved_by
+        return self._append(KIND_VERDICT, None, detail)
+
+    def _escalate(
+        self,
+        event: int,
+        agent: str,
+        condition: str,
+        issuer: str,
+        subject: str | None = None,
+        request: int | None = None,
+    ) -> Token | None:
+        """Log an escalation and, where a rule names a role, the review burden it opens."""
+        rule = self._find_escalation_rule(condition)
+        detail: dict = {"event": event, "condition": condition, "agent": agent}
+        if request is not None:
+            detail["request"] = request
+        token = None
+        if rule is not None:
+            token = deontic.create_token(
+                self.tokens,
+                self,
+                Modality.BURDEN,
+                REVIEW_ACTION,
+                HolderRef(HolderKind.ROLE, rule.to_role),
+                subject,
+                issuer,
+                self._next_seq,
+            )
+            detail.update(to_role=rule.to_role, burden=token.id)
+        self._append(KIND_ESCALATION, agent, detail)
+        if token is not None:
+            self._log_token_created(event, token, origin="escalation")
+        return token
+
+    def _log_act(
+        self,
+        event: int,
+        sender: str,
+        kind: SpeechActKind,
+        payload: dict,
+        rejected_for: str | None = None,
+    ) -> AuditRecord:
+        detail: dict = {"event": event, "kind": kind.value, "payload": payload}
+        if rejected_for is not None:
+            detail.update(rejected=True, reason=rejected_for)
+        return self._append(KIND_SPEECH_ACT, sender, detail)
+
+    def _reject(
+        self, event: int, sender: str, kind: SpeechActKind, payload: dict, reason: str
+    ) -> ApplyResult:
+        return ApplyResult(False, reason, self._log_act(event, sender, kind, payload, reason).seq)
 
     # ------------------------------------------------------------------
     # principals and bindings
@@ -659,14 +733,7 @@ class CommunityInstance:
                 )
                 self._pending[request.seq] = _Pending(actor, action, subject, writes)
 
-            verdict_detail = dict(verdict.to_detail())
-            verdict_detail["event"] = event
-            verdict_detail["request"] = request.seq
-            verdict_detail["actor"] = actor
-            verdict_detail["action"] = action
-            if subject is not None:
-                verdict_detail["subject"] = subject
-            verdict_record = self._append(KIND_VERDICT, None, verdict_detail)
+            verdict_record = self._log_verdict(event, request.seq, actor, action, subject, verdict)
 
             if verdict.admissible:
                 for write in writes:
@@ -676,7 +743,9 @@ class CommunityInstance:
                 and self.mode == MODE_SUPERVISED
                 and actor_is_ai
             ):
-                self._escalate_blocked(event, actor, request.seq)
+                self._escalate(
+                    event, actor, ESCALATION_CONDITION_BLOCKED, self.owner.id, request=request.seq
+                )
 
             return ActionResult(verdict, request.seq, verdict_record.seq)
 
@@ -697,32 +766,6 @@ class CommunityInstance:
                     return rule
         return None
 
-    def _escalate_blocked(self, event: int, agent: str, request_seq: int) -> None:
-        rule = self._find_escalation_rule(ESCALATION_CONDITION_BLOCKED)
-        detail: dict = {
-            "event": event,
-            "condition": ESCALATION_CONDITION_BLOCKED,
-            "agent": agent,
-            "request": request_seq,
-        }
-        token = None
-        if rule is not None:
-            token = deontic.create_token(
-                self.tokens,
-                self,
-                Modality.BURDEN,
-                REVIEW_ACTION,
-                HolderRef(HolderKind.ROLE, rule.to_role),
-                None,
-                self.owner.id,
-                self._next_seq,
-            )
-            detail["to_role"] = rule.to_role
-            detail["burden"] = token.id
-        self._append(KIND_ESCALATION, agent, detail)
-        if token is not None:
-            self._log_token_created(event, token, origin="escalation")
-
     # ------------------------------------------------------------------
     # speech acts
 
@@ -733,15 +776,14 @@ class CommunityInstance:
             payload = dict(act.payload)
 
             reason = self._authorize(act.sender, kind)
-            if reason is not None:
-                return self._reject(event, act.sender, kind, payload, reason)
-
-            try:
-                return self._dispatch(event, act.sender, kind, payload)
-            except GovernanceError as exc:
-                return self._reject(event, act.sender, kind, payload, exc.code)
-            except (KeyError, TypeError, ValueError):
-                return self._reject(event, act.sender, kind, payload, "MalformedPayload")
+            if reason is None:
+                try:
+                    return self._dispatch(event, act.sender, kind, payload)
+                except GovernanceError as exc:
+                    reason = exc.code
+                except (KeyError, TypeError, ValueError):
+                    reason = "MalformedPayload"
+            return self._reject(event, act.sender, kind, payload, reason)
 
     def _authorize(self, sender: str, kind: SpeechActKind) -> str | None:
         if not self.is_agent(sender):
@@ -753,42 +795,11 @@ class CommunityInstance:
                     return None
         return "UnauthorizedSpeechAct"
 
-    def _reject(
-        self, event: int, sender: str, kind: SpeechActKind, payload: dict, reason: str
-    ) -> ApplyResult:
-        record = self._append(
-            KIND_SPEECH_ACT,
-            sender,
-            {
-                "event": event,
-                "kind": kind.value,
-                "payload": payload,
-                "rejected": True,
-                "reason": reason,
-            },
-        )
-        return ApplyResult(False, reason, record.seq)
-
-    def _log_act(
-        self, event: int, sender: str, kind: SpeechActKind, payload: dict
-    ) -> AuditRecord:
-        return self._append(
-            KIND_SPEECH_ACT,
-            sender,
-            {"event": event, "kind": kind.value, "payload": payload},
-        )
-
     def _dispatch(
         self, event: int, sender: str, kind: SpeechActKind, payload: dict
     ) -> ApplyResult:
-        if kind in (
-            SpeechActKind.DECLARE_BURDEN,
-            SpeechActKind.DECLARE_PERMIT,
-            SpeechActKind.DECLARE_EMBARGO,
-        ):
-            return self._act_declare(event, sender, kind, payload)
-        if kind is SpeechActKind.GRANT:
-            return self._act_grant(event, sender, payload)
+        if kind in _CREATED_MODALITY:
+            return self._act_create(event, sender, kind, payload)
         if kind is SpeechActKind.TRANSFER:
             return self._act_transfer(event, sender, payload)
         if kind is SpeechActKind.DISCHARGE:
@@ -801,51 +812,31 @@ class CommunityInstance:
             return self._act_escalate(event, sender, payload)
         raise RuntimeError(f"unhandled speech act kind {kind}")  # pragma: no cover
 
-    def _act_declare(
+    def _act_create(
         self, event: int, sender: str, kind: SpeechActKind, payload: dict
     ) -> ApplyResult:
-        modality = {
-            SpeechActKind.DECLARE_BURDEN: Modality.BURDEN,
-            SpeechActKind.DECLARE_PERMIT: Modality.PERMIT,
-            SpeechActKind.DECLARE_EMBARGO: Modality.EMBARGO,
-        }[kind]
-        holder = self._holder_for_name(payload["holder"])
-        seq_of_act = self._next_seq
+        if kind is SpeechActKind.GRANT:
+            # grant = permit for one concrete agent; it takes a guard and nothing else
+            grantee = payload["to"]
+            if not self.is_agent(grantee):
+                raise UnknownAgent(f"grantee {grantee!r} is not bound to any role")
+            holder = HolderRef(HolderKind.AGENT, grantee)
+            fields = ("requires_action",)
+        else:
+            holder = self._holder_for_name(payload["holder"])
+            fields = ("deadline", "requires_action", "unless_action", "unless_target")
         token = deontic.create_token(
             self.tokens,
             self,
-            modality,
+            _CREATED_MODALITY[kind],
             payload["action"],
             holder,
             payload.get("subject"),
             sender,
-            seq_of_act,
-            deadline=payload.get("deadline"),
-            requires_action=payload.get("requires_action"),
-            unless_action=payload.get("unless_action"),
-            unless_target=payload.get("unless_target"),
+            self._next_seq,
+            **{name: payload.get(name) for name in fields},
         )
         record = self._log_act(event, sender, kind, payload)
-        self._log_token_created(event, token, origin="speech_act")
-        return ApplyResult(True, seq=record.seq, token_id=token.id)
-
-    def _act_grant(self, event: int, sender: str, payload: dict) -> ApplyResult:
-        # grant = permit issued to one concrete agent
-        grantee = payload["to"]
-        if not self.is_agent(grantee):
-            raise UnknownAgent(f"grantee {grantee!r} is not bound to any role")
-        token = deontic.create_token(
-            self.tokens,
-            self,
-            Modality.PERMIT,
-            payload["action"],
-            HolderRef(HolderKind.AGENT, grantee),
-            payload.get("subject"),
-            sender,
-            self._next_seq,
-            requires_action=payload.get("requires_action"),
-        )
-        record = self._log_act(event, sender, SpeechActKind.GRANT, payload)
         self._log_token_created(event, token, origin="speech_act")
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
@@ -858,29 +849,16 @@ class CommunityInstance:
         record = self._log_act(
             event, sender, SpeechActKind.TRANSFER, {"token": token_id, "to": to}
         )
-        self._append(
-            KIND_TOKEN_TRANSITION,
-            None,
-            {
-                "event": event,
-                "token": token.id,
-                "from": TokenState.HELD.value,
-                "to": TokenState.DELEGATED.value,
-                "by": sender,
-                "target": to,
-            },
+        self._transition(
+            event, token, TokenState.HELD, TokenState.DELEGATED, by=sender, target=to
         )
-        self._append(
-            KIND_TOKEN_TRANSITION,
-            None,
-            {
-                "event": event,
-                "token": token.id,
-                "from": TokenState.DELEGATED.value,
-                "to": TokenState.HELD.value,
-                "holder": token.holder.to_detail(),
-                "link": {"from": sender, "to": to, "at": token.chain.links[-1].at},
-            },
+        self._transition(
+            event,
+            token,
+            TokenState.DELEGATED,
+            TokenState.HELD,
+            holder=token.holder.to_detail(),
+            link={"from": sender, "to": to, "at": token.chain.links[-1].at},
         )
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
@@ -896,17 +874,8 @@ class CommunityInstance:
             SpeechActKind.DISCHARGE,
             {"token": token_id, "evidence": evidence},
         )
-        self._append(
-            KIND_TOKEN_TRANSITION,
-            None,
-            {
-                "event": event,
-                "token": token.id,
-                "from": TokenState.HELD.value,
-                "to": TokenState.DISCHARGED.value,
-                "by": sender,
-                "evidence": evidence,
-            },
+        self._transition(
+            event, token, TokenState.HELD, TokenState.DISCHARGED, by=sender, evidence=evidence
         )
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
@@ -914,26 +883,14 @@ class CommunityInstance:
         token_id = int(payload["token"])
         token = deontic.revoke_token(self.tokens, self, token_id, sender, self._next_seq)
         record = self._log_act(event, sender, SpeechActKind.REVOKE, {"token": token_id})
-        self._append(
-            KIND_TOKEN_TRANSITION,
-            None,
-            {
-                "event": event,
-                "token": token.id,
-                "from": TokenState.HELD.value,
-                "to": TokenState.REVOKED.value,
-                "by": sender,
-            },
-        )
+        self._transition(event, token, TokenState.HELD, TokenState.REVOKED, by=sender)
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     def _act_negotiation(
         self, event: int, sender: str, kind: SpeechActKind, payload: dict
     ) -> ApplyResult:
-        if kind is SpeechActKind.ACCEPT and "request_seq" in payload:
-            return self._approve_recommendation(event, sender, payload)
-        if kind is SpeechActKind.REJECT and "request_seq" in payload:
-            return self._reject_recommendation(event, sender, payload)
+        if kind in (SpeechActKind.ACCEPT, SpeechActKind.REJECT) and "request_seq" in payload:
+            return self._decide_recommendation(event, sender, kind, payload)
 
         if kind is SpeechActKind.PROPOSE:
             if self._negotiation_state != "idle":
@@ -960,93 +917,46 @@ class CommunityInstance:
             history.apply(ObjectWrite("NegotiationHistory", "append", str(record.seq), entry))
         return ApplyResult(True, seq=record.seq)
 
-    def _approve_recommendation(self, event: int, sender: str, payload: dict) -> ApplyResult:
+    def _decide_recommendation(
+        self, event: int, sender: str, kind: SpeechActKind, payload: dict
+    ) -> ApplyResult:
         request_seq = int(payload["request_seq"])
         pending = self._pending.get(request_seq)
         if pending is None:
             raise ProtocolViolation(f"no pending recommendation for request {request_seq}")
+        approve = kind is SpeechActKind.ACCEPT
         if self.agent_kind(sender) is not RoleKind.HUMAN:
-            raise ProtocolViolation("only a human may approve a recommendation")
+            verb = "approve" if approve else "reject"
+            raise ProtocolViolation(f"only a human may {verb} a recommendation")
         del self._pending[request_seq]
-        record = self._log_act(
-            event, sender, SpeechActKind.ACCEPT, {"request_seq": request_seq}
+        record = self._log_act(event, sender, kind, {"request_seq": request_seq})
+        if approve:
+            subject = pending.subject
+            try:
+                verdict = deontic.check_action_admissible(
+                    self.tokens, self, pending.actor, pending.action, subject
+                )
+            except UnknownAgent:
+                verdict = Verdict(OUTCOME_BLOCKED, reason=UnknownAgent.__name__)
+        else:
+            # a rejection's verdict names no subject
+            subject, verdict = None, Verdict(OUTCOME_BLOCKED, reason="rejected")
+        self._log_verdict(
+            event, request_seq, pending.actor, pending.action, subject, verdict, approved_by=sender
         )
-        try:
-            verdict = deontic.check_action_admissible(
-                self.tokens, self, pending.actor, pending.action, pending.subject
-            )
-        except UnknownAgent:
-            verdict = Verdict(OUTCOME_BLOCKED, reason=UnknownAgent.__name__)
-        verdict_detail = dict(verdict.to_detail())
-        verdict_detail["event"] = event
-        verdict_detail["request"] = request_seq
-        verdict_detail["actor"] = pending.actor
-        verdict_detail["action"] = pending.action
-        if pending.subject is not None:
-            verdict_detail["subject"] = pending.subject
-        verdict_detail["approved_by"] = sender
-        self._append(KIND_VERDICT, None, verdict_detail)
         if verdict.admissible:
             for write in pending.effects:
                 self.objects[write.object].apply(write)
         return ApplyResult(True, seq=record.seq)
 
-    def _reject_recommendation(self, event: int, sender: str, payload: dict) -> ApplyResult:
-        request_seq = int(payload["request_seq"])
-        pending = self._pending.get(request_seq)
-        if pending is None:
-            raise ProtocolViolation(f"no pending recommendation for request {request_seq}")
-        if self.agent_kind(sender) is not RoleKind.HUMAN:
-            raise ProtocolViolation("only a human may reject a recommendation")
-        del self._pending[request_seq]
-        record = self._log_act(
-            event, sender, SpeechActKind.REJECT, {"request_seq": request_seq}
-        )
-        self._append(
-            KIND_VERDICT,
-            None,
-            {
-                "event": event,
-                "request": request_seq,
-                "actor": pending.actor,
-                "action": pending.action,
-                "outcome": OUTCOME_BLOCKED,
-                "reason": "rejected",
-                "approved_by": sender,
-            },
-        )
-        return ApplyResult(True, seq=record.seq)
-
     def _act_escalate(self, event: int, sender: str, payload: dict) -> ApplyResult:
         condition = payload["condition"]
-        rule = self._find_escalation_rule(condition)
-        if rule is None:
+        if self._find_escalation_rule(condition) is None:
             return self._reject(
                 event, sender, SpeechActKind.ESCALATE, payload, "no-escalation-rule"
             )
         record = self._log_act(event, sender, SpeechActKind.ESCALATE, payload)
-        token = deontic.create_token(
-            self.tokens,
-            self,
-            Modality.BURDEN,
-            REVIEW_ACTION,
-            HolderRef(HolderKind.ROLE, rule.to_role),
-            payload.get("subject"),
-            sender,
-            self._next_seq,
-        )
-        self._append(
-            KIND_ESCALATION,
-            sender,
-            {
-                "event": event,
-                "condition": condition,
-                "agent": sender,
-                "to_role": rule.to_role,
-                "burden": token.id,
-            },
-        )
-        self._log_token_created(event, token, origin="escalation")
+        token = self._escalate(event, sender, condition, sender, payload.get("subject"))
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     # ------------------------------------------------------------------

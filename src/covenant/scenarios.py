@@ -199,10 +199,6 @@ class Scenario:
     synopsis: str
     stages: tuple[Stage, ...]
 
-    @property
-    def templates(self) -> tuple[CommunityTemplate, ...]:
-        return tuple(parse_spec(stage.source) for stage in self.stages)
-
 
 @dataclass(frozen=True)
 class StageReport:
@@ -603,6 +599,13 @@ def get_scenario(name: str) -> Scenario:
 # execution
 
 
+def _checked_template(stage: Stage) -> CommunityTemplate:
+    """Parse the stage's template and preflight its script against it."""
+    template = parse_spec(stage.source)
+    _preflight(stage, template)
+    return template
+
+
 def _preflight(stage: Stage, template: CommunityTemplate) -> None:
     agents = {member.agent for member in stage.cast}
     registered = {stage.owner}
@@ -646,9 +649,7 @@ def _preflight(stage: Stage, template: CommunityTemplate) -> None:
             raise ScriptError(f"{ev.name}: unknown event op {ev.op!r}")
 
 
-def _execute_stage(stage: Stage) -> StageReport:
-    template = parse_spec(stage.source)
-    _preflight(stage, template)
+def _execute_stage(stage: Stage, template: CommunityTemplate) -> StageReport:
     instance = instantiate_community(
         template,
         mode=stage.mode,
@@ -731,13 +732,11 @@ def _execute_stage(stage: Stage) -> StageReport:
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
-    """Parse, validate, and execute every stage; compare against expectations."""
-    parsed = [(stage, parse_spec(stage.source)) for stage in scenario.stages]
-    for stage, template in parsed:
-        _preflight(stage, template)
+    """Parse and preflight every stage before any runs, then execute each once."""
+    checked = [(stage, _checked_template(stage)) for stage in scenario.stages]
     return ScenarioReport(
         name=scenario.name,
-        stages=tuple(_execute_stage(stage) for stage in scenario.stages),
+        stages=tuple(_execute_stage(stage, template) for stage, template in checked),
     )
 
 
@@ -850,20 +849,23 @@ def _mutate_decision_authority(s: Scenario, stage_index: int) -> Scenario:
         to="matcher",
     )
     script = stage.script
-    if any(ev.name == "transfer_decision" for ev in script):
-        script = _replace_event(script, "transfer_decision", transfer)
-    else:
+    inserted = not any(ev.name == "transfer_decision" for ev in script)
+    if inserted:
         script = _insert_after(script, "eval_match", transfer)
+    else:
+        script = _replace_event(script, "transfer_decision", transfer)
     script = _replace_event(
         script,
         "decide",
         _say("decide", "matcher", "discharge", select=_sel("burden", "make_enrollment_decision")),
     )
+    expected = _keep_verdicts(stage.expected_verdicts, script)
+    if inserted:
+        expected += (("transfer_decision", "accepted"),)
     mutated = replace(
         stage,
         script=script,
-        expected_verdicts=_keep_verdicts(stage.expected_verdicts, script)
-        + (("transfer_decision", "accepted"),),
+        expected_verdicts=expected,
         expected_violations=((PROP_AUTHORITY, "decide"),),
     )
     stages = s.stages[:stage_index] + (mutated,) + s.stages[stage_index + 1 :]
@@ -873,18 +875,7 @@ def _mutate_decision_authority(s: Scenario, stage_index: int) -> Scenario:
 def _mutate_happy_authority(s: Scenario) -> Scenario:
     if len(s.stages) < 2:
         raise CannotInject("no decision stage")
-    # the matching stage has no matcher slot free for the transfer target
-    # unless it is in the cast; happy path binds it, so retarget works
-    out = _mutate_decision_authority(s, 1)
-    # deduplicate: _mutate_decision_authority already appends transfer_decision
-    stage = out.stages[1]
-    seen: set[tuple[str, str]] = set()
-    verdicts = []
-    for pair in stage.expected_verdicts:
-        if pair not in seen:
-            seen.add(pair)
-            verdicts.append(pair)
-    return replace(out, stages=(out.stages[0], replace(stage, expected_verdicts=tuple(verdicts))))
+    return _mutate_decision_authority(s, 1)
 
 
 def _mutate_rogue_prohibition(s: Scenario) -> Scenario:
@@ -1154,7 +1145,7 @@ def stage_from_script(
 
 
 def run_stage(stage: Stage) -> StageReport:
-    return _execute_stage(stage)
+    return _execute_stage(stage, _checked_template(stage))
 
 
 # ----------------------------------------------------------------------

@@ -525,9 +525,13 @@ def test_admissibility_fuzz_matches_brute_force(ward):
         actor = rng.choice(["doc_a", "bot_1", "bot_2"])
         action = rng.choice(actions)
         subject = rng.choice(subjects)
-        got = check_action_admissible(store, resolver, actor, action, subject).outcome
+        verdict = check_action_admissible(store, resolver, actor, action, subject)
+        got = verdict.outcome
         want = brute_force_verdict(store, resolver, actor, action, subject)
         assert got == want, f"step {step}: {actor} {action} {subject}: {got} != {want}"
+        # verdicts reach the audit log, so their token ids must come out ascending
+        assert list(verdict.permits) == sorted(set(verdict.permits)), f"step {step}"
+        assert list(verdict.blockers) == sorted(set(verdict.blockers)), f"step {step}"
 
 
 def test_intent_records_are_frozen_and_owner_bound():

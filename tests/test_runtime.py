@@ -25,6 +25,7 @@ from covenant.runtime import (
     KIND_TOKEN_TRANSITION,
     KIND_VERDICT,
     MODE_ADVISORY,
+    MODE_AUTONOMOUS,
     MODE_SUPERVISED,
     Principal,
     SpeechAct,
@@ -34,6 +35,7 @@ from covenant.runtime import (
     replay,
     verify_chain,
 )
+from covenant.scenarios import built_in_scenarios, inject_violation, run_scenario
 from covenant.spec_lang import parse_spec
 from covenant.spec_lang.ast import SpeechActKind
 from covenant.verifier import PropertySpec, TraceMonitor
@@ -549,3 +551,261 @@ def test_clone_isolates_state():
         )
     )
     assert len(list(twin.tokens)) + 1 == len(list(c.tokens))
+
+
+# ----------------------------------------------------------------------
+# export bytes pinned by digest
+#
+# Replay round trips cannot catch a change in how a record is written,
+# because the original run and the replay change together. These pins hold
+# the head hash of fixed runs, so any change to a record's bytes, to the
+# order of records within an event, or to token id allocation shows.
+
+DESK_SOURCE = """\
+community Desk {
+  role Officer: human [0..2];
+  role Reviewer: human [0..2];
+  role Bot: llm_agent [0..2];
+
+  object CaseFile;
+
+  policy burden(screen_case, Officer);
+  policy permit(read_case, Bot) requires discharged burden(screen_case, Officer);
+  policy embargo(close_case, ALL_AI_AGENTS)
+    unless permit(override_close, Reviewer);
+
+  contract DeskRules {
+    allow Officer: declare_burden, declare_permit, declare_embargo, grant, revoke, transfer, discharge, escalate;
+    allow Reviewer: discharge, accept, reject, escalate;
+    allow Bot: propose, counter_propose, accept, reject, escalate;
+    escalate when policy_violation to Reviewer;
+    escalate when low_confidence to Officer;
+  }
+}
+"""
+
+_NO_POLICY_RULE = DESK_SOURCE.replace("    escalate when policy_violation to Reviewer;\n", "")
+
+
+def drive_every_writer(c):
+    """One script that reaches every record writer; outcomes vary with the mode."""
+
+    def say(kind, sender, **payload):
+        return c.apply_speech_act(SpeechAct(kind, sender, payload))
+
+    c.register_principal("Vendor")
+    c.bind_agent("Officer", "officer_1", "human", "Desk")
+    c.bind_agent("Officer", "officer_2", "human", "Desk")
+    c.bind_agent("Reviewer", "reviewer_1", "human", "Desk")
+    c.bind_agent("Bot", "bot_1", "llm_agent", "Vendor")
+    c.bind_agent("Bot", "bot_2", "llm_agent", "Vendor")
+
+    # two burdens fall due together and expire in one sweep
+    due = c.head_seq + 4
+    say(SpeechActKind.DECLARE_BURDEN, "officer_1", action="file_report", holder="Officer", deadline=due)
+    say(
+        SpeechActKind.DECLARE_BURDEN,
+        "officer_1",
+        action="file_report",
+        holder="officer_2",
+        subject="case1",
+        deadline=due,
+    )
+    # a burden met before its deadline never expires
+    kept = say(SpeechActKind.DECLARE_BURDEN, "officer_1", action="sign", holder="officer_1", deadline=due + 40)
+    c.submit_action("officer_1", "ping")
+    say(SpeechActKind.DISCHARGE, "officer_1", token=kept.token_id)
+
+    # screen, transfer, discharge
+    say(SpeechActKind.DISCHARGE, "officer_1", token=1, evidence=c.head_seq)
+    moved = say(SpeechActKind.DECLARE_BURDEN, "officer_1", action="review_case", holder="officer_1")
+    say(SpeechActKind.TRANSFER, "officer_1", token=moved.token_id, to="officer_2")
+    say(SpeechActKind.TRANSFER, "officer_2", token=moved.token_id, to="ghost")
+    say(SpeechActKind.DISCHARGE, "officer_2", token=moved.token_id)
+
+    # grants, declarations with every optional field, revocation
+    export = say(SpeechActKind.GRANT, "officer_1", action="export_case", to="bot_2", subject="case2")
+    # a grant takes only a guard: its deadline and exception are logged, then ignored
+    say(
+        SpeechActKind.GRANT,
+        "officer_1",
+        action="archive",
+        to="bot_1",
+        requires_action="screen_case",
+        deadline=due,
+        unless_action="override_close",
+    )
+    say(SpeechActKind.DECLARE_PERMIT, "officer_1", action="override_close", holder="Reviewer", subject="case9")
+    say(
+        SpeechActKind.DECLARE_EMBARGO,
+        "officer_1",
+        action="archive",
+        holder="Bot",
+        subject="case1",
+        unless_action="override_close",
+        unless_target="Reviewer",
+    )
+
+    # actions: admissible, blocked by embargo, blocked for want of a permit
+    effects = [{"object": "CaseFile", "op": "append", "key": "case1", "value": "read"}]
+    first = c.submit_action("bot_1", "read_case", "case1", effects)
+    c.submit_action("bot_1", "close_case", "case1")
+    c.submit_action("bot_2", "archive")
+    c.submit_action("officer_1", "close_case")
+    c.submit_action("bot_1", "archive", "case1")
+    second = c.submit_action("bot_2", "export_case", "case2")
+    third = c.submit_action("bot_1", "read_case", "case3")
+    fourth = c.submit_action("bot_2", "read_case")
+
+    # recommendations: a bot may not approve, a stale request is refused,
+    # a revoked permit or an unbound actor turns an approval into a block
+    say(SpeechActKind.ACCEPT, "bot_1", request_seq=first.request_seq)
+    say(SpeechActKind.ACCEPT, "reviewer_1", request_seq=first.request_seq)
+    say(SpeechActKind.ACCEPT, "reviewer_1", request_seq=first.request_seq)
+    say(SpeechActKind.REVOKE, "officer_1", token=export.token_id)
+    say(SpeechActKind.REVOKE, "officer_1", token=export.token_id)
+    say(SpeechActKind.ACCEPT, "reviewer_1", request_seq=second.request_seq)
+    say(SpeechActKind.REJECT, "bot_2", request_seq=third.request_seq)
+    say(SpeechActKind.REJECT, "reviewer_1", request_seq=third.request_seq)
+    c.unbind_agent("Bot", "bot_2")
+    say(SpeechActKind.ACCEPT, "reviewer_1", request_seq=fourth.request_seq)
+    say(SpeechActKind.ACCEPT, "reviewer_1", request_seq="soon")
+
+    # escalation speech acts, with and without a rule
+    say(SpeechActKind.ESCALATE, "bot_1", condition="low_confidence", subject="case1")
+    say(SpeechActKind.ESCALATE, "reviewer_1", condition="low_confidence")
+    say(SpeechActKind.ESCALATE, "bot_1", condition="power_outage")
+
+    # rejections before dispatch, and the negotiation protocol
+    say(SpeechActKind.GRANT, "officer_1", action="x")
+    say(SpeechActKind.GRANT, "bot_1", action="read_case", to="bot_1")
+    c.apply_speech_act(SpeechAct(SpeechActKind.PROPOSE, "stranger", {}))
+    say(SpeechActKind.PROPOSE, "bot_1", body="split the queue")
+    say(SpeechActKind.COUNTER_PROPOSE, "bot_1")
+    say(SpeechActKind.ACCEPT, "reviewer_1")
+    c.set_mode(MODE_AUTONOMOUS, by="officer_1")
+    c.submit_action("bot_1", "close_case", "case9")
+    return c
+
+
+def _desk(mode, source=DESK_SOURCE):
+    c = instantiate_community(
+        parse_spec(source),
+        mode=mode,
+        owner=Principal("Desk", "Desk"),
+        object_disciplines={"CaseFile": "append_only"},
+    )
+    return drive_every_writer(c)
+
+
+def _head(export: str) -> str:
+    return parse_export(export)[1][-1].hash
+
+
+PINNED_HEADS = {
+    "advisory_gate/MatchingWorkflowCommunity": "1e1d637a3c264a70acf06b1033f4a82c1ca110c3e55ecfd8f4d4b6b80cb5e0d4",
+    "desk/advisory": "404a95a2452316769709378e468402767e3ebd3307e84735597f5d28440c0b93",
+    "desk/autonomous": "cfd4295fe263f3fd66ebbf8bc5ae3a79784c64a4174758f61b6990be4f1953c7",
+    "desk/supervised": "e022b4191c7c22123ca352cf1d504bc8e89cfa600f268e0f50d71f925935dbed",
+    "desk/supervised_without_rule": "96404fc7c5154ab4086f257ad516bb119e54f9afb3fe2123d0e61c22c22bc7a8",
+    "happy_path/DataAccessCommunity": "c00ff8be203a5b52adbc920e24dcbd670fa25ad324690ff7ef239cd1f71107d4",
+    "happy_path/MatchingWorkflowCommunity": "6b46c19a13bf00a5ec0e0fb160e9272662273bb3ff9f8f7d9cf1a2b33c4348f3",
+    "happy_path__accountability/DataAccessCommunity": "f72108454e84681abf71f695a8f7f32fc7b222bb63360e8ba5130bd32c607749",
+    "happy_path__accountability/MatchingWorkflowCommunity": "6b46c19a13bf00a5ec0e0fb160e9272662273bb3ff9f8f7d9cf1a2b33c4348f3",
+    "happy_path__authority/DataAccessCommunity": "c00ff8be203a5b52adbc920e24dcbd670fa25ad324690ff7ef239cd1f71107d4",
+    "happy_path__authority/MatchingWorkflowCommunity": "7fcf31402f614d7fbbf1090d8b38f79cf07200848aa99dfd3175aa72eeb764a9",
+    "happy_path__prohibition/DataAccessCommunity": "5544a7920c60b109a3b678e2acf568b3f23f48e7a22b35a33ed7faec80e8fe6d",
+    "happy_path__prohibition/MatchingWorkflowCommunity": "6b46c19a13bf00a5ec0e0fb160e9272662273bb3ff9f8f7d9cf1a2b33c4348f3",
+    "happy_path__safety/DataAccessCommunity": "c60b66dd981f5c02797676753d15b7be62ffa88f7d23403081e0bbb0d769c093",
+    "happy_path__safety/MatchingWorkflowCommunity": "6b46c19a13bf00a5ec0e0fb160e9272662273bb3ff9f8f7d9cf1a2b33c4348f3",
+    "negotiation/NegotiationCommunity": "fed0df81c474516d88bce44271e0cd54bd05a08dc298889f8c64b741bbe44f5e",
+    "rogue_ai/MatchingWorkflowCommunity": "c23f40e2d80ffe8cc8437b1dd0db29b3912f5950d9a798c6f88f11fbbfb3e24e",
+    "rogue_ai__accountability/MatchingWorkflowCommunity": "f9f6a894489edf55cd6aec21b18fb1e08814b5e9c94628e708113e67d3d4ee9b",
+    "rogue_ai__authority/MatchingWorkflowCommunity": "80cb3217f577ff85ca2194df40c3556a93052480ad1d5f3d3a580f310381a026",
+    "rogue_ai__prohibition/MatchingWorkflowCommunity": "d40b49ba2232e1a8d71bca65f7ee34fe68d80c067668a8b2be69c2f0afef4d0f",
+}
+
+
+def _pinned_runs():
+    runs = {}
+    variants = [
+        ("happy_path", "safety"),
+        ("happy_path", "prohibition"),
+        ("happy_path", "accountability"),
+        ("happy_path", "authority"),
+        ("rogue_ai", "prohibition"),
+        ("rogue_ai", "authority"),
+        ("rogue_ai", "accountability"),
+    ]
+    built = {s.name: s for s in built_in_scenarios()}
+    for scenario in list(built.values()) + [inject_violation(built[n], k) for n, k in variants]:
+        report = run_scenario(scenario)
+        assert report.ok, report.summary()
+        for stage in report.stages:
+            runs[f"{scenario.name}/{stage.community}"] = _head(stage.export)
+    for mode in (MODE_SUPERVISED, MODE_ADVISORY, MODE_AUTONOMOUS):
+        runs[f"desk/{mode}"] = _head(_desk(mode).export_log())
+    runs["desk/supervised_without_rule"] = _head(_desk(MODE_SUPERVISED, _NO_POLICY_RULE).export_log())
+    return runs
+
+
+def test_mode_runs_reach_every_record_writer():
+    seen = set()
+    for mode, source in (
+        (MODE_SUPERVISED, DESK_SOURCE),
+        (MODE_ADVISORY, DESK_SOURCE),
+        (MODE_AUTONOMOUS, DESK_SOURCE),
+        (MODE_SUPERVISED, _NO_POLICY_RULE),
+    ):
+        c = _desk(mode, source)
+        assert replay(parse_spec(source), c.export_log()).export_log() == c.export_log()
+        for r in c.records():
+            d = r.detail
+            if r.kind == KIND_TOKEN_TRANSITION:
+                seen.add((r.kind, d["from"], d["to"], d.get("origin")))
+            elif r.kind == KIND_VERDICT:
+                seen.add((r.kind, d["outcome"], d.get("reason"), "approved_by" in d, "subject" in d))
+            elif r.kind == KIND_ESCALATION:
+                seen.add((r.kind, d["condition"], "burden" in d))
+            elif r.kind == KIND_SPEECH_ACT:
+                seen.add((r.kind, d["kind"], d.get("reason")))
+    expected = {
+        (KIND_TOKEN_TRANSITION, "CREATED", "HELD", "policy"),
+        (KIND_TOKEN_TRANSITION, "CREATED", "HELD", "speech_act"),
+        (KIND_TOKEN_TRANSITION, "CREATED", "HELD", "escalation"),
+        (KIND_TOKEN_TRANSITION, "HELD", "VIOLATED", None),
+        (KIND_TOKEN_TRANSITION, "HELD", "DELEGATED", None),
+        (KIND_TOKEN_TRANSITION, "DELEGATED", "HELD", None),
+        (KIND_TOKEN_TRANSITION, "HELD", "DISCHARGED", None),
+        (KIND_TOKEN_TRANSITION, "HELD", "REVOKED", None),
+        (KIND_VERDICT, "admissible", None, False, True),
+        (KIND_VERDICT, "recommended", None, False, True),
+        (KIND_VERDICT, "recommended", None, False, False),
+        (KIND_VERDICT, "blocked", "embargo", False, True),
+        (KIND_VERDICT, "blocked", "no-permit", False, False),
+        (KIND_VERDICT, "admissible", None, True, True),
+        (KIND_VERDICT, "blocked", "no-permit", True, True),
+        (KIND_VERDICT, "blocked", "UnknownAgent", True, False),
+        (KIND_VERDICT, "blocked", "rejected", True, False),
+        (KIND_ESCALATION, "policy_violation", True),
+        (KIND_ESCALATION, "policy_violation", False),
+        (KIND_ESCALATION, "low_confidence", True),
+        (KIND_SPEECH_ACT, "accept", None),
+        (KIND_SPEECH_ACT, "accept", "ProtocolViolation"),
+        (KIND_SPEECH_ACT, "accept", "MalformedPayload"),
+        (KIND_SPEECH_ACT, "reject", None),
+        (KIND_SPEECH_ACT, "reject", "ProtocolViolation"),
+        (KIND_SPEECH_ACT, "escalate", None),
+        (KIND_SPEECH_ACT, "escalate", "no-escalation-rule"),
+        (KIND_SPEECH_ACT, "transfer", "UnknownAgent"),
+        (KIND_SPEECH_ACT, "revoke", "TerminalState"),
+        (KIND_SPEECH_ACT, "grant", "MalformedPayload"),
+        (KIND_SPEECH_ACT, "grant", "UnauthorizedSpeechAct"),
+        (KIND_SPEECH_ACT, "propose", "UnknownAgent"),
+        (KIND_SPEECH_ACT, "counter_propose", "ProtocolViolation"),
+    }
+    assert expected <= seen, sorted(expected - seen, key=str)
+
+
+def test_export_heads_are_pinned():
+    assert _pinned_runs() == PINNED_HEADS
