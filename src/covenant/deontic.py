@@ -96,9 +96,6 @@ class DelegationChain:
     def extended(self, frm: str, to: str, at: int) -> DelegationChain:
         return DelegationChain(self.links + (ChainLink(frm, to, at),))
 
-    def to_detail(self) -> list[dict]:
-        return [{"from": l.frm, "to": l.to, "at": l.at} for l in self.links]
-
 
 @dataclass
 class Token:

@@ -9,9 +9,9 @@ and this engine through identical event schemas, map runtime record seqs
 back to positions, and require the two violation sets to agree exactly.
 
 Scope is intentionally narrow so the oracle stays obviously correct:
-autonomous mode only, no deadlines, no negotiation, escalation, or
-recommendation flows. Events outside that scope raise ScopeTooLarge
-instead of silently diverging.
+autonomous mode only, no forced binds, no deadlines, no negotiation,
+escalation, or recommendation flows. Events outside that scope raise
+ScopeTooLarge instead of silently diverging.
 """
 
 from __future__ import annotations
@@ -296,6 +296,8 @@ class ReferenceEngine:
         if schema.op == "register_principal":
             self.principals.add(p["principal"])
         elif schema.op == "bind":
+            if p.get("force"):
+                raise ScopeTooLarge("forced binds are outside the oracle's scope")
             bound = self._bind(p["role"], p["agent"], p["kind"], p["principal"])
         elif schema.op == "unbind":
             for i, b in enumerate(self.bindings):

@@ -37,6 +37,7 @@ from .errors import (
     InvalidTemplate,
     KindMismatch,
     ProtocolViolation,
+    UnauthorizedSpeechAct,
     UnknownAgent,
     UnknownPrincipal,
     UnknownRole,
@@ -533,37 +534,41 @@ class CommunityInstance:
             detail["approved_by"] = approved_by
         return self._append(KIND_VERDICT, None, detail)
 
+    def _review_burden(
+        self, condition: str, issuer: str, subject: str | None = None
+    ) -> Token | None:
+        """Create the review burden an escalation opens, where a rule names a role."""
+        rule = self._find_escalation_rule(condition)
+        if rule is None:
+            return None
+        return deontic.create_token(
+            self.tokens,
+            self,
+            Modality.BURDEN,
+            REVIEW_ACTION,
+            HolderRef(HolderKind.ROLE, rule.to_role),
+            subject,
+            issuer,
+            self._next_seq,
+        )
+
     def _escalate(
         self,
         event: int,
         agent: str,
         condition: str,
-        issuer: str,
-        subject: str | None = None,
+        burden: Token | None,
         request: int | None = None,
-    ) -> Token | None:
-        """Log an escalation and, where a rule names a role, the review burden it opens."""
-        rule = self._find_escalation_rule(condition)
+    ) -> None:
+        """Log an escalation and the review burden it opened, if any."""
         detail: dict = {"event": event, "condition": condition, "agent": agent}
         if request is not None:
             detail["request"] = request
-        token = None
-        if rule is not None:
-            token = deontic.create_token(
-                self.tokens,
-                self,
-                Modality.BURDEN,
-                REVIEW_ACTION,
-                HolderRef(HolderKind.ROLE, rule.to_role),
-                subject,
-                issuer,
-                self._next_seq,
-            )
-            detail.update(to_role=rule.to_role, burden=token.id)
+        if burden is not None:
+            detail.update(to_role=burden.holder.name, burden=burden.id)
         self._append(KIND_ESCALATION, agent, detail)
-        if token is not None:
-            self._log_token_created(event, token, origin="escalation")
-        return token
+        if burden is not None:
+            self._log_token_created(event, burden, origin="escalation")
 
     def _log_act(
         self,
@@ -743,9 +748,9 @@ class CommunityInstance:
                 and self.mode == MODE_SUPERVISED
                 and actor_is_ai
             ):
-                self._escalate(
-                    event, actor, ESCALATION_CONDITION_BLOCKED, self.owner.id, request=request.seq
-                )
+                condition = ESCALATION_CONDITION_BLOCKED
+                burden = self._review_burden(condition, self.owner.id)
+                self._escalate(event, actor, condition, burden, request=request.seq)
 
             return ActionResult(verdict, request.seq, verdict_record.seq)
 
@@ -793,7 +798,7 @@ class CommunityInstance:
             for role in roles:
                 if kind in contract.allowed_kinds(role):
                     return None
-        return "UnauthorizedSpeechAct"
+        return UnauthorizedSpeechAct.__name__
 
     def _dispatch(
         self, event: int, sender: str, kind: SpeechActKind, payload: dict
@@ -951,13 +956,16 @@ class CommunityInstance:
 
     def _act_escalate(self, event: int, sender: str, payload: dict) -> ApplyResult:
         condition = payload["condition"]
-        if self._find_escalation_rule(condition) is None:
+        # the burden comes before the event's first record, so a failure to
+        # create it leaves a single rejected record, as every other act does
+        burden = self._review_burden(condition, sender, payload.get("subject"))
+        if burden is None:
             return self._reject(
                 event, sender, SpeechActKind.ESCALATE, payload, "no-escalation-rule"
             )
         record = self._log_act(event, sender, SpeechActKind.ESCALATE, payload)
-        token = self._escalate(event, sender, condition, sender, payload.get("subject"))
-        return ApplyResult(True, seq=record.seq, token_id=token.id)
+        self._escalate(event, sender, condition, burden)
+        return ApplyResult(True, seq=record.seq, token_id=burden.id)
 
     # ------------------------------------------------------------------
     # annotations

@@ -18,8 +18,7 @@ import shlex
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .deontic import OUTCOME_RECOMMENDED
-from .errors import CannotInject, GovernanceError, ScriptError
+from .errors import CannotInject, ScriptError
 from .runtime import (
     APPEND_ONLY,
     AuditRecord,
@@ -31,7 +30,6 @@ from .runtime import (
     MODES,
     Principal,
     READ_WRITE,
-    SpeechAct,
     instantiate_community,
 )
 from .spec_lang import parse_spec
@@ -43,8 +41,7 @@ from .verifier import (
     PROP_PROHIBITION,
     PROP_SAFETY,
     PropertySpec,
-    Violation,
-    _select_token,
+    apply_schema,
     run_checks,
 )
 
@@ -168,14 +165,6 @@ def build_clinical_layers() -> tuple[CommunityTemplate, CommunityTemplate, Commu
 
 
 @dataclass(frozen=True)
-class CastMember:
-    agent: str
-    role: str
-    kind: RoleKind
-    principal: str
-
-
-@dataclass(frozen=True)
 class Stage:
     """One community instance plus the script that drives it."""
 
@@ -183,7 +172,7 @@ class Stage:
     source: str
     owner: str
     mode: str
-    cast: tuple[CastMember, ...]
+    cast: tuple[str, ...]  # the agents its events may name
     script: tuple[EventSchema, ...]
     properties: tuple[PropertySpec, ...]
     disciplines: tuple[tuple[str, str], ...] = ()
@@ -297,13 +286,7 @@ def _happy_path() -> Scenario:
         owner="MedCenter",
         mode=MODE_AUTONOMOUS,
         disciplines=(("PatientDataCache", READ_WRITE),),
-        cast=(
-            CastMember("fhir_gateway", "FHIRDataProvider", RoleKind.SYSTEM, "MedCenter"),
-            CastMember("extract_bot", "DataExtractionAgent", RoleKind.LLM_AGENT, "VendorX"),
-            CastMember("consent_mgr", "ConsentManager", RoleKind.LLM_AGENT, "VendorX"),
-            CastMember("patient_007", "Patient", RoleKind.HUMAN, "PatientCouncil"),
-            CastMember("officer_dga", "DataGovernanceOfficer", RoleKind.HUMAN, "MedCenter"),
-        ),
+        cast=("fhir_gateway", "extract_bot", "consent_mgr", "patient_007", "officer_dga"),
         script=(
             _reg("reg_vendor", "VendorX"),
             _reg("reg_patients", "PatientCouncil"),
@@ -359,13 +342,8 @@ def _happy_path() -> Scenario:
             ("WorkflowState", READ_WRITE),
         ),
         cast=(
-            CastMember("cond_extractor", "ConditionExtractor", RoleKind.AGENTIC_AI, "VendorX"),
-            CastMember("embedder", "PatientEmbedder", RoleKind.AGENTIC_AI, "VendorX"),
-            CastMember("structurer", "EligibilityStructurer", RoleKind.AGENTIC_AI, "VendorX"),
-            CastMember("matcher", "CriteriaMatcher", RoleKind.AGENTIC_AI, "VendorX"),
-            CastMember("physician_1", "Physician", RoleKind.HUMAN, "TrialSponsor"),
-            CastMember("physician_2", "Physician", RoleKind.HUMAN, "TrialSponsor"),
-            CastMember("orchestrator", "WorkflowOrchestrator", RoleKind.AGENTIC_AI, "TrialSponsor"),
+            "cond_extractor", "embedder", "structurer", "matcher", "physician_1", "physician_2",
+            "orchestrator",
         ),
         script=(
             _reg("reg_vendor", "VendorX"),
@@ -428,10 +406,7 @@ def _rogue_ai() -> Scenario:
         owner="TrialSponsor",
         mode=MODE_AUTONOMOUS,
         disciplines=(("TrialCandidateSet", READ_WRITE),),
-        cast=(
-            CastMember("matcher", "CriteriaMatcher", RoleKind.AGENTIC_AI, "VendorX"),
-            CastMember("physician_1", "Physician", RoleKind.HUMAN, "TrialSponsor"),
-        ),
+        cast=("matcher", "physician_1"),
         script=(
             _reg("reg_vendor", "VendorX"),
             _bind("bind_matcher", "CriteriaMatcher", "matcher", "agentic_ai", "VendorX"),
@@ -466,14 +441,8 @@ def _negotiation() -> Scenario:
         mode=MODE_AUTONOMOUS,
         disciplines=(("CapabilityRegistry", READ_WRITE),),
         cast=(
-            CastMember("neg_coord", "NegotiationCoordinator", RoleKind.AGENTIC_AI, "VendorY"),
-            CastMember("capability_bot", "CapabilityDiscoverer", RoleKind.AGENTIC_AI, "VendorY"),
-            CastMember("semantic_bridge", "SemanticBridge", RoleKind.AGENTIC_AI, "VendorY"),
-            CastMember("conflict_resolver", "ConflictResolver", RoleKind.AGENTIC_AI, "VendorY"),
-            CastMember("compliance_bot", "ComplianceValidator", RoleKind.AGENTIC_AI, "VendorY"),
-            CastMember("site_coord", "TrialSiteCoordinator", RoleKind.HUMAN, "SiteAlpha"),
-            CastMember("dgo", "DataGovernanceOfficer", RoleKind.HUMAN, "TrialNetwork"),
-            CastMember("ehr_system", "ExternalSystem", RoleKind.SYSTEM, "SiteAlpha"),
+            "neg_coord", "capability_bot", "semantic_bridge", "conflict_resolver",
+            "compliance_bot", "site_coord", "dgo", "ehr_system",
         ),
         script=(
             _reg("reg_vendor", "VendorY"),
@@ -541,10 +510,7 @@ def _advisory_gate() -> Scenario:
         owner="TrialSponsor",
         mode=MODE_ADVISORY,
         disciplines=(("TrialCandidateSet", READ_WRITE),),
-        cast=(
-            CastMember("matcher", "CriteriaMatcher", RoleKind.AGENTIC_AI, "VendorX"),
-            CastMember("physician_1", "Physician", RoleKind.HUMAN, "TrialSponsor"),
-        ),
+        cast=("matcher", "physician_1"),
         script=(
             _reg("reg_vendor", "VendorX"),
             _bind("bind_matcher", "CriteriaMatcher", "matcher", "agentic_ai", "VendorX"),
@@ -607,7 +573,7 @@ def _checked_template(stage: Stage) -> CommunityTemplate:
 
 
 def _preflight(stage: Stage, template: CommunityTemplate) -> None:
-    agents = {member.agent for member in stage.cast}
+    agents = set(stage.cast)
     registered = {stage.owner}
     seen_labels: set[str] = set()
     saw_action = False
@@ -623,6 +589,10 @@ def _preflight(stage: Stage, template: CommunityTemplate) -> None:
                 raise ScriptError(f"{ev.name}: role {p['role']!r} is not declared")
             if p["agent"] not in agents:
                 raise ScriptError(f"{ev.name}: agent {p['agent']!r} is not in the cast")
+            try:
+                RoleKind(p["kind"])
+            except ValueError:
+                raise ScriptError(f"{ev.name}: unknown agent kind {p['kind']!r}") from None
             if not p.get("force") and p["principal"] not in registered:
                 raise ScriptError(
                     f"{ev.name}: principal {p['principal']!r} is not registered at this point"
@@ -658,42 +628,9 @@ def _execute_stage(stage: Stage, template: CommunityTemplate) -> StageReport:
     )
     outcomes: list[tuple[str, str]] = []
     ranges: list[tuple[str, int, int]] = []
-    last_request: int | None = None
-
     for ev in stage.script:
         lo = instance.head_seq
-        outcome = "ok"
-        p = ev.params
-        try:
-            if ev.op == "register_principal":
-                instance.register_principal(p["principal"])
-            elif ev.op == "bind":
-                binder = instance.force_bind if p.get("force") else instance.bind_agent
-                binder(p["role"], p["agent"], p["kind"], p["principal"])
-            elif ev.op == "unbind":
-                instance.unbind_agent(p["role"], p["agent"])
-            elif ev.op == "action":
-                result = instance.submit_action(
-                    p["actor"], p["action"], p.get("subject"), p.get("effects", ())
-                )
-                outcome = result.verdict.outcome
-                if outcome == OUTCOME_RECOMMENDED:
-                    last_request = result.request_seq
-            elif ev.op == "speech_act":
-                payload = dict(p.get("payload", {}))
-                if payload.get("request_seq") == "$last_request":
-                    payload["request_seq"] = last_request
-                selector = p.get("select_token")
-                if selector is not None:
-                    token_id = _select_token(instance, selector)
-                    payload["token"] = token_id if token_id is not None else -1
-                result = instance.apply_speech_act(
-                    SpeechAct(SpeechActKind(p["kind"]), p["sender"], payload)
-                )
-                outcome = "accepted" if result.accepted else f"rejected:{result.reason}"
-        except GovernanceError as exc:
-            outcome = f"raised:{exc.code}"
-        outcomes.append((ev.name, outcome))
+        outcomes.append((ev.name, apply_schema(instance, ev)))
         ranges.append((ev.name, lo + 1, instance.head_seq))
 
     records = instance.records()
@@ -788,58 +725,57 @@ def _keep_verdicts(
     return tuple((label, want) for label, want in expected if label in labels)
 
 
-def _mutate_happy_safety(s: Scenario) -> Scenario:
+def _swap_stage(s: Scenario, index: int, stage: Stage) -> Scenario:
+    return replace(s, stages=s.stages[:index] + (stage,) + s.stages[index + 1 :])
+
+
+def _drop_consent_guard(s: Scenario) -> Scenario:
     # drop the consent guard from the template and the consent events from
     # the script: the read becomes admissible with no discharged burden
-    if _GUARD_CLAUSE not in LAYER1_SOURCE:
-        raise CannotInject("layer 1 permit is not guarded")
     stage = s.stages[0]
+    if _GUARD_CLAUSE not in stage.source:
+        raise CannotInject("layer 1 permit is not guarded")
     script = _drop_events(stage.script, {"declare_consent", "discharge_consent"})
     mutated = replace(
         stage,
-        source=LAYER1_SOURCE.replace(_GUARD_CLAUSE, "", 1),
+        source=stage.source.replace(_GUARD_CLAUSE, "", 1),
         script=script,
         expected_verdicts=_keep_verdicts(stage.expected_verdicts, script),
         expected_violations=((PROP_SAFETY, "read_demographics"),),
     )
-    return replace(s, name=f"{s.name}__safety", stages=(mutated,) + s.stages[1:])
+    return _swap_stage(s, 0, mutated)
 
 
-def _mutate_happy_prohibition(s: Scenario) -> Scenario:
+def _revoke_embargo(s: Scenario, after: str, label: str, revoker: str, action: str) -> Scenario:
     stage = s.stages[0]
-    revoke = _say(
-        "revoke_consent_embargo",
-        "officer_dga",
-        "revoke",
-        select=_sel("embargo", "access_without_consent"),
-    )
+    revoke = _say(label, revoker, "revoke", select=_sel("embargo", action))
     mutated = replace(
         stage,
-        script=_insert_after(stage.script, "bind_officer", revoke),
-        expected_violations=((PROP_PROHIBITION, "revoke_consent_embargo"),),
+        script=_insert_after(stage.script, after, revoke),
+        expected_violations=((PROP_PROHIBITION, label),),
     )
-    return replace(s, name=f"{s.name}__prohibition", stages=(mutated,) + s.stages[1:])
+    return _swap_stage(s, 0, mutated)
 
 
-def _mutate_happy_accountability(s: Scenario) -> Scenario:
+def _ghost_principal(s: Scenario, label: str, ghost: str) -> Scenario:
+    # rebind the agent, forced, for a principal that was never registered
     stage = s.stages[0]
-    rogue_bind = _bind(
-        "bind_extract_bot", "DataExtractionAgent", "extract_bot", "llm_agent", "GhostCorp", force=True
-    )
-    cast = tuple(
-        replace(member, principal="GhostCorp") if member.agent == "extract_bot" else member
-        for member in stage.cast
-    )
+    bind = next((ev for ev in stage.script if ev.name == label and ev.op == "bind"), None)
+    if bind is None:
+        raise CannotInject(f"no bind event labeled {label!r}")
+    rogue = EventSchema(label, "bind", {**bind.params, "principal": ghost, "force": True})
     mutated = replace(
         stage,
-        cast=cast,
-        script=_replace_event(stage.script, "bind_extract_bot", rogue_bind),
-        expected_violations=((PROP_ACCOUNTABILITY, "bind_extract_bot"),),
+        script=_replace_event(stage.script, label, rogue),
+        expected_violations=((PROP_ACCOUNTABILITY, label),),
     )
-    return replace(s, name=f"{s.name}__accountability", stages=(mutated,) + s.stages[1:])
+    return _swap_stage(s, 0, mutated)
 
 
-def _mutate_decision_authority(s: Scenario, stage_index: int) -> Scenario:
+def _usurp_decision(s: Scenario, stage_index: int) -> Scenario:
+    # physician_1 hands the decision burden to the AI matcher, which discharges it
+    if stage_index >= len(s.stages):
+        raise CannotInject("no decision stage")
     stage = s.stages[stage_index]
     transfer = _say(
         "transfer_decision",
@@ -868,62 +804,24 @@ def _mutate_decision_authority(s: Scenario, stage_index: int) -> Scenario:
         expected_verdicts=expected,
         expected_violations=((PROP_AUTHORITY, "decide"),),
     )
-    stages = s.stages[:stage_index] + (mutated,) + s.stages[stage_index + 1 :]
-    return replace(s, name=f"{s.name}__authority", stages=stages)
+    return _swap_stage(s, stage_index, mutated)
 
 
-def _mutate_happy_authority(s: Scenario) -> Scenario:
-    if len(s.stages) < 2:
-        raise CannotInject("no decision stage")
-    return _mutate_decision_authority(s, 1)
-
-
-def _mutate_rogue_prohibition(s: Scenario) -> Scenario:
-    stage = s.stages[0]
-    revoke = _say(
-        "revoke_final_embargo",
-        "physician_1",
-        "revoke",
-        select=_sel("embargo", "final_decision"),
-    )
-    mutated = replace(
-        stage,
-        script=_insert_after(stage.script, "bind_physician", revoke),
-        expected_violations=((PROP_PROHIBITION, "revoke_final_embargo"),),
-    )
-    return replace(s, name=f"{s.name}__prohibition", stages=(mutated,))
-
-
-def _mutate_rogue_authority(s: Scenario) -> Scenario:
-    return _mutate_decision_authority(s, 0)
-
-
-def _mutate_rogue_accountability(s: Scenario) -> Scenario:
-    stage = s.stages[0]
-    rogue_bind = _bind(
-        "bind_matcher", "CriteriaMatcher", "matcher", "agentic_ai", "ShadowLab", force=True
-    )
-    cast = tuple(
-        replace(member, principal="ShadowLab") if member.agent == "matcher" else member
-        for member in stage.cast
-    )
-    mutated = replace(
-        stage,
-        cast=cast,
-        script=_replace_event(stage.script, "bind_matcher", rogue_bind),
-        expected_violations=((PROP_ACCOUNTABILITY, "bind_matcher"),),
-    )
-    return replace(s, name=f"{s.name}__accountability", stages=(mutated,))
-
-
+# (scenario, property) -> (mutation, its arguments after the scenario)
 _MUTATIONS = {
-    ("happy_path", PROP_SAFETY): _mutate_happy_safety,
-    ("happy_path", PROP_PROHIBITION): _mutate_happy_prohibition,
-    ("happy_path", PROP_ACCOUNTABILITY): _mutate_happy_accountability,
-    ("happy_path", PROP_AUTHORITY): _mutate_happy_authority,
-    ("rogue_ai", PROP_PROHIBITION): _mutate_rogue_prohibition,
-    ("rogue_ai", PROP_AUTHORITY): _mutate_rogue_authority,
-    ("rogue_ai", PROP_ACCOUNTABILITY): _mutate_rogue_accountability,
+    ("happy_path", PROP_SAFETY): (_drop_consent_guard, ()),
+    ("happy_path", PROP_PROHIBITION): (
+        _revoke_embargo,
+        ("bind_officer", "revoke_consent_embargo", "officer_dga", "access_without_consent"),
+    ),
+    ("happy_path", PROP_ACCOUNTABILITY): (_ghost_principal, ("bind_extract_bot", "GhostCorp")),
+    ("happy_path", PROP_AUTHORITY): (_usurp_decision, (1,)),
+    ("rogue_ai", PROP_PROHIBITION): (
+        _revoke_embargo,
+        ("bind_physician", "revoke_final_embargo", "physician_1", "final_decision"),
+    ),
+    ("rogue_ai", PROP_AUTHORITY): (_usurp_decision, (0,)),
+    ("rogue_ai", PROP_ACCOUNTABILITY): (_ghost_principal, ("bind_matcher", "ShadowLab")),
 }
 
 
@@ -933,12 +831,13 @@ def inject_violation(scenario: Scenario, kind: str) -> Scenario:
         kind = next(k for k, v in _ALIASES.items() if v == kind)
     if kind not in _ALIASES:
         raise CannotInject(f"unknown property template {kind!r}")
-    builder = _MUTATIONS.get((scenario.name, kind))
-    if builder is None:
+    mutation = _MUTATIONS.get((scenario.name, kind))
+    if mutation is None:
         raise CannotInject(
             f"scenario {scenario.name!r} has no construct for a {_ALIASES[kind]} violation"
         )
-    return builder(scenario)
+    mutate, args = mutation
+    return replace(mutate(scenario, *args), name=f"{scenario.name}__{_ALIASES[kind]}")
 
 
 # ----------------------------------------------------------------------
@@ -1108,6 +1007,11 @@ def parse_script(text: str) -> tuple[EventSchema, ...]:
     return tuple(events)
 
 
+# the event parameter that names an agent for the cast of an ad-hoc stage;
+# an agent only ever unbound stays out, so preflight rejects the unbind
+_CAST_PARAM = {"bind": "agent", "action": "actor", "speech_act": "sender"}
+
+
 def stage_from_script(
     source: str,
     script: tuple[EventSchema, ...],
@@ -1119,25 +1023,13 @@ def stage_from_script(
     if mode not in MODES:
         raise ScriptError(f"unknown mode {mode!r}")
     template = parse_spec(source)
-    cast: list[CastMember] = []
-    seen: set[str] = set()
-    for ev in script:
-        p = ev.params
-        if ev.op == "bind" and p["agent"] not in seen:
-            seen.add(p["agent"])
-            cast.append(CastMember(p["agent"], p["role"], RoleKind(p["kind"]), p["principal"]))
-        elif ev.op == "action" and p["actor"] not in seen:
-            seen.add(p["actor"])
-            cast.append(CastMember(p["actor"], "", RoleKind.HUMAN, ""))
-        elif ev.op == "speech_act" and p["sender"] not in seen:
-            seen.add(p["sender"])
-            cast.append(CastMember(p["sender"], "", RoleKind.HUMAN, ""))
+    named = (ev.params[_CAST_PARAM[ev.op]] for ev in script if ev.op in _CAST_PARAM)
     return Stage(
         community=template.name,
         source=source,
         owner=owner,
         mode=mode,
-        cast=tuple(cast),
+        cast=tuple(dict.fromkeys(named)),
         script=script,
         properties=(PropertySpec.accountability(),),
         disciplines=tuple((disciplines or {}).items()),

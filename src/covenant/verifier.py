@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from .deontic import OUTCOME_ADMISSIBLE
+from .deontic import OUTCOME_ADMISSIBLE, OUTCOME_RECOMMENDED
 from .errors import GovernanceError, ScopeTooLarge, UnknownIdentifier
 from .reference import (
     PROP_ACCOUNTABILITY,
@@ -200,7 +200,6 @@ def _is_admissible_verdict(record: AuditRecord) -> bool:
 
 class _SafetyChecker:
     def __init__(self, spec: PropertySpec):
-        self.spec = spec
         self.guarded_action = spec.param("guarded_action")
         self.guard_burden = spec.param("guard_burden")
 
@@ -218,7 +217,6 @@ class _SafetyChecker:
 
 class _AuthorityChecker:
     def __init__(self, spec: PropertySpec):
-        self.spec = spec
         self.decision_action = spec.param("decision_action")
         self.authorized_role = spec.param("authorized_role")
 
@@ -247,7 +245,6 @@ class _AuthorityChecker:
 
 class _ProhibitionChecker:
     def __init__(self, spec: PropertySpec, template: CommunityTemplate | None):
-        self.spec = spec
         self.action = spec.param("action")
         self.group = spec.param("group")
         self.template = template
@@ -282,9 +279,6 @@ class _ProhibitionChecker:
 
 
 class _AccountabilityChecker:
-    def __init__(self, spec: PropertySpec):
-        self.spec = spec
-
     def feed(self, record: AuditRecord, state: _TraceState) -> list[Violation]:
         detail = record.detail
         if record.kind == KIND_BINDING and detail.get("event_type") == "bind":
@@ -316,7 +310,7 @@ def _build_checker(spec: PropertySpec, template: CommunityTemplate | None):
                 raise UnknownIdentifier(f"group {group!r} is not declared")
         return _ProhibitionChecker(spec, template)
     if spec.template == PROP_ACCOUNTABILITY:
-        return _AccountabilityChecker(spec)
+        return _AccountabilityChecker()
     raise UnknownIdentifier(f"unknown property template {spec.template!r}")
 
 
@@ -416,9 +410,11 @@ def check_accountability(s: Snapshot | Trace) -> list[Violation]:
 class EventSchema:
     """A declarative event both engines interpret independently.
 
-    ops: bind, unbind, register_principal, action, speech_act. Token
-    references are symbolic selectors resolved against live state, so the
-    same schema stays meaningful at any point of any trace.
+    ops: bind (with "force": True, no registered principal needed), unbind,
+    register_principal, action, speech_act. Token references are symbolic
+    selectors resolved against live state, and so is a speech act's
+    "request_seq": "$last_request", so the same schema stays meaningful at
+    any point of any trace.
     """
 
     name: str
@@ -443,12 +439,26 @@ def _select_token(instance: CommunityInstance, selector: dict) -> int | None:
     return best
 
 
-def apply_schema(instance: CommunityInstance, schema: EventSchema) -> None:
-    """Apply one schema to the real runtime; invalid events are no-ops."""
+def _last_request(instance: CommunityInstance) -> int | None:
+    """The request of the latest recommendation; only submit_action writes one."""
+    for record in reversed(instance.records()):
+        if record.kind == KIND_VERDICT and record.detail["outcome"] == OUTCOME_RECOMMENDED:
+            return record.detail["request"]
+    return None
+
+
+def apply_schema(instance: CommunityInstance, schema: EventSchema) -> str:
+    """Apply one schema to the real runtime and return its outcome label.
+
+    "ok" for principals and bindings, the verdict's outcome for an action,
+    "accepted" or "rejected:<reason>" for a speech act, and "raised:<code>"
+    when the runtime refuses the event, which then changes no state.
+    """
     p = schema.params
     try:
         if schema.op == "bind":
-            instance.bind_agent(p["role"], p["agent"], p["kind"], p["principal"])
+            binder = instance.force_bind if p.get("force") else instance.bind_agent
+            binder(p["role"], p["agent"], p["kind"], p["principal"])
         elif schema.op == "unbind":
             instance.unbind_agent(p["role"], p["agent"])
         elif schema.op == "register_principal":
@@ -456,20 +466,26 @@ def apply_schema(instance: CommunityInstance, schema: EventSchema) -> None:
                 p["principal"], p.get("name"), p.get("kind", "organization")
             )
         elif schema.op == "action":
-            instance.submit_action(
+            result = instance.submit_action(
                 p["actor"], p["action"], p.get("subject"), p.get("effects", ())
             )
+            return result.verdict.outcome
         elif schema.op == "speech_act":
             payload = dict(p.get("payload", {}))
+            if payload.get("request_seq") == "$last_request":
+                payload["request_seq"] = _last_request(instance)
             selector = p.get("select_token")
             if selector is not None:
                 token_id = _select_token(instance, selector)
                 payload["token"] = token_id if token_id is not None else -1
-            instance.apply_speech_act(SpeechAct(SpeechActKind(p["kind"]), p["sender"], payload))
+            act = SpeechAct(SpeechActKind(p["kind"]), p["sender"], payload)
+            applied = instance.apply_speech_act(act)
+            return "accepted" if applied.accepted else f"rejected:{applied.reason}"
         else:
             raise ValueError(f"unknown schema op {schema.op!r}")
-    except GovernanceError:
-        pass  # rejected events leave no state change; speech acts self-log
+    except GovernanceError as exc:
+        return f"raised:{exc.code}"
+    return "ok"
 
 
 def oracle_enumerate(

@@ -587,6 +587,30 @@ community Desk {
 _NO_POLICY_RULE = DESK_SOURCE.replace("    escalate when policy_violation to Reviewer;\n", "")
 
 
+
+def test_escalate_whose_burden_cannot_be_created_logs_one_rejection():
+    # a bot force-bound without a principal cannot issue the review burden
+    c = instantiate_community(parse_spec(DESK_SOURCE))
+    c.force_bind("Bot", "bot_1", "llm_agent", "")
+    result = c.apply_speech_act(
+        SpeechAct(SpeechActKind.ESCALATE, "bot_1", {"condition": "low_confidence"})
+    )
+    assert (result.accepted, result.reason) == (False, "UnknownIssuer")
+    # genesis, the three policy tokens, the bind, then the event's one record
+    records = c.records()
+    assert [r.kind for r in records] == [KIND_GENESIS] + [KIND_TOKEN_TRANSITION] * 3 + [
+        KIND_BINDING,
+        KIND_SPEECH_ACT,
+    ]
+    detail = records[-1].detail
+    assert (detail["kind"], detail["rejected"], detail["reason"]) == (
+        "escalate",
+        True,
+        "UnknownIssuer",
+    )
+    export = c.export_log()
+    assert replay(parse_spec(DESK_SOURCE), export).export_log() == export
+
 def drive_every_writer(c):
     """One script that reaches every record writer; outcomes vary with the mode."""
 

@@ -165,6 +165,18 @@ def test_inject_accepts_template_constants_too():
     assert mutant.name == "happy_path__safety"
 
 
+
+def test_safety_injection_reads_the_stage_it_mutates():
+    scenario = get_scenario("happy_path")
+    access = scenario.stages[0]
+    guard = "\n    requires discharged burden(verify_consent, ConsentManager)"
+    assert guard in access.source
+    unguarded = dataclasses.replace(access, source=access.source.replace(guard, ""))
+    with pytest.raises(CannotInject, match="not guarded"):
+        inject_violation(dataclasses.replace(scenario, stages=(unguarded,)), "safety")
+    mutant = inject_violation(scenario, "safety").stages[0]
+    assert mutant.source == unguarded.source
+
 def test_inject_rejects_unsupported_combinations():
     with pytest.raises(CannotInject):
         inject_violation(get_scenario("rogue_ai"), "safety")
@@ -206,6 +218,14 @@ def test_preflight_rejects_unknown_cast_references():
     with pytest.raises(ScriptError, match="not in the cast"):
         run_scenario(dataclasses.replace(scenario, stages=(mutated,)))
 
+
+
+def test_preflight_rejects_unknown_agent_kinds():
+    stage = stage_from_script(
+        REDUCED_LAYER1_SOURCE, parse_script("bind ConsentManager bot robot MedCenter")
+    )
+    with pytest.raises(ScriptError, match="unknown agent kind 'robot'"):
+        run_stage(stage)
 
 SCRIPT_TEXT = """\
 # staffing
@@ -269,6 +289,141 @@ def test_stage_from_script_runs_ad_hoc_communities():
 def test_stage_from_script_rejects_unknown_mode():
     with pytest.raises(ScriptError):
         stage_from_script(REDUCED_LAYER1_SOURCE, (), mode="turbo")
+
+
+# every stage of the built-in scenarios and their injected variants, plus one
+# ad-hoc script whose last actor and sender are never bound; outcome labels
+# are not in the exports, so the export-head pins do not cover them
+PINNED_OUTCOMES = {
+    "advisory_gate/MatchingWorkflowCommunity": (
+        "reg_vendor=ok bind_matcher=ok bind_physician=ok eval_alpha=recommended "
+        "approve_alpha=accepted eval_beta=recommended veto_beta=accepted"
+    ),
+    "happy_path/DataAccessCommunity": (
+        "reg_vendor=ok reg_patients=ok bind_gateway=ok bind_extract_bot=ok bind_consent_mgr=ok "
+        "bind_patient=ok bind_officer=ok declare_consent=accepted discharge_consent=accepted "
+        "read_demographics=admissible access_probe=blocked unbind_patient=ok"
+    ),
+    "happy_path/MatchingWorkflowCommunity": (
+        "reg_vendor=ok bind_cond_extractor=ok bind_embedder=ok bind_structurer=ok "
+        "bind_matcher=ok bind_physician_1=ok bind_physician_2=ok bind_orchestrator=ok "
+        "embed_profile=admissible eval_match=admissible explain=accepted "
+        "transfer_decision=accepted decide=accepted"
+    ),
+    "happy_path__accountability/DataAccessCommunity": (
+        "reg_vendor=ok reg_patients=ok bind_gateway=ok bind_extract_bot=ok bind_consent_mgr=ok "
+        "bind_patient=ok bind_officer=ok declare_consent=accepted discharge_consent=accepted "
+        "read_demographics=admissible access_probe=blocked unbind_patient=ok"
+    ),
+    "happy_path__accountability/MatchingWorkflowCommunity": (
+        "reg_vendor=ok bind_cond_extractor=ok bind_embedder=ok bind_structurer=ok "
+        "bind_matcher=ok bind_physician_1=ok bind_physician_2=ok bind_orchestrator=ok "
+        "embed_profile=admissible eval_match=admissible explain=accepted "
+        "transfer_decision=accepted decide=accepted"
+    ),
+    "happy_path__authority/DataAccessCommunity": (
+        "reg_vendor=ok reg_patients=ok bind_gateway=ok bind_extract_bot=ok bind_consent_mgr=ok "
+        "bind_patient=ok bind_officer=ok declare_consent=accepted discharge_consent=accepted "
+        "read_demographics=admissible access_probe=blocked unbind_patient=ok"
+    ),
+    "happy_path__authority/MatchingWorkflowCommunity": (
+        "reg_vendor=ok bind_cond_extractor=ok bind_embedder=ok bind_structurer=ok "
+        "bind_matcher=ok bind_physician_1=ok bind_physician_2=ok bind_orchestrator=ok "
+        "embed_profile=admissible eval_match=admissible explain=accepted "
+        "transfer_decision=accepted decide=accepted"
+    ),
+    "happy_path__prohibition/DataAccessCommunity": (
+        "reg_vendor=ok reg_patients=ok bind_gateway=ok bind_extract_bot=ok bind_consent_mgr=ok "
+        "bind_patient=ok bind_officer=ok revoke_consent_embargo=accepted "
+        "declare_consent=accepted discharge_consent=accepted read_demographics=admissible "
+        "access_probe=blocked unbind_patient=ok"
+    ),
+    "happy_path__prohibition/MatchingWorkflowCommunity": (
+        "reg_vendor=ok bind_cond_extractor=ok bind_embedder=ok bind_structurer=ok "
+        "bind_matcher=ok bind_physician_1=ok bind_physician_2=ok bind_orchestrator=ok "
+        "embed_profile=admissible eval_match=admissible explain=accepted "
+        "transfer_decision=accepted decide=accepted"
+    ),
+    "happy_path__safety/DataAccessCommunity": (
+        "reg_vendor=ok reg_patients=ok bind_gateway=ok bind_extract_bot=ok bind_consent_mgr=ok "
+        "bind_patient=ok bind_officer=ok read_demographics=admissible access_probe=blocked "
+        "unbind_patient=ok"
+    ),
+    "happy_path__safety/MatchingWorkflowCommunity": (
+        "reg_vendor=ok bind_cond_extractor=ok bind_embedder=ok bind_structurer=ok "
+        "bind_matcher=ok bind_physician_1=ok bind_physician_2=ok bind_orchestrator=ok "
+        "embed_profile=admissible eval_match=admissible explain=accepted "
+        "transfer_decision=accepted decide=accepted"
+    ),
+    "negotiation/NegotiationCommunity": (
+        "reg_vendor=ok reg_site=ok bind_neg_coord=ok bind_capability_bot=ok "
+        "bind_semantic_bridge=ok bind_conflict_resolver=ok bind_compliance_bot=ok "
+        "bind_site_coord=ok bind_dgo=ok bind_ehr=ok propose_exchange=accepted "
+        "counter_terms=accepted accept_terms=accepted propose_bulk=accepted "
+        "reject_bulk=accepted validate_first=accepted approve_novel=accepted "
+        "negotiate=admissible communicate=admissible share_probe=blocked "
+        "declare_exception=accepted grant_share=accepted share_allowed=admissible "
+        "revoke_share=accepted share_blocked_again=blocked escalate_low=accepted "
+        "embargo_bulk=accepted"
+    ),
+    "rogue_ai/MatchingWorkflowCommunity": (
+        "reg_vendor=ok bind_matcher=ok bind_physician=ok rogue_attempt=blocked "
+        "eval_match=admissible decide=accepted"
+    ),
+    "rogue_ai__accountability/MatchingWorkflowCommunity": (
+        "reg_vendor=ok bind_matcher=ok bind_physician=ok rogue_attempt=blocked "
+        "eval_match=admissible decide=accepted"
+    ),
+    "rogue_ai__authority/MatchingWorkflowCommunity": (
+        "reg_vendor=ok bind_matcher=ok bind_physician=ok rogue_attempt=blocked "
+        "eval_match=admissible transfer_decision=accepted decide=accepted"
+    ),
+    "rogue_ai__prohibition/MatchingWorkflowCommunity": (
+        "reg_vendor=ok bind_matcher=ok bind_physician=ok revoke_final_embargo=accepted "
+        "rogue_attempt=blocked eval_match=admissible decide=accepted"
+    ),
+    "script/DataAccessGate": (
+        "e0=ok bind_officer=ok e2=ok e3=ok declare=accepted done=accepted probe=admissible "
+        "stranger_reads=raised:UnknownAgent phantom_grants=rejected:UnknownAgent"
+    ),
+}
+
+_VARIANTS = [
+    ("happy_path", "safety"),
+    ("happy_path", "prohibition"),
+    ("happy_path", "accountability"),
+    ("happy_path", "authority"),
+    ("rogue_ai", "prohibition"),
+    ("rogue_ai", "authority"),
+    ("rogue_ai", "accountability"),
+]
+
+UNBOUND_SCRIPT_TEXT = SCRIPT_TEXT + """\
+stranger_reads: action stranger read_demographics subject=p1
+phantom_grants: speech_act phantom grant action=read_demographics to=extract_bot
+"""
+
+
+def test_stage_outcomes_are_pinned():
+    built = {s.name: s for s in built_in_scenarios()}
+    reports = [
+        run_scenario(scenario)
+        for scenario in list(built.values()) + [inject_violation(built[n], k) for n, k in _VARIANTS]
+    ]
+    runs = {
+        f"{report.name}/{stage.community}": stage
+        for report in reports
+        for stage in report.stages
+    }
+    script = parse_script(UNBOUND_SCRIPT_TEXT)
+    runs["script/DataAccessGate"] = run_stage(
+        stage_from_script(REDUCED_LAYER1_SOURCE, script, owner="MedCenter")
+    )
+    got = {
+        key: " ".join(f"{label}={outcome}" for label, outcome in stage.outcomes)
+        for key, stage in runs.items()
+    }
+    assert got == PINNED_OUTCOMES
 
 
 def test_mutant_violation_seqs_point_at_real_records():

@@ -23,6 +23,7 @@ from covenant.scenarios import reduced_layer1_fixture
 from covenant.spec_lang import parse_spec
 from covenant.spec_lang.ast import SpeechActKind
 from covenant.verifier import (
+    EventSchema,
     PropertySpec,
     TraceMonitor,
     Violation,
@@ -376,6 +377,20 @@ def test_oracle_refuses_oversized_scopes():
     with pytest.raises(ScopeTooLarge):
         oracle_enumerate(fx.template, fx.alphabet, 7, fx.properties)
 
+
+
+def test_apply_schema_honours_force_and_the_oracle_refuses_it():
+    fx = reduced_layer1_fixture()
+    c = instantiate_community(fx.template, owner=Principal(fx.owner, fx.owner))
+    bind = {"role": "ConsentManager", "agent": "consent_mgr", "kind": "llm_agent"}
+    plain = EventSchema("bind_ghost", "bind", {**bind, "principal": "GhostCorp"})
+    forced = EventSchema("force_ghost", "bind", {**bind, "principal": "GhostCorp", "force": True})
+    assert apply_schema(c, plain) == "raised:UnknownPrincipal"
+    assert apply_schema(c, forced) == "ok"
+    assert c.principal_of("consent_mgr") == "GhostCorp"
+    # the reference engine cannot model a forced bind, so it must not ignore one
+    with pytest.raises(ScopeTooLarge, match="forced binds"):
+        oracle_enumerate(fx.template, (forced,), 1, fx.properties, fx.prologue, fx.owner)
 
 def runtime_enumerate(fx, depth):
     """DFS over the real runtime, mapping violations back to trace positions."""
