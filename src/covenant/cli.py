@@ -21,7 +21,7 @@ from .errors import (
     ScriptError,
     UnknownIdentifier,
 )
-from .runtime import MODE_AUTONOMOUS, MODES, parse_export, verify_chain
+from .runtime import MODE_AUTONOMOUS, MODES, import_log
 from .scenarios import (
     ScenarioReport,
     built_in_scenarios,
@@ -117,8 +117,7 @@ def _property_spec(args: argparse.Namespace) -> PropertySpec:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _header, records = parse_export(_read(args.trace))
-    verify_chain(records)
+    _header, records = import_log(_read(args.trace))
     template = parse_spec(_read(args.spec)) if args.spec else None
     spec = _property_spec(args)
     violations = run_checks(records, (spec,), template)
@@ -133,8 +132,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    _header, records = parse_export(_read(args.trace))
-    verify_chain(records)
+    _header, records = import_log(_read(args.trace))
     head = records[-1]
     print(f"ok: {len(records)} records, head seq {head.seq}, digest {head.hash}")
     return EXIT_OK

@@ -304,7 +304,6 @@ def discharge_burden(
     token_id: int,
     by: str,
     evidence: int,
-    at: int,
     log_head: int,
 ) -> Token:
     token = store.get(token_id)
@@ -320,9 +319,7 @@ def discharge_burden(
     return token
 
 
-def revoke_token(
-    store: TokenStore, resolver: BindingResolver, token_id: int, by: str, at: int
-) -> Token:
+def revoke_token(store: TokenStore, resolver: BindingResolver, token_id: int, by: str) -> Token:
     token = store.get(token_id)
     if token.modality is Modality.BURDEN:
         raise NotRevocable(f"token {token.id} is a burden; burdens discharge or expire")

@@ -68,7 +68,6 @@ KIND_SPEECH_ACT = "speech_act"
 KIND_ACTION_REQUEST = "action_request"
 KIND_VERDICT = "verdict"
 KIND_TOKEN_TRANSITION = "token_transition"
-KIND_PROPERTY_VIOLATION = "property_violation"
 KIND_ESCALATION = "escalation"
 KIND_MODE_CHANGE = "mode_change"
 
@@ -374,12 +373,11 @@ class CommunityInstance:
             )
 
         with self._lock:
-            event = self._begin_event(sweep=False)
+            self._begin_event()
             self._append(
                 KIND_GENESIS,
                 None,
                 {
-                    "event": event,
                     "community": template.name,
                     "mode": mode,
                     "owner": {"id": owner.id, "name": owner.name, "kind": owner.kind},
@@ -401,7 +399,7 @@ class CommunityInstance:
                     unless_action=policy.unless.action if policy.unless else None,
                     unless_target=policy.unless.target if policy.unless else None,
                 )
-                self._log_token_created(event, token, origin="policy")
+                self._log_token_created(token, origin="policy")
 
     # ------------------------------------------------------------------
     # BindingResolver protocol (deontic ops call back into these)
@@ -458,6 +456,7 @@ class CommunityInstance:
     # audit plumbing
 
     def _append(self, kind: str, actor: str | None, detail: dict) -> AuditRecord:
+        detail["event"] = self._event_counter - 1  # the event last begun
         prev = self._records[-1].hash if self._records else GENESIS_PREV_HASH
         seq = self._next_seq
         digest = record_digest(prev, seq, kind, actor, detail)
@@ -468,15 +467,11 @@ class CommunityInstance:
             listener(record)
         return record
 
-    def _begin_event(self, sweep: bool = True) -> int:
-        event = self._event_counter
+    def _begin_event(self) -> None:
+        """Open the next event; its first records are the burdens now overdue."""
         self._event_counter += 1
-        if sweep:
-            for token in deontic.expire_due(self.tokens, self._next_seq):
-                self._transition(
-                    event, token, TokenState.HELD, TokenState.VIOLATED, deadline=token.deadline
-                )
-        return event
+        for token in deontic.expire_due(self.tokens, self._next_seq):
+            self._transition(token, TokenState.HELD, TokenState.VIOLATED, deadline=token.deadline)
 
     def _holder_for_name(self, name: str) -> HolderRef:
         if self.is_role(name):
@@ -488,13 +483,11 @@ class CommunityInstance:
     # Record writers. Every token transition, verdict, escalation and speech
     # act record is written by exactly one of these, so each kind has one shape.
 
-    def _transition(
-        self, event: int, token: Token, frm: TokenState, to: TokenState, **extra
-    ) -> AuditRecord:
-        detail = {"event": event, "token": token.id, "from": frm.value, "to": to.value, **extra}
+    def _transition(self, token: Token, frm: TokenState, to: TokenState, **extra) -> AuditRecord:
+        detail = {"token": token.id, "from": frm.value, "to": to.value, **extra}
         return self._append(KIND_TOKEN_TRANSITION, None, detail)
 
-    def _log_token_created(self, event: int, token: Token, origin: str) -> AuditRecord:
+    def _log_token_created(self, token: Token, origin: str) -> AuditRecord:
         optional = {
             "subject": token.subject,
             "deadline": token.deadline,
@@ -503,7 +496,6 @@ class CommunityInstance:
             "unless_target": token.unless_target,
         }
         return self._transition(
-            event,
             token,
             TokenState.CREATED,
             TokenState.HELD,
@@ -518,7 +510,6 @@ class CommunityInstance:
 
     def _log_verdict(
         self,
-        event: int,
         request: int,
         actor: str,
         action: str,
@@ -527,7 +518,7 @@ class CommunityInstance:
         approved_by: str | None = None,
     ) -> AuditRecord:
         detail = verdict.to_detail()
-        detail.update(event=event, request=request, actor=actor, action=action)
+        detail.update(request=request, actor=actor, action=action)
         if subject is not None:
             detail["subject"] = subject
         if approved_by is not None:
@@ -553,40 +544,28 @@ class CommunityInstance:
         )
 
     def _escalate(
-        self,
-        event: int,
-        agent: str,
-        condition: str,
-        burden: Token | None,
-        request: int | None = None,
+        self, agent: str, condition: str, burden: Token | None, request: int | None = None
     ) -> None:
         """Log an escalation and the review burden it opened, if any."""
-        detail: dict = {"event": event, "condition": condition, "agent": agent}
+        detail: dict = {"condition": condition, "agent": agent}
         if request is not None:
             detail["request"] = request
         if burden is not None:
             detail.update(to_role=burden.holder.name, burden=burden.id)
         self._append(KIND_ESCALATION, agent, detail)
         if burden is not None:
-            self._log_token_created(event, burden, origin="escalation")
+            self._log_token_created(burden, origin="escalation")
 
     def _log_act(
-        self,
-        event: int,
-        sender: str,
-        kind: SpeechActKind,
-        payload: dict,
-        rejected_for: str | None = None,
+        self, sender: str, kind: SpeechActKind, payload: dict, rejected_for: str | None = None
     ) -> AuditRecord:
-        detail: dict = {"event": event, "kind": kind.value, "payload": payload}
+        detail: dict = {"kind": kind.value, "payload": payload}
         if rejected_for is not None:
             detail.update(rejected=True, reason=rejected_for)
         return self._append(KIND_SPEECH_ACT, sender, detail)
 
-    def _reject(
-        self, event: int, sender: str, kind: SpeechActKind, payload: dict, reason: str
-    ) -> ApplyResult:
-        return ApplyResult(False, reason, self._log_act(event, sender, kind, payload, reason).seq)
+    def _reject(self, sender: str, kind: SpeechActKind, payload: dict, reason: str) -> ApplyResult:
+        return ApplyResult(False, reason, self._log_act(sender, kind, payload, reason).seq)
 
     # ------------------------------------------------------------------
     # principals and bindings
@@ -599,12 +578,11 @@ class CommunityInstance:
                 return self._principals[principal_id]
             principal = Principal(principal_id, name or principal_id, kind)
             self._principals[principal_id] = principal
-            event = self._begin_event()
+            self._begin_event()
             self._append(
                 KIND_BINDING,
                 None,
                 {
-                    "event": event,
                     "event_type": "register_principal",
                     "principal": principal.id,
                     "name": principal.name,
@@ -654,14 +632,13 @@ class CommunityInstance:
             raise CardinalityExceeded(
                 f"role {role!r} already has {count} of at most {decl.max_card} fillers"
             )
-        event = self._begin_event()
+        self._begin_event()
         binding = RoleBinding(role, agent, kind, principal, self._next_seq)
         self._bindings.add(binding)
         self._append(
             KIND_BINDING,
             agent,
             {
-                "event": event,
                 "event_type": "bind",
                 "role": role,
                 "agent": agent,
@@ -677,13 +654,10 @@ class CommunityInstance:
                 raise UnknownRole(f"role {role!r} is not declared")
             if not self._bindings.has_role(agent, role):
                 raise UnknownAgent(f"agent {agent!r} does not fill role {role!r}")
-            event = self._begin_event()
+            self._begin_event()
             self._bindings.remove(role, agent)
-            self._append(
-                KIND_BINDING,
-                agent,
-                {"event": event, "event_type": "unbind", "role": role, "agent": agent},
-            )
+            detail = {"event_type": "unbind", "role": role, "agent": agent}
+            self._append(KIND_BINDING, agent, detail)
 
     # ------------------------------------------------------------------
     # deployment mode
@@ -692,14 +666,10 @@ class CommunityInstance:
         if mode not in MODES:
             raise InvalidTemplate(f"unknown deployment mode {mode!r}")
         with self._lock:
-            event = self._begin_event()
+            self._begin_event()
             previous = self.mode
             self.mode = mode
-            self._append(
-                KIND_MODE_CHANGE,
-                by,
-                {"event": event, "from": previous, "to": mode},
-            )
+            self._append(KIND_MODE_CHANGE, by, {"from": previous, "to": mode})
 
     # ------------------------------------------------------------------
     # actions
@@ -720,13 +690,14 @@ class CommunityInstance:
                 if obj is None:
                     raise DisciplineViolation(f"unknown object {write.object!r}")
                 obj.check(write)
-
-            event = self._begin_event()
-            request_detail: dict = {"event": event, "action": action}
+            request_detail: dict = {"action": action}
             if subject is not None:
                 request_detail["subject"] = subject
             if writes:
                 request_detail["effects"] = [w.to_detail() for w in writes]
+                canonical_json(request_detail["effects"])  # fail before the event if unloggable
+
+            self._begin_event()
             request = self._append(KIND_ACTION_REQUEST, actor, request_detail)
 
             verdict = deontic.check_action_admissible(self.tokens, self, actor, action, subject)
@@ -738,7 +709,7 @@ class CommunityInstance:
                 )
                 self._pending[request.seq] = _Pending(actor, action, subject, writes)
 
-            verdict_record = self._log_verdict(event, request.seq, actor, action, subject, verdict)
+            verdict_record = self._log_verdict(request.seq, actor, action, subject, verdict)
 
             if verdict.admissible:
                 for write in writes:
@@ -750,7 +721,7 @@ class CommunityInstance:
             ):
                 condition = ESCALATION_CONDITION_BLOCKED
                 burden = self._review_burden(condition, self.owner.id)
-                self._escalate(event, actor, condition, burden, request=request.seq)
+                self._escalate(actor, condition, burden, request=request.seq)
 
             return ActionResult(verdict, request.seq, verdict_record.seq)
 
@@ -776,19 +747,20 @@ class CommunityInstance:
 
     def apply_speech_act(self, act: SpeechAct) -> ApplyResult:
         with self._lock:
-            event = self._begin_event()
             kind = SpeechActKind(act.kind)
             payload = dict(act.payload)
+            canonical_json(payload)  # fail before the event if the payload cannot be logged
 
+            self._begin_event()
             reason = self._authorize(act.sender, kind)
             if reason is None:
                 try:
-                    return self._dispatch(event, act.sender, kind, payload)
+                    return self._dispatch(act.sender, kind, payload)
                 except GovernanceError as exc:
                     reason = exc.code
                 except (KeyError, TypeError, ValueError):
                     reason = "MalformedPayload"
-            return self._reject(event, act.sender, kind, payload, reason)
+            return self._reject(act.sender, kind, payload, reason)
 
     def _authorize(self, sender: str, kind: SpeechActKind) -> str | None:
         if not self.is_agent(sender):
@@ -800,26 +772,22 @@ class CommunityInstance:
                     return None
         return UnauthorizedSpeechAct.__name__
 
-    def _dispatch(
-        self, event: int, sender: str, kind: SpeechActKind, payload: dict
-    ) -> ApplyResult:
+    def _dispatch(self, sender: str, kind: SpeechActKind, payload: dict) -> ApplyResult:
         if kind in _CREATED_MODALITY:
-            return self._act_create(event, sender, kind, payload)
+            return self._act_create(sender, kind, payload)
         if kind is SpeechActKind.TRANSFER:
-            return self._act_transfer(event, sender, payload)
+            return self._act_transfer(sender, payload)
         if kind is SpeechActKind.DISCHARGE:
-            return self._act_discharge(event, sender, payload)
+            return self._act_discharge(sender, payload)
         if kind is SpeechActKind.REVOKE:
-            return self._act_revoke(event, sender, payload)
+            return self._act_revoke(sender, payload)
         if kind in NEGOTIATION_KINDS:
-            return self._act_negotiation(event, sender, kind, payload)
+            return self._act_negotiation(sender, kind, payload)
         if kind is SpeechActKind.ESCALATE:
-            return self._act_escalate(event, sender, payload)
+            return self._act_escalate(sender, payload)
         raise RuntimeError(f"unhandled speech act kind {kind}")  # pragma: no cover
 
-    def _act_create(
-        self, event: int, sender: str, kind: SpeechActKind, payload: dict
-    ) -> ApplyResult:
+    def _act_create(self, sender: str, kind: SpeechActKind, payload: dict) -> ApplyResult:
         if kind is SpeechActKind.GRANT:
             # grant = permit for one concrete agent; it takes a guard and nothing else
             grantee = payload["to"]
@@ -830,6 +798,10 @@ class CommunityInstance:
         else:
             holder = self._holder_for_name(payload["holder"])
             fields = ("deadline", "requires_action", "unless_action", "unless_target")
+            deadline = payload.get("deadline")
+            if deadline is not None and not isinstance(deadline, int):
+                # the expiry sweep compares deadlines with seqs at every event
+                raise TypeError(f"deadline {deadline!r} is not a seq")
         token = deontic.create_token(
             self.tokens,
             self,
@@ -841,24 +813,19 @@ class CommunityInstance:
             self._next_seq,
             **{name: payload.get(name) for name in fields},
         )
-        record = self._log_act(event, sender, kind, payload)
-        self._log_token_created(event, token, origin="speech_act")
+        record = self._log_act(sender, kind, payload)
+        self._log_token_created(token, origin="speech_act")
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
-    def _act_transfer(self, event: int, sender: str, payload: dict) -> ApplyResult:
+    def _act_transfer(self, sender: str, payload: dict) -> ApplyResult:
         token_id = int(payload["token"])
         to = payload["to"]
         token = deontic.delegate_burden(
             self.tokens, self, token_id, sender, to, self._next_seq
         )
-        record = self._log_act(
-            event, sender, SpeechActKind.TRANSFER, {"token": token_id, "to": to}
-        )
+        record = self._log_act(sender, SpeechActKind.TRANSFER, {"token": token_id, "to": to})
+        self._transition(token, TokenState.HELD, TokenState.DELEGATED, by=sender, target=to)
         self._transition(
-            event, token, TokenState.HELD, TokenState.DELEGATED, by=sender, target=to
-        )
-        self._transition(
-            event,
             token,
             TokenState.DELEGATED,
             TokenState.HELD,
@@ -867,35 +834,29 @@ class CommunityInstance:
         )
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
-    def _act_discharge(self, event: int, sender: str, payload: dict) -> ApplyResult:
+    def _act_discharge(self, sender: str, payload: dict) -> ApplyResult:
         token_id = int(payload["token"])
         evidence = int(payload.get("evidence", self.head_seq))
         token = deontic.discharge_burden(
-            self.tokens, self, token_id, sender, evidence, self._next_seq, self.head_seq
+            self.tokens, self, token_id, sender, evidence, self.head_seq
         )
-        record = self._log_act(
-            event,
-            sender,
-            SpeechActKind.DISCHARGE,
-            {"token": token_id, "evidence": evidence},
-        )
+        logged = {"token": token_id, "evidence": evidence}
+        record = self._log_act(sender, SpeechActKind.DISCHARGE, logged)
         self._transition(
-            event, token, TokenState.HELD, TokenState.DISCHARGED, by=sender, evidence=evidence
+            token, TokenState.HELD, TokenState.DISCHARGED, by=sender, evidence=evidence
         )
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
-    def _act_revoke(self, event: int, sender: str, payload: dict) -> ApplyResult:
+    def _act_revoke(self, sender: str, payload: dict) -> ApplyResult:
         token_id = int(payload["token"])
-        token = deontic.revoke_token(self.tokens, self, token_id, sender, self._next_seq)
-        record = self._log_act(event, sender, SpeechActKind.REVOKE, {"token": token_id})
-        self._transition(event, token, TokenState.HELD, TokenState.REVOKED, by=sender)
+        token = deontic.revoke_token(self.tokens, self, token_id, sender)
+        record = self._log_act(sender, SpeechActKind.REVOKE, {"token": token_id})
+        self._transition(token, TokenState.HELD, TokenState.REVOKED, by=sender)
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
-    def _act_negotiation(
-        self, event: int, sender: str, kind: SpeechActKind, payload: dict
-    ) -> ApplyResult:
+    def _act_negotiation(self, sender: str, kind: SpeechActKind, payload: dict) -> ApplyResult:
         if kind in (SpeechActKind.ACCEPT, SpeechActKind.REJECT) and "request_seq" in payload:
-            return self._decide_recommendation(event, sender, kind, payload)
+            return self._decide_recommendation(sender, kind, payload)
 
         if kind is SpeechActKind.PROPOSE:
             if self._negotiation_state != "idle":
@@ -913,7 +874,7 @@ class CommunityInstance:
                 self._negotiation_state = "idle"
                 self._negotiation_proposer = None
 
-        record = self._log_act(event, sender, kind, payload)
+        record = self._log_act(sender, kind, payload)
         history = self.objects.get("NegotiationHistory")
         if history is not None:
             entry: dict = {"kind": kind.value, "by": sender}
@@ -923,7 +884,7 @@ class CommunityInstance:
         return ApplyResult(True, seq=record.seq)
 
     def _decide_recommendation(
-        self, event: int, sender: str, kind: SpeechActKind, payload: dict
+        self, sender: str, kind: SpeechActKind, payload: dict
     ) -> ApplyResult:
         request_seq = int(payload["request_seq"])
         pending = self._pending.get(request_seq)
@@ -934,7 +895,7 @@ class CommunityInstance:
             verb = "approve" if approve else "reject"
             raise ProtocolViolation(f"only a human may {verb} a recommendation")
         del self._pending[request_seq]
-        record = self._log_act(event, sender, kind, {"request_seq": request_seq})
+        record = self._log_act(sender, kind, {"request_seq": request_seq})
         if approve:
             subject = pending.subject
             try:
@@ -947,44 +908,23 @@ class CommunityInstance:
             # a rejection's verdict names no subject
             subject, verdict = None, Verdict(OUTCOME_BLOCKED, reason="rejected")
         self._log_verdict(
-            event, request_seq, pending.actor, pending.action, subject, verdict, approved_by=sender
+            request_seq, pending.actor, pending.action, subject, verdict, approved_by=sender
         )
         if verdict.admissible:
             for write in pending.effects:
                 self.objects[write.object].apply(write)
         return ApplyResult(True, seq=record.seq)
 
-    def _act_escalate(self, event: int, sender: str, payload: dict) -> ApplyResult:
+    def _act_escalate(self, sender: str, payload: dict) -> ApplyResult:
         condition = payload["condition"]
         # the burden comes before the event's first record, so a failure to
         # create it leaves a single rejected record, as every other act does
         burden = self._review_burden(condition, sender, payload.get("subject"))
         if burden is None:
-            return self._reject(
-                event, sender, SpeechActKind.ESCALATE, payload, "no-escalation-rule"
-            )
-        record = self._log_act(event, sender, SpeechActKind.ESCALATE, payload)
-        self._escalate(event, sender, condition, burden)
+            return self._reject(sender, SpeechActKind.ESCALATE, payload, "no-escalation-rule")
+        record = self._log_act(sender, SpeechActKind.ESCALATE, payload)
+        self._escalate(sender, condition, burden)
         return ApplyResult(True, seq=record.seq, token_id=burden.id)
-
-    # ------------------------------------------------------------------
-    # annotations
-
-    def append_property_violation(
-        self, property_name: str, at_seq: int, witness: list[int]
-    ) -> AuditRecord:
-        with self._lock:
-            event = self._begin_event(sweep=False)
-            return self._append(
-                KIND_PROPERTY_VIOLATION,
-                None,
-                {
-                    "event": event,
-                    "property": property_name,
-                    "at_seq": at_seq,
-                    "witness": list(witness),
-                },
-            )
 
     # ------------------------------------------------------------------
     # snapshot and export
@@ -1121,9 +1061,9 @@ def replay(
 ) -> CommunityInstance:
     """Rebuild an instance by re-executing the initiating records.
 
-    Derived records (verdicts, transitions, escalations, property
-    violations) are regenerated, not read back; the result must match the
-    original log byte for byte over the regenerated kinds.
+    Derived records (verdicts, transitions, escalations) are regenerated,
+    not read back; the result must match the original log byte for byte
+    over the regenerated kinds.
     """
     if isinstance(text_or_records, str):
         _, records = import_log(text_or_records)

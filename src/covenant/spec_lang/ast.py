@@ -142,17 +142,6 @@ class ContractDecl:
                 kinds.update(ks)
         return frozenset(kinds)
 
-    @property
-    def participant_roles(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for r, _ in self.allows:
-            if r not in seen:
-                seen.append(r)
-        for rule in self.escalations:
-            if rule.to_role not in seen:
-                seen.append(rule.to_role)
-        return tuple(seen)
-
 
 @dataclass(frozen=True)
 class ObjectDecl:

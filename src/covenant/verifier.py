@@ -33,7 +33,6 @@ from .runtime import (
     CommunityInstance,
     KIND_BINDING,
     KIND_GENESIS,
-    KIND_PROPERTY_VIOLATION,
     KIND_TOKEN_TRANSITION,
     KIND_VERDICT,
     MODE_AUTONOMOUS,
@@ -42,8 +41,6 @@ from .runtime import (
     SpeechAct,
 )
 from .spec_lang.ast import BUILTIN_GROUPS, CommunityTemplate, Modality, SpeechActKind
-
-PROPERTY_TEMPLATES = (PROP_SAFETY, PROP_AUTHORITY, PROP_PROHIBITION, PROP_ACCOUNTABILITY)
 
 
 @dataclass(frozen=True)
@@ -325,8 +322,6 @@ class TraceMonitor:
         self.violations: list[Violation] = []
 
     def feed(self, record: AuditRecord) -> list[Violation]:
-        if record.kind == KIND_PROPERTY_VIOLATION:
-            return []
         self._state.update(record)
         found: list[Violation] = []
         for checker in self._checkers:

@@ -206,11 +206,11 @@ def test_delegation_fuzz_matches_set_model(ward):
 def test_discharge_sets_terminal_state_and_evidence(ward):
     store, resolver = ward
     t = create_token(store, resolver, Modality.BURDEN, "x", agent_ref("doc_a"), None, "Hospital", 1)
-    discharge_burden(store, resolver, t.id, "doc_a", evidence=5, at=6, log_head=10)
+    discharge_burden(store, resolver, t.id, "doc_a", evidence=5, log_head=10)
     assert t.state is TokenState.DISCHARGED
     assert t.evidence == 5
     with pytest.raises(TerminalState):
-        discharge_burden(store, resolver, t.id, "doc_a", 5, 7, 10)
+        discharge_burden(store, resolver, t.id, "doc_a", 5, 10)
     with pytest.raises(TerminalState):
         delegate_burden(store, resolver, t.id, "doc_a", "doc_b", 7)
 
@@ -219,8 +219,8 @@ def test_discharge_requires_holder(ward):
     store, resolver = ward
     t = create_token(store, resolver, Modality.BURDEN, "x", role_ref("Physician"), None, "Hospital", 1)
     with pytest.raises(NotHolder):
-        discharge_burden(store, resolver, t.id, "bot_1", 0, 2, 5)
-    discharge_burden(store, resolver, t.id, "doc_b", 0, 2, 5)
+        discharge_burden(store, resolver, t.id, "bot_1", 0, 5)
+    discharge_burden(store, resolver, t.id, "doc_b", 0, 5)
     assert t.state is TokenState.DISCHARGED
 
 
@@ -228,16 +228,16 @@ def test_discharge_evidence_bounds(ward):
     store, resolver = ward
     t = create_token(store, resolver, Modality.BURDEN, "x", agent_ref("doc_a"), None, "Hospital", 1)
     with pytest.raises(DanglingEvidence):
-        discharge_burden(store, resolver, t.id, "doc_a", evidence=-1, at=2, log_head=10)
+        discharge_burden(store, resolver, t.id, "doc_a", evidence=-1, log_head=10)
     with pytest.raises(DanglingEvidence):
-        discharge_burden(store, resolver, t.id, "doc_a", evidence=11, at=2, log_head=10)
+        discharge_burden(store, resolver, t.id, "doc_a", evidence=11, log_head=10)
 
 
 def test_burdens_are_not_revocable(ward):
     store, resolver = ward
     t = create_token(store, resolver, Modality.BURDEN, "x", agent_ref("doc_a"), None, "Hospital", 1)
     with pytest.raises(NotRevocable):
-        revoke_token(store, resolver, t.id, "Hospital", 2)
+        revoke_token(store, resolver, t.id, "Hospital")
 
 
 def test_revoke_authority_variants(ward):
@@ -245,25 +245,25 @@ def test_revoke_authority_variants(ward):
     # issued by an agent: the agent or its principal may revoke
     t1 = create_token(store, resolver, Modality.PERMIT, "x", agent_ref("bot_1"), None, "doc_a", 1)
     with pytest.raises(NotIssuer):
-        revoke_token(store, resolver, t1.id, "doc_b", 2)
-    revoke_token(store, resolver, t1.id, "Hospital", 2)
+        revoke_token(store, resolver, t1.id, "doc_b")
+    revoke_token(store, resolver, t1.id, "Hospital")
     assert t1.state is TokenState.REVOKED
 
     t2 = create_token(store, resolver, Modality.PERMIT, "y", agent_ref("bot_1"), None, "doc_a", 3)
-    revoke_token(store, resolver, t2.id, "doc_a", 4)
+    revoke_token(store, resolver, t2.id, "doc_a")
     assert t2.state is TokenState.REVOKED
 
     # issued by a principal: any agent of that principal may revoke
     t3 = create_token(store, resolver, Modality.EMBARGO, "z", role_ref("Matcher"), None, "Hospital", 5)
     with pytest.raises(NotIssuer):
-        revoke_token(store, resolver, t3.id, "bot_1", 6)
-    revoke_token(store, resolver, t3.id, "doc_c", 6)
+        revoke_token(store, resolver, t3.id, "bot_1")
+    revoke_token(store, resolver, t3.id, "doc_c")
     assert t3.state is TokenState.REVOKED
 
     t4 = create_token(store, resolver, Modality.EMBARGO, "w", role_ref("Matcher"), None, "Hospital", 7)
     with pytest.raises(TerminalState):
-        revoke_token(store, resolver, t3.id, "Hospital", 8)
-    revoke_token(store, resolver, t4.id, "Hospital", 8)
+        revoke_token(store, resolver, t3.id, "Hospital")
+    revoke_token(store, resolver, t4.id, "Hospital")
 
 
 def test_default_deny_enumeration(ward):
@@ -309,7 +309,7 @@ def test_permit_guard_requires_discharged_burden(ward):
     )
     v = check_action_admissible(store, resolver, "bot_1", "read", "p1")
     assert v.outcome == OUTCOME_BLOCKED and v.reason == REASON_NO_PERMIT
-    discharge_burden(store, resolver, guard.id, "doc_a", 0, 3, 5)
+    discharge_burden(store, resolver, guard.id, "doc_a", 0, 5)
     assert check_action_admissible(store, resolver, "bot_1", "read", "p1").admissible
     # the guard was scoped to p1; p2 stays blocked
     assert not check_action_admissible(store, resolver, "bot_1", "read", "p2").admissible
@@ -350,7 +350,7 @@ def test_embargo_exception_opens_and_closes(ward):
         store, resolver, Modality.PERMIT, "open_export", role_ref("Physician"), None, "Hospital", 3
     )
     assert check_action_admissible(store, resolver, "bot_1", "export", "batch1").admissible
-    revoke_token(store, resolver, gate.id, "Hospital", 4)
+    revoke_token(store, resolver, gate.id, "Hospital")
     assert not check_action_admissible(store, resolver, "bot_1", "export", "batch1").admissible
 
 
@@ -401,7 +401,7 @@ def test_expire_due_sweeps_only_overdue_held_burdens(ward):
     t1 = create_token(store, resolver, Modality.BURDEN, "a", agent_ref("doc_a"), None, "Hospital", 1, deadline=5)
     t2 = create_token(store, resolver, Modality.BURDEN, "b", agent_ref("doc_a"), None, "Hospital", 1, deadline=9)
     t3 = create_token(store, resolver, Modality.BURDEN, "c", agent_ref("doc_a"), None, "Hospital", 1, deadline=3)
-    discharge_burden(store, resolver, t3.id, "doc_a", 0, 2, 5)
+    discharge_burden(store, resolver, t3.id, "doc_a", 0, 5)
     expired = expire_due(store, at=6)
     assert [t.id for t in expired] == [t1.id]
     assert t1.state is TokenState.VIOLATED
@@ -517,9 +517,9 @@ def test_admissibility_fuzz_matches_brute_force(ward):
             token = rng.choice(list(store))
             try:
                 if token.modality is Modality.BURDEN:
-                    discharge_burden(store, resolver, token.id, token.holder.name, 0, step, step)
+                    discharge_burden(store, resolver, token.id, token.holder.name, 0, step)
                 else:
-                    revoke_token(store, resolver, token.id, "Hospital", step)
+                    revoke_token(store, resolver, token.id, "Hospital")
             except (TerminalState, NotHolder):
                 pass
         actor = rng.choice(["doc_a", "bot_1", "bot_2"])

@@ -17,6 +17,7 @@ from covenant.errors import (
     UnknownRole,
 )
 from covenant.runtime import (
+    INITIATING_KINDS,
     KIND_ACTION_REQUEST,
     KIND_BINDING,
     KIND_ESCALATION,
@@ -282,6 +283,49 @@ def test_malformed_payload_rejected():
     result = c.apply_speech_act(SpeechAct(SpeechActKind.GRANT, "officer_1", {"action": "x"}))
     assert not result.accepted
     assert result.reason == "MalformedPayload"
+    # a deadline that is not a seq would wedge the expiry sweep of every later event
+    tokens = c.tokens.states()
+    payload = {"action": "sign", "holder": "officer_1", "deadline": "5"}
+    result = c.apply_speech_act(SpeechAct(SpeechActKind.DECLARE_BURDEN, "officer_1", payload))
+    assert (result.accepted, result.reason) == (False, "MalformedPayload")
+    assert c.tokens.states() == tokens
+    c.submit_action("officer_1", "ping")
+    text = c.export_log()
+    assert replay(parse_spec(WARD_SOURCE), text).export_log() == text
+
+
+@pytest.mark.parametrize(
+    "submit, error",
+    [
+        (lambda c: c.apply_speech_act(SpeechAct("shout", "officer_1", {})), ValueError),
+        (
+            lambda c: c.apply_speech_act(
+                SpeechAct(
+                    SpeechActKind.DECLARE_BURDEN,
+                    "officer_1",
+                    {"action": "sign", "holder": "officer_1", 7: "x"},
+                )
+            ),
+            TypeError,
+        ),
+        (
+            lambda c: c.submit_action(
+                "officer_1", "note", effects=[{"object": "CaseFile", "key": "k", "value": {1}}]
+            ),
+            TypeError,
+        ),
+    ],
+    ids=["unknown_kind", "non_string_key", "unencodable_effect"],
+)
+def test_an_event_that_cannot_be_logged_fails_before_it_is_numbered(submit, error):
+    c = staffed_ward()
+    before = (c.event_count, c.records(), c.tokens.states())
+    with pytest.raises(error):
+        submit(c)
+    assert (c.event_count, c.records(), c.tokens.states()) == before
+    c.submit_action("officer_1", "ping")
+    text = c.export_log()
+    assert replay(parse_spec(WARD_SOURCE), text).export_log() == text
 
 
 def test_full_token_lifecycle_record_shapes():
@@ -766,10 +810,10 @@ def _pinned_runs():
         report = run_scenario(scenario)
         assert report.ok, report.summary()
         for stage in report.stages:
-            runs[f"{scenario.name}/{stage.community}"] = _head(stage.export)
+            runs[f"{scenario.name}/{stage.community}"] = stage.export
     for mode in (MODE_SUPERVISED, MODE_ADVISORY, MODE_AUTONOMOUS):
-        runs[f"desk/{mode}"] = _head(_desk(mode).export_log())
-    runs["desk/supervised_without_rule"] = _head(_desk(MODE_SUPERVISED, _NO_POLICY_RULE).export_log())
+        runs[f"desk/{mode}"] = _desk(mode).export_log()
+    runs["desk/supervised_without_rule"] = _desk(MODE_SUPERVISED, _NO_POLICY_RULE).export_log()
     return runs
 
 
@@ -832,4 +876,22 @@ def test_mode_runs_reach_every_record_writer():
 
 
 def test_export_heads_are_pinned():
-    assert _pinned_runs() == PINNED_HEADS
+    assert {name: _head(export) for name, export in _pinned_runs().items()} == PINNED_HEADS
+
+
+def test_every_record_names_the_event_that_caused_it():
+    for name, export in _pinned_runs().items():
+        records = parse_export(export)[1]
+        events = [r.detail["event"] for r in records]
+        assert events[0] == 0, name
+        # event numbers never fall and never skip
+        assert all(0 <= b - a <= 1 for a, b in zip(events, events[1:])), name
+        # each initiating record opens the next event; only the expiry sweep
+        # of that event may be logged before it
+        initiating = [r for r in records if r.kind in INITIATING_KINDS]
+        assert [r.detail["event"] for r in initiating] == list(range(1, events[-1] + 1)), name
+        for r in initiating:
+            before = [p for p in records[: r.seq] if p.detail["event"] == r.detail["event"]]
+            assert all(
+                p.kind == KIND_TOKEN_TRANSITION and p.detail["to"] == "VIOLATED" for p in before
+            ), (name, r.seq)

@@ -267,6 +267,18 @@ def test_attached_monitor_matches_offline_checks():
     drive_clinic(c)
     assert monitor.violations == run_checks(c.records(), ALL_SPECS, c.template)
     assert len(monitor.violations) == 3
+    # a log annotated by an older release, with the embargo gap still open,
+    # checks the same: the annotation changes no state
+    last = monitor.violations[-1]
+    head = c.records()[-1]
+    annotation = {
+        "event": head.detail["event"] + 1,
+        "property": last.property,
+        "at_seq": last.at_seq,
+        "witness": list(last.witness),
+    }
+    note = AuditRecord(head.seq + 1, "property_violation", None, annotation, head.hash, "")
+    assert run_checks(c.records() + (note,), ALL_SPECS, c.template) == monitor.violations
 
 
 def test_monitor_attach_catches_up_on_history():
