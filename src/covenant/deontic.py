@@ -5,9 +5,12 @@ prohibitions. Tokens move through a fixed lifecycle; delegation extends an
 acyclic chain whose head is always the issuing principal, so every token
 answers "who is ultimately responsible" by construction.
 
-All operations here are pure with respect to everything except the passed
-TokenStore; sequencing, audit, and authorization of the *speech act* that
-invoked them belong to the runtime layer.
+Tokens are immutable values. A transition builds the successor token and
+the TokenStore swaps it in under the same id, so the store's two writers
+(`add` and `update`) are the only place a token changes. All operations here
+are pure with respect to everything except the passed TokenStore;
+sequencing, audit, and authorization of the *speech act* that invoked them
+belong to the runtime layer.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ class DelegationChain:
         return DelegationChain(self.links + (ChainLink(frm, to, at),))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Token:
     id: int
     modality: Modality
@@ -115,16 +118,13 @@ class Token:
     unless_target: str | None = None
     evidence: int | None = None
 
-    @property
-    def active(self) -> bool:
-        return self.state is TokenState.HELD
-
 
 class TokenStore:
     """All tokens of one community instance, keyed by monotonic integer id.
 
     Tokens are never removed and each gets its id as it is inserted, so
-    iteration (insertion order) is id order.
+    iteration (insertion order) is id order. `add` and `update` are the only
+    writers; since tokens are frozen, a clone copies the dict.
     """
 
     def __init__(self) -> None:
@@ -134,6 +134,12 @@ class TokenStore:
         token = Token(id=len(self._tokens) + 1, **fields)
         self._tokens[token.id] = token
         return token
+
+    def update(self, token: Token, **changes) -> Token:
+        """Swap in the successor of `token`, with `changes` applied; return it."""
+        successor = replace(token, **changes)
+        self._tokens[token.id] = successor
+        return successor
 
     def get(self, token_id: int) -> Token:
         token = self._tokens.get(token_id)
@@ -149,18 +155,14 @@ class TokenStore:
 
     def clone(self) -> TokenStore:
         twin = TokenStore()
-        twin._tokens = {token_id: replace(token) for token_id, token in self._tokens.items()}
+        twin._tokens = dict(self._tokens)
         return twin
 
-    def active_tokens(
-        self, modality: Modality | None = None, action: str | None = None
-    ) -> list[Token]:
+    def active_tokens(self, modality: Modality, action: str) -> list[Token]:
         return [
             t
             for t in self
-            if t.active
-            and (modality is None or t.modality is modality)
-            and (action is None or t.action == action)
+            if t.state is TokenState.HELD and t.modality is modality and t.action == action
         ]
 
     def states(self) -> dict[int, str]:
@@ -277,25 +279,12 @@ def delegate_burden(
         raise UnknownAgent(f"delegate target {to!r} is not a bound agent")
     if to in token.chain.nodes():
         raise CycleDetected(f"{to!r} already appears in the delegation chain of token {token.id}")
-    token.chain = token.chain.extended(frm, to, at)
-    token.holder = HolderRef(HolderKind.AGENT, to)
-    token.state = TokenState.HELD  # passes through DELEGATED; audit logs both hops
-    return token
-
-
-def can_delegate(
-    store: TokenStore, resolver: BindingResolver, token_id: int, frm: str, to: str
-) -> bool:
-    """Pure precondition probe for delegate_burden."""
-    try:
-        token = store.get(token_id)
-    except UnknownToken:
-        return False
-    if token.modality is not Modality.BURDEN or token.state is not TokenState.HELD:
-        return False
-    if token.holder.name != frm and not resolver.covers(token.holder, frm):
-        return False
-    return resolver.is_agent(to) and to not in token.chain.nodes()
+    return store.update(
+        token,
+        chain=token.chain.extended(frm, to, at),
+        holder=HolderRef(HolderKind.AGENT, to),
+        state=TokenState.HELD,  # passes through DELEGATED; audit logs both hops
+    )
 
 
 def discharge_burden(
@@ -314,9 +303,7 @@ def discharge_burden(
     _require_holder(resolver, token, by, "discharge")
     if evidence < 0 or evidence > log_head:
         raise DanglingEvidence(f"evidence seq {evidence} is not an existing audit record")
-    token.state = TokenState.DISCHARGED
-    token.evidence = evidence
-    return token
+    return store.update(token, state=TokenState.DISCHARGED, evidence=evidence)
 
 
 def revoke_token(store: TokenStore, resolver: BindingResolver, token_id: int, by: str) -> Token:
@@ -333,8 +320,7 @@ def revoke_token(store: TokenStore, resolver: BindingResolver, token_id: int, by
     )
     if not authorized:
         raise NotIssuer(f"{by!r} did not issue token {token.id} and does not act for its issuer")
-    token.state = TokenState.REVOKED
-    return token
+    return store.update(token, state=TokenState.REVOKED)
 
 
 def _subject_scope_matches(token_subject: str | None, subject: str | None) -> bool:
@@ -427,17 +413,15 @@ def check_action_admissible(
 
 def expire_due(store: TokenStore, at: int) -> list[Token]:
     """Transition every overdue HELD burden to VIOLATED; deadline is a seq."""
-    expired: list[Token] = []
-    for t in store:
-        if (
-            t.modality is Modality.BURDEN
-            and t.state is TokenState.HELD
-            and t.deadline is not None
-            and t.deadline < at
-        ):
-            t.state = TokenState.VIOLATED
-            expired.append(t)
-    return expired
+    due = [
+        t
+        for t in store
+        if t.modality is Modality.BURDEN
+        and t.state is TokenState.HELD
+        and t.deadline is not None
+        and t.deadline < at
+    ]
+    return [store.update(t, state=TokenState.VIOLATED) for t in due]
 
 
 def trace_to_principal(resolver: BindingResolver, token: Token) -> str:

@@ -91,8 +91,8 @@ _CREATED_MODALITY = {
 }
 
 
-def canonical_json(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+# one encoder for every call: json.dumps with options builds a new one each time
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _canon(value):
@@ -296,18 +296,6 @@ class EnterpriseObject:
         twin = EnterpriseObject(self.name, self.discipline)
         twin._journal = list(self._journal)
         return twin
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    community: str
-    mode: str
-    head_seq: int
-    head_hash: str
-    records: tuple[AuditRecord, ...]
-    bindings: tuple[RoleBinding, ...]
-    token_states: tuple[tuple[int, str], ...]
-    object_digests: tuple[tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -614,7 +602,10 @@ class CommunityInstance:
         decl = self.template.role(role)
         if decl is None:
             raise UnknownRole(f"role {role!r} is not declared")
-        kind = RoleKind(kind)
+        try:
+            kind = RoleKind(kind)
+        except ValueError:
+            raise KindMismatch(f"unknown agent kind {kind!r}") from None
         if kind is not decl.kind:
             raise KindMismatch(f"role {role!r} requires kind {decl.kind.value}, got {kind.value}")
         existing_kind = self.agent_kind(agent)
@@ -695,7 +686,7 @@ class CommunityInstance:
                 request_detail["subject"] = subject
             if writes:
                 request_detail["effects"] = [w.to_detail() for w in writes]
-                canonical_json(request_detail["effects"])  # fail before the event if unloggable
+            canonical_json(request_detail)  # fail before the event if unloggable
 
             self._begin_event()
             request = self._append(KIND_ACTION_REQUEST, actor, request_detail)
@@ -927,23 +918,7 @@ class CommunityInstance:
         return ApplyResult(True, seq=record.seq, token_id=burden.id)
 
     # ------------------------------------------------------------------
-    # snapshot and export
-
-    def snapshot(self) -> Snapshot:
-        with self._lock:
-            head = self._records[-1]
-            return Snapshot(
-                community=self.template.name,
-                mode=self.mode,
-                head_seq=head.seq,
-                head_hash=head.hash,
-                records=tuple(self._records),
-                bindings=tuple(self._bindings),
-                token_states=tuple(sorted(self.tokens.states().items())),
-                object_digests=tuple(
-                    sorted((name, obj.digest()) for name, obj in self.objects.items())
-                ),
-            )
+    # export and clone
 
     def export_log(self) -> str:
         with self._lock:

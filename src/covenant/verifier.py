@@ -3,8 +3,9 @@
 Four parameterized property templates are evaluated two ways:
 
 * online — a TraceMonitor fed each audit record as it is appended,
-* offline — the same incremental checkers run over an exported trace or a
-  snapshot (so online and offline agree by construction).
+* offline — the same incremental checkers run over a trace of audit
+  records, such as `instance.records()` or an imported export (so online
+  and offline agree by construction).
 
 Independently of both, oracle_enumerate exhaustively applies small event
 alphabets through the straight-line reference engine and records which
@@ -37,7 +38,6 @@ from .runtime import (
     KIND_VERDICT,
     MODE_AUTONOMOUS,
     RoleBinding,
-    Snapshot,
     SpeechAct,
 )
 from .spec_lang.ast import BUILTIN_GROUPS, CommunityTemplate, Modality, SpeechActKind
@@ -352,49 +352,41 @@ class TraceMonitor:
 Trace = Sequence[AuditRecord]
 
 
-def as_records(s: Snapshot | Trace) -> tuple[AuditRecord, ...]:
-    if isinstance(s, Snapshot):
-        return s.records
-    return tuple(s)
-
-
 def run_checks(
-    s: Snapshot | Trace,
+    trace: Trace,
     specs: Iterable[PropertySpec],
     template: CommunityTemplate | None = None,
 ) -> list[Violation]:
     monitor = TraceMonitor(specs, template)
-    for record in as_records(s):
+    for record in trace:
         monitor.feed(record)
     return sorted(monitor.violations, key=_sort_key)
 
 
-def check_safety(
-    s: Snapshot | Trace, guarded_action: str, guard_burden: str
-) -> list[Violation]:
-    return run_checks(s, [PropertySpec.safety(guarded_action, guard_burden)])
+def check_safety(trace: Trace, guarded_action: str, guard_burden: str) -> list[Violation]:
+    return run_checks(trace, [PropertySpec.safety(guarded_action, guard_burden)])
 
 
 def check_authority(
-    s: Snapshot | Trace,
+    trace: Trace,
     decision_action: str,
     authorized_role: str,
     template: CommunityTemplate | None = None,
 ) -> list[Violation]:
-    return run_checks(s, [PropertySpec.authority(decision_action, authorized_role)], template)
+    return run_checks(trace, [PropertySpec.authority(decision_action, authorized_role)], template)
 
 
 def check_prohibition(
-    s: Snapshot | Trace,
+    trace: Trace,
     action: str,
     group: str,
     template: CommunityTemplate | None = None,
 ) -> list[Violation]:
-    return run_checks(s, [PropertySpec.prohibition(action, group)], template)
+    return run_checks(trace, [PropertySpec.prohibition(action, group)], template)
 
 
-def check_accountability(s: Snapshot | Trace) -> list[Violation]:
-    return run_checks(s, [PropertySpec.accountability()])
+def check_accountability(trace: Trace) -> list[Violation]:
+    return run_checks(trace, [PropertySpec.accountability()])
 
 
 # ----------------------------------------------------------------------

@@ -406,7 +406,9 @@ def test_criterion_8_delegation_and_intent(capsys):
             issuer="Hospital", at=0,
         )
         for hop, target in enumerate(("doc_b", "doc_c", "bot_1"), start=1):
-            delegate_burden(store, resolver, token.id, frm=token.holder.name, to=target, at=hop)
+            token = delegate_burden(
+                store, resolver, token.id, frm=token.holder.name, to=target, at=hop
+            )
         assert token.holder.name == "bot_1"
         assert token.chain.participants() == ("Hospital", "doc_a", "doc_b", "doc_c", "bot_1")
         assert trace_to_principal(resolver, token) == "Hospital"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -98,14 +99,19 @@ def test_instantiation_creates_policy_tokens_in_order():
 def test_bind_rejections_leave_no_records():
     c = make_ward()
     c.register_principal("Vendor")
-    before = len(c.records())
+    before = (c.event_count, len(c.records()))
     with pytest.raises(UnknownRole):
         c.bind_agent("Janitor", "x", "human", "Clinic")
     with pytest.raises(KindMismatch):
         c.bind_agent("Officer", "x", "llm_agent", "Clinic")
     with pytest.raises(UnknownPrincipal):
         c.bind_agent("Officer", "x", "human", "Nobody")
-    assert len(c.records()) == before
+    # an unknown agent kind is refused like a wrong one, with or without a principal check
+    with pytest.raises(KindMismatch):
+        c.bind_agent("Officer", "x", "robot", "Clinic")
+    with pytest.raises(KindMismatch):
+        c.force_bind("Officer", "x", "robot", "Clinic")
+    assert (c.event_count, len(c.records())) == before
 
 
 def test_bind_agent_consistency_checks():
@@ -314,8 +320,9 @@ def test_malformed_payload_rejected():
             ),
             TypeError,
         ),
+        (lambda c: c.submit_action("officer_1", "ping", {1}), TypeError),
     ],
-    ids=["unknown_kind", "non_string_key", "unencodable_effect"],
+    ids=["unknown_kind", "non_string_key", "unencodable_effect", "unencodable_subject"],
 )
 def test_an_event_that_cannot_be_logged_fails_before_it_is_numbered(submit, error):
     c = staffed_ward()
@@ -385,7 +392,7 @@ def test_grant_and_revoke_record_shapes():
         SpeechAct(SpeechActKind.REVOKE, "officer_1", {"token": granted.token_id})
     )
     assert revoked.accepted
-    assert token.state is TokenState.REVOKED
+    assert c.tokens.get(granted.token_id).state is TokenState.REVOKED
 
 
 def test_deadline_sweep_runs_at_next_event():
@@ -556,7 +563,9 @@ def test_replay_reproduces_states_and_bytes():
     assert {(b.role, b.agent) for b in twin.bindings()} == {
         (b.role, b.agent) for b in c.bindings()
     }
-    assert twin.snapshot().object_digests == c.snapshot().object_digests
+    assert {name: obj.digest() for name, obj in twin.objects.items()} == {
+        name: obj.digest() for name, obj in c.objects.items()
+    }
 
 
 def test_single_byte_tamper_is_localized():
@@ -595,6 +604,51 @@ def test_clone_isolates_state():
         )
     )
     assert len(list(twin.tokens)) + 1 == len(list(c.tokens))
+    token = next(iter(c.tokens))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        token.state = TokenState.REVOKED
+
+    # a transition in either copy leaves the other's tokens as they were
+    base = staffed_ward()
+    base.bind_agent("Officer", "officer_2", "human", "Clinic")
+
+    def declare(kind, payload):
+        result = base.apply_speech_act(SpeechAct(kind, "officer_1", payload))
+        assert result.accepted
+        return result.token_id
+
+    moved = declare(SpeechActKind.DECLARE_BURDEN, {"action": "sign", "holder": "officer_1"})
+    done = declare(SpeechActKind.DECLARE_BURDEN, {"action": "file", "holder": "officer_1"})
+    granted = declare(SpeechActKind.GRANT, {"action": "close_case", "to": "bot_1"})
+    # overdue as soon as the next event begins
+    due = declare(
+        SpeechActKind.DECLARE_BURDEN,
+        {"action": "audit", "holder": "officer_1", "deadline": base.head_seq + 1},
+    )
+
+    def tokens_of(c):
+        return {t.id: (t.state, t.holder, t.chain) for t in c.tokens}
+
+    def move_every_token(c):
+        for kind, payload in (
+            (SpeechActKind.TRANSFER, {"token": moved, "to": "officer_2"}),
+            (SpeechActKind.DISCHARGE, {"token": done}),
+            (SpeechActKind.REVOKE, {"token": granted}),
+        ):
+            assert c.apply_speech_act(SpeechAct(kind, "officer_1", payload)).accepted
+        states = c.tokens.states()
+        assert [states[i] for i in (moved, done, granted, due)] == [
+            "HELD", "DISCHARGED", "REVOKED", "VIOLATED"
+        ]
+        assert c.tokens.get(moved).chain.participants()[-1] == "officer_2"
+
+    before = tokens_of(base)
+    twin = base.clone()
+    move_every_token(twin)
+    assert tokens_of(base) == before
+    twin = base.clone()
+    move_every_token(base)
+    assert tokens_of(twin) == before
 
 
 # ----------------------------------------------------------------------
