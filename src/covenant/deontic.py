@@ -7,16 +7,21 @@ answers "who is ultimately responsible" by construction.
 
 Tokens are immutable values. A transition builds the successor token and
 the TokenStore swaps it in under the same id, so the store's two writers
-(`add` and `update`) are the only place a token changes. All operations here
-are pure with respect to everything except the passed TokenStore;
-sequencing, audit, and authorization of the *speech act* that invoked them
-belong to the runtime layer.
+(`add` and `update`) are the only place a token changes. They also keep the
+store's indexes (HELD tokens by action and holder, discharged burdens by
+action, a deadline heap), so admissibility, guards and expiry look up what
+they need instead of scanning every token. All operations here are pure
+with respect to everything except the passed TokenStore; sequencing, audit,
+and authorization of the *speech act* that invoked them belong to the
+runtime layer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Iterator, Protocol
 
 from .errors import (
@@ -124,22 +129,68 @@ class TokenStore:
 
     Tokens are never removed and each gets its id as it is inserted, so
     iteration (insertion order) is id order. `add` and `update` are the only
-    writers; since tokens are frozen, a clone copies the dict.
+    writers, and they keep three indexes, so that no judgment scans the store:
+
+    - the ids of HELD tokens under `(modality, action)`, and again (in the
+      same dict) under `(modality, action, agent)`, where `agent` is the
+      holder's name for an agent holder and None for a role or group holder;
+      each bucket is a tuple in id order
+    - the subjects of DISCHARGED burdens, as a frozenset under their action
+    - a min-heap of `(deadline, id)` for burdens. A deadline is fixed when
+      its burden is created; an entry whose token has left HELD is dropped
+      when it is popped.
+
+    Buckets are immutable, so a clone copies the outer dicts and the heap
+    list, and shares every bucket with its parent.
     """
 
     def __init__(self) -> None:
         self._tokens: dict[int, Token] = {}
+        self._held: dict[tuple, tuple[int, ...]] = {}
+        self._discharged: dict[str, frozenset] = {}
+        self._deadlines: list[tuple[int, int]] = []
 
     def add(self, **fields) -> Token:
         token = Token(id=len(self._tokens) + 1, **fields)
+        self._index(token)
+        if token.modality is Modality.BURDEN and token.deadline is not None:
+            heappush(self._deadlines, (token.deadline, token.id))
         self._tokens[token.id] = token
         return token
 
     def update(self, token: Token, **changes) -> Token:
         """Swap in the successor of `token`, with `changes` applied; return it."""
         successor = replace(token, **changes)
+        self._unindex(self._tokens[token.id])
+        self._index(successor)
         self._tokens[token.id] = successor
         return successor
+
+    @staticmethod
+    def _held_keys(token: Token) -> tuple[tuple, tuple]:
+        agent = token.holder.name if token.holder.kind is HolderKind.AGENT else None
+        return (token.modality, token.action), (token.modality, token.action, agent)
+
+    def _index(self, token: Token) -> None:
+        if token.state is TokenState.HELD:
+            for key in self._held_keys(token):
+                bucket = self._held.get(key, ())
+                if bucket and bucket[-1] > token.id:  # a successor re-enters mid-bucket
+                    i = bisect_left(bucket, token.id)
+                    self._held[key] = bucket[:i] + (token.id,) + bucket[i:]
+                else:
+                    self._held[key] = bucket + (token.id,)
+        elif token.state is TokenState.DISCHARGED and token.modality is Modality.BURDEN:
+            subjects = self._discharged.get(token.action, frozenset())
+            self._discharged[token.action] = subjects | {token.subject}
+
+    def _unindex(self, token: Token) -> None:
+        # DISCHARGED is terminal, so only a HELD token can leave an index
+        if token.state is TokenState.HELD:
+            for key in self._held_keys(token):
+                bucket = self._held[key]
+                i = bisect_left(bucket, token.id)
+                self._held[key] = bucket[:i] + bucket[i + 1 :]
 
     def get(self, token_id: int) -> Token:
         token = self._tokens.get(token_id)
@@ -154,16 +205,46 @@ class TokenStore:
         return len(self._tokens)
 
     def clone(self) -> TokenStore:
-        twin = TokenStore()
-        twin._tokens = dict(self._tokens)
+        twin = TokenStore.__new__(TokenStore)
+        twin._tokens = self._tokens.copy()
+        twin._held = self._held.copy()
+        twin._discharged = self._discharged.copy()
+        twin._deadlines = self._deadlines.copy()
         return twin
 
     def active_tokens(self, modality: Modality, action: str) -> list[Token]:
-        return [
-            t
-            for t in self
-            if t.state is TokenState.HELD and t.modality is modality and t.action == action
-        ]
+        """The HELD tokens of `modality` on `action`, in id order."""
+        return [self._tokens[i] for i in self._held.get((modality, action), ())]
+
+    def active_for(self, modality: Modality, action: str, agent: str) -> list[Token]:
+        """The HELD tokens on `action` that `agent` may fill, in id order.
+
+        These are the tokens `agent` holds itself and those held by a role or
+        group; a token held by another agent can never cover `agent`.
+        """
+        own = self._held.get((modality, action, agent), ())
+        shared = self._held.get((modality, action, None), ())
+        return [self._tokens[i] for i in sorted(own + shared)]
+
+    def guard_discharged(self, guard_action: str, subject: str | None) -> bool:
+        """Whether a DISCHARGED burden on `guard_action` matches `subject`.
+
+        An unscoped burden matches every subject, and a None subject matches
+        every burden.
+        """
+        subjects = self._discharged.get(guard_action)
+        return subjects is not None and (
+            subject is None or None in subjects or subject in subjects
+        )
+
+    def pop_overdue(self, at: int) -> list[Token]:
+        """Take the HELD burdens whose deadline is before `at` off the heap, in id order."""
+        due = []
+        while self._deadlines and self._deadlines[0][0] < at:
+            _deadline, token_id = heappop(self._deadlines)
+            if self._tokens[token_id].state is TokenState.HELD:
+                due.append(token_id)
+        return [self._tokens[i] for i in sorted(due)]
 
     def states(self) -> dict[int, str]:
         return {t.id: t.state.value for t in self}
@@ -182,6 +263,8 @@ class BindingResolver(Protocol):
 
     def principal_of(self, agent: str) -> str | None: ...
 
+    # An agent holder covers that agent alone, so admissibility reads only
+    # the actor's own bucket and the role- and group-held one.
     def covers(self, holder: HolderRef, agent: str) -> bool: ...
 
 
@@ -328,18 +411,6 @@ def _subject_scope_matches(token_subject: str | None, subject: str | None) -> bo
     return token_subject is None or token_subject == subject
 
 
-def _guard_satisfied(store: TokenStore, guard_action: str, subject: str | None) -> bool:
-    for t in store:
-        if (
-            t.modality is Modality.BURDEN
-            and t.state is TokenState.DISCHARGED
-            and t.action == guard_action
-            and (t.subject is None or subject is None or t.subject == subject)
-        ):
-            return True
-    return False
-
-
 def _exception_open(
     store: TokenStore, resolver: BindingResolver, embargo: Token, subject: str | None
 ) -> bool:
@@ -384,19 +455,19 @@ def check_action_admissible(
         raise UnknownAgent(f"{actor!r} is not bound to any role")
 
     permits: list[int] = []
-    for t in store.active_tokens(Modality.PERMIT, action):
+    for t in store.active_for(Modality.PERMIT, action, actor):
         if not resolver.covers(t.holder, actor):
             continue
         if not _subject_scope_matches(t.subject, subject):
             continue
-        if t.requires_action is not None and not _guard_satisfied(
-            store, t.requires_action, subject
+        if t.requires_action is not None and not store.guard_discharged(
+            t.requires_action, subject
         ):
             continue
         permits.append(t.id)
 
     blockers: list[int] = []
-    for t in store.active_tokens(Modality.EMBARGO, action):
+    for t in store.active_for(Modality.EMBARGO, action, actor):
         if not resolver.covers(t.holder, actor):
             continue
         if t.subject is not None and t.subject != subject:
@@ -412,16 +483,8 @@ def check_action_admissible(
 
 
 def expire_due(store: TokenStore, at: int) -> list[Token]:
-    """Transition every overdue HELD burden to VIOLATED; deadline is a seq."""
-    due = [
-        t
-        for t in store
-        if t.modality is Modality.BURDEN
-        and t.state is TokenState.HELD
-        and t.deadline is not None
-        and t.deadline < at
-    ]
-    return [store.update(t, state=TokenState.VIOLATED) for t in due]
+    """Transition every overdue HELD burden to VIOLATED, in id order; deadline is a seq."""
+    return [store.update(t, state=TokenState.VIOLATED) for t in store.pop_overdue(at)]
 
 
 def trace_to_principal(resolver: BindingResolver, token: Token) -> str:

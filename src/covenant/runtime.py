@@ -104,6 +104,22 @@ def _canon(value):
     return value
 
 
+def _check_strings(
+    payload: dict, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> None:
+    """Raise TypeError unless each field is a string; an optional one may be absent or None.
+
+    These fields become token fields, and the token store keys its indexes by them.
+    """
+    for name in required:
+        if not isinstance(payload[name], str):
+            raise TypeError(f"{name} {payload[name]!r} is not a string")
+    for name in optional:
+        value = payload.get(name)
+        if value is not None and not isinstance(value, str):
+            raise TypeError(f"{name} {value!r} is not a string")
+
+
 def record_digest(prev_hash: str, seq: int, kind: str, actor: str | None, detail: dict) -> str:
     payload = canonical_json({"seq": seq, "kind": kind, "actor": actor, "detail": detail})
     return hashlib.sha256((prev_hash + payload).encode("utf-8")).hexdigest()
@@ -686,6 +702,7 @@ class CommunityInstance:
                 request_detail["subject"] = subject
             if writes:
                 request_detail["effects"] = [w.to_detail() for w in writes]
+            _check_strings(request_detail, ("action",), ("subject",))
             canonical_json(request_detail)  # fail before the event if unloggable
 
             self._begin_event()
@@ -781,14 +798,17 @@ class CommunityInstance:
     def _act_create(self, sender: str, kind: SpeechActKind, payload: dict) -> ApplyResult:
         if kind is SpeechActKind.GRANT:
             # grant = permit for one concrete agent; it takes a guard and nothing else
+            _check_strings(payload, ("action", "to"), ("subject", "requires_action"))
             grantee = payload["to"]
             if not self.is_agent(grantee):
                 raise UnknownAgent(f"grantee {grantee!r} is not bound to any role")
             holder = HolderRef(HolderKind.AGENT, grantee)
             fields = ("requires_action",)
         else:
-            holder = self._holder_for_name(payload["holder"])
             fields = ("deadline", "requires_action", "unless_action", "unless_target")
+            optional = ("subject", "requires_action", "unless_action", "unless_target")
+            _check_strings(payload, ("action", "holder"), optional)
+            holder = self._holder_for_name(payload["holder"])
             deadline = payload.get("deadline")
             if deadline is not None and not isinstance(deadline, int):
                 # the expiry sweep compares deadlines with seqs at every event
@@ -810,6 +830,7 @@ class CommunityInstance:
 
     def _act_transfer(self, sender: str, payload: dict) -> ApplyResult:
         token_id = int(payload["token"])
+        _check_strings(payload, ("to",))
         to = payload["to"]
         token = deontic.delegate_burden(
             self.tokens, self, token_id, sender, to, self._next_seq
@@ -908,6 +929,7 @@ class CommunityInstance:
 
     def _act_escalate(self, sender: str, payload: dict) -> ApplyResult:
         condition = payload["condition"]
+        _check_strings(payload, (), ("subject",))
         # the burden comes before the event's first record, so a failure to
         # create it leaves a single rejected record, as every other act does
         burden = self._review_burden(condition, sender, payload.get("subject"))

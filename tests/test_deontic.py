@@ -19,6 +19,7 @@ from covenant.deontic import (
     Token,
     TokenState,
     TokenStore,
+    Verdict,
     check_action_admissible,
     create_token,
     delegate_burden,
@@ -314,6 +315,12 @@ def test_permit_guard_requires_discharged_burden(ward):
     assert check_action_admissible(store, resolver, "bot_1", "read", "p1").admissible
     # the guard was scoped to p1; p2 stays blocked
     assert not check_action_admissible(store, resolver, "bot_1", "read", "p2").admissible
+    # an unscoped guard burden, once discharged, opens every subject
+    unscoped = create_token(
+        store, resolver, Modality.BURDEN, "check_consent", agent_ref("doc_a"), None, "Hospital", 6
+    )
+    discharge_burden(store, resolver, unscoped.id, "doc_a", 0, 7)
+    assert check_action_admissible(store, resolver, "bot_1", "read", "p2").admissible
 
 
 def test_embargo_dominates_permit(ward):
@@ -413,6 +420,19 @@ def test_expire_due_sweeps_only_overdue_held_burdens(ward):
     expired = expire_due(store, at=10)
     assert expired == [store.get(t2.id)]
     assert expired[0].state is TokenState.VIOLATED
+    # deadlines in reverse id order still expire in id order, as VIOLATED records are
+    t4 = create_token(
+        store, resolver, Modality.BURDEN, "d", agent_ref("doc_a"), None, "Hospital", 11, deadline=20
+    )
+    t5 = create_token(
+        store, resolver, Modality.BURDEN, "e", agent_ref("doc_b"), None, "Hospital", 11, deadline=15
+    )
+    twin = store.clone()
+    assert [t.id for t in expire_due(twin, at=21)] == [t4.id, t5.id]
+    # a twin's sweep leaves the parent's deadlines pending
+    assert store.get(t4.id).state is TokenState.HELD
+    assert [t.id for t in expire_due(store, at=21)] == [t4.id, t5.id]
+    assert expire_due(store, at=30) == [] and expire_due(twin, at=30) == []
 
 
 def test_trace_to_principal_rejects_agent_head(ward):
@@ -481,62 +501,152 @@ def brute_force_verdict(store, resolver, actor, action, subject):
         and not exception_ok(t)
     ]
     if blocked:
-        return OUTCOME_BLOCKED
-    return OUTCOME_ADMISSIBLE if permits else OUTCOME_BLOCKED
+        return Verdict(OUTCOME_BLOCKED, blockers=tuple(blocked), reason=REASON_EMBARGO)
+    if not permits:
+        return Verdict(OUTCOME_BLOCKED, reason=REASON_NO_PERMIT)
+    return Verdict(OUTCOME_ADMISSIBLE, permits=tuple(permits))
+
+
+FUZZ_ACTIONS = ["read", "write", "export"]
+FUZZ_SUBJECTS = [None, "p1", "p2"]
+FUZZ_AGENTS = ["doc_a", "doc_b", "bot_1", "bot_2"]
+FUZZ_HOLDERS = [agent_ref(name) for name in FUZZ_AGENTS] + [
+    role_ref("Physician"),
+    role_ref("Matcher"),
+    HolderRef(HolderKind.GROUP, "AI_POOL"),
+]
+
+
+def fuzz_step(store, resolver, rng, step):
+    """One random store change, then the store's answers against scans of `list(store)`."""
+    roll = rng.random()
+    held_now = [t for t in list(store) if t.state is TokenState.HELD]
+    burdens = [t for t in held_now if t.modality is Modality.BURDEN]
+
+    def acting_for(token):  # the holder, or any agent that may fill a role or group
+        if token.holder.kind is HolderKind.AGENT:
+            return token.holder.name
+        return rng.choice(FUZZ_AGENTS)
+
+    if roll < 0.45 or not burdens:
+        modality = rng.choice(list(Modality))
+        kwargs = {}
+        if modality is Modality.BURDEN and rng.random() < 0.5:
+            kwargs["deadline"] = step + rng.randint(-2, 40)
+        if modality is Modality.PERMIT and rng.random() < 0.3:
+            kwargs["requires_action"] = rng.choice(FUZZ_ACTIONS)
+        if modality is Modality.EMBARGO and rng.random() < 0.5:
+            kwargs["unless_action"] = rng.choice(FUZZ_ACTIONS)
+            kwargs["unless_target"] = rng.choice(["Physician", "Matcher"])
+        create_token(
+            store,
+            resolver,
+            modality,
+            rng.choice(FUZZ_ACTIONS),
+            rng.choice(FUZZ_HOLDERS),
+            rng.choice(FUZZ_SUBJECTS),
+            "Hospital",
+            step,
+            **kwargs,
+        )
+    elif roll < 0.6:
+        token = rng.choice(held_now)
+        try:
+            if token.modality is Modality.BURDEN:
+                discharge_burden(store, resolver, token.id, acting_for(token), 0, step)
+            else:
+                revoke_token(store, resolver, token.id, "Hospital")
+        except NotHolder:
+            pass
+    elif roll < 0.8:
+        # moves a burden from its role, group or agent bucket to another agent's
+        token, to = rng.choice(burdens), rng.choice(FUZZ_AGENTS)
+        try:
+            delegate_burden(store, resolver, token.id, acting_for(token), to, step)
+        except (NotHolder, CycleDetected):
+            pass
+    elif roll < 0.9:
+        overdue = [
+            t.id
+            for t in list(store)
+            if t.modality is Modality.BURDEN
+            and t.state is TokenState.HELD
+            and t.deadline is not None
+            and t.deadline < step
+        ]
+        assert [t.id for t in expire_due(store, step)] == overdue, f"step {step}"
+        assert all(store.get(i).state is TokenState.VIOLATED for i in overdue)
+
+    modality, action = rng.choice(list(Modality)), rng.choice(FUZZ_ACTIONS)
+    held = [
+        t
+        for t in list(store)
+        if t.state is TokenState.HELD and t.modality is modality and t.action == action
+    ]
+    assert store.active_tokens(modality, action) == held, f"step {step}"
+    agent = rng.choice(FUZZ_AGENTS)
+    fillable = [t for t in held if t.holder.kind is not HolderKind.AGENT or t.holder.name == agent]
+    assert store.active_for(modality, action, agent) == fillable, f"step {step}"
+
+    actor = rng.choice(["doc_a", "bot_1", "bot_2"])
+    action = rng.choice(FUZZ_ACTIONS)
+    subject = rng.choice(FUZZ_SUBJECTS)
+    got = check_action_admissible(store, resolver, actor, action, subject)
+    want = brute_force_verdict(store, resolver, actor, action, subject)
+    # the whole verdict reaches the audit log: outcome, reason and each id list
+    assert got == want, f"step {step}: {actor} {action} {subject}: {got} != {want}"
 
 
 def test_admissibility_fuzz_matches_brute_force(ward):
     store, resolver = ward
     rng = random.Random(0xBEEF)
-    actions = ["read", "write", "export"]
-    subjects = [None, "p1", "p2"]
-    holders = [
-        agent_ref("doc_a"),
-        agent_ref("bot_1"),
-        role_ref("Physician"),
-        role_ref("Matcher"),
-        HolderRef(HolderKind.GROUP, "AI_POOL"),
-    ]
-    for step in range(400):
-        roll = rng.random()
-        if roll < 0.5 or not len(store):
-            modality = rng.choice(list(Modality))
-            kwargs = {}
-            if modality is Modality.PERMIT and rng.random() < 0.3:
-                kwargs["requires_action"] = rng.choice(actions)
-            if modality is Modality.EMBARGO and rng.random() < 0.5:
-                kwargs["unless_action"] = rng.choice(actions)
-                kwargs["unless_target"] = rng.choice(["Physician", "Matcher"])
-            create_token(
-                store,
-                resolver,
-                modality,
-                rng.choice(actions),
-                rng.choice(holders),
-                rng.choice(subjects),
-                "Hospital",
-                step,
-                **kwargs,
-            )
-        elif roll < 0.7:
-            token = rng.choice(list(store))
-            try:
-                if token.modality is Modality.BURDEN:
-                    discharge_burden(store, resolver, token.id, token.holder.name, 0, step)
-                else:
-                    revoke_token(store, resolver, token.id, "Hospital")
-            except (TerminalState, NotHolder):
-                pass
-        actor = rng.choice(["doc_a", "bot_1", "bot_2"])
-        action = rng.choice(actions)
-        subject = rng.choice(subjects)
-        verdict = check_action_admissible(store, resolver, actor, action, subject)
-        got = verdict.outcome
-        want = brute_force_verdict(store, resolver, actor, action, subject)
-        assert got == want, f"step {step}: {actor} {action} {subject}: {got} != {want}"
-        # verdicts reach the audit log, so their token ids must come out ascending
-        assert list(verdict.permits) == sorted(set(verdict.permits)), f"step {step}"
-        assert list(verdict.blockers) == sorted(set(verdict.blockers)), f"step {step}"
+    for step in range(200):
+        fuzz_step(store, resolver, rng, step)
+    # a twin shares the parent's buckets; each must keep to its own tokens
+    twin, twin_rng = store.clone(), random.Random(0xCAFE)
+    for step in range(200, 400):
+        fuzz_step(store, resolver, rng, step)
+        fuzz_step(twin, resolver, twin_rng, step)
+    assert store.states() != twin.states()
+
+
+class CountingResolver(StaticResolver):
+    """Records every holder that `covers` is asked about."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.asked = []
+
+    def covers(self, holder, agent):
+        self.asked.append(holder)
+        return super().covers(holder, agent)
+
+
+def test_admissibility_asks_only_about_the_actors_own_and_shared_tokens():
+    others = [f"agent_{i}" for i in range(500)]
+    resolver = CountingResolver(
+        principals={"Hospital"},
+        agents={name: ("Hospital", {"Physician"}) for name in others + ["doc_a"]},
+        roles={"Physician"},
+        groups={"STAFF": {"doc_a"}},
+    )
+    store = TokenStore()
+
+    def permit(holder):
+        return create_token(store, resolver, Modality.PERMIT, "read", holder, None, "Hospital", 1)
+
+    by_role = permit(role_ref("Physician"))
+    for name in others:
+        permit(agent_ref(name))
+    own = permit(agent_ref("doc_a"))
+    by_group = permit(HolderRef(HolderKind.GROUP, "STAFF"))
+    create_token(
+        store, resolver, Modality.EMBARGO, "read", agent_ref("agent_7"), None, "Hospital", 2
+    )
+    resolver.asked.clear()
+    verdict = check_action_admissible(store, resolver, "doc_a", "read")
+    assert verdict.permits == (by_role.id, own.id, by_group.id)
+    assert resolver.asked == [by_role.holder, own.holder, by_group.holder]
 
 
 def test_intent_records_are_frozen_and_owner_bound():

@@ -295,7 +295,34 @@ def test_malformed_payload_rejected():
     result = c.apply_speech_act(SpeechAct(SpeechActKind.DECLARE_BURDEN, "officer_1", payload))
     assert (result.accepted, result.reason) == (False, "MalformedPayload")
     assert c.tokens.states() == tokens
+    # a field that names an index key must be a string (None only where optional)
+    malformed = [
+        (SpeechActKind.DECLARE_BURDEN, {"action": ["sign"], "holder": "officer_1"}),
+        (SpeechActKind.DECLARE_BURDEN, {"action": None, "holder": "officer_1"}),
+        (SpeechActKind.DECLARE_BURDEN, {"action": "sign", "holder": ["officer_1"]}),
+        (SpeechActKind.DECLARE_BURDEN, {"action": "sign", "holder": "officer_1", "subject": {"k": 1}}),
+        (SpeechActKind.DECLARE_PERMIT, {"action": "read_case", "holder": "Bot", "requires_action": ["x"]}),
+        (SpeechActKind.DECLARE_EMBARGO, {"action": "close_case", "holder": "Bot", "unless_action": ["x"]}),
+        (SpeechActKind.DECLARE_EMBARGO, {"action": "close_case", "holder": "Bot", "unless_target": {}}),
+        (SpeechActKind.GRANT, {"action": ["read_case"], "to": "bot_1"}),
+        (SpeechActKind.GRANT, {"action": "read_case", "to": ["bot_1"]}),
+        (SpeechActKind.GRANT, {"action": "read_case", "to": "bot_1", "subject": ["case1"]}),
+        (SpeechActKind.GRANT, {"action": "read_case", "to": "bot_1", "requires_action": ["x"]}),
+    ]
+    for kind, payload in malformed:
+        result = c.apply_speech_act(SpeechAct(kind, "officer_1", payload))
+        assert (result.accepted, result.reason) == (False, "MalformedPayload"), payload
+        assert c.tokens.states() == tokens, payload
+    declared = c.apply_speech_act(
+        SpeechAct(SpeechActKind.DECLARE_BURDEN, "officer_1", {"action": "sign", "holder": "officer_1"})
+    )
+    moved = c.apply_speech_act(
+        SpeechAct(SpeechActKind.TRANSFER, "officer_1", {"token": declared.token_id, "to": ["bot_1"]})
+    )
+    assert (moved.accepted, moved.reason) == (False, "MalformedPayload")
+    assert c.tokens.get(declared.token_id).holder.name == "officer_1"
     c.submit_action("officer_1", "ping")
+    assert c.submit_action("bot_1", "close_case").verdict.outcome == "blocked"
     text = c.export_log()
     assert replay(parse_spec(WARD_SOURCE), text).export_log() == text
 
@@ -321,8 +348,17 @@ def test_malformed_payload_rejected():
             TypeError,
         ),
         (lambda c: c.submit_action("officer_1", "ping", {1}), TypeError),
+        (lambda c: c.submit_action("officer_1", ["read_case"]), TypeError),
+        (lambda c: c.submit_action("officer_1", "read_case", {"case": 1}), TypeError),
     ],
-    ids=["unknown_kind", "non_string_key", "unencodable_effect", "unencodable_subject"],
+    ids=[
+        "unknown_kind",
+        "non_string_key",
+        "unencodable_effect",
+        "unencodable_subject",
+        "non_string_action",
+        "non_string_subject",
+    ],
 )
 def test_an_event_that_cannot_be_logged_fails_before_it_is_numbered(submit, error):
     c = staffed_ward()
@@ -708,6 +744,21 @@ def test_escalate_whose_burden_cannot_be_created_logs_one_rejection():
     )
     export = c.export_log()
     assert replay(parse_spec(DESK_SOURCE), export).export_log() == export
+
+
+def test_escalate_with_a_non_string_subject_is_malformed():
+    # the review burden's subject would become a key of the store's discharge index
+    c = instantiate_community(parse_spec(DESK_SOURCE))
+    c.register_principal("Vendor")
+    c.bind_agent("Bot", "bot_1", "llm_agent", "Vendor")
+    tokens = c.tokens.states()
+    payload = {"condition": "low_confidence", "subject": ["case1"]}
+    result = c.apply_speech_act(SpeechAct(SpeechActKind.ESCALATE, "bot_1", payload))
+    assert (result.accepted, result.reason) == (False, "MalformedPayload")
+    assert c.tokens.states() == tokens
+    export = c.export_log()
+    assert replay(parse_spec(DESK_SOURCE), export).export_log() == export
+
 
 def drive_every_writer(c):
     """One script that reaches every record writer; outcomes vary with the mode."""
