@@ -229,7 +229,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ScriptError, CannotInject, UnknownIdentifier, InvalidTemplate) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # an unreadable or non-UTF-8 input is a usage error, not a violation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CovenantError as exc:

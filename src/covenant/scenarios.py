@@ -7,6 +7,13 @@ exchange under compliance and PHI embargoes). Agents are deterministic
 scripts; their "reasoning" appears only as opaque audited actions, so the
 governance layer is the entire subject under test.
 
+Every built-in stage, the events the mutations insert, and the enumeration
+fixture are written in the public script format (`parse_script`, one event
+per line) and parsed once, at import; a stage's community and cast are
+derived from its template and script by `stage_from_script`. The parser
+checks a `select=` against the token modalities and token states, so a
+misspelled selector is a `ScriptError` with its line number.
+
 Each built-in scenario carries expected verdicts and expected property
 violations. inject_violation produces minimally mutated variants that
 must trip exactly one property template and leave the others clean.
@@ -18,9 +25,9 @@ import shlex
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+from .deontic import TokenState
 from .errors import CannotInject, ScriptError
 from .runtime import (
-    APPEND_ONLY,
     AuditRecord,
     KIND_SPEECH_ACT,
     KIND_TOKEN_TRANSITION,
@@ -227,335 +234,369 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
-# script event constructors; kept terse because scripts are long
+# ----------------------------------------------------------------------
+# script files: one event per line
 
 
-def _reg(label: str, principal: str) -> EventSchema:
-    return EventSchema(label, "register_principal", {"principal": principal})
+_INT_KEYS = {"token", "request_seq", "evidence", "deadline"}
 
 
-def _bind(
-    label: str, role: str, agent: str, kind: str, principal: str, force: bool = False
-) -> EventSchema:
-    params = {"role": role, "agent": agent, "kind": kind, "principal": principal}
-    if force:
-        params["force"] = True
-    return EventSchema(label, "bind", params)
+def _coerce(key: str, value: str):
+    if key in _INT_KEYS and value.lstrip("-").isdigit():
+        return int(value)
+    return value
 
 
-def _unbind(label: str, role: str, agent: str) -> EventSchema:
-    return EventSchema(label, "unbind", {"role": role, "agent": agent})
+def _pairs(lineno: int, args: list[str]):
+    for extra in args:
+        key, sep, value = extra.partition("=")
+        if not sep:
+            raise ScriptError(f"line {lineno}: expected key=value, got {extra!r}")
+        yield key, value
 
 
-def _act(
-    label: str, actor: str, action: str, subject: str | None = None, effects: tuple = ()
-) -> EventSchema:
-    params: dict = {"actor": actor, "action": action}
-    if subject is not None:
-        params["subject"] = subject
-    if effects:
-        params["effects"] = list(effects)
-    return EventSchema(label, "action", params)
-
-
-def _say(label: str, sender: str, kind: str, select: dict | None = None, **payload) -> EventSchema:
-    params: dict = {"kind": kind, "sender": sender, "payload": payload}
-    if select is not None:
-        params["select_token"] = select
-    return EventSchema(label, "speech_act", params)
-
-
-def _sel(modality: str, action: str, state: str = "HELD", **extra) -> dict:
-    selector = {"modality": modality, "action": action, "state": state}
-    selector.update(extra)
+def _selector(lineno: int, value: str) -> dict:
+    parts = value.split(":")
+    if len(parts) not in (3, 4):
+        raise ScriptError(f"line {lineno}: select needs modality:action:state[:subject]")
+    try:
+        Modality(parts[0])
+        TokenState(parts[2])
+    except ValueError as exc:
+        raise ScriptError(f"line {lineno}: select: {exc}") from None
+    selector = {"modality": parts[0], "action": parts[1], "state": parts[2]}
+    if len(parts) == 4:
+        selector["subject"] = parts[3]
     return selector
 
 
-def _put(obj: str, key: str, value) -> dict:
-    return {"object": obj, "op": "put", "key": key, "value": value}
+def parse_script(text: str) -> tuple[EventSchema, ...]:
+    """Parse the line-oriented script format.
+
+    Forms (shell-style tokens, # comments):
+      register_principal <principal>
+      bind <role> <agent> <kind> <principal>
+      force_bind <role> <agent> <kind> <principal>
+      unbind <role> <agent>
+      action <actor> <action> [subject=S] [effect=<object>:<op>:<key>:<value>]...
+      speech_act <sender> <kind> [key=value]... [select=<modality>:<action>:<state>[:<subject>]]
+    Any line may start with "<label>:" to name the event. A select's modality
+    must be a token modality (burden, permit, embargo) and its state a token
+    state (CREATED, HELD, DELEGATED, DISCHARGED, REVOKED, VIOLATED).
+    """
+    events: list[EventSchema] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        try:
+            tokens = shlex.split(raw, comments=True)
+        except ValueError as exc:
+            raise ScriptError(f"line {lineno}: {exc}") from None
+        if not tokens:
+            continue
+        label = f"e{len(events)}"
+        if tokens[0].endswith(":") and len(tokens[0]) > 1:
+            label = tokens[0][:-1]
+            tokens = tokens[1:]
+        if not tokens:
+            raise ScriptError(f"line {lineno}: label without an event")
+        op, args = tokens[0], tokens[1:]
+
+        params: dict
+        if op == "register_principal" and len(args) == 1:
+            params = {"principal": args[0]}
+        elif op in ("bind", "force_bind") and len(args) == 4:
+            params = dict(zip(("role", "agent", "kind", "principal"), args))
+            if op == "force_bind":
+                params["force"] = True
+            op = "bind"
+        elif op == "unbind" and len(args) == 2:
+            params = {"role": args[0], "agent": args[1]}
+        elif op == "action" and len(args) >= 2:
+            params = {"actor": args[0], "action": args[1]}
+            effects = []
+            for key, value in _pairs(lineno, args[2:]):
+                if key == "subject":
+                    params["subject"] = value
+                elif key == "effect":
+                    parts = value.split(":", 3)
+                    if len(parts) != 4:
+                        raise ScriptError(
+                            f"line {lineno}: effect needs object:op:key:value, got {value!r}"
+                        )
+                    effects.append(dict(zip(("object", "op", "key", "value"), parts)))
+                else:
+                    raise ScriptError(f"line {lineno}: unknown action argument {key!r}")
+            if effects:
+                params["effects"] = effects
+        elif op == "speech_act" and len(args) >= 2:
+            payload: dict = {}
+            params = {"kind": args[1], "sender": args[0], "payload": payload}
+            for key, value in _pairs(lineno, args[2:]):
+                if key == "select":
+                    params["select_token"] = _selector(lineno, value)
+                else:
+                    payload[key] = _coerce(key, value)
+        else:
+            raise ScriptError(f"line {lineno}: cannot parse event {raw.strip()!r}")
+        events.append(EventSchema(label, op, params))
+    return tuple(events)
+
+
+# the event parameter that names an agent for the cast of a stage; an agent
+# only ever unbound stays out, so preflight rejects the unbind
+_CAST_PARAM = {"bind": "agent", "action": "actor", "speech_act": "sender"}
+
+
+def stage_from_script(
+    source: str,
+    script: tuple[EventSchema, ...],
+    owner: str = "community_owner",
+    mode: str = MODE_AUTONOMOUS,
+    disciplines: dict | None = None,
+) -> Stage:
+    """A stage whose community and cast come from the template and the script.
+
+    It checks only the parameter-free accountability property; the built-ins
+    replace `properties` and their expectations afterwards.
+    """
+    if mode not in MODES:
+        raise ScriptError(f"unknown mode {mode!r}")
+    template = parse_spec(source)
+    named = (ev.params[_CAST_PARAM[ev.op]] for ev in script if ev.op in _CAST_PARAM)
+    return Stage(
+        community=template.name,
+        source=source,
+        owner=owner,
+        mode=mode,
+        cast=tuple(dict.fromkeys(named)),
+        script=script,
+        properties=(PropertySpec.accountability(),),
+        disciplines=tuple((disciplines or {}).items()),
+    )
 
 
 # ----------------------------------------------------------------------
-# built-in scenarios
+# built-in scenarios: script text beside each stage's metadata, parsed once
+# at import and shared by every caller, so no consumer may mutate an event
 
+HAPPY_PATH_ACCESS_SCRIPT = """\
+reg_vendor: register_principal VendorX
+reg_patients: register_principal PatientCouncil
+bind_gateway: bind FHIRDataProvider fhir_gateway system MedCenter
+bind_extract_bot: bind DataExtractionAgent extract_bot llm_agent VendorX
+bind_consent_mgr: bind ConsentManager consent_mgr llm_agent VendorX
+bind_patient: bind Patient patient_007 human PatientCouncil
+bind_officer: bind DataGovernanceOfficer officer_dga human MedCenter
+declare_consent: speech_act officer_dga declare_burden action=verify_consent holder=ConsentManager subject=patient_007
+discharge_consent: speech_act consent_mgr discharge select=burden:verify_consent:HELD:patient_007
+read_demographics: action extract_bot read_demographics subject=patient_007 effect=PatientDataCache:put:patient_007:demographics_record
+access_probe: action extract_bot access_without_consent subject=patient_007
+unbind_patient: unbind Patient patient_007
+"""
 
-def _happy_path() -> Scenario:
-    stage_access = Stage(
-        community="DataAccessCommunity",
-        source=LAYER1_SOURCE,
-        owner="MedCenter",
-        mode=MODE_AUTONOMOUS,
-        disciplines=(("PatientDataCache", READ_WRITE),),
-        cast=("fhir_gateway", "extract_bot", "consent_mgr", "patient_007", "officer_dga"),
-        script=(
-            _reg("reg_vendor", "VendorX"),
-            _reg("reg_patients", "PatientCouncil"),
-            _bind("bind_gateway", "FHIRDataProvider", "fhir_gateway", "system", "MedCenter"),
-            _bind("bind_extract_bot", "DataExtractionAgent", "extract_bot", "llm_agent", "VendorX"),
-            _bind("bind_consent_mgr", "ConsentManager", "consent_mgr", "llm_agent", "VendorX"),
-            _bind("bind_patient", "Patient", "patient_007", "human", "PatientCouncil"),
-            _bind("bind_officer", "DataGovernanceOfficer", "officer_dga", "human", "MedCenter"),
-            _say(
-                "declare_consent",
-                "officer_dga",
-                "declare_burden",
-                action="verify_consent",
-                holder="ConsentManager",
-                subject="patient_007",
+HAPPY_PATH_MATCHING_SCRIPT = """\
+reg_vendor: register_principal VendorX
+bind_cond_extractor: bind ConditionExtractor cond_extractor agentic_ai VendorX
+bind_embedder: bind PatientEmbedder embedder agentic_ai VendorX
+bind_structurer: bind EligibilityStructurer structurer agentic_ai VendorX
+bind_matcher: bind CriteriaMatcher matcher agentic_ai VendorX
+bind_physician_1: bind Physician physician_1 human TrialSponsor
+bind_physician_2: bind Physician physician_2 human TrialSponsor
+bind_orchestrator: bind WorkflowOrchestrator orchestrator agentic_ai TrialSponsor
+embed_profile: action embedder evaluate_eligibility subject=patient_007 effect=PatientProfile:put:patient_007:embedding_v1
+eval_match: action matcher evaluate_eligibility subject=patient_007 effect=TrialCandidateSet:put:patient_007:trial_shortlist
+explain: speech_act matcher discharge select=burden:provide_explanation:HELD
+transfer_decision: speech_act physician_1 transfer to=physician_2 select=burden:make_enrollment_decision:HELD
+decide: speech_act physician_2 discharge select=burden:make_enrollment_decision:HELD
+"""
+
+_HAPPY_PATH = Scenario(
+    name="happy_path",
+    synopsis="consent obtained, demographics read, eligibility matched, physician decides",
+    stages=(
+        replace(
+            stage_from_script(
+                LAYER1_SOURCE,
+                parse_script(HAPPY_PATH_ACCESS_SCRIPT),
+                owner="MedCenter",
+                disciplines={"PatientDataCache": READ_WRITE},
             ),
-            _say(
-                "discharge_consent",
-                "consent_mgr",
-                "discharge",
-                select=_sel("burden", "verify_consent", subject="patient_007"),
+            properties=(
+                PropertySpec.safety("read_demographics", "verify_consent"),
+                PropertySpec.prohibition("access_without_consent", "ALL"),
+                PropertySpec.accountability(),
             ),
-            _act(
-                "read_demographics",
-                "extract_bot",
-                "read_demographics",
-                subject="patient_007",
-                effects=(_put("PatientDataCache", "patient_007", "demographics_record"),),
+            expected_verdicts=(
+                ("discharge_consent", "accepted"),
+                ("read_demographics", "admissible"),
+                ("access_probe", "blocked"),
             ),
-            _act("access_probe", "extract_bot", "access_without_consent", subject="patient_007"),
-            _unbind("unbind_patient", "Patient", "patient_007"),
         ),
-        properties=(
-            PropertySpec.safety("read_demographics", "verify_consent"),
-            PropertySpec.prohibition("access_without_consent", "ALL"),
-            PropertySpec.accountability(),
-        ),
-        expected_verdicts=(
-            ("discharge_consent", "accepted"),
-            ("read_demographics", "admissible"),
-            ("access_probe", "blocked"),
-        ),
-    )
-
-    stage_matching = Stage(
-        community="MatchingWorkflowCommunity",
-        source=LAYER2_SOURCE,
-        owner="TrialSponsor",
-        mode=MODE_AUTONOMOUS,
-        disciplines=(
-            ("TrialCandidateSet", READ_WRITE),
-            ("PatientProfile", READ_WRITE),
-            ("WorkflowState", READ_WRITE),
-        ),
-        cast=(
-            "cond_extractor", "embedder", "structurer", "matcher", "physician_1", "physician_2",
-            "orchestrator",
-        ),
-        script=(
-            _reg("reg_vendor", "VendorX"),
-            _bind("bind_cond_extractor", "ConditionExtractor", "cond_extractor", "agentic_ai", "VendorX"),
-            _bind("bind_embedder", "PatientEmbedder", "embedder", "agentic_ai", "VendorX"),
-            _bind("bind_structurer", "EligibilityStructurer", "structurer", "agentic_ai", "VendorX"),
-            _bind("bind_matcher", "CriteriaMatcher", "matcher", "agentic_ai", "VendorX"),
-            _bind("bind_physician_1", "Physician", "physician_1", "human", "TrialSponsor"),
-            _bind("bind_physician_2", "Physician", "physician_2", "human", "TrialSponsor"),
-            _bind("bind_orchestrator", "WorkflowOrchestrator", "orchestrator", "agentic_ai", "TrialSponsor"),
-            _act(
-                "embed_profile",
-                "embedder",
-                "evaluate_eligibility",
-                subject="patient_007",
-                effects=(_put("PatientProfile", "patient_007", "embedding_v1"),),
+        replace(
+            stage_from_script(
+                LAYER2_SOURCE,
+                parse_script(HAPPY_PATH_MATCHING_SCRIPT),
+                owner="TrialSponsor",
+                disciplines={
+                    "TrialCandidateSet": READ_WRITE,
+                    "PatientProfile": READ_WRITE,
+                    "WorkflowState": READ_WRITE,
+                },
             ),
-            _act(
-                "eval_match",
-                "matcher",
-                "evaluate_eligibility",
-                subject="patient_007",
-                effects=(_put("TrialCandidateSet", "patient_007", "trial_shortlist"),),
+            properties=(
+                PropertySpec.authority("make_enrollment_decision", "Physician"),
+                PropertySpec.prohibition("final_decision", "ALL_AI_AGENTS"),
+                PropertySpec.accountability(),
             ),
-            _say("explain", "matcher", "discharge", select=_sel("burden", "provide_explanation")),
-            _say(
-                "transfer_decision",
-                "physician_1",
-                "transfer",
-                select=_sel("burden", "make_enrollment_decision"),
-                to="physician_2",
+            expected_verdicts=(
+                ("embed_profile", "admissible"),
+                ("eval_match", "admissible"),
+                ("explain", "accepted"),
+                ("transfer_decision", "accepted"),
+                ("decide", "accepted"),
             ),
-            _say("decide", "physician_2", "discharge", select=_sel("burden", "make_enrollment_decision")),
         ),
-        properties=(
-            PropertySpec.authority("make_enrollment_decision", "Physician"),
-            PropertySpec.prohibition("final_decision", "ALL_AI_AGENTS"),
-            PropertySpec.accountability(),
-        ),
-        expected_verdicts=(
-            ("embed_profile", "admissible"),
-            ("eval_match", "admissible"),
-            ("explain", "accepted"),
-            ("transfer_decision", "accepted"),
-            ("decide", "accepted"),
-        ),
-    )
+    ),
+)
 
-    return Scenario(
-        name="happy_path",
-        synopsis="consent obtained, demographics read, eligibility matched, physician decides",
-        stages=(stage_access, stage_matching),
-    )
+ROGUE_AI_SCRIPT = """\
+reg_vendor: register_principal VendorX
+bind_matcher: bind CriteriaMatcher matcher agentic_ai VendorX
+bind_physician: bind Physician physician_1 human TrialSponsor
+rogue_attempt: action matcher final_decision subject=patient_007
+eval_match: action matcher evaluate_eligibility subject=patient_007
+decide: speech_act physician_1 discharge select=burden:make_enrollment_decision:HELD
+"""
 
-
-def _rogue_ai() -> Scenario:
-    stage = Stage(
-        community="MatchingWorkflowCommunity",
-        source=LAYER2_SOURCE,
-        owner="TrialSponsor",
-        mode=MODE_AUTONOMOUS,
-        disciplines=(("TrialCandidateSet", READ_WRITE),),
-        cast=("matcher", "physician_1"),
-        script=(
-            _reg("reg_vendor", "VendorX"),
-            _bind("bind_matcher", "CriteriaMatcher", "matcher", "agentic_ai", "VendorX"),
-            _bind("bind_physician", "Physician", "physician_1", "human", "TrialSponsor"),
-            _act("rogue_attempt", "matcher", "final_decision", subject="patient_007"),
-            _act("eval_match", "matcher", "evaluate_eligibility", subject="patient_007"),
-            _say("decide", "physician_1", "discharge", select=_sel("burden", "make_enrollment_decision")),
-        ),
-        properties=(
-            PropertySpec.authority("make_enrollment_decision", "Physician"),
-            PropertySpec.prohibition("final_decision", "ALL_AI_AGENTS"),
-            PropertySpec.accountability(),
-        ),
-        expected_verdicts=(
-            ("rogue_attempt", "blocked"),
-            ("eval_match", "admissible"),
-            ("decide", "accepted"),
-        ),
-    )
-    return Scenario(
-        name="rogue_ai",
-        synopsis="an AI agent attempts the enrollment decision; the embargo blocks it",
-        stages=(stage,),
-    )
-
-
-def _negotiation() -> Scenario:
-    stage = Stage(
-        community="NegotiationCommunity",
-        source=LAYER3_SOURCE,
-        owner="TrialNetwork",
-        mode=MODE_AUTONOMOUS,
-        disciplines=(("CapabilityRegistry", READ_WRITE),),
-        cast=(
-            "neg_coord", "capability_bot", "semantic_bridge", "conflict_resolver",
-            "compliance_bot", "site_coord", "dgo", "ehr_system",
-        ),
-        script=(
-            _reg("reg_vendor", "VendorY"),
-            _reg("reg_site", "SiteAlpha"),
-            _bind("bind_neg_coord", "NegotiationCoordinator", "neg_coord", "agentic_ai", "VendorY"),
-            _bind("bind_capability_bot", "CapabilityDiscoverer", "capability_bot", "agentic_ai", "VendorY"),
-            _bind("bind_semantic_bridge", "SemanticBridge", "semantic_bridge", "agentic_ai", "VendorY"),
-            _bind("bind_conflict_resolver", "ConflictResolver", "conflict_resolver", "agentic_ai", "VendorY"),
-            _bind("bind_compliance_bot", "ComplianceValidator", "compliance_bot", "agentic_ai", "VendorY"),
-            _bind("bind_site_coord", "TrialSiteCoordinator", "site_coord", "human", "SiteAlpha"),
-            _bind("bind_dgo", "DataGovernanceOfficer", "dgo", "human", "TrialNetwork"),
-            _bind("bind_ehr", "ExternalSystem", "ehr_system", "system", "SiteAlpha"),
-            _say("propose_exchange", "neg_coord", "propose", body="request eligibility criteria"),
-            _say("counter_terms", "ehr_system", "counter_propose", body="de-identified records only"),
-            _say("accept_terms", "neg_coord", "accept"),
-            _say("propose_bulk", "neg_coord", "propose", body="bulk PHI export"),
-            _say("reject_bulk", "ehr_system", "reject"),
-            _say("validate_first", "compliance_bot", "discharge", select=_sel("burden", "validate_compliance")),
-            _say("approve_novel", "dgo", "discharge", select=_sel("burden", "approve_novel_request")),
-            _act("negotiate", "neg_coord", "negotiate_protocol", subject="site_alpha"),
-            _act("communicate", "neg_coord", "communicate_externally", subject="site_alpha"),
-            _act("share_probe", "neg_coord", "share_PHI_externally", subject="phi_batch_1"),
-            _say("declare_exception", "dgo", "declare_permit", action="share_specific_data", holder="DataOfficer"),
-            _say(
-                "grant_share",
-                "dgo",
-                "grant",
-                action="share_PHI_externally",
-                to="neg_coord",
-                subject="phi_batch_1",
+_ROGUE_AI = Scenario(
+    name="rogue_ai",
+    synopsis="an AI agent attempts the enrollment decision; the embargo blocks it",
+    stages=(
+        replace(
+            stage_from_script(
+                LAYER2_SOURCE,
+                parse_script(ROGUE_AI_SCRIPT),
+                owner="TrialSponsor",
+                disciplines={"TrialCandidateSet": READ_WRITE},
             ),
-            _act("share_allowed", "neg_coord", "share_PHI_externally", subject="phi_batch_1"),
-            _say("revoke_share", "dgo", "revoke", select=_sel("permit", "share_specific_data")),
-            _act("share_blocked_again", "neg_coord", "share_PHI_externally", subject="phi_batch_1"),
-            _say("escalate_low", "compliance_bot", "escalate", condition="low_confidence"),
-            _say("embargo_bulk", "dgo", "declare_embargo", action="bulk_export", holder="ALL_AI_AGENTS"),
-        ),
-        properties=(
-            PropertySpec.safety("communicate_externally", "validate_compliance"),
-            PropertySpec.accountability(),
-        ),
-        expected_verdicts=(
-            ("accept_terms", "accepted"),
-            ("reject_bulk", "accepted"),
-            ("negotiate", "admissible"),
-            ("communicate", "admissible"),
-            ("share_probe", "blocked"),
-            ("share_allowed", "admissible"),
-            ("share_blocked_again", "blocked"),
-            ("escalate_low", "accepted"),
-            ("embargo_bulk", "accepted"),
-        ),
-    )
-    return Scenario(
-        name="negotiation",
-        synopsis="external data exchange negotiated under compliance burdens and a PHI embargo",
-        stages=(stage,),
-    )
-
-
-def _advisory_gate() -> Scenario:
-    stage = Stage(
-        community="MatchingWorkflowCommunity",
-        source=LAYER2_SOURCE,
-        owner="TrialSponsor",
-        mode=MODE_ADVISORY,
-        disciplines=(("TrialCandidateSet", READ_WRITE),),
-        cast=("matcher", "physician_1"),
-        script=(
-            _reg("reg_vendor", "VendorX"),
-            _bind("bind_matcher", "CriteriaMatcher", "matcher", "agentic_ai", "VendorX"),
-            _bind("bind_physician", "Physician", "physician_1", "human", "TrialSponsor"),
-            _act(
-                "eval_alpha",
-                "matcher",
-                "evaluate_eligibility",
-                subject="patient_007",
-                effects=(_put("TrialCandidateSet", "patient_007", "shortlist_alpha"),),
+            properties=(
+                PropertySpec.authority("make_enrollment_decision", "Physician"),
+                PropertySpec.prohibition("final_decision", "ALL_AI_AGENTS"),
+                PropertySpec.accountability(),
             ),
-            _say("approve_alpha", "physician_1", "accept", request_seq="$last_request"),
-            _act(
-                "eval_beta",
-                "matcher",
-                "evaluate_eligibility",
-                subject="patient_008",
-                effects=(_put("TrialCandidateSet", "patient_008", "shortlist_beta"),),
+            expected_verdicts=(
+                ("rogue_attempt", "blocked"),
+                ("eval_match", "admissible"),
+                ("decide", "accepted"),
             ),
-            _say("veto_beta", "physician_1", "reject", request_seq="$last_request"),
         ),
-        properties=(
-            PropertySpec.authority("make_enrollment_decision", "Physician"),
-            PropertySpec.accountability(),
+    ),
+)
+
+NEGOTIATION_SCRIPT = """\
+reg_vendor: register_principal VendorY
+reg_site: register_principal SiteAlpha
+bind_neg_coord: bind NegotiationCoordinator neg_coord agentic_ai VendorY
+bind_capability_bot: bind CapabilityDiscoverer capability_bot agentic_ai VendorY
+bind_semantic_bridge: bind SemanticBridge semantic_bridge agentic_ai VendorY
+bind_conflict_resolver: bind ConflictResolver conflict_resolver agentic_ai VendorY
+bind_compliance_bot: bind ComplianceValidator compliance_bot agentic_ai VendorY
+bind_site_coord: bind TrialSiteCoordinator site_coord human SiteAlpha
+bind_dgo: bind DataGovernanceOfficer dgo human TrialNetwork
+bind_ehr: bind ExternalSystem ehr_system system SiteAlpha
+propose_exchange: speech_act neg_coord propose body="request eligibility criteria"
+counter_terms: speech_act ehr_system counter_propose body="de-identified records only"
+accept_terms: speech_act neg_coord accept
+propose_bulk: speech_act neg_coord propose body="bulk PHI export"
+reject_bulk: speech_act ehr_system reject
+validate_first: speech_act compliance_bot discharge select=burden:validate_compliance:HELD
+approve_novel: speech_act dgo discharge select=burden:approve_novel_request:HELD
+negotiate: action neg_coord negotiate_protocol subject=site_alpha
+communicate: action neg_coord communicate_externally subject=site_alpha
+share_probe: action neg_coord share_PHI_externally subject=phi_batch_1
+declare_exception: speech_act dgo declare_permit action=share_specific_data holder=DataOfficer
+grant_share: speech_act dgo grant action=share_PHI_externally to=neg_coord subject=phi_batch_1
+share_allowed: action neg_coord share_PHI_externally subject=phi_batch_1
+revoke_share: speech_act dgo revoke select=permit:share_specific_data:HELD
+share_blocked_again: action neg_coord share_PHI_externally subject=phi_batch_1
+escalate_low: speech_act compliance_bot escalate condition=low_confidence
+embargo_bulk: speech_act dgo declare_embargo action=bulk_export holder=ALL_AI_AGENTS
+"""
+
+_NEGOTIATION = Scenario(
+    name="negotiation",
+    synopsis="external data exchange negotiated under compliance burdens and a PHI embargo",
+    stages=(
+        replace(
+            stage_from_script(
+                LAYER3_SOURCE,
+                parse_script(NEGOTIATION_SCRIPT),
+                owner="TrialNetwork",
+                disciplines={"CapabilityRegistry": READ_WRITE},
+            ),
+            properties=(
+                PropertySpec.safety("communicate_externally", "validate_compliance"),
+                PropertySpec.accountability(),
+            ),
+            expected_verdicts=(
+                ("accept_terms", "accepted"),
+                ("reject_bulk", "accepted"),
+                ("negotiate", "admissible"),
+                ("communicate", "admissible"),
+                ("share_probe", "blocked"),
+                ("share_allowed", "admissible"),
+                ("share_blocked_again", "blocked"),
+                ("escalate_low", "accepted"),
+                ("embargo_bulk", "accepted"),
+            ),
         ),
-        expected_verdicts=(
-            ("eval_alpha", "recommended"),
-            ("approve_alpha", "accepted"),
-            ("eval_beta", "recommended"),
-            ("veto_beta", "accepted"),
+    ),
+)
+
+ADVISORY_GATE_SCRIPT = """\
+reg_vendor: register_principal VendorX
+bind_matcher: bind CriteriaMatcher matcher agentic_ai VendorX
+bind_physician: bind Physician physician_1 human TrialSponsor
+eval_alpha: action matcher evaluate_eligibility subject=patient_007 effect=TrialCandidateSet:put:patient_007:shortlist_alpha
+approve_alpha: speech_act physician_1 accept request_seq=$last_request
+eval_beta: action matcher evaluate_eligibility subject=patient_008 effect=TrialCandidateSet:put:patient_008:shortlist_beta
+veto_beta: speech_act physician_1 reject request_seq=$last_request
+"""
+
+_ADVISORY_GATE = Scenario(
+    name="advisory_gate",
+    synopsis="advisory mode: AI output is a recommendation until a human approves it",
+    stages=(
+        replace(
+            stage_from_script(
+                LAYER2_SOURCE,
+                parse_script(ADVISORY_GATE_SCRIPT),
+                owner="TrialSponsor",
+                mode=MODE_ADVISORY,
+                disciplines={"TrialCandidateSet": READ_WRITE},
+            ),
+            properties=(
+                PropertySpec.authority("make_enrollment_decision", "Physician"),
+                PropertySpec.accountability(),
+            ),
+            expected_verdicts=(
+                ("eval_alpha", "recommended"),
+                ("approve_alpha", "accepted"),
+                ("eval_beta", "recommended"),
+                ("veto_beta", "accepted"),
+            ),
         ),
-    )
-    return Scenario(
-        name="advisory_gate",
-        synopsis="advisory mode: AI output is a recommendation until a human approves it",
-        stages=(stage,),
-    )
+    ),
+)
+
+_BUILT_INS = (_HAPPY_PATH, _ROGUE_AI, _NEGOTIATION, _ADVISORY_GATE)
 
 
 def built_in_scenarios() -> tuple[Scenario, ...]:
-    return (_happy_path(), _rogue_ai(), _negotiation(), _advisory_gate())
+    return _BUILT_INS
 
 
 def get_scenario(name: str) -> Scenario:
-    for scenario in built_in_scenarios():
+    for scenario in _BUILT_INS:
         if scenario.name == name:
             return scenario
     raise ScriptError(f"no built-in scenario named {name!r}")
@@ -677,6 +718,11 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     )
 
 
+def run_stage(stage: Stage) -> StageReport:
+    return _execute_stage(stage, _checked_template(stage))
+
+
+
 # ----------------------------------------------------------------------
 # violation injection (mutation testing of the verifier)
 
@@ -746,13 +792,12 @@ def _drop_consent_guard(s: Scenario) -> Scenario:
     return _swap_stage(s, 0, mutated)
 
 
-def _revoke_embargo(s: Scenario, after: str, label: str, revoker: str, action: str) -> Scenario:
+def _revoke_embargo(s: Scenario, after: str, revoke: EventSchema) -> Scenario:
     stage = s.stages[0]
-    revoke = _say(label, revoker, "revoke", select=_sel("embargo", action))
     mutated = replace(
         stage,
         script=_insert_after(stage.script, after, revoke),
-        expected_violations=((PROP_PROHIBITION, label),),
+        expected_violations=((PROP_PROHIBITION, revoke.name),),
     )
     return _swap_stage(s, 0, mutated)
 
@@ -763,7 +808,7 @@ def _ghost_principal(s: Scenario, label: str, ghost: str) -> Scenario:
     bind = next((ev for ev in stage.script if ev.name == label and ev.op == "bind"), None)
     if bind is None:
         raise CannotInject(f"no bind event labeled {label!r}")
-    rogue = EventSchema(label, "bind", {**bind.params, "principal": ghost, "force": True})
+    rogue = replace(bind, params={**bind.params, "principal": ghost, "force": True})
     mutated = replace(
         stage,
         script=_replace_event(stage.script, label, rogue),
@@ -772,29 +817,24 @@ def _ghost_principal(s: Scenario, label: str, ghost: str) -> Scenario:
     return _swap_stage(s, 0, mutated)
 
 
+# physician_1 hands the decision burden to the AI matcher, which discharges it
+_USURP_TRANSFER, _USURP_DECIDE = parse_script("""\
+transfer_decision: speech_act physician_1 transfer to=matcher select=burden:make_enrollment_decision:HELD
+decide: speech_act matcher discharge select=burden:make_enrollment_decision:HELD
+""")
+
+
 def _usurp_decision(s: Scenario, stage_index: int) -> Scenario:
-    # physician_1 hands the decision burden to the AI matcher, which discharges it
     if stage_index >= len(s.stages):
         raise CannotInject("no decision stage")
     stage = s.stages[stage_index]
-    transfer = _say(
-        "transfer_decision",
-        "physician_1",
-        "transfer",
-        select=_sel("burden", "make_enrollment_decision"),
-        to="matcher",
-    )
     script = stage.script
     inserted = not any(ev.name == "transfer_decision" for ev in script)
     if inserted:
-        script = _insert_after(script, "eval_match", transfer)
+        script = _insert_after(script, "eval_match", _USURP_TRANSFER)
     else:
-        script = _replace_event(script, "transfer_decision", transfer)
-    script = _replace_event(
-        script,
-        "decide",
-        _say("decide", "matcher", "discharge", select=_sel("burden", "make_enrollment_decision")),
-    )
+        script = _replace_event(script, "transfer_decision", _USURP_TRANSFER)
+    script = _replace_event(script, "decide", _USURP_DECIDE)
     expected = _keep_verdicts(stage.expected_verdicts, script)
     if inserted:
         expected += (("transfer_decision", "accepted"),)
@@ -812,13 +852,25 @@ _MUTATIONS = {
     ("happy_path", PROP_SAFETY): (_drop_consent_guard, ()),
     ("happy_path", PROP_PROHIBITION): (
         _revoke_embargo,
-        ("bind_officer", "revoke_consent_embargo", "officer_dga", "access_without_consent"),
+        (
+            "bind_officer",
+            *parse_script(
+                "revoke_consent_embargo: speech_act officer_dga revoke"
+                " select=embargo:access_without_consent:HELD"
+            ),
+        ),
     ),
     ("happy_path", PROP_ACCOUNTABILITY): (_ghost_principal, ("bind_extract_bot", "GhostCorp")),
     ("happy_path", PROP_AUTHORITY): (_usurp_decision, (1,)),
     ("rogue_ai", PROP_PROHIBITION): (
         _revoke_embargo,
-        ("bind_physician", "revoke_final_embargo", "physician_1", "final_decision"),
+        (
+            "bind_physician",
+            *parse_script(
+                "revoke_final_embargo: speech_act physician_1 revoke"
+                " select=embargo:final_decision:HELD"
+            ),
+        ),
     ),
     ("rogue_ai", PROP_AUTHORITY): (_usurp_decision, (0,)),
     ("rogue_ai", PROP_ACCOUNTABILITY): (_ghost_principal, ("bind_matcher", "ShadowLab")),
@@ -909,138 +961,6 @@ def coverage_report(scenarios: Iterable[Scenario] | None = None) -> CoverageRepo
 
 
 # ----------------------------------------------------------------------
-# script files: one event per line
-
-
-_INT_KEYS = {"token", "request_seq", "evidence", "deadline"}
-
-
-def _coerce(key: str, value: str):
-    if key in _INT_KEYS and value.lstrip("-").isdigit():
-        return int(value)
-    return value
-
-
-def parse_script(text: str) -> tuple[EventSchema, ...]:
-    """Parse the line-oriented script format.
-
-    Forms (shell-style tokens, # comments):
-      register_principal <principal>
-      bind <role> <agent> <kind> <principal>
-      force_bind <role> <agent> <kind> <principal>
-      unbind <role> <agent>
-      action <actor> <action> [subject=S] [effect=<object>:<op>:<key>:<value>]...
-      speech_act <sender> <kind> [key=value]... [select=<modality>:<action>:<state>[:<subject>]]
-    Any line may start with "<label>:" to name the event.
-    """
-    events: list[EventSchema] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        try:
-            tokens = shlex.split(raw, comments=True)
-        except ValueError as exc:
-            raise ScriptError(f"line {lineno}: {exc}") from None
-        if not tokens:
-            continue
-        label = f"e{len(events)}"
-        if tokens[0].endswith(":") and len(tokens[0]) > 1:
-            label = tokens[0][:-1]
-            tokens = tokens[1:]
-        if not tokens:
-            raise ScriptError(f"line {lineno}: label without an event")
-        op, args = tokens[0], tokens[1:]
-
-        if op == "register_principal" and len(args) == 1:
-            events.append(_reg(label, args[0]))
-        elif op in ("bind", "force_bind") and len(args) == 4:
-            events.append(_bind(label, args[0], args[1], args[2], args[3], force=op == "force_bind"))
-        elif op == "unbind" and len(args) == 2:
-            events.append(_unbind(label, args[0], args[1]))
-        elif op == "action" and len(args) >= 2:
-            subject = None
-            effects = []
-            for extra in args[2:]:
-                key, sep, value = extra.partition("=")
-                if not sep:
-                    raise ScriptError(f"line {lineno}: expected key=value, got {extra!r}")
-                if key == "subject":
-                    subject = value
-                elif key == "effect":
-                    parts = value.split(":", 3)
-                    if len(parts) != 4:
-                        raise ScriptError(
-                            f"line {lineno}: effect needs object:op:key:value, got {value!r}"
-                        )
-                    effects.append(
-                        {"object": parts[0], "op": parts[1], "key": parts[2], "value": parts[3]}
-                    )
-                else:
-                    raise ScriptError(f"line {lineno}: unknown action argument {key!r}")
-            events.append(_act(label, args[0], args[1], subject, tuple(effects)))
-        elif op == "speech_act" and len(args) >= 2:
-            payload: dict = {}
-            selector: dict | None = None
-            for extra in args[2:]:
-                key, sep, value = extra.partition("=")
-                if not sep:
-                    raise ScriptError(f"line {lineno}: expected key=value, got {extra!r}")
-                if key == "select":
-                    parts = value.split(":")
-                    if len(parts) not in (3, 4):
-                        raise ScriptError(
-                            f"line {lineno}: select needs modality:action:state[:subject]"
-                        )
-                    selector = _sel(parts[0], parts[1], parts[2])
-                    if len(parts) == 4:
-                        selector["subject"] = parts[3]
-                else:
-                    payload[key] = _coerce(key, value)
-            events.append(
-                EventSchema(
-                    label,
-                    "speech_act",
-                    {"kind": args[1], "sender": args[0], "payload": payload}
-                    | ({"select_token": selector} if selector else {}),
-                )
-            )
-        else:
-            raise ScriptError(f"line {lineno}: cannot parse event {raw.strip()!r}")
-    return tuple(events)
-
-
-# the event parameter that names an agent for the cast of an ad-hoc stage;
-# an agent only ever unbound stays out, so preflight rejects the unbind
-_CAST_PARAM = {"bind": "agent", "action": "actor", "speech_act": "sender"}
-
-
-def stage_from_script(
-    source: str,
-    script: tuple[EventSchema, ...],
-    owner: str = "community_owner",
-    mode: str = MODE_AUTONOMOUS,
-    disciplines: dict | None = None,
-) -> Stage:
-    """An ad-hoc stage for CLI script runs; checks the parameter-free property."""
-    if mode not in MODES:
-        raise ScriptError(f"unknown mode {mode!r}")
-    template = parse_spec(source)
-    named = (ev.params[_CAST_PARAM[ev.op]] for ev in script if ev.op in _CAST_PARAM)
-    return Stage(
-        community=template.name,
-        source=source,
-        owner=owner,
-        mode=mode,
-        cast=tuple(dict.fromkeys(named)),
-        script=script,
-        properties=(PropertySpec.accountability(),),
-        disciplines=tuple((disciplines or {}).items()),
-    )
-
-
-def run_stage(stage: Stage) -> StageReport:
-    return _execute_stage(stage, _checked_template(stage))
-
-
-# ----------------------------------------------------------------------
 # reduced data-access community for exhaustive enumeration
 
 
@@ -1062,6 +982,23 @@ community DataAccessGate {
 """
 
 
+REDUCED_LAYER1_PROLOGUE = """\
+reg_vendor: register_principal VendorX
+bind_officer: bind DataGovernanceOfficer officer_1 human MedCenter
+"""
+
+REDUCED_LAYER1_ALPHABET = """\
+bind_consent_mgr: bind ConsentManager consent_mgr llm_agent VendorX
+bind_extract_bot: bind DataExtractionAgent extract_bot llm_agent VendorX
+declare_consent: speech_act officer_1 declare_burden action=verify_consent holder=ConsentManager subject=p1
+discharge_consent: speech_act consent_mgr discharge select=burden:verify_consent:HELD
+read_demo: action extract_bot read_demographics subject=p1
+read_uncons: action extract_bot access_without_consent subject=p1
+grant_uncons: speech_act officer_1 grant action=access_without_consent to=extract_bot subject=p1
+revoke_embargo: speech_act officer_1 revoke select=embargo:access_without_consent:HELD
+"""
+
+
 @dataclass(frozen=True)
 class GateFixture:
     """Enumeration fixture: template, prologue, alphabet, properties.
@@ -1071,53 +1008,27 @@ class GateFixture:
     the prohibition template are exercised within depth 5.
     """
 
-    source: str
+    template: CommunityTemplate
     owner: str
     prologue: tuple[EventSchema, ...]
     alphabet: tuple[EventSchema, ...]
     properties: tuple[PropertySpec, ...]
 
-    @property
-    def template(self) -> CommunityTemplate:
-        return parse_spec(self.source)
+
+_REDUCED_LAYER1 = GateFixture(
+    template=parse_spec(REDUCED_LAYER1_SOURCE),
+    owner="MedCenter",
+    prologue=parse_script(REDUCED_LAYER1_PROLOGUE),
+    alphabet=parse_script(REDUCED_LAYER1_ALPHABET),
+    properties=(
+        PropertySpec.safety("read_demographics", "verify_consent"),
+        PropertySpec.authority("read_demographics", "ConsentManager"),
+        PropertySpec.prohibition("access_without_consent", "ALL_AI_AGENTS"),
+        PropertySpec.accountability(),
+    ),
+)
 
 
 def reduced_layer1_fixture() -> GateFixture:
-    return GateFixture(
-        source=REDUCED_LAYER1_SOURCE,
-        owner="MedCenter",
-        prologue=(
-            _reg("reg_vendor", "VendorX"),
-            _bind("bind_officer", "DataGovernanceOfficer", "officer_1", "human", "MedCenter"),
-        ),
-        alphabet=(
-            _bind("bind_consent_mgr", "ConsentManager", "consent_mgr", "llm_agent", "VendorX"),
-            _bind("bind_extract_bot", "DataExtractionAgent", "extract_bot", "llm_agent", "VendorX"),
-            _say(
-                "declare_consent",
-                "officer_1",
-                "declare_burden",
-                action="verify_consent",
-                holder="ConsentManager",
-                subject="p1",
-            ),
-            _say("discharge_consent", "consent_mgr", "discharge", select=_sel("burden", "verify_consent")),
-            _act("read_demo", "extract_bot", "read_demographics", subject="p1"),
-            _act("read_uncons", "extract_bot", "access_without_consent", subject="p1"),
-            _say(
-                "grant_uncons",
-                "officer_1",
-                "grant",
-                action="access_without_consent",
-                to="extract_bot",
-                subject="p1",
-            ),
-            _say("revoke_embargo", "officer_1", "revoke", select=_sel("embargo", "access_without_consent")),
-        ),
-        properties=(
-            PropertySpec.safety("read_demographics", "verify_consent"),
-            PropertySpec.authority("read_demographics", "ConsentManager"),
-            PropertySpec.prohibition("access_without_consent", "ALL_AI_AGENTS"),
-            PropertySpec.accountability(),
-        ),
-    )
+    """The fixture, parsed once at import and shared by every caller."""
+    return _REDUCED_LAYER1

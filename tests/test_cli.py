@@ -100,6 +100,16 @@ def test_ad_hoc_script_run(tmp_path, capsys):
     assert code == EXIT_OK
     assert (tmp_path / "session.0.Clinic.audit").exists()
     assert "[PASS]" in capsys.readouterr().out
+    # a misspelled selector state is a parse error, not a silent PASS
+    script.write_text(
+        script.read_text(encoding="utf-8").replace(":HELD", ":HELDX"), encoding="utf-8"
+    )
+    code = main(
+        ["run", "--spec", str(spec), "--script", str(script), "--owner", "Clinic",
+         "--out", str(tmp_path)]
+    )
+    assert code == EXIT_USAGE
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_verify_clean_trace(tmp_path, capsys):
@@ -201,8 +211,23 @@ def test_validate_accepts_good_spec(tmp_path, capsys):
     assert "Clinic: ok" in capsys.readouterr().out
 
 
-def test_missing_file_is_a_usage_error(capsys):
+def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert main(["parse", "--spec", "/nonexistent.community"]) == EXIT_USAGE
+    # a directory and a file that is not UTF-8 are unreadable input, not violations
+    spec = tmp_path / "clinic.community"
+    spec.write_text(GOOD_SPEC, encoding="utf-8")
+    garbled = tmp_path / "garbled"
+    garbled.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    for argv in (
+        ["parse", "--spec", str(tmp_path)],
+        ["parse", "--spec", str(garbled)],
+        ["run", "--spec", str(spec), "--script", str(garbled), "--out", str(tmp_path)],
+        ["audit", "--trace", str(garbled)],
+        ["verify", "--trace", str(garbled), "--property", "accountability"],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_argparse_usage_errors_exit_two():

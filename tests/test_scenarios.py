@@ -14,19 +14,29 @@ from covenant.reference import (
     PROP_PROHIBITION,
     PROP_SAFETY,
 )
+from covenant.runtime import Principal, instantiate_community
 from covenant.scenarios import (
+    ADVISORY_GATE_SCRIPT,
+    HAPPY_PATH_ACCESS_SCRIPT,
+    HAPPY_PATH_MATCHING_SCRIPT,
+    NEGOTIATION_SCRIPT,
+    REDUCED_LAYER1_ALPHABET,
+    REDUCED_LAYER1_PROLOGUE,
     REDUCED_LAYER1_SOURCE,
+    ROGUE_AI_SCRIPT,
     built_in_scenarios,
     build_clinical_layers,
     coverage_report,
     get_scenario,
     inject_violation,
     parse_script,
+    reduced_layer1_fixture,
     run_scenario,
     run_stage,
     stage_from_script,
 )
 from covenant.spec_lang import format_specs, parse_specs
+from covenant.verifier import apply_schema
 
 GOLDEN = Path(__file__).parent / "data" / "clinical_layers.golden"
 
@@ -266,6 +276,35 @@ def test_parse_script_forms_and_labels():
     }
     assert events[6].params == {"actor": "extract_bot", "action": "read_demographics", "subject": "p1"}
 
+    # the forms the built-in stages use beyond SCRIPT_TEXT
+    more = parse_script(
+        'pitch: speech_act coord propose body="request eligibility criteria"\n'
+        "approve: speech_act physician_1 accept request_seq=$last_request\n"
+        "cache: action bot read_demographics subject=p1 effect=Cache:put:p1:record:v2\n"
+        "rogue: force_bind ConsentManager consent_bot llm_agent GhostCorp\n"
+        "revoke: speech_act officer_1 revoke select=embargo:access_without_consent:HELD\n"
+    )
+    assert [e.name for e in more] == ["pitch", "approve", "cache", "rogue", "revoke"]
+    assert more[0].params["payload"] == {"body": "request eligibility criteria"}
+    assert more[1].params["payload"] == {"request_seq": "$last_request"}
+    assert more[2].params["effects"] == [
+        {"object": "Cache", "op": "put", "key": "p1", "value": "record:v2"}
+    ]
+    assert more[3].op == "bind"
+    assert more[3].params == {
+        "role": "ConsentManager",
+        "agent": "consent_bot",
+        "kind": "llm_agent",
+        "principal": "GhostCorp",
+        "force": True,
+    }
+    assert more[4].params["payload"] == {}
+    assert more[4].params["select_token"] == {
+        "modality": "embargo",
+        "action": "access_without_consent",
+        "state": "HELD",
+    }
+
 
 def test_parse_script_reports_line_numbers():
     with pytest.raises(ScriptError, match="line 2"):
@@ -274,6 +313,14 @@ def test_parse_script_reports_line_numbers():
         parse_script("action bot read oops")
     with pytest.raises(ScriptError, match="line 1"):
         parse_script("probe:")
+    # a selector that could never match is a parse error, not a runtime crash
+    # (unknown modality) or a silent rejection (unknown state)
+    with pytest.raises(ScriptError, match="line 2: .*'burdn'"):
+        parse_script(
+            "register_principal A\nspeech_act bot discharge select=burdn:verify_consent:HELD"
+        )
+    with pytest.raises(ScriptError, match="line 1: .*'HELDX'"):
+        parse_script("speech_act bot discharge select=burden:verify_consent:HELDX")
 
 
 def test_stage_from_script_runs_ad_hoc_communities():
@@ -434,3 +481,33 @@ def test_mutant_violation_seqs_point_at_real_records():
     record = stage.records[at_seq]
     assert record.seq == at_seq
     assert record.detail.get("to") == "REVOKED"
+
+
+def test_built_ins_are_parsed_once_and_never_mutated():
+    assert built_in_scenarios() is built_in_scenarios()
+    fixture = reduced_layer1_fixture()
+    assert fixture.alphabet is reduced_layer1_fixture().alphabet
+    # every consumer shares these events, so running them must leave them as parsed
+    built = {s.name: s for s in built_in_scenarios()}
+    for scenario in list(built.values()) + [inject_violation(built[n], k) for n, k in _VARIANTS]:
+        run_scenario(scenario)
+    gate = instantiate_community(fixture.template, owner=Principal(fixture.owner, fixture.owner))
+    for schema in fixture.prologue + fixture.alphabet:
+        apply_schema(gate, schema)
+    texts = {
+        "happy_path/DataAccessCommunity": HAPPY_PATH_ACCESS_SCRIPT,
+        "happy_path/MatchingWorkflowCommunity": HAPPY_PATH_MATCHING_SCRIPT,
+        "rogue_ai/MatchingWorkflowCommunity": ROGUE_AI_SCRIPT,
+        "negotiation/NegotiationCommunity": NEGOTIATION_SCRIPT,
+        "advisory_gate/MatchingWorkflowCommunity": ADVISORY_GATE_SCRIPT,
+    }
+    stages = {
+        f"{scenario.name}/{stage.community}": stage
+        for scenario in built_in_scenarios()
+        for stage in scenario.stages
+    }
+    assert stages.keys() == texts.keys()
+    for key, stage in stages.items():
+        assert stage.script == parse_script(texts[key]), key
+    assert fixture.prologue == parse_script(REDUCED_LAYER1_PROLOGUE)
+    assert fixture.alphabet == parse_script(REDUCED_LAYER1_ALPHABET)
