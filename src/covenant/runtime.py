@@ -91,8 +91,9 @@ _CREATED_MODALITY = {
 }
 
 
-# one encoder for every call: json.dumps with options builds a new one each time
+# one encoder per form: json.dumps with options builds a new one on every call
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_line_json = json.JSONEncoder(separators=(",", ":")).encode  # export lines keep field order
 
 
 def _canon(value):
@@ -143,7 +144,7 @@ class AuditRecord:
             "prev_hash": self.prev_hash,
             "hash": self.hash,
         }
-        return json.dumps(ordered, separators=(",", ":"))
+        return _line_json(ordered)
 
 
 @dataclass(frozen=True)
@@ -1016,6 +1017,8 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
     for index, line in enumerate(lines[1:]):
         try:
             raw = json.loads(line)
+            if not isinstance(raw["detail"], dict):
+                raise TypeError(f"detail {raw['detail']!r} is not an object")
             records.append(
                 AuditRecord(
                     seq=raw["seq"],

@@ -242,7 +242,9 @@ _INT_KEYS = {"token", "request_seq", "evidence", "deadline"}
 
 
 def _coerce(key: str, value: str):
-    if key in _INT_KEYS and value.lstrip("-").isdigit():
+    # an optional "-" and ASCII digits only: "--5" and "²" stay strings
+    digits = value.removeprefix("-")
+    if key in _INT_KEYS and digits.isascii() and digits.isdigit():
         return int(value)
     return value
 
@@ -341,6 +343,20 @@ def parse_script(text: str) -> tuple[EventSchema, ...]:
     return tuple(events)
 
 
+# one parsed template per distinct stage source, filled on first use. A
+# template is immutable and every instance only reads it, so all runs of all
+# stages with the same source share one; `parse_spec` is looked up at call
+# time, so a wrapper put on the module attribute sees each miss
+_TEMPLATES: dict[str, CommunityTemplate] = {}
+
+
+def _template(source: str) -> CommunityTemplate:
+    template = _TEMPLATES.get(source)
+    if template is None:
+        template = _TEMPLATES[source] = parse_spec(source)
+    return template
+
+
 # the event parameter that names an agent for the cast of a stage; an agent
 # only ever unbound stays out, so preflight rejects the unbind
 _CAST_PARAM = {"bind": "agent", "action": "actor", "speech_act": "sender"}
@@ -360,7 +376,7 @@ def stage_from_script(
     """
     if mode not in MODES:
         raise ScriptError(f"unknown mode {mode!r}")
-    template = parse_spec(source)
+    template = _template(source)
     named = (ev.params[_CAST_PARAM[ev.op]] for ev in script if ev.op in _CAST_PARAM)
     return Stage(
         community=template.name,
@@ -607,8 +623,8 @@ def get_scenario(name: str) -> Scenario:
 
 
 def _checked_template(stage: Stage) -> CommunityTemplate:
-    """Parse the stage's template and preflight its script against it."""
-    template = parse_spec(stage.source)
+    """The stage's template, with its script preflighted against it."""
+    template = _template(stage.source)
     _preflight(stage, template)
     return template
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .deontic import OUTCOME_ADMISSIBLE, OUTCOME_RECOMMENDED
-from .errors import GovernanceError, ScopeTooLarge, UnknownIdentifier
+from .errors import GovernanceError, IntegrityError, ScopeTooLarge, UnknownIdentifier
 from .reference import (
     PROP_ACCOUNTABILITY,
     PROP_AUTHORITY,
@@ -79,6 +79,10 @@ class PropertySpec:
         return PropertySpec(PROP_ACCOUNTABILITY)
 
 
+# one encoder for every line: json.dumps with options builds a new one each time
+_line_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 @dataclass(frozen=True)
 class Violation:
     property: str
@@ -86,9 +90,8 @@ class Violation:
     witness: tuple[int, ...]
 
     def to_line(self) -> str:
-        return json.dumps(
-            {"property": self.property, "at_seq": self.at_seq, "witness": list(self.witness)},
-            separators=(",", ":"),
+        return _line_json(
+            {"property": self.property, "at_seq": self.at_seq, "witness": list(self.witness)}
         )
 
 
@@ -357,9 +360,19 @@ def run_checks(
     specs: Iterable[PropertySpec],
     template: CommunityTemplate | None = None,
 ) -> list[Violation]:
+    """Check a finished trace offline.
+
+    An imported record can chain correctly and still lack a field its kind
+    needs (or hold one of the wrong type): that raises IntegrityError at its seq.
+    """
     monitor = TraceMonitor(specs, template)
     for record in trace:
-        monitor.feed(record)
+        try:
+            monitor.feed(record)
+        except (KeyError, TypeError) as exc:
+            raise IntegrityError(
+                f"malformed {record.kind} record at seq {record.seq}: {exc!r}", record.seq
+            ) from exc
     return sorted(monitor.violations, key=_sort_key)
 
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from covenant.cli import EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
+from covenant.runtime import GENESIS_PREV_HASH, record_digest
 
 GOOD_SPEC = """\
 community Clinic {
@@ -156,6 +157,32 @@ def test_verify_accountability_needs_no_parameters(tmp_path, capsys):
     run_happy(tmp_path)
     trace = tmp_path / "happy_path.1.MatchingWorkflowCommunity.audit"
     assert main(["verify", "--trace", str(trace), "--property", "accountability"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "seq, mutate",
+    [
+        (6, lambda detail: [1, 2]),
+        (6, lambda detail: {k: v for k, v in detail.items() if k != "role"}),
+        (1, lambda detail: {k: v for k, v in detail.items() if k != "token"}),
+    ],
+    ids=["binding_detail_not_an_object", "bind_without_role", "transition_without_token"],
+)
+def test_verify_rejects_a_malformed_record_in_a_sound_chain(tmp_path, capsys, seq, mutate):
+    run_happy(tmp_path)
+    capsys.readouterr()
+    trace = tmp_path / "happy_path.0.DataAccessCommunity.audit"
+    header, *lines = trace.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    records[seq]["detail"] = mutate(records[seq]["detail"])
+    prev = GENESIS_PREV_HASH
+    for raw in records:  # re-chain, so that only the record's shape is wrong
+        raw["prev_hash"] = prev
+        raw["hash"] = prev = record_digest(prev, raw["seq"], raw["kind"], raw["actor"], raw["detail"])
+    lines = [json.dumps(raw, separators=(",", ":")) for raw in records]
+    trace.write_text("\n".join([header] + lines) + "\n", encoding="utf-8")
+    assert main(["verify", "--trace", str(trace), "--property", "accountability"]) == EXIT_INTEGRITY
+    assert f"integrity failure at seq {seq}" in capsys.readouterr().err
 
 
 def test_audit_reports_head_digest(tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from covenant import scenarios
 from covenant.errors import CannotInject, ScriptError
 from covenant.reference import (
     PROP_ACCOUNTABILITY,
@@ -24,6 +25,7 @@ from covenant.scenarios import (
     REDUCED_LAYER1_PROLOGUE,
     REDUCED_LAYER1_SOURCE,
     ROGUE_AI_SCRIPT,
+    Scenario,
     built_in_scenarios,
     build_clinical_layers,
     coverage_report,
@@ -35,7 +37,7 @@ from covenant.scenarios import (
     run_stage,
     stage_from_script,
 )
-from covenant.spec_lang import format_specs, parse_specs
+from covenant.spec_lang import format_specs, parse_spec, parse_specs
 from covenant.verifier import apply_schema
 
 GOLDEN = Path(__file__).parent / "data" / "clinical_layers.golden"
@@ -305,6 +307,20 @@ def test_parse_script_forms_and_labels():
         "state": "HELD",
     }
 
+    # only an optional "-" and ASCII digits make an integer
+    numbers = parse_script(
+        "speech_act a discharge token=7 deadline=-3\n"
+        "speech_act a discharge token=--5\n"
+        "speech_act a discharge token=\u00b2\n"
+        "speech_act a discharge token=abc\n"
+    )
+    assert [e.params["payload"] for e in numbers] == [
+        {"token": 7, "deadline": -3},
+        {"token": "--5"},
+        {"token": "\u00b2"},
+        {"token": "abc"},
+    ]
+
 
 def test_parse_script_reports_line_numbers():
     with pytest.raises(ScriptError, match="line 2"):
@@ -331,6 +347,24 @@ def test_stage_from_script_runs_ad_hoc_communities():
     assert outcomes["probe"] == "admissible"
     assert outcomes["done"] == "accepted"
     assert report.violations == ()
+
+
+def test_each_stage_source_is_parsed_once(monkeypatch):
+    calls = []
+    parse = scenarios.parse_spec
+
+    def counting(source):
+        calls.append(source)
+        return parse(source)
+
+    monkeypatch.setattr(scenarios, "parse_spec", counting)
+    source = REDUCED_LAYER1_SOURCE + "# a source no other test uses\n"
+    stage = stage_from_script(source, parse_script(SCRIPT_TEXT), owner="MedCenter")
+    scenario = Scenario("once", "one stage, run three times", (stage,))
+    first, second = run_scenario(scenario), run_scenario(scenario)
+    third = run_stage(stage)
+    assert calls == [source]
+    assert first.stages[0].export == second.stages[0].export == third.export
 
 
 def test_stage_from_script_rejects_unknown_mode():
@@ -511,3 +545,9 @@ def test_built_ins_are_parsed_once_and_never_mutated():
         assert stage.script == parse_script(texts[key]), key
     assert fixture.prologue == parse_script(REDUCED_LAYER1_PROLOGUE)
     assert fixture.alphabet == parse_script(REDUCED_LAYER1_ALPHABET)
+    # every run of a source shares one template, and no run may change it
+    for scenario in list(built.values()) + [inject_violation(built[n], k) for n, k in _VARIANTS]:
+        for stage in scenario.stages:
+            template = scenarios._checked_template(stage)
+            assert template is scenarios._checked_template(stage)
+            assert template == parse_spec(stage.source), stage.community
