@@ -16,7 +16,7 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NoReturn
 
 from . import deontic
 from .deontic import (
@@ -93,16 +93,10 @@ _CREATED_MODALITY = {
 
 # one encoder per form: json.dumps with options builds a new one on every call
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_line_json = json.JSONEncoder(separators=(",", ":")).encode  # export lines keep field order
-
-
-def _canon(value):
-    """Recursively rebuild dicts with sorted keys for stable export bytes."""
-    if isinstance(value, dict):
-        return {k: _canon(value[k]) for k in sorted(value)}
-    if isinstance(value, (list, tuple)):
-        return [_canon(v) for v in value]
-    return value
+# the same for what a caller hands in, which must be JSON proper: NaN, unequal to
+# itself, would make a replay's regenerated record differ from the logged one
+_caller_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+_str_json = json.encoder.encode_basestring_ascii  # a str as JSONEncoder writes it
 
 
 def _check_strings(
@@ -126,7 +120,7 @@ def record_digest(prev_hash: str, seq: int, kind: str, actor: str | None, detail
     return hashlib.sha256((prev_hash + payload).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditRecord:
     seq: int
     kind: str
@@ -136,15 +130,14 @@ class AuditRecord:
     hash: str
 
     def to_line(self) -> str:
-        ordered = {
-            "seq": self.seq,
-            "kind": self.kind,
-            "actor": self.actor,
-            "detail": self.detail,
-            "prev_hash": self.prev_hash,
-            "hash": self.hash,
-        }
-        return _line_json(ordered)
+        # the fields in their own order, each as JSON writes its declared type, and
+        # the detail key-sorted, as record_digest encodes it
+        actor = "null" if self.actor is None else _str_json(self.actor)
+        return (
+            f'{{"seq":{self.seq:d},"kind":{_str_json(self.kind)},"actor":{actor},'
+            f'"detail":{canonical_json(self.detail)},"prev_hash":{_str_json(self.prev_hash)},'
+            f'"hash":{_str_json(self.hash)}}}'
+        )
 
 
 @dataclass(frozen=True)
@@ -465,7 +458,7 @@ class CommunityInstance:
         prev = self._records[-1].hash if self._records else GENESIS_PREV_HASH
         seq = self._next_seq
         digest = record_digest(prev, seq, kind, actor, detail)
-        record = AuditRecord(seq, kind, actor, _canon(detail), prev, digest)
+        record = AuditRecord(seq, kind, actor, detail, prev, digest)
         self._records.append(record)
         self._next_seq += 1
         for listener in self._listeners:
@@ -704,7 +697,11 @@ class CommunityInstance:
             if writes:
                 request_detail["effects"] = [w.to_detail() for w in writes]
             _check_strings(request_detail, ("action",), ("subject",))
-            canonical_json(request_detail)  # fail before the event if unloggable
+            encoded = _caller_json(request_detail)  # fail before the event if unloggable
+            if writes:
+                # log and journal a copy: the caller may change its effect values later
+                request_detail = json.loads(encoded)
+                writes = tuple(self._coerce_write(e) for e in request_detail["effects"])
 
             self._begin_event()
             request = self._append(KIND_ACTION_REQUEST, actor, request_detail)
@@ -757,8 +754,9 @@ class CommunityInstance:
     def apply_speech_act(self, act: SpeechAct) -> ApplyResult:
         with self._lock:
             kind = SpeechActKind(act.kind)
-            payload = dict(act.payload)
-            canonical_json(payload)  # fail before the event if the payload cannot be logged
+            # fails before the event if the payload cannot be logged; the copy it
+            # returns is what replay reads back and shares nothing with the caller
+            payload = json.loads(_caller_json(dict(act.payload)))
 
             self._begin_event()
             reason = self._authorize(act.sender, kind)
@@ -1056,37 +1054,111 @@ def import_log(text: str) -> tuple[dict, list[AuditRecord]]:
     return header, records
 
 
+# what re-executing a tampered record can raise; replay reports each as an IntegrityError
+_REEXECUTION_ERRORS = (GovernanceError, InvalidTemplate, KeyError, TypeError, ValueError)
+
+
 def replay(
     template: CommunityTemplate, text_or_records: str | list[AuditRecord]
 ) -> CommunityInstance:
-    """Rebuild an instance by re-executing the initiating records.
+    """Rebuild an instance by re-executing the initiating records, checking its own output.
 
-    Derived records (verdicts, transitions, escalations) are regenerated,
-    not read back; the result must match the original log byte for byte
-    over the regenerated kinds.
+    Derived records (expiries, verdicts, transitions, escalations) are
+    regenerated, not read back. Each record the rebuilt instance writes must
+    equal the input record at its seq, all six fields. Regenerated records
+    chain by construction, so a log that replays needs no separate chain
+    check. IntegrityError names the first seq that differs, that is never
+    regenerated, that lies beyond the input's end, or whose initiating record
+    cannot be re-executed.
     """
     if isinstance(text_or_records, str):
-        _, records = import_log(text_or_records)
+        _, records = parse_export(text_or_records)
     else:
         records = list(text_or_records)
-        verify_chain(records)
     if not records or records[0].kind != KIND_GENESIS:
         raise IntegrityError("export does not start with a genesis record", 0)
     genesis = records[0].detail
     if genesis.get("community") != template.name:
+        verify_chain(records[:1])  # an edited genesis is not a log of another community
         raise InvalidTemplate(
             f"log is for community {genesis.get('community')!r}, not {template.name!r}"
         )
-    owner_info = genesis["owner"]
-    owner = Principal(owner_info["id"], owner_info["name"], owner_info["kind"])
-    instance = CommunityInstance(
-        template, genesis["mode"], owner, dict(genesis.get("disciplines", {}))
-    )
-    for record in records:
-        if record.kind not in INITIATING_KINDS:
-            continue
-        _replay_record(instance, record)
+    try:
+        owner_info = genesis["owner"]
+        owner = Principal(owner_info["id"], owner_info["name"], owner_info["kind"])
+        instance = CommunityInstance(
+            template, genesis["mode"], owner, dict(genesis.get("disciplines", {}))
+        )
+    except _REEXECUTION_ERRORS as exc:
+        raise IntegrityError(f"genesis cannot be re-executed: {exc!r}", 0) from exc
+    regenerated = instance._records
+    checked = _check_regenerated(records, regenerated, 0)
+    for seq, record in enumerate(records):
+        if not isinstance(record.kind, str) or record.kind not in INITIATING_KINDS:
+            continue  # regenerated by the next event, or found to differ there
+        try:
+            _replay_record(instance, record)
+        except _REEXECUTION_ERRORS as exc:
+            reason = f"seq {seq} cannot be re-executed: {exc!r}"
+            _raise_unexplained(instance, records, checked, seq, reason, exc)
+        checked = _check_regenerated(records, regenerated, checked)
+    if checked < len(records):
+        end = len(records)
+        _raise_unexplained(instance, records, checked, end, f"no initiating record at seq {end}")
     return instance
+
+
+def _raise_unexplained(
+    instance: CommunityInstance,
+    records: list[AuditRecord],
+    checked: int,
+    seq: int,
+    reason: str,
+    cause: Exception | None = None,
+) -> NoReturn:
+    """Raise IntegrityError for the input records from `checked` that no re-execution wrote.
+
+    Up to `seq`, where re-execution fails or the input ends, they can still be
+    the expiry sweep that opens an event; the first that is not is the bad seq.
+    """
+    with instance._lock:
+        instance._begin_event()
+    checked = _check_regenerated(records, instance._records, checked)
+    if checked < seq:
+        raise IntegrityError(f"seq {checked} is never regenerated", checked) from cause
+    raise IntegrityError(reason, seq) from cause
+
+
+def _check_regenerated(
+    records: list[AuditRecord], regenerated: list[AuditRecord], checked: int
+) -> int:
+    """Compare the records regenerated past `checked` with the input; return the new count."""
+    for seq in range(checked, len(regenerated)):
+        if seq >= len(records):
+            raise IntegrityError(f"replay regenerates seq {seq} beyond the input's end", seq)
+        mine, theirs = regenerated[seq], records[seq]
+        if (
+            mine != theirs
+            or type(theirs.seq) is not int
+            or not _same_types(mine.detail, theirs.detail)
+        ):
+            raise IntegrityError(f"replayed record differs at seq {seq}", seq)
+    return len(regenerated)
+
+
+def _same_types(a: dict | list, b: dict | list) -> bool:
+    """Whether two equal JSON containers hold values of the same type throughout.
+
+    Equality alone lets 2e2 stand for 200 and true for 1, whose bytes, and so
+    whose digests, differ.
+    """
+    if type(a) is dict:
+        a, b = a.values(), map(b.__getitem__, a)
+    for x, y in zip(a, b):
+        kind = type(x)
+        if kind is not type(y) or (kind is dict or kind is list) and not _same_types(x, y):
+            return False
+    return True
 
 
 def _replay_record(instance: CommunityInstance, record: AuditRecord) -> None:
@@ -1102,8 +1174,8 @@ def _replay_record(instance: CommunityInstance, record: AuditRecord) -> None:
             )
         elif event_type == "unbind":
             instance.unbind_agent(detail["role"], detail["agent"])
-        else:  # pragma: no cover
-            raise IntegrityError(f"unknown binding event {event_type!r}", record.seq)
+        else:
+            raise ValueError(f"unknown binding event {event_type!r}")
     elif record.kind == KIND_SPEECH_ACT:
         act = SpeechAct(
             SpeechActKind(detail["kind"]), record.actor or "", dict(detail["payload"])

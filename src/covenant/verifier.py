@@ -267,7 +267,10 @@ class _ProhibitionChecker:
             actor = record.detail.get("actor")
             if actor is not None and state.bindings.in_group(actor, self.group, self.template):
                 found.append(Violation(PROP_PROHIBITION, record.seq, (record.seq,)))
-        # gap scan: the embargo must be HELD whenever a group member is bound
+        # gap scan: the embargo must be HELD whenever a group member is bound.
+        # Only a binding or a token transition changes what the scan reads.
+        if record.kind != KIND_BINDING and record.kind != KIND_TOKEN_TRANSITION:
+            return found
         bound = state.bindings.any_in_group(self.group, self.template)
         exposed = bound and not self._embargo_held(state)
         if exposed and self not in state.gaps:

@@ -2,22 +2,26 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
 
 import pytest
 
+from covenant import runtime
 from covenant.deontic import TokenState
 from covenant.errors import (
     CardinalityExceeded,
     DisciplineViolation,
     IntegrityError,
+    InvalidTemplate,
     KindMismatch,
     UnknownAgent,
     UnknownPrincipal,
     UnknownRole,
 )
 from covenant.runtime import (
+    GENESIS_PREV_HASH,
     INITIATING_KINDS,
     KIND_ACTION_REQUEST,
     KIND_BINDING,
@@ -29,11 +33,13 @@ from covenant.runtime import (
     MODE_ADVISORY,
     MODE_AUTONOMOUS,
     MODE_SUPERVISED,
+    AuditRecord,
     Principal,
     SpeechAct,
     import_log,
     instantiate_community,
     parse_export,
+    record_digest,
     replay,
     verify_chain,
 )
@@ -65,17 +71,17 @@ community Ward {
 """
 
 
-def make_ward(mode="autonomous", disciplines=None):
+def make_ward(mode="autonomous", disciplines=None, source=WARD_SOURCE):
     return instantiate_community(
-        parse_spec(WARD_SOURCE),
+        parse_spec(source),
         mode=mode,
         owner=Principal("Clinic", "Clinic"),
         object_disciplines=disciplines or {"CaseFile": "read_write"},
     )
 
 
-def staffed_ward(mode="autonomous"):
-    c = make_ward(mode)
+def staffed_ward(mode="autonomous", source=WARD_SOURCE):
+    c = make_ward(mode, source=source)
     c.register_principal("Vendor")
     c.bind_agent("Officer", "officer_1", "human", "Clinic")
     c.bind_agent("Reviewer", "reviewer_1", "human", "Clinic")
@@ -347,6 +353,18 @@ def test_malformed_payload_rejected():
             ),
             TypeError,
         ),
+        (
+            lambda c: c.apply_speech_act(
+                SpeechAct(SpeechActKind.PROPOSE, "bot_1", {"body": float("nan")})
+            ),
+            ValueError,
+        ),
+        (
+            lambda c: c.submit_action(
+                "officer_1", "note", effects=[{"object": "CaseFile", "key": "k", "value": 1e999}]
+            ),
+            ValueError,
+        ),
         (lambda c: c.submit_action("officer_1", "ping", {1}), TypeError),
         (lambda c: c.submit_action("officer_1", ["read_case"]), TypeError),
         (lambda c: c.submit_action("officer_1", "read_case", {"case": 1}), TypeError),
@@ -355,6 +373,8 @@ def test_malformed_payload_rejected():
         "unknown_kind",
         "non_string_key",
         "unencodable_effect",
+        "nan_payload",
+        "infinite_effect",
         "unencodable_subject",
         "non_string_action",
         "non_string_subject",
@@ -617,6 +637,9 @@ def test_single_byte_tamper_is_localized():
         with pytest.raises(IntegrityError) as info:
             import_log(tampered)
         assert info.value.bad_seq == line_no - 1  # header occupies line 0
+        with pytest.raises(IntegrityError) as replayed:
+            replay(parse_spec(WARD_SOURCE), tampered)
+        assert replayed.value.bad_seq == line_no - 1
 
 
 def test_truncated_export_fails_verification():
@@ -625,6 +648,143 @@ def test_truncated_export_fails_verification():
     clipped = "\n".join(lines[:1] + lines[2:]) + "\n"
     with pytest.raises(IntegrityError):
         import_log(clipped)
+
+
+# ----------------------------------------------------------------------
+# replay checks its own output
+
+
+def _rechain(header: str, records) -> str:
+    """An export of `records`, renumbered and chained afresh, as a forger would write it."""
+    prev, lines = GENESIS_PREV_HASH, [header]
+    for seq, r in enumerate(records):
+        digest = record_digest(prev, seq, r.kind, r.actor, r.detail)
+        lines.append(AuditRecord(seq, r.kind, r.actor, r.detail, prev, digest).to_line())
+        prev = digest
+    return "\n".join(lines) + "\n"
+
+
+def _replay_fails_at(template, text) -> int:
+    with pytest.raises(IntegrityError) as info:
+        replay(template, text)
+    return info.value.bad_seq
+
+
+def _edited(records, seq, **changes):
+    """The records with `changes` made to the detail at `seq`."""
+    edited = dataclasses.replace(records[seq], detail={**records[seq].detail, **changes})
+    return records[:seq] + [edited] + records[seq + 1 :]
+
+
+def test_replay_rejects_a_rechained_log_the_runtime_would_not_write():
+    template = parse_spec(WARD_SOURCE)
+    text = drive_sample_history(staffed_ward()).export_log()
+    header, records = text.splitlines()[0], parse_export(text)[1]
+    assert _rechain(header, records) == text
+    assert [records[12].kind, records[13].kind] == [KIND_ACTION_REQUEST, KIND_VERDICT]
+    assert records[5].detail["event_type"] == "bind"
+
+    # a verdict's outcome flipped: the chain holds, the verdict is not the runtime's
+    assert _replay_fails_at(template, _rechain(header, _edited(records, 13, outcome="blocked"))) == 13
+    # cut right after an action request: its verdict would lie beyond the end
+    assert _replay_fails_at(template, _rechain(header, records[:13])) == 13
+    # a bind to a role the template does not declare cannot be re-executed
+    assert _replay_fails_at(template, _rechain(header, _edited(records, 5, role="Janitor"))) == 5
+    # trailing records no event regenerates
+    assert _replay_fails_at(template, _rechain(header, records + records[17:])) == 19
+
+
+def test_replay_checks_the_expiry_sweep_before_a_missing_or_failing_record():
+    template = parse_spec(WARD_SOURCE)
+    c = staffed_ward()
+    due = {"action": "sign", "holder": "officer_1", "deadline": c.head_seq + 2}
+    c.apply_speech_act(SpeechAct(SpeechActKind.DECLARE_BURDEN, "officer_1", due))
+    c.submit_action("bot_1", "read_case")  # the event opens with the burden's expiry
+    text = c.export_log()
+    header, records = text.splitlines()[0], parse_export(text)[1]
+    request = len(records) - 2
+    assert records[request - 1].detail["to"] == "VIOLATED"
+    assert records[request].kind == KIND_ACTION_REQUEST
+
+    # the sweep is what the runtime writes there: the fault is the record after it
+    assert _replay_fails_at(template, _rechain(header, records[:request])) == request
+    unbind = {"event_type": "unbind", "role": "Janitor", "agent": "bot_1"}
+    janitor = dataclasses.replace(records[request], kind=KIND_BINDING, detail=unbind)
+    assert _replay_fails_at(template, _rechain(header, records[:request] + [janitor])) == request
+
+
+def test_replay_tells_an_edited_genesis_from_another_communitys_log():
+    template = parse_spec(WARD_SOURCE)
+    text = drive_sample_history(staffed_ward()).export_log()
+    header, records = text.splitlines()[0], parse_export(text)[1]
+    with pytest.raises(InvalidTemplate):
+        replay(template, _rechain(header, _edited(records, 0, community="Desk")))
+    assert _replay_fails_at(template, text.replace('"community":"Ward",', '"community":"Desk",')) == 0
+
+
+def test_replay_fails_where_import_log_does_on_an_edit_left_unchained():
+    template = parse_spec(WARD_SOURCE)
+    text = drive_sample_history(staffed_ward()).export_log()
+    for old, new, seq in (
+        # 2e2 == 200 and true == 1 in Python, but their bytes, and so their digests, differ
+        ('"evidence":9,"token"', '"evidence":9.0,"token"', 10),  # in an initiating payload
+        ('"evidence":9,"from"', '"evidence":9e0,"from"', 11),  # in a derived record
+        ('"seq":1,', '"seq":true,', 1),
+        # a kind no set can hold, on a record no earlier event regenerates
+        ('"seq":18,"kind":"binding"', '"seq":18,"kind":["binding"]', 18),
+    ):
+        assert text.count(old) == 1, old
+        respelled = text.replace(old, new)
+        with pytest.raises(IntegrityError) as info:
+            import_log(respelled)
+        assert info.value.bad_seq == seq
+        assert _replay_fails_at(template, respelled) == seq
+
+
+def test_replay_hashes_each_record_once(monkeypatch):
+    template = parse_spec(WARD_SOURCE)
+    records = list(drive_sample_history(staffed_ward()).records())
+    calls = []
+    digest = runtime.record_digest
+    monkeypatch.setattr(runtime, "record_digest", lambda *args: calls.append(args[1]) or digest(*args))
+    twin = replay(template, records)
+    assert len(records) == 19
+    assert calls == list(range(19))  # the regenerated records; the input is not hashed again
+    assert list(twin.records()) == records
+
+
+_WARD_WITH_HISTORY = WARD_SOURCE.replace(
+    "object Ledger;", "object Ledger;\n  object NegotiationHistory;"
+)
+
+
+@pytest.mark.parametrize("mode", [MODE_AUTONOMOUS, MODE_ADVISORY])
+def test_caller_values_are_copied_at_the_boundary(mode):
+    # the objects journal their own copy: a caller that changes an effect value or a
+    # payload after the call changes neither the live objects nor what replay rebuilds
+    c = staffed_ward(mode, source=_WARD_WITH_HISTORY)
+    declare = {"action": "screen_case", "holder": "Officer", "subject": "case1"}
+    c.apply_speech_act(SpeechAct(SpeechActKind.DECLARE_BURDEN, "officer_1", declare))
+    token = max(t.id for t in c.tokens)
+    c.apply_speech_act(SpeechAct(SpeechActKind.DISCHARGE, "officer_1", {"token": token}))
+    note, body = {"text": ["a"]}, {"terms": ["a"]}
+    effect = {"object": "Ledger", "op": "append", "key": "n1", "value": note}
+    result = c.submit_action("bot_1", "read_case", "case1", effects=[effect])
+    note["text"].append("MUTATED")  # in advisory mode, while the effect is pending
+    if mode == MODE_ADVISORY:
+        approve = {"request_seq": result.request_seq}
+        assert c.apply_speech_act(SpeechAct(SpeechActKind.ACCEPT, "reviewer_1", approve)).accepted
+        note["text"].append("MUTATED")
+    assert c.apply_speech_act(SpeechAct(SpeechActKind.PROPOSE, "bot_1", {"body": body})).accepted
+    body["terms"].append("MUTATED")
+
+    assert c.objects["Ledger"].state() == {"n1": {"text": ["a"]}}
+    [entry] = c.objects["NegotiationHistory"].state().values()
+    assert entry["body"] == {"terms": ["a"]}
+    twin = replay(parse_spec(_WARD_WITH_HISTORY), c.export_log())
+    assert {name: obj.digest() for name, obj in twin.objects.items()} == {
+        name: obj.digest() for name, obj in c.objects.items()
+    }
 
 
 def test_clone_isolates_state():
@@ -900,6 +1060,7 @@ PINNED_HEADS = {
 
 
 def _pinned_runs():
+    """Each pinned run's template and export, by name."""
     runs = {}
     variants = [
         ("happy_path", "safety"),
@@ -914,11 +1075,14 @@ def _pinned_runs():
     for scenario in list(built.values()) + [inject_violation(built[n], k) for n, k in variants]:
         report = run_scenario(scenario)
         assert report.ok, report.summary()
-        for stage in report.stages:
-            runs[f"{scenario.name}/{stage.community}"] = stage.export
+        for spec, stage in zip(scenario.stages, report.stages):
+            runs[f"{scenario.name}/{stage.community}"] = (parse_spec(spec.source), stage.export)
     for mode in (MODE_SUPERVISED, MODE_ADVISORY, MODE_AUTONOMOUS):
-        runs[f"desk/{mode}"] = _desk(mode).export_log()
-    runs["desk/supervised_without_rule"] = _desk(MODE_SUPERVISED, _NO_POLICY_RULE).export_log()
+        runs[f"desk/{mode}"] = (parse_spec(DESK_SOURCE), _desk(mode).export_log())
+    runs["desk/supervised_without_rule"] = (
+        parse_spec(_NO_POLICY_RULE),
+        _desk(MODE_SUPERVISED, _NO_POLICY_RULE).export_log(),
+    )
     return runs
 
 
@@ -981,11 +1145,11 @@ def test_mode_runs_reach_every_record_writer():
 
 
 def test_export_heads_are_pinned():
-    assert {name: _head(export) for name, export in _pinned_runs().items()} == PINNED_HEADS
+    assert {name: _head(export) for name, (_, export) in _pinned_runs().items()} == PINNED_HEADS
 
 
 def test_every_record_names_the_event_that_caused_it():
-    for name, export in _pinned_runs().items():
+    for name, (_, export) in _pinned_runs().items():
         records = parse_export(export)[1]
         events = [r.detail["event"] for r in records]
         assert events[0] == 0, name
@@ -1000,3 +1164,60 @@ def test_every_record_names_the_event_that_caused_it():
             assert all(
                 p.kind == KIND_TOKEN_TRANSITION and p.detail["to"] == "VIOLATED" for p in before
             ), (name, r.seq)
+
+
+def _leaves(value):
+    """(container, key) of every scalar or empty container inside a record's detail."""
+    for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+        if isinstance(item, (dict, list)) and item:
+            yield from _leaves(item)
+        else:
+            yield value, key
+
+
+def _tamper(rng, records):
+    """One random edit; returns the edited records and the first seq it changed."""
+    edited = list(records)
+    i = rng.randrange(len(records))
+    how = rng.choice(("value", "value", "drop", "duplicate", "swap"))
+    if how == "drop":
+        del edited[i]
+        return edited, i
+    if how == "duplicate":
+        edited.insert(i + 1, records[i])
+        return edited, i + 1
+    if how == "swap":
+        j = rng.choice([k for k in range(len(records)) if k != i])
+        edited[i], edited[j] = edited[j], edited[i]
+        return edited, min(i, j)
+    # another value seen in the same log, or one of another JSON type
+    pool = [v for r in records for c, k in _leaves(r.detail) for v in [c[k]]]
+    pool += ["X", -1, 2.5, True, None, [], {}]
+    detail = copy.deepcopy(records[i].detail)
+    container, key = rng.choice(list(_leaves(detail)))
+    old = container[key]
+    container[key] = rng.choice([v for v in pool if not (v == old and type(v) is type(old))])
+    edited[i] = dataclasses.replace(records[i], detail=detail)
+    return edited, i
+
+
+def test_replay_of_a_tampered_export_reproduces_it_or_fails_at_or_after_the_edit():
+    rng = random.Random(10)
+    outcomes = {"replayed": 0, "failed": 0}
+    for name, (template, export) in sorted(_pinned_runs().items()):
+        header, records = export.splitlines()[0], parse_export(export)[1]
+        for _ in range(12):
+            edited, first = _tamper(rng, records)
+            text = _rechain(header, edited)
+            try:
+                twin = replay(template, text)
+            except IntegrityError as exc:
+                assert exc.bad_seq >= first, (name, first, exc)
+                outcomes["failed"] += 1
+            except InvalidTemplate:
+                # a log renamed to another community is refused before any replay
+                assert edited[0].detail["community"] != template.name, name
+            else:
+                assert twin.export_log() == text, (name, first)
+                outcomes["replayed"] += 1
+    assert outcomes["failed"] > outcomes["replayed"] > 0, outcomes
