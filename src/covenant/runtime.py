@@ -15,7 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Iterable, NoReturn
 
 from . import deontic
@@ -115,27 +116,55 @@ def _check_strings(
             raise TypeError(f"{name} {value!r} is not a string")
 
 
-def record_digest(prev_hash: str, seq: int, kind: str, actor: str | None, detail: dict) -> str:
-    payload = canonical_json({"seq": seq, "kind": kind, "actor": actor, "detail": detail})
-    return hashlib.sha256((prev_hash + payload).encode("utf-8")).hexdigest()
+def record_digest(
+    prev_hash: str, seq: int, kind: str, actor: str | None, detail_json: str
+) -> str:
+    """SHA-256 of `prev_hash` followed by the canonical JSON of seq, kind, actor and detail.
+
+    `detail_json` is the detail's canonical JSON, placed in the payload as it is.
+    """
+    if type(seq) is int and type(kind) is str and (actor is None or type(actor) is str):
+        actor_json = "null" if actor is None else _str_json(actor)
+        kind_json, seq_json = _str_json(kind), seq
+    else:
+        # a forged record: each field as the canonical encoding of the four-key dict writes it
+        actor_json, kind_json, seq_json = canonical_json(actor), canonical_json(kind), canonical_json(seq)
+    payload = f'{prev_hash}{{"actor":{actor_json},"detail":{detail_json},"kind":{kind_json},"seq":{seq_json}}}'
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True, slots=True)
 class AuditRecord:
+    """One entry of the hash-chained log.
+
+    `detail_json` is the detail's canonical JSON, encoded once when the record
+    is made: its digest and its export line are built around that text. So a
+    record's detail must never be changed after it is written; to change one,
+    make a new record (`dataclasses.replace(record, detail=...)` encodes the
+    new detail). `encoded_detail` passes in a text the caller already holds.
+    """
+
     seq: int
     kind: str
     actor: str | None
     detail: dict
     prev_hash: str
     hash: str
+    encoded_detail: InitVar[str | None] = None
+    detail_json: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, encoded_detail: str | None) -> None:
+        if encoded_detail is None:
+            encoded_detail = canonical_json(self.detail)
+        object.__setattr__(self, "detail_json", encoded_detail)
 
     def to_line(self) -> str:
         # the fields in their own order, each as JSON writes its declared type, and
-        # the detail key-sorted, as record_digest encodes it
+        # the detail key-sorted, as record_digest hashes it
         actor = "null" if self.actor is None else _str_json(self.actor)
         return (
             f'{{"seq":{self.seq:d},"kind":{_str_json(self.kind)},"actor":{actor},'
-            f'"detail":{canonical_json(self.detail)},"prev_hash":{_str_json(self.prev_hash)},'
+            f'"detail":{self.detail_json},"prev_hash":{_str_json(self.prev_hash)},'
             f'"hash":{_str_json(self.hash)}}}'
         )
 
@@ -331,6 +360,13 @@ class _Pending:
     effects: tuple[ObjectWrite, ...]
 
 
+# templates that passed validation, by identity: a template is immutable, so a
+# check of the same object would find what it found the first time
+_VALID_TEMPLATES: weakref.WeakValueDictionary[int, CommunityTemplate] = (
+    weakref.WeakValueDictionary()
+)
+
+
 class CommunityInstance:
     """One running community; all mutation is serialized under a lock."""
 
@@ -341,10 +377,12 @@ class CommunityInstance:
         owner: Principal,
         object_disciplines: dict[str, str] | None = None,
     ):
-        findings = validate_template(template)
-        errors = [f for f in findings if f.severity == SEVERITY_ERROR]
-        if errors:
-            raise InvalidTemplate("; ".join(str(f) for f in errors))
+        if _VALID_TEMPLATES.get(id(template)) is not template:
+            findings = validate_template(template)
+            errors = [f for f in findings if f.severity == SEVERITY_ERROR]
+            if errors:
+                raise InvalidTemplate("; ".join(str(f) for f in errors))
+            _VALID_TEMPLATES[id(template)] = template
         if mode not in MODES:
             raise InvalidTemplate(f"unknown deployment mode {mode!r}")
 
@@ -457,8 +495,9 @@ class CommunityInstance:
         detail["event"] = self._event_counter - 1  # the event last begun
         prev = self._records[-1].hash if self._records else GENESIS_PREV_HASH
         seq = self._next_seq
-        digest = record_digest(prev, seq, kind, actor, detail)
-        record = AuditRecord(seq, kind, actor, detail, prev, digest)
+        text = canonical_json(detail)
+        digest = record_digest(prev, seq, kind, actor, text)
+        record = AuditRecord(seq, kind, actor, detail, prev, digest, text)
         self._records.append(record)
         self._next_seq += 1
         for listener in self._listeners:
@@ -999,7 +1038,12 @@ def instantiate_community(
 
 
 def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
-    """Parse an export; verify header shape only (chain check is separate)."""
+    """Parse an export; verify header shape only (chain check is separate).
+
+    Each record's detail is encoded once, here. A `prev_hash` equal to the
+    previous record's hash shares that string, and each distinct kind and
+    actor is kept once.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise IntegrityError("empty export", 0)
@@ -1012,20 +1056,24 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
     if header.get("digest") != DIGEST_NAME:
         raise IntegrityError(f"unsupported digest {header.get('digest')!r}", 0)
     records: list[AuditRecord] = []
+    names: dict[str, str] = {}
+    prev = None
     for index, line in enumerate(lines[1:]):
         try:
             raw = json.loads(line)
-            if not isinstance(raw["detail"], dict):
-                raise TypeError(f"detail {raw['detail']!r} is not an object")
+            detail = raw["detail"]
+            if not isinstance(detail, dict):
+                raise TypeError(f"detail {detail!r} is not an object")
+            seq, kind, actor, prev_hash = raw["seq"], raw["kind"], raw["actor"], raw["prev_hash"]
+            if type(kind) is str:
+                kind = names.setdefault(kind, kind)
+            if type(actor) is str:
+                actor = names.setdefault(actor, actor)
+            if prev_hash == prev:
+                prev_hash = prev
+            prev = raw["hash"]
             records.append(
-                AuditRecord(
-                    seq=raw["seq"],
-                    kind=raw["kind"],
-                    actor=raw["actor"],
-                    detail=raw["detail"],
-                    prev_hash=raw["prev_hash"],
-                    hash=raw["hash"],
-                )
+                AuditRecord(seq, kind, actor, detail, prev_hash, prev, canonical_json(detail))
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise IntegrityError(f"unreadable record on line {index + 2}: {exc}", index) from exc
@@ -1033,18 +1081,22 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
 
 
 def verify_chain(records: list[AuditRecord] | tuple[AuditRecord, ...]) -> None:
-    """Recompute the hash chain; raise IntegrityError at the first bad seq."""
+    """Recompute the hash chain; raise IntegrityError at the first bad seq.
+
+    A gap is reported at the seq the record claims, so a dropped record shows
+    at the seq after it; a seq that is not an int, at the record's position.
+    """
     prev = GENESIS_PREV_HASH
     for index, record in enumerate(records):
-        if record.seq != index:
-            raise IntegrityError(
-                f"sequence gap: expected {index}, found {record.seq}", record.seq
-            )
+        seq = record.seq
+        if seq != index:
+            bad = seq if type(seq) is int else index
+            raise IntegrityError(f"sequence gap: expected {index}, found {seq}", bad)
         if record.prev_hash != prev:
-            raise IntegrityError(f"broken chain link at seq {record.seq}", record.seq)
-        expected = record_digest(prev, record.seq, record.kind, record.actor, record.detail)
+            raise IntegrityError(f"broken chain link at seq {index}", index)
+        expected = record_digest(prev, seq, record.kind, record.actor, record.detail_json)
         if record.hash != expected:
-            raise IntegrityError(f"digest mismatch at seq {record.seq}", record.seq)
+            raise IntegrityError(f"digest mismatch at seq {index}", index)
         prev = record.hash
 
 
@@ -1065,9 +1117,11 @@ def replay(
 
     Derived records (expiries, verdicts, transitions, escalations) are
     regenerated, not read back. Each record the rebuilt instance writes must
-    equal the input record at its seq, all six fields. Regenerated records
-    chain by construction, so a log that replays needs no separate chain
-    check. IntegrityError names the first seq that differs, that is never
+    match the input record at its seq: the same hash, the same detail text,
+    and the same seq, kind, actor and previous hash. The rebuilt instance then
+    keeps the input record in its place. Regenerated records chain by
+    construction, so a log that replays needs no separate chain check.
+    IntegrityError names the first seq that differs, that is never
     regenerated, that lies beyond the input's end, or whose initiating record
     cannot be re-executed.
     """
@@ -1132,33 +1186,26 @@ def _raise_unexplained(
 def _check_regenerated(
     records: list[AuditRecord], regenerated: list[AuditRecord], checked: int
 ) -> int:
-    """Compare the records regenerated past `checked` with the input; return the new count."""
+    """Compare the records regenerated past `checked` with the input; return the new count.
+
+    Each regenerated record that matches is replaced by the input record, so
+    the rebuilt instance holds one copy of each. Equal detail texts mean equal
+    JSON types too: 2e2 does not pass for 200, nor true for 1.
+    """
     for seq in range(checked, len(regenerated)):
         if seq >= len(records):
             raise IntegrityError(f"replay regenerates seq {seq} beyond the input's end", seq)
         mine, theirs = regenerated[seq], records[seq]
         if (
-            mine != theirs
+            mine.hash != theirs.hash
+            or mine.detail_json != theirs.detail_json
+            or (mine.seq, mine.kind, mine.actor, mine.prev_hash)
+            != (theirs.seq, theirs.kind, theirs.actor, theirs.prev_hash)
             or type(theirs.seq) is not int
-            or not _same_types(mine.detail, theirs.detail)
         ):
             raise IntegrityError(f"replayed record differs at seq {seq}", seq)
+        regenerated[seq] = theirs
     return len(regenerated)
-
-
-def _same_types(a: dict | list, b: dict | list) -> bool:
-    """Whether two equal JSON containers hold values of the same type throughout.
-
-    Equality alone lets 2e2 stand for 200 and true for 1, whose bytes, and so
-    whose digests, differ.
-    """
-    if type(a) is dict:
-        a, b = a.values(), map(b.__getitem__, a)
-    for x, y in zip(a, b):
-        kind = type(x)
-        if kind is not type(y) or (kind is dict or kind is list) and not _same_types(x, y):
-            return False
-    return True
 
 
 def _replay_record(instance: CommunityInstance, record: AuditRecord) -> None:

@@ -366,15 +366,17 @@ def run_checks(
     """Check a finished trace offline.
 
     An imported record can chain correctly and still lack a field its kind
-    needs (or hold one of the wrong type): that raises IntegrityError at its seq.
+    needs (or hold one of the wrong type): that raises IntegrityError at its seq,
+    or at its position if its seq is not an int.
     """
     monitor = TraceMonitor(specs, template)
-    for record in trace:
+    for index, record in enumerate(trace):
         try:
             monitor.feed(record)
         except (KeyError, TypeError) as exc:
+            seq = record.seq if type(record.seq) is int else index
             raise IntegrityError(
-                f"malformed {record.kind} record at seq {record.seq}: {exc!r}", record.seq
+                f"malformed {record.kind} record at seq {seq}: {exc!r}", seq
             ) from exc
     return sorted(monitor.violations, key=_sort_key)
 

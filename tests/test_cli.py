@@ -7,7 +7,7 @@ import json
 import pytest
 
 from covenant.cli import EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
-from covenant.runtime import GENESIS_PREV_HASH, record_digest
+from covenant.runtime import GENESIS_PREV_HASH, canonical_json, record_digest
 
 GOOD_SPEC = """\
 community Clinic {
@@ -159,30 +159,55 @@ def test_verify_accountability_needs_no_parameters(tmp_path, capsys):
     assert main(["verify", "--trace", str(trace), "--property", "accountability"]) == EXIT_OK
 
 
+def _without(key):
+    return lambda detail: {k: v for k, v in detail.items() if k != key}
+
+
 @pytest.mark.parametrize(
-    "seq, mutate",
+    "seq, mutate, respell",
     [
-        (6, lambda detail: [1, 2]),
-        (6, lambda detail: {k: v for k, v in detail.items() if k != "role"}),
-        (1, lambda detail: {k: v for k, v in detail.items() if k != "token"}),
+        (6, lambda detail: [1, 2], int),
+        (6, _without("role"), int),
+        (1, _without("token"), int),
+        # a seq that chains but is not an int is reported at the record's position
+        (6, _without("role"), float),
     ],
-    ids=["binding_detail_not_an_object", "bind_without_role", "transition_without_token"],
+    ids=[
+        "binding_detail_not_an_object",
+        "bind_without_role",
+        "transition_without_token",
+        "bind_without_role_at_a_float_seq",
+    ],
 )
-def test_verify_rejects_a_malformed_record_in_a_sound_chain(tmp_path, capsys, seq, mutate):
+def test_verify_rejects_a_malformed_record_in_a_sound_chain(tmp_path, capsys, seq, mutate, respell):
     run_happy(tmp_path)
     capsys.readouterr()
     trace = tmp_path / "happy_path.0.DataAccessCommunity.audit"
     header, *lines = trace.read_text(encoding="utf-8").splitlines()
     records = [json.loads(line) for line in lines]
     records[seq]["detail"] = mutate(records[seq]["detail"])
+    records[seq]["seq"] = respell(seq)
     prev = GENESIS_PREV_HASH
     for raw in records:  # re-chain, so that only the record's shape is wrong
         raw["prev_hash"] = prev
-        raw["hash"] = prev = record_digest(prev, raw["seq"], raw["kind"], raw["actor"], raw["detail"])
+        detail_json = canonical_json(raw["detail"])
+        raw["hash"] = prev = record_digest(prev, raw["seq"], raw["kind"], raw["actor"], detail_json)
     lines = [json.dumps(raw, separators=(",", ":")) for raw in records]
     trace.write_text("\n".join([header] + lines) + "\n", encoding="utf-8")
     assert main(["verify", "--trace", str(trace), "--property", "accountability"]) == EXIT_INTEGRITY
-    assert f"integrity failure at seq {seq}" in capsys.readouterr().err
+    assert f"integrity failure at seq {seq}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seq", ['"x"', "true", "3.0"])
+def test_verify_reports_a_seq_that_is_not_an_int_at_its_position(tmp_path, capsys, seq):
+    run_happy(tmp_path)
+    capsys.readouterr()
+    trace = tmp_path / "happy_path.0.DataAccessCommunity.audit"
+    text = trace.read_text(encoding="utf-8")
+    assert text.count('"seq":3,') == 1
+    trace.write_text(text.replace('"seq":3,', f'"seq":{seq},'), encoding="utf-8")
+    assert main(["verify", "--trace", str(trace), "--property", "accountability"]) == EXIT_INTEGRITY
+    assert "integrity failure at seq 3:" in capsys.readouterr().err
 
 
 def test_audit_reports_head_digest(tmp_path, capsys):

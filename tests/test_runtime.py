@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from covenant.runtime import (
     AuditRecord,
     Principal,
     SpeechAct,
+    canonical_json,
     import_log,
     instantiate_community,
     parse_export,
@@ -658,8 +660,9 @@ def _rechain(header: str, records) -> str:
     """An export of `records`, renumbered and chained afresh, as a forger would write it."""
     prev, lines = GENESIS_PREV_HASH, [header]
     for seq, r in enumerate(records):
-        digest = record_digest(prev, seq, r.kind, r.actor, r.detail)
-        lines.append(AuditRecord(seq, r.kind, r.actor, r.detail, prev, digest).to_line())
+        detail_json = canonical_json(r.detail)
+        digest = record_digest(prev, seq, r.kind, r.actor, detail_json)
+        lines.append(AuditRecord(seq, r.kind, r.actor, r.detail, prev, digest, detail_json).to_line())
         prev = digest
     return "\n".join(lines) + "\n"
 
@@ -730,6 +733,8 @@ def test_replay_fails_where_import_log_does_on_an_edit_left_unchained():
         ('"evidence":9,"token"', '"evidence":9.0,"token"', 10),  # in an initiating payload
         ('"evidence":9,"from"', '"evidence":9e0,"from"', 11),  # in a derived record
         ('"seq":1,', '"seq":true,', 1),
+        # a seq that is not a number is reported at the record's position
+        ('"seq":2,', '"seq":"x",', 2),
         # a kind no set can hold, on a record no earlier event regenerates
         ('"seq":18,"kind":"binding"', '"seq":18,"kind":["binding"]', 18),
     ):
@@ -737,7 +742,7 @@ def test_replay_fails_where_import_log_does_on_an_edit_left_unchained():
         respelled = text.replace(old, new)
         with pytest.raises(IntegrityError) as info:
             import_log(respelled)
-        assert info.value.bad_seq == seq
+        assert info.value.bad_seq == seq and type(info.value.bad_seq) is int, new
         assert _replay_fails_at(template, respelled) == seq
 
 
@@ -751,6 +756,93 @@ def test_replay_hashes_each_record_once(monkeypatch):
     assert len(records) == 19
     assert calls == list(range(19))  # the regenerated records; the input is not hashed again
     assert list(twin.records()) == records
+
+
+def test_each_record_is_encoded_once(monkeypatch):
+    calls = []
+    encode = runtime.canonical_json
+    monkeypatch.setattr(runtime, "canonical_json", lambda value: calls.append(1) or encode(value))
+    c = drive_sample_history(staffed_ward())
+    assert len(calls) == len(c.records())  # once, as each record is written
+    calls.clear()
+    text = c.export_log()
+    assert calls == []  # the export writes each record's text as it is
+    _, records = parse_export(text)
+    assert len(calls) == len(records)  # once per parsed record
+    calls.clear()
+    verify_chain(records)
+    assert calls == []
+
+
+def test_a_record_carries_its_detail_text():
+    record = staffed_ward().records()[-1]
+    assert record.detail_json == canonical_json(record.detail)
+    assert "detail_json" not in repr(record)
+    # the text is not part of equality: a record read back equals the one written
+    r = record
+    assert AuditRecord(r.seq, r.kind, r.actor, r.detail, r.prev_hash, r.hash, "{}") == record
+    # a replaced detail is encoded afresh
+    edited = dataclasses.replace(record, detail={"event": 7, "b": [1.5, None], "a": True})
+    assert edited.detail_json == '{"a":true,"b":[1.5,null],"event":7}'
+    assert dataclasses.replace(record, kind="other").detail_json == record.detail_json
+
+
+def test_replay_keeps_the_input_records():
+    template = parse_spec(WARD_SOURCE)
+    text = drive_sample_history(staffed_ward()).export_log()
+    _, records = parse_export(text)
+    twin = replay(template, records)
+    assert all(mine is theirs for mine, theirs in zip(twin.records(), records, strict=True))
+    assert twin.export_log() == text
+    # the twin goes on writing after the records it took over
+    twin.submit_action("officer_1", "read_case")
+    assert replay(template, twin.export_log()).export_log() == twin.export_log()
+
+
+def _four_key_digest(prev_hash, seq, kind, actor, detail):
+    """The digest as the canonical encoding of the four hashed fields defines it."""
+    payload = canonical_json({"seq": seq, "kind": kind, "actor": actor, "detail": detail})
+    return hashlib.sha256((prev_hash + payload).encode("utf-8")).hexdigest()
+
+
+def test_record_digest_is_the_canonical_encoding_of_the_hashed_fields():
+    for name, (_, export) in _pinned_runs().items():
+        for r in parse_export(export)[1]:
+            expected = _four_key_digest(r.prev_hash, r.seq, r.kind, r.actor, r.detail)
+            assert record_digest(r.prev_hash, r.seq, r.kind, r.actor, r.detail_json) == expected, (name, r.seq)
+            assert r.hash == expected, (name, r.seq)
+    detail = {"event": 3, "x": [2.5, None, "é"]}
+    forged = (
+        (True, "binding", "bot_1"),
+        (1.0, "binding", None),
+        ("x", "binding", "bot_1"),
+        (4, ["binding"], "bot_1"),
+        (4, "binding", 7),
+        (4, {"b": 1, "a": [True]}, ["bot", None]),
+    )
+    for seq, kind, actor in forged:
+        got = record_digest(GENESIS_PREV_HASH, seq, kind, actor, canonical_json(detail))
+        assert got == _four_key_digest(GENESIS_PREV_HASH, seq, kind, actor, detail), (seq, kind, actor)
+
+
+def test_a_template_is_validated_once(monkeypatch):
+    calls = []
+    validate = runtime.validate_template
+    monkeypatch.setattr(runtime, "validate_template", lambda t: calls.append(t) or validate(t))
+    template = parse_spec(WARD_SOURCE)
+    for mode in (MODE_AUTONOMOUS, MODE_ADVISORY, MODE_AUTONOMOUS):
+        instantiate_community(template, mode)
+    replay(template, instantiate_community(template).export_log())
+    assert calls == [template]
+    # an equal template that is another object is checked on its own
+    instantiate_community(parse_spec(WARD_SOURCE))
+    assert len(calls) == 2
+    # an invalid template is refused every time
+    broken = parse_spec(WARD_SOURCE.replace("Reviewer;", "Nobody;"))
+    for _ in range(2):
+        with pytest.raises(InvalidTemplate):
+            instantiate_community(broken)
+    assert calls[2:] == [broken, broken]
 
 
 _WARD_WITH_HISTORY = WARD_SOURCE.replace(
