@@ -833,7 +833,7 @@ def test_a_template_is_validated_once(monkeypatch):
     for mode in (MODE_AUTONOMOUS, MODE_ADVISORY, MODE_AUTONOMOUS):
         instantiate_community(template, mode)
     replay(template, instantiate_community(template).export_log())
-    assert calls == [template]
+    assert len(calls) == 1 and calls[0] is template
     # an equal template that is another object is checked on its own
     instantiate_community(parse_spec(WARD_SOURCE))
     assert len(calls) == 2
@@ -842,7 +842,7 @@ def test_a_template_is_validated_once(monkeypatch):
     for _ in range(2):
         with pytest.raises(InvalidTemplate):
             instantiate_community(broken)
-    assert calls[2:] == [broken, broken]
+    assert len(calls) == 4 and calls[2] is calls[3] is broken
 
 
 _WARD_WITH_HISTORY = WARD_SOURCE.replace(
