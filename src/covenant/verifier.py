@@ -16,11 +16,20 @@ against the oracle over every enumerated trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .deontic import OUTCOME_ADMISSIBLE, OUTCOME_RECOMMENDED
-from .errors import GovernanceError, IntegrityError, ScopeTooLarge, UnknownIdentifier
+from .deontic import (
+    OUTCOME_ADMISSIBLE,
+    OUTCOME_RECOMMENDED,
+    ChainLink,
+    DelegationChain,
+    HolderKind,
+    HolderRef,
+    TokenState,
+    TokenStore,
+)
+from .errors import GovernanceError, IntegrityError, ScopeTooLarge, UnknownIdentifier, UnknownToken
 from .reference import (
     PROP_ACCOUNTABILITY,
     PROP_AUTHORITY,
@@ -103,34 +112,32 @@ def _sort_key(v: Violation) -> tuple[int, str]:
 # incremental trace state shared by all checkers
 
 
-@dataclass(frozen=True)
-class _TokenView:
-    modality: str
-    action: str
-    holder_kind: str
-    holder_name: str
-    subject: str | None
-    state: str
-    chain_head: str
+# members by spelling: cheaper than Enum.__call__, and an unknown spelling is a KeyError
+_STATES = {s.value: s for s in TokenState}
+_MODALITIES = {m.value: m for m in Modality}
+_HOLDER_KINDS = {k.value: k for k in HolderKind}
 
 
 class _TraceState:
-    """Everything a monitor learns from the records; checkers keep nothing."""
+    """Everything a monitor learns from the records; checkers keep nothing.
+
+    Bindings and tokens live in the runtime's own indexes, written only
+    through their `add`/`remove` and `add`/`update`, so the monitor looks up
+    what it checks the way the runtime does instead of scanning.
+    """
 
     def __init__(self) -> None:
         self.registered: set[str] = set()
         # kinds stay as the record spells them (see Bindings)
         self.bindings = Bindings()
-        self.tokens: dict[int, _TokenView] = {}
-        self.discharges: list[dict] = []  # {seq, event, token, action, subject, by}
+        self.tokens = TokenStore()
         self.gaps: set[_ProhibitionChecker] = set()  # checkers in an embargo gap
 
     def clone(self) -> _TraceState:
-        twin = _TraceState()
+        twin = _TraceState.__new__(_TraceState)
         twin.registered = set(self.registered)
         twin.bindings = self.bindings.clone()
-        twin.tokens = dict(self.tokens)
-        twin.discharges = list(self.discharges)
+        twin.tokens = self.tokens.clone()
         twin.gaps = set(self.gaps)
         return twin
 
@@ -153,41 +160,23 @@ class _TraceState:
                 if self.bindings.count(role):
                     self.bindings.remove(role, detail["agent"])
         elif record.kind == KIND_TOKEN_TRANSITION:
-            token_id = detail["token"]
-            if detail["from"] == "CREATED":
-                self.tokens[token_id] = _TokenView(
-                    modality=detail["modality"],
-                    action=detail["action"],
-                    holder_kind=detail["holder"]["kind"],
-                    holder_name=detail["holder"]["name"],
-                    subject=detail.get("subject"),
-                    state=detail["to"],
-                    chain_head=detail["chain_head"],
-                )
-            else:
-                view = self.tokens.get(token_id)
-                if view is not None:
-                    view = replace(view, state=detail["to"])
-                    self.tokens[token_id] = view
-                    if detail["to"] == "DISCHARGED":
-                        self.discharges.append(
-                            {
-                                "seq": record.seq,
-                                "event": detail["event"],
-                                "token": token_id,
-                                "action": view.action,
-                                "subject": view.subject,
-                                "by": detail.get("by"),
-                            }
-                        )
-
-    def guard_discharged(self, guard_action: str, subject: str | None, before_seq: int) -> bool:
-        for d in self.discharges:
-            if d["seq"] >= before_seq or d["action"] != guard_action:
-                continue
-            if d["subject"] is None or subject is None or d["subject"] == subject:
-                return True
-        return False
+            token_id, to = detail["token"], _STATES[detail["to"]]
+            if detail["from"] != "CREATED":
+                self.tokens.update(self.tokens.get(token_id), state=to)
+                return
+            # the runtime numbers tokens as it creates them, one record each
+            if token_id != len(self.tokens) + 1:
+                raise ValueError(f"token {token_id!r} is not the next token created")
+            head, holder = detail["chain_head"], detail["holder"]
+            self.tokens.add(
+                modality=_MODALITIES[detail["modality"]],
+                action=detail["action"],
+                holder=HolderRef(_HOLDER_KINDS[holder["kind"]], holder["name"]),
+                subject=detail.get("subject"),
+                state=to,
+                chain=DelegationChain((ChainLink(head, holder["name"], record.seq),)),
+                issuer=detail["issuer"],
+            )
 
 
 def _is_admissible_verdict(record: AuditRecord) -> bool:
@@ -209,8 +198,8 @@ class _SafetyChecker:
         detail = record.detail
         if detail.get("action") != self.guarded_action:
             return []
-        subject = detail.get("subject")
-        if state.guard_discharged(self.guard_burden, subject, record.seq):
+        # records come in order, so every discharge seen precedes the verdict
+        if state.tokens.guard_discharged(self.guard_burden, detail.get("subject")):
             return []
         return [Violation(PROP_SAFETY, record.seq, (record.seq,))]
 
@@ -223,22 +212,14 @@ class _AuthorityChecker:
     def feed(self, record: AuditRecord, state: _TraceState) -> list[Violation]:
         detail = record.detail
         if record.kind == KIND_TOKEN_TRANSITION and detail.get("to") == "DISCHARGED":
-            view = state.tokens.get(detail["token"])
-            if view is not None and view.action == self.decision_action:
+            if state.tokens.get(detail["token"]).action == self.decision_action:
                 by = detail.get("by")
                 if by is None or not state.bindings.has_role(by, self.authorized_role):
                     return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
             return []
+        # a decision is made by discharging its burden; admitting it as an
+        # action bypasses the role, and no event both admits and discharges
         if _is_admissible_verdict(record) and detail.get("action") == self.decision_action:
-            event = detail["event"]
-            for d in state.discharges:
-                if (
-                    d["event"] == event
-                    and d["action"] == self.decision_action
-                    and d["by"] is not None
-                    and state.bindings.has_role(d["by"], self.authorized_role)
-                ):
-                    return []
             return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
         return []
 
@@ -250,16 +231,10 @@ class _ProhibitionChecker:
         self.template = template
 
     def _embargo_held(self, state: _TraceState) -> bool:
-        for view in state.tokens.values():
-            if (
-                view.modality == Modality.EMBARGO.value
-                and view.action == self.action
-                and view.state == "HELD"
-                and view.holder_kind == "group"
-                and view.holder_name in (self.group, "ALL")
-            ):
-                return True
-        return False
+        return any(
+            t.holder.kind is HolderKind.GROUP and t.holder.name in (self.group, "ALL")
+            for t in state.tokens.active_tokens(Modality.EMBARGO, self.action)
+        )
 
     def feed(self, record: AuditRecord, state: _TraceState) -> list[Violation]:
         found: list[Violation] = []
@@ -365,15 +340,16 @@ def run_checks(
 ) -> list[Violation]:
     """Check a finished trace offline.
 
-    An imported record can chain correctly and still lack a field its kind
-    needs (or hold one of the wrong type): that raises IntegrityError at its seq,
-    or at its position if its seq is not an int.
+    An imported record can chain correctly and still be malformed: lack a
+    field its kind needs, hold one of the wrong type or an unknown spelling,
+    create a token out of order or move one never created. That raises
+    IntegrityError at its seq, or at its position if its seq is not an int.
     """
     monitor = TraceMonitor(specs, template)
     for index, record in enumerate(trace):
         try:
             monitor.feed(record)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, UnknownToken) as exc:
             seq = record.seq if type(record.seq) is int else index
             raise IntegrityError(
                 f"malformed {record.kind} record at seq {seq}: {exc!r}", seq

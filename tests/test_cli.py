@@ -163,25 +163,13 @@ def _without(key):
     return lambda detail: {k: v for k, v in detail.items() if k != key}
 
 
-@pytest.mark.parametrize(
-    "seq, mutate, respell",
-    [
-        (6, lambda detail: [1, 2], int),
-        (6, _without("role"), int),
-        (1, _without("token"), int),
-        # a seq that chains but is not an int is reported at the record's position
-        (6, _without("role"), float),
-    ],
-    ids=[
-        "binding_detail_not_an_object",
-        "bind_without_role",
-        "transition_without_token",
-        "bind_without_role_at_a_float_seq",
-    ],
-)
-def test_verify_rejects_a_malformed_record_in_a_sound_chain(tmp_path, capsys, seq, mutate, respell):
+def _with(**changes):
+    return lambda detail: {**detail, **changes}
+
+
+def _rechained(tmp_path, seq, mutate, respell=int):
+    """happy_path's first export with record `seq` edited and the chain rebuilt."""
     run_happy(tmp_path)
-    capsys.readouterr()
     trace = tmp_path / "happy_path.0.DataAccessCommunity.audit"
     header, *lines = trace.read_text(encoding="utf-8").splitlines()
     records = [json.loads(line) for line in lines]
@@ -194,8 +182,58 @@ def test_verify_rejects_a_malformed_record_in_a_sound_chain(tmp_path, capsys, se
         raw["hash"] = prev = record_digest(prev, raw["seq"], raw["kind"], raw["actor"], detail_json)
     lines = [json.dumps(raw, separators=(",", ":")) for raw in records]
     trace.write_text("\n".join([header] + lines) + "\n", encoding="utf-8")
+    return trace
+
+
+@pytest.mark.parametrize(
+    "seq, mutate, respell",
+    [
+        (6, lambda detail: [1, 2], int),
+        (6, _without("role"), int),
+        (1, _without("token"), int),
+        # a seq that chains but is not an int is reported at the record's position
+        (6, _without("role"), float),
+        (6, lambda detail: detail, float),
+        (1, lambda detail: detail, bool),
+        # token 2 created where token 3 would be next, or in place of token 1
+        (3, _with(token=2), int),
+        (1, _with(token=2), int),
+        # seq 14 discharges token 4; no token 9 was ever created
+        (14, _with(token=9), int),
+        (1, _with(modality="duty"), int),
+        (1, _with(to="PENDING"), int),
+        (14, _with(to="DONE"), int),
+    ],
+    ids=[
+        "binding_detail_not_an_object",
+        "bind_without_role",
+        "transition_without_token",
+        "bind_without_role_at_a_float_seq",
+        "well_formed_record_at_a_float_seq",
+        "well_formed_record_at_a_bool_seq",
+        "token_created_out_of_order",
+        "first_token_created_with_the_second_id",
+        "transition_of_a_token_never_created",
+        "unknown_modality",
+        "unknown_created_state",
+        "unknown_transition_state",
+    ],
+)
+def test_verify_rejects_a_malformed_record_in_a_sound_chain(tmp_path, capsys, seq, mutate, respell):
+    trace = _rechained(tmp_path, seq, mutate, respell)
+    capsys.readouterr()
     assert main(["verify", "--trace", str(trace), "--property", "accountability"]) == EXIT_INTEGRITY
     assert f"integrity failure at seq {seq}:" in capsys.readouterr().err
+
+
+def test_verify_reports_an_unknown_agent_kind_as_an_integrity_failure(tmp_path, capsys):
+    # seq 7 binds extract_bot; a kind no role declares fails the group's AI test
+    trace = _rechained(tmp_path, 7, _with(agent_kind="robot"))
+    capsys.readouterr()
+    args = ["verify", "--trace", str(trace), "--property", "prohibition",
+            "--action", "access_without_consent", "--group", "ALL_AI_AGENTS"]
+    assert main(args) == EXIT_INTEGRITY
+    assert "integrity failure at seq 7:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seq", ['"x"', "true", "3.0"])

@@ -217,6 +217,17 @@ def test_discharge_sets_terminal_state_and_evidence(ward):
         delegate_burden(store, resolver, t.id, "doc_a", "doc_b", 7)
 
 
+def test_update_swaps_in_a_successor_and_keeps_the_token(ward):
+    store, resolver = ward
+    t = create_token(store, resolver, Modality.BURDEN, "x", agent_ref("doc_a"), "p1", "Hospital", 1)
+    successor = store.update(t, state=TokenState.DISCHARGED, evidence=3)
+    assert successor == dataclasses.replace(t, state=TokenState.DISCHARGED, evidence=3)
+    assert hash(successor) == hash(dataclasses.replace(successor))
+    assert t.state is TokenState.HELD and t.evidence is None
+    assert store.get(t.id) is successor
+    assert store.guard_discharged("x", "p1") and not store.guard_discharged("x", "p2")
+
+
 def test_discharge_requires_holder(ward):
     store, resolver = ward
     t = create_token(store, resolver, Modality.BURDEN, "x", role_ref("Physician"), None, "Hospital", 1)
@@ -377,9 +388,18 @@ def test_embargo_exception_via_agent_held_permit(ward):
         unless_action="open_export",
         unless_target="Physician",
     )
+    # permits held by agents who do not fill the named role open nothing
+    for bot in ("bot_1", "bot_2"):
+        create_token(store, resolver, Modality.PERMIT, "open_export", agent_ref(bot), None, "Hospital", 3)
+    assert not check_action_admissible(store, resolver, "bot_1", "export").admissible
     # permit held by a concrete agent who fills the named role
     create_token(store, resolver, Modality.PERMIT, "open_export", agent_ref("doc_a"), None, "Hospital", 3)
+    asked = []
+    is_role = resolver.is_role
+    resolver.is_role = lambda name: asked.append(name) or is_role(name)
     assert check_action_admissible(store, resolver, "bot_1", "export").admissible
+    # the exception's target is resolved once for the embargo, not per permit
+    assert asked == ["Physician"]
 
 
 def test_scoped_exception_does_not_open_other_subjects(ward):

@@ -626,6 +626,19 @@ def test_replay_reproduces_states_and_bytes():
     }
 
 
+def test_a_monitor_rebuilds_the_runtimes_token_states():
+    c = staffed_ward()
+    monitor = TraceMonitor([PropertySpec.accountability()], c.template)
+    monitor.attach(c)
+    drive_sample_history(c)
+    assert monitor._state.tokens.states() == c.tokens.states()
+    for template, export in _pinned_runs().values():
+        twin = replay(template, export)
+        monitor = TraceMonitor([PropertySpec.accountability()], template)
+        monitor.attach(twin)
+        assert monitor._state.tokens.states() == twin.tokens.states()
+
+
 def test_single_byte_tamper_is_localized():
     c = drive_sample_history(staffed_ward())
     text = c.export_log()

@@ -267,6 +267,7 @@ def test_attached_monitor_matches_offline_checks():
     drive_clinic(c)
     assert monitor.violations == run_checks(c.records(), ALL_SPECS, c.template)
     assert len(monitor.violations) == 3
+    assert monitor._state.tokens.states() == c.tokens.states()
     # a log annotated by an older release, with the embargo gap still open,
     # checks the same: the annotation changes no state
     last = monitor.violations[-1]
