@@ -92,12 +92,27 @@ _CREATED_MODALITY = {
 }
 
 
-# one encoder per form: json.dumps with options builds a new one on every call
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-# the same for what a caller hands in, which must be JSON proper: NaN, unequal to
-# itself, would make a replay's regenerated record differ from the logged one
-_caller_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 _str_json = json.encoder.encode_basestring_ascii  # a str as JSONEncoder writes it
+# The canonical encoder, built once: JSONEncoder.encode builds a C encoder and a
+# dict of circular markers on every call. The arguments are those encode passes
+# for sort_keys=True, separators=(",", ":"), except that markers is None: every
+# value it sees was built by the runtime from a copy checked by _caller_json, or
+# parsed from JSON, so it holds no cycle.
+_canonical_chunks = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, _str_json, None, ":", ",", True, False, True
+)
+
+
+def canonical_json(value: object) -> str:
+    """Key-sorted, compact JSON, as `JSONEncoder(sort_keys=True, separators=(",", ":"))` writes it."""
+    return "".join(_canonical_chunks(value, 0))
+
+
+# What a caller hands in must be JSON proper, checked for cycles: NaN, unequal to
+# itself, would make a replay's regenerated record differ from the logged one.
+_caller_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+# json.loads on a str, without its per-call type and keyword checks
+_decode_json = json.JSONDecoder().decode
 
 
 def _check_strings(
@@ -491,11 +506,15 @@ class CommunityInstance:
     # ------------------------------------------------------------------
     # audit plumbing
 
-    def _append(self, kind: str, actor: str | None, detail: dict) -> AuditRecord:
-        detail["event"] = self._event_counter - 1  # the event last begun
+    def _append(
+        self, kind: str, actor: str | None, detail: dict, text: str | None = None
+    ) -> AuditRecord:
+        """Log `detail`; `text`, if given, is its canonical JSON, event number included."""
+        if text is None:
+            detail["event"] = self._event_counter - 1  # the event last begun
+            text = canonical_json(detail)
         prev = self._records[-1].hash if self._records else GENESIS_PREV_HASH
         seq = self._next_seq
-        text = canonical_json(detail)
         digest = record_digest(prev, seq, kind, actor, text)
         record = AuditRecord(seq, kind, actor, detail, prev, digest, text)
         self._records.append(record)
@@ -728,18 +747,26 @@ class CommunityInstance:
                 request_detail["subject"] = subject
             if writes:
                 request_detail["effects"] = [w.to_detail() for w in writes]
+            request_detail["event"] = self._event_counter  # the event this request opens
             _check_strings(request_detail, ("action",), ("subject",))
             encoded = _caller_json(request_detail)  # fail before the event if unloggable
             if writes:
-                # log and journal a copy: the caller may change its effect values later
-                request_detail = json.loads(encoded)
+                # log and journal a copy: the caller may change its effect values later.
+                # The copy is encoded afresh: JSON makes integer keys strings, which
+                # sort otherwise ({2: …, 10: …} is checked as {"2":…,"10":…}, and the
+                # copy's canonical text is {"10":…,"2":…})
+                request_detail = _decode_json(encoded)
                 writes = tuple(self._coerce_write(e) for e in request_detail["effects"])
+                encoded = None
 
             self._begin_event()
-            request = self._append(KIND_ACTION_REQUEST, actor, request_detail)
+            request = self._append(KIND_ACTION_REQUEST, actor, request_detail, encoded)
 
             verdict = deontic.check_action_admissible(self.tokens, self, actor, action, subject)
-            actor_is_ai = self._bindings.in_group(actor, "ALL_AI_AGENTS", self.template)
+            # only the advisory and supervised modes treat an AI actor apart
+            actor_is_ai = self.mode != MODE_AUTONOMOUS and self._bindings.in_group(
+                actor, "ALL_AI_AGENTS", self.template
+            )
 
             if verdict.admissible and self.mode == MODE_ADVISORY and actor_is_ai:
                 verdict = Verdict(
@@ -788,7 +815,7 @@ class CommunityInstance:
             kind = SpeechActKind(act.kind)
             # fails before the event if the payload cannot be logged; the copy it
             # returns is what replay reads back and shares nothing with the caller
-            payload = json.loads(_caller_json(dict(act.payload)))
+            payload = _decode_json(_caller_json(dict(act.payload)))
 
             self._begin_event()
             reason = self._authorize(act.sender, kind)
@@ -1041,7 +1068,7 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
     if not lines:
         raise IntegrityError("empty export", 0)
     try:
-        header = json.loads(lines[0])
+        header = _decode_json(lines[0])
     except json.JSONDecodeError as exc:
         raise IntegrityError(f"unreadable header: {exc}", 0) from exc
     if header.get("format") != EXPORT_FORMAT:
@@ -1053,7 +1080,7 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
     prev = None
     for index, line in enumerate(lines[1:]):
         try:
-            raw = json.loads(line)
+            raw = _decode_json(line)
             detail = raw["detail"]
             if not isinstance(detail, dict):
                 raise TypeError(f"detail {detail!r} is not an object")

@@ -162,7 +162,13 @@ class _TraceState:
         elif record.kind == KIND_TOKEN_TRANSITION:
             token_id, to = detail["token"], _STATES[detail["to"]]
             if detail["from"] != "CREATED":
-                self.tokens.update(self.tokens.get(token_id), state=to)
+                token = self.tokens.get(token_id)
+                holder = detail.get("holder")
+                if holder is None:
+                    self.tokens.update(token, state=to)
+                else:  # a delegation ends with the burden filed under its delegate
+                    delegate = HolderRef(_HOLDER_KINDS[holder["kind"]], holder["name"])
+                    self.tokens.update(token, state=to, holder=delegate)
                 return
             # the runtime numbers tokens as it creates them, one record each
             if token_id != len(self.tokens) + 1:
@@ -184,10 +190,13 @@ def _is_admissible_verdict(record: AuditRecord) -> bool:
 
 
 # ----------------------------------------------------------------------
-# per-template checkers
+# per-template checkers; each names in `kinds` the record kinds it reads, and
+# the monitor sends it no other record
 
 
 class _SafetyChecker:
+    kinds = (KIND_VERDICT,)
+
     def __init__(self, spec: PropertySpec):
         self.guarded_action = spec.param("guarded_action")
         self.guard_burden = spec.param("guard_burden")
@@ -205,6 +214,8 @@ class _SafetyChecker:
 
 
 class _AuthorityChecker:
+    kinds = (KIND_VERDICT, KIND_TOKEN_TRANSITION)
+
     def __init__(self, spec: PropertySpec):
         self.decision_action = spec.param("decision_action")
         self.authorized_role = spec.param("authorized_role")
@@ -225,6 +236,8 @@ class _AuthorityChecker:
 
 
 class _ProhibitionChecker:
+    kinds = (KIND_VERDICT, KIND_BINDING, KIND_TOKEN_TRANSITION)
+
     def __init__(self, spec: PropertySpec, template: CommunityTemplate | None):
         self.action = spec.param("action")
         self.group = spec.param("group")
@@ -257,6 +270,8 @@ class _ProhibitionChecker:
 
 
 class _AccountabilityChecker:
+    kinds = (KIND_BINDING, KIND_TOKEN_TRANSITION)
+
     def feed(self, record: AuditRecord, state: _TraceState) -> list[Violation]:
         detail = record.detail
         if record.kind == KIND_BINDING and detail.get("event_type") == "bind":
@@ -299,15 +314,24 @@ class TraceMonitor:
         self, specs: Iterable[PropertySpec], template: CommunityTemplate | None = None
     ):
         self._state = _TraceState()
-        self._checkers = [_build_checker(spec, template) for spec in specs]
+        # record kind -> the checkers that read it, in spec order
+        self._routes: dict[str, tuple] = {}
+        for spec in specs:
+            checker = _build_checker(spec, template)
+            for kind in checker.kinds:
+                self._routes[kind] = self._routes.get(kind, ()) + (checker,)
         self.violations: list[Violation] = []
 
     def feed(self, record: AuditRecord) -> list[Violation]:
         self._state.update(record)
+        kind = record.kind
+        # no checker reads a kind that is not a string (a list cannot be a key)
+        checkers = self._routes.get(kind, ()) if isinstance(kind, str) else ()
         found: list[Violation] = []
-        for checker in self._checkers:
+        for checker in checkers:
             found.extend(checker.feed(record, self._state))
-        found.sort(key=_sort_key)
+        if len(found) > 1:
+            found.sort(key=_sort_key)
         self.violations.extend(found)
         return found
 
@@ -315,13 +339,13 @@ class TraceMonitor:
         """Start monitoring a live instance, catching up on its history."""
         for record in instance.records():
             self.feed(record)
-        instance.add_listener(lambda record: self.feed(record))
+        instance.add_listener(self.feed)
 
     def clone(self) -> TraceMonitor:
-        """Independent copy that shares the template and the checkers."""
+        """Independent copy that shares the template, the checkers and their routes."""
         twin = TraceMonitor.__new__(TraceMonitor)
         twin._state = self._state.clone()
-        twin._checkers = self._checkers
+        twin._routes = self._routes
         twin.violations = list(self.violations)
         return twin
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
@@ -626,17 +627,29 @@ def test_replay_reproduces_states_and_bytes():
     }
 
 
+def _states_and_holders(store):
+    return {t.id: (t.state, t.holder) for t in store}
+
+
 def test_a_monitor_rebuilds_the_runtimes_token_states():
+    # state and holder of every token: a transfer files a burden under its delegate
     c = staffed_ward()
     monitor = TraceMonitor([PropertySpec.accountability()], c.template)
     monitor.attach(c)
     drive_sample_history(c)
-    assert monitor._state.tokens.states() == c.tokens.states()
-    for template, export in _pinned_runs().values():
+    assert _states_and_holders(monitor._state.tokens) == _states_and_holders(c.tokens)
+    for name, (template, export) in _pinned_runs().items():
         twin = replay(template, export)
         monitor = TraceMonitor([PropertySpec.accountability()], template)
         monitor.attach(twin)
-        assert monitor._state.tokens.states() == twin.tokens.states()
+        assert _states_and_holders(monitor._state.tokens) == _states_and_holders(twin.tokens), name
+    for mode in (MODE_SUPERVISED, MODE_ADVISORY, MODE_AUTONOMOUS):
+        c = _desk(mode)
+        monitor = TraceMonitor([PropertySpec.accountability()], c.template)
+        monitor.attach(c)
+        assert _states_and_holders(monitor._state.tokens) == _states_and_holders(c.tokens), mode
+        delegated = [t for t in c.tokens if len(t.chain.links) > 1]
+        assert [(t.id, t.holder.name) for t in delegated] == [(7, "officer_2")], mode
 
 
 def test_single_byte_tamper_is_localized():
@@ -771,12 +784,34 @@ def test_replay_hashes_each_record_once(monkeypatch):
     assert list(twin.records()) == records
 
 
-def test_each_record_is_encoded_once(monkeypatch):
+def _count_encodings(monkeypatch) -> list[str]:
+    """Record the name of each encoder the runtime calls, canonical or boundary."""
     calls = []
-    encode = runtime.canonical_json
-    monkeypatch.setattr(runtime, "canonical_json", lambda value: calls.append(1) or encode(value))
+    for name in ("canonical_json", "_caller_json"):
+        encode = getattr(runtime, name)
+        monkeypatch.setattr(
+            runtime, name, lambda value, name=name, encode=encode: calls.append(name) or encode(value)
+        )
+    return calls
+
+
+def test_each_record_is_encoded_once(monkeypatch):
+    calls = _count_encodings(monkeypatch)
     c = drive_sample_history(staffed_ward())
-    assert len(calls) == len(c.records())  # once, as each record is written
+    requests = sum(r.kind == KIND_ACTION_REQUEST for r in c.records())
+    speech_acts = sum(r.kind == KIND_SPEECH_ACT for r in c.records())
+    assert (requests, speech_acts) == (2, 3)
+    # once, as each record is written; a request without effects is written with
+    # the text its boundary check made, and each payload is checked at the boundary
+    assert calls.count("canonical_json") == len(c.records()) - requests
+    assert calls.count("_caller_json") == requests + speech_acts
+    calls.clear()
+    c.submit_action("officer_1", "read_case", "case2")  # the request, then its verdict
+    assert calls == ["_caller_json", "canonical_json"]
+    calls.clear()
+    # a request with effects logs a copy, encoded afresh
+    c.submit_action("officer_1", "read_case", effects=[{"object": "Ledger", "key": "k", "value": 1}])
+    assert calls == ["_caller_json", "canonical_json", "canonical_json"]
     calls.clear()
     text = c.export_log()
     assert calls == []  # the export writes each record's text as it is
@@ -785,6 +820,67 @@ def test_each_record_is_encoded_once(monkeypatch):
     calls.clear()
     verify_chain(records)
     assert calls == []
+
+
+def test_canonical_json_writes_what_the_standard_encoder_writes():
+    standard = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+    class Name(str):
+        pass
+
+    values = [
+        -0.0,
+        1e16,
+        1.5,
+        float("nan"),
+        float("inf"),
+        "é ☃ 𝄞 \u2028",
+        "\x00\x1f\n\t\"\\/",
+        [True, 1, False, 0, None],
+        {"b": [{"z": 1, "a": [[], {}]}], "a": {"y": {"x": [1.0, -1]}}},
+        {2: "two", 10: "ten", -1: None},
+        Name("bot_1"),
+        {Name("k"): Name("v"), "j": [Name("w")]},
+    ]
+    for value in values:
+        assert canonical_json(value) == standard(value), value
+    for name, (_, export) in _pinned_runs().items():
+        for r in parse_export(export)[1]:
+            fields = {"seq": r.seq, "kind": r.kind, "actor": r.actor, "detail": r.detail}
+            assert canonical_json(r.detail) == standard(r.detail) == r.detail_json, (name, r.seq)
+            assert canonical_json(fields) == standard(fields), (name, r.seq)
+    # what the standard encoder refuses, the prebuilt one refuses too
+    for bad in ({1, 2}, {"a": object()}, {"a": 1, 2: "b"}):
+        with pytest.raises(TypeError):
+            standard(bad)
+        with pytest.raises(TypeError):
+            canonical_json(bad)
+    # only the boundary looks for cycles; the canonical encoder never meets one
+    loop: list = []
+    loop.append(loop)
+    with pytest.raises(ValueError):
+        runtime._caller_json(loop)
+    with pytest.raises(RecursionError):
+        canonical_json(loop)
+
+
+def test_integer_keys_in_caller_values_replay_byte_for_byte():
+    # JSON makes an integer key a string, and strings sort otherwise than
+    # integers: the text of a copy is not the text its boundary check wrote
+    c = staffed_ward(source=_WARD_WITH_HISTORY)
+    value = {2: "two", 10: {3: "three", 20: ["twenty"]}}
+    effect = {"object": "Ledger", "op": "append", "key": "n1", "value": value}
+    c.submit_action("officer_1", "read_case", "case1", effects=[effect])
+    body = {"terms": {1: "a", 10: {5: "b", 40: "c"}}}
+    assert c.apply_speech_act(SpeechAct(SpeechActKind.PROPOSE, "bot_1", {"body": body})).accepted
+    rejected = {"action": "screen_case", "holder": "Officer", "extra": {9: 1, 11: 2}}
+    assert not c.apply_speech_act(SpeechAct(SpeechActKind.DECLARE_BURDEN, "bot_1", rejected)).accepted
+    request = next(r for r in c.records() if r.kind == KIND_ACTION_REQUEST)
+    assert '"value":{"10":{"20":["twenty"],"3":"three"},"2":"two"}' in request.detail_json
+    for r in c.records():
+        assert r.detail_json == canonical_json(r.detail), r.seq
+    text = c.export_log()
+    assert replay(parse_spec(_WARD_WITH_HISTORY), text).export_log() == text
 
 
 def test_a_record_carries_its_detail_text():

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+from covenant import verifier
 from covenant.errors import ScopeTooLarge, UnknownIdentifier
 from covenant.reference import (
     PROP_ACCOUNTABILITY,
@@ -12,7 +17,11 @@ from covenant.reference import (
     PROP_SAFETY,
 )
 from covenant.runtime import (
+    KIND_ACTION_REQUEST,
     KIND_BINDING,
+    KIND_SPEECH_ACT,
+    KIND_TOKEN_TRANSITION,
+    KIND_VERDICT,
     MODE_AUTONOMOUS,
     AuditRecord,
     Principal,
@@ -341,6 +350,90 @@ def test_monitor_keeps_duplicate_binds_of_an_edited_log():
     assert seen() == ("human", "Q", 1)
     # only the bind of the AI kind exposed the group
     assert [v.at_seq for v in monitor.violations] == [0]
+
+
+# the record kinds each checker reads; the monitor sends it no other
+READS = {
+    "_SafetyChecker": {KIND_VERDICT},
+    "_AuthorityChecker": {KIND_VERDICT, KIND_TOKEN_TRANSITION},
+    "_ProhibitionChecker": {KIND_VERDICT, KIND_BINDING, KIND_TOKEN_TRANSITION},
+    "_AccountabilityChecker": {KIND_BINDING, KIND_TOKEN_TRANSITION},
+}
+
+
+def test_the_monitor_sends_a_record_only_to_the_checkers_that_read_its_kind(monkeypatch):
+    calls = []
+    for name in READS:
+        checker = getattr(verifier, name)
+        feed = checker.feed
+        monkeypatch.setattr(
+            checker,
+            "feed",
+            lambda self, record, state, feed=feed, name=name: calls.append((record.seq, name))
+            or feed(self, record, state),
+        )
+    c = clinic()
+    monitor = TraceMonitor(ALL_SPECS, c.template)
+    monitor.attach(c)
+    drive_clinic(c)
+    records = c.records()
+    # READS names the checkers in the order of ALL_SPECS
+    assert calls == [(r.seq, name) for r in records for name in READS if r.kind in READS[name]]
+    assert len(monitor.violations) == 3
+    # no checker reads a speech act or an action request
+    ignored = [r for r in records if r.kind in (KIND_SPEECH_ACT, KIND_ACTION_REQUEST)]
+    assert len(ignored) == 5
+    calls.clear()
+    for record in ignored:
+        assert monitor.feed(record) == []
+    assert calls == []
+
+
+def test_a_record_whose_kind_is_not_a_string_is_ignored():
+    c = drive_clinic(clinic())
+    records = list(c.records())
+    expected = run_checks(records, ALL_SPECS, c.template)
+    # the admitted close_file verdict: as a verdict it is a prohibition violation
+    admitted = records[-1]
+    assert admitted.kind == KIND_VERDICT and expected[-1].at_seq == admitted.seq
+    for kind in (["verdict"], None, {"verdict": 1}, 7):
+        forged = dataclasses.replace(admitted, seq=admitted.seq + 1, kind=kind)
+        monitor = TraceMonitor(ALL_SPECS, c.template)
+        for record in records:
+            monitor.feed(record)
+        assert monitor.feed(forged) == []
+        assert run_checks(records + [forged], ALL_SPECS, c.template) == expected
+
+
+def _ward_module():
+    """bench/ward.py: the Ward community and its seeded caller."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "ward.py"
+    spec = importlib.util.spec_from_file_location("ward", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_online_violations_equal_offline_ones_on_ward_runs():
+    ward = _ward_module()
+    seen = set()
+    for seed in (1, 2, 3):
+        tpl, instance, caller = ward.populate(seed, 40, 40, 20, action_share=0.75)
+        monitor = TraceMonitor(ward.PROPERTIES, tpl)
+        monitor.attach(instance)
+        for _ in range(600):
+            _category, call, args, observe = caller.plan()
+            observe(call(*args))
+        records = instance.records()
+        online = sorted(monitor.violations, key=lambda v: (v.at_seq, v.property))
+        assert online == run_checks(records, ward.PROPERTIES, tpl), seed
+        assert {t.id: (t.state, t.holder) for t in monitor._state.tokens} == {
+            t.id: (t.state, t.holder) for t in instance.tokens
+        }, seed
+        seen |= {v.property for v in online}
+        seen |= {r.detail["to"] for r in records if r.kind == KIND_TOKEN_TRANSITION}
+    # the runs are not vacuous: they break two properties and transfer burdens
+    assert {PROP_SAFETY, PROP_AUTHORITY, "DELEGATED"} <= seen, seen
 
 
 def test_unknown_identifiers_are_rejected():
