@@ -137,14 +137,10 @@ def record_digest(
     """SHA-256 of `prev_hash` followed by the canonical JSON of seq, kind, actor and detail.
 
     `detail_json` is the detail's canonical JSON, placed in the payload as it is.
+    The other fields have the types an `AuditRecord` admits.
     """
-    if type(seq) is int and type(kind) is str and (actor is None or type(actor) is str):
-        actor_json = "null" if actor is None else _str_json(actor)
-        kind_json, seq_json = _str_json(kind), seq
-    else:
-        # a forged record: each field as the canonical encoding of the four-key dict writes it
-        actor_json, kind_json, seq_json = canonical_json(actor), canonical_json(kind), canonical_json(seq)
-    payload = f'{prev_hash}{{"actor":{actor_json},"detail":{detail_json},"kind":{kind_json},"seq":{seq_json}}}'
+    actor_json = "null" if actor is None else _str_json(actor)
+    payload = f'{prev_hash}{{"actor":{actor_json},"detail":{detail_json},"kind":{_str_json(kind)},"seq":{seq}}}'
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -157,6 +153,8 @@ class AuditRecord:
     record's detail must never be changed after it is written; to change one,
     make a new record (`dataclasses.replace(record, detail=...)` encodes the
     new detail). `encoded_detail` passes in a text the caller already holds.
+    A field of another type than declared (a bool seq too) raises TypeError:
+    this is the one check of a record's types.
     """
 
     seq: int
@@ -169,6 +167,14 @@ class AuditRecord:
     detail_json: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, encoded_detail: str | None) -> None:
+        if type(self.seq) is not int:
+            raise TypeError(f"seq {self.seq!r} is not an int")
+        if not (isinstance(self.kind, str) and isinstance(self.prev_hash, str) and isinstance(self.hash, str)):
+            raise TypeError(f"kind {self.kind!r} or a hash is not a string")
+        if self.actor is not None and not isinstance(self.actor, str):
+            raise TypeError(f"actor {self.actor!r} is neither null nor a string")
+        if not isinstance(self.detail, dict):
+            raise TypeError(f"detail {self.detail!r} is not an object")
         if encoded_detail is None:
             encoded_detail = canonical_json(self.detail)
         object.__setattr__(self, "detail_json", encoded_detail)
@@ -205,8 +211,7 @@ class Bindings:
 
     The one place (besides the reference engine) that decides which agents
     fill a role, a declared group, ALL or ALL_AI_AGENTS. An agent's kind and
-    principal are those of its first binding. A kind is parsed only where AI
-    membership is asked, so a monitor may keep an imported record's spelling.
+    principal are those of its first binding.
     """
 
     def __init__(self) -> None:
@@ -264,8 +269,7 @@ class Bindings:
         if group == "ALL":
             return self.is_agent(agent)
         if group == "ALL_AI_AGENTS":
-            kind = self.agent_kind(agent)
-            return kind is not None and RoleKind(kind) in AI_ROLE_KINDS
+            return self.agent_kind(agent) in AI_ROLE_KINDS
         decl = template.group(group) if template is not None else None
         if decl is None:
             return False
@@ -275,7 +279,7 @@ class Bindings:
         if group == "ALL":
             return bool(self)
         if group == "ALL_AI_AGENTS":
-            return any(RoleKind(b.agent_kind) in AI_ROLE_KINDS for b in self)
+            return any(b.agent_kind in AI_ROLE_KINDS for b in self)
         decl = template.group(group) if template is not None else None
         if decl is None:
             return False
@@ -375,6 +379,40 @@ class _Pending:
     effects: tuple[ObjectWrite, ...]
 
 
+class _Mutation:
+    """Hold an instance's lock for one public mutator, then show the listeners what it logged.
+
+    A listener sees an event only once it is logged whole, and every listener
+    sees every record; the first error one raises then reaches the caller and
+    undoes nothing. Each instance keeps one, built around its own lock, record
+    list and listener list (so those lists are never rebound), and a mutator
+    allocates nothing to use it.
+    """
+
+    __slots__ = ("lock", "records", "listeners", "start")
+
+    def __init__(self, lock: threading.Lock, records: list, listeners: list) -> None:
+        self.lock, self.records, self.listeners = lock, records, listeners
+
+    def __enter__(self) -> None:
+        self.lock.acquire()
+        self.start = len(self.records)
+
+    def __exit__(self, *exc_info) -> None:
+        error = None
+        try:
+            for record in self.records[self.start :]:
+                for listener in self.listeners:
+                    try:
+                        listener(record)
+                    except Exception as exc:
+                        error = error or exc
+        finally:
+            self.lock.release()
+        if error is not None:
+            raise error
+
+
 # templates that passed validation, by identity: a template is immutable, so a
 # check of the same object would find what it found the first time
 _VALID_TEMPLATES: weakref.WeakValueDictionary[int, CommunityTemplate] = (
@@ -415,6 +453,7 @@ class CommunityInstance:
         self._negotiation_state = "idle"
         self._negotiation_proposer: str | None = None
         self._lock = threading.Lock()
+        self._mutation = _Mutation(self._lock, self._records, self._listeners)
 
         disciplines = dict(object_disciplines or {})
         self.objects: dict[str, EnterpriseObject] = {}
@@ -519,8 +558,6 @@ class CommunityInstance:
         record = AuditRecord(seq, kind, actor, detail, prev, digest, text)
         self._records.append(record)
         self._next_seq += 1
-        for listener in self._listeners:
-            listener(record)
         return record
 
     def _begin_event(self) -> None:
@@ -622,7 +659,7 @@ class CommunityInstance:
     def register_principal(
         self, principal_id: str, name: str | None = None, kind: str = "organization"
     ) -> Principal:
-        with self._lock:
+        with self._mutation:
             if principal_id in self._principals:
                 return self._principals[principal_id]
             principal = Principal(principal_id, name or principal_id, kind)
@@ -643,7 +680,7 @@ class CommunityInstance:
     def bind_agent(
         self, role: str, agent: str, kind: RoleKind | str, principal: str
     ) -> RoleBinding:
-        with self._lock:
+        with self._mutation:
             if principal not in self._principals:
                 raise UnknownPrincipal(f"principal {principal!r} is not registered")
             return self._bind(role, agent, kind, principal)
@@ -656,7 +693,7 @@ class CommunityInstance:
         Exists for fault injection: the accountability checker must be able
         to see a binding whose principal was never registered.
         """
-        with self._lock:
+        with self._mutation:
             return self._bind(role, agent, kind, principal)
 
     def _bind(self, role: str, agent: str, kind: RoleKind | str, principal: str) -> RoleBinding:
@@ -701,7 +738,7 @@ class CommunityInstance:
         return binding
 
     def unbind_agent(self, role: str, agent: str) -> None:
-        with self._lock:
+        with self._mutation:
             if self.template.role(role) is None:
                 raise UnknownRole(f"role {role!r} is not declared")
             if not self._bindings.has_role(agent, role):
@@ -717,7 +754,7 @@ class CommunityInstance:
     def set_mode(self, mode: str, by: str | None = None) -> None:
         if mode not in MODES:
             raise InvalidTemplate(f"unknown deployment mode {mode!r}")
-        with self._lock:
+        with self._mutation:
             self._begin_event()
             previous = self.mode
             self.mode = mode
@@ -733,7 +770,7 @@ class CommunityInstance:
         subject: str | None = None,
         effects: Iterable[ObjectWrite | dict] = (),
     ) -> ActionResult:
-        with self._lock:
+        with self._mutation:
             if not self.is_agent(actor):
                 raise UnknownAgent(f"{actor!r} is not bound to any role")
             writes = tuple(self._coerce_write(e) for e in effects)
@@ -811,7 +848,7 @@ class CommunityInstance:
     # speech acts
 
     def apply_speech_act(self, act: SpeechAct) -> ApplyResult:
-        with self._lock:
+        with self._mutation:
             kind = SpeechActKind(act.kind)
             # fails before the event if the payload cannot be logged; the copy it
             # returns is what replay reads back and shares nothing with the caller
@@ -1034,6 +1071,7 @@ class CommunityInstance:
             twin._negotiation_state = self._negotiation_state
             twin._negotiation_proposer = self._negotiation_proposer
             twin._lock = threading.Lock()
+            twin._mutation = _Mutation(twin._lock, twin._records, twin._listeners)
             twin.objects = {name: obj.clone() for name, obj in self.objects.items()}
             return twin
 
@@ -1062,7 +1100,7 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
 
     Each record's detail is encoded once, here. A `prev_hash` equal to the
     previous record's hash shares that string, and each distinct kind and
-    actor is kept once.
+    actor is kept once. A line AuditRecord refuses is an IntegrityError at its position.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -1081,19 +1119,14 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
     for index, line in enumerate(lines[1:]):
         try:
             raw = _decode_json(line)
-            detail = raw["detail"]
-            if not isinstance(detail, dict):
-                raise TypeError(f"detail {detail!r} is not an object")
-            seq, kind, actor, prev_hash = raw["seq"], raw["kind"], raw["actor"], raw["prev_hash"]
-            if type(kind) is str:
-                kind = names.setdefault(kind, kind)
-            if type(actor) is str:
-                actor = names.setdefault(actor, actor)
+            detail, prev_hash = raw["detail"], raw["prev_hash"]
+            kind = names.setdefault(raw["kind"], raw["kind"])
+            actor = names.setdefault(raw["actor"], raw["actor"])
             if prev_hash == prev:
                 prev_hash = prev
             prev = raw["hash"]
             records.append(
-                AuditRecord(seq, kind, actor, detail, prev_hash, prev, canonical_json(detail))
+                AuditRecord(raw["seq"], kind, actor, detail, prev_hash, prev, canonical_json(detail))
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise IntegrityError(f"unreadable record on line {index + 2}: {exc}", index) from exc
@@ -1103,17 +1136,14 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
 def verify_chain(records: list[AuditRecord] | tuple[AuditRecord, ...]) -> None:
     """Recompute the hash chain; raise IntegrityError at the first bad seq.
 
-    A seq that is not an int is refused at the record's position, even when it
-    equals the position (6.0, or true at 1). A gap is reported at the seq the
-    record claims, so a dropped record shows at the seq after it.
+    A record whose seq is not its position is reported at the larger of the
+    two, as replay reports it: a dropped record shows at the seq after it.
     """
     prev = GENESIS_PREV_HASH
     for index, record in enumerate(records):
         seq = record.seq
-        if type(seq) is not int:
-            raise IntegrityError(f"seq {seq!r} at position {index} is not an int", index)
         if seq != index:
-            raise IntegrityError(f"sequence gap: expected {index}, found {seq}", seq)
+            raise IntegrityError(f"sequence gap: expected {index}, found {seq}", max(seq, index))
         if record.prev_hash != prev:
             raise IntegrityError(f"broken chain link at seq {index}", index)
         expected = record_digest(prev, seq, record.kind, record.actor, record.detail_json)
@@ -1152,7 +1182,8 @@ def replay(
     else:
         records = list(text_or_records)
     if not records or records[0].kind != KIND_GENESIS:
-        raise IntegrityError("export does not start with a genesis record", 0)
+        bad_seq = max(records[0].seq, 0) if records else 0  # as verify_chain reports it
+        raise IntegrityError("export does not start with a genesis record", bad_seq)
     genesis = records[0].detail
     if genesis.get("community") != template.name:
         verify_chain(records[:1])  # an edited genesis is not a log of another community
@@ -1170,7 +1201,7 @@ def replay(
     regenerated = instance._records
     checked = _check_regenerated(records, regenerated, 0)
     for seq, record in enumerate(records):
-        if not isinstance(record.kind, str) or record.kind not in INITIATING_KINDS:
+        if record.kind not in INITIATING_KINDS:
             continue  # regenerated by the next event, or found to differ there
         try:
             _replay_record(instance, record)
@@ -1195,13 +1226,15 @@ def _raise_unexplained(
     """Raise IntegrityError for the input records from `checked` that no re-execution wrote.
 
     Up to `seq`, where re-execution fails or the input ends, they can still be
-    the expiry sweep that opens an event; the first that is not is the bad seq.
+    the expiry sweep that opens an event; the first that is not is the bad seq,
+    reported as _check_regenerated reports a difference.
     """
     with instance._lock:
         instance._begin_event()
     checked = _check_regenerated(records, instance._records, checked)
     if checked < seq:
-        raise IntegrityError(f"seq {checked} is never regenerated", checked) from cause
+        bad_seq = max(records[checked].seq, checked)
+        raise IntegrityError(f"seq {checked} is never regenerated", bad_seq) from cause
     raise IntegrityError(reason, seq) from cause
 
 
@@ -1212,7 +1245,8 @@ def _check_regenerated(
 
     Each regenerated record that matches is replaced by the input record, so
     the rebuilt instance holds one copy of each. Equal detail texts mean equal
-    JSON types too: 2e2 does not pass for 200, nor true for 1.
+    JSON types too: 2e2 does not pass for 200, nor true for 1. A difference is
+    reported where verify_chain would: at the larger of the input's seq and its position.
     """
     for seq in range(checked, len(regenerated)):
         if seq >= len(records):
@@ -1223,9 +1257,8 @@ def _check_regenerated(
             or mine.detail_json != theirs.detail_json
             or (mine.seq, mine.kind, mine.actor, mine.prev_hash)
             != (theirs.seq, theirs.kind, theirs.actor, theirs.prev_hash)
-            or type(theirs.seq) is not int
         ):
-            raise IntegrityError(f"replayed record differs at seq {seq}", seq)
+            raise IntegrityError(f"replayed record differs at seq {seq}", max(theirs.seq, seq))
         regenerated[seq] = theirs
     return len(regenerated)
 

@@ -49,7 +49,7 @@ from .runtime import (
     RoleBinding,
     SpeechAct,
 )
-from .spec_lang.ast import BUILTIN_GROUPS, CommunityTemplate, Modality, SpeechActKind
+from .spec_lang.ast import BUILTIN_GROUPS, CommunityTemplate, Modality, RoleKind, SpeechActKind
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,7 @@ def _sort_key(v: Violation) -> tuple[int, str]:
 _STATES = {s.value: s for s in TokenState}
 _MODALITIES = {m.value: m for m in Modality}
 _HOLDER_KINDS = {k.value: k for k in HolderKind}
+_ROLE_KINDS = {k.value: k for k in RoleKind}
 
 
 class _TraceState:
@@ -128,7 +129,6 @@ class _TraceState:
 
     def __init__(self) -> None:
         self.registered: set[str] = set()
-        # kinds stay as the record spells them (see Bindings)
         self.bindings = Bindings()
         self.tokens = TokenStore()
         self.gaps: set[_ProhibitionChecker] = set()  # checkers in an embargo gap
@@ -151,7 +151,7 @@ class _TraceState:
                 self.registered.add(detail["principal"])
             elif event_type == "bind":
                 role, agent = detail["role"], detail["agent"]
-                kind, principal = detail["agent_kind"], detail["principal"]
+                kind, principal = _ROLE_KINDS[detail["agent_kind"]], detail["principal"]
                 self.bindings.add(RoleBinding(role, agent, kind, principal, record.seq))
             elif event_type == "unbind" and self.bindings:
                 # read the agent only when the role has a filler, so a
@@ -324,11 +324,8 @@ class TraceMonitor:
 
     def feed(self, record: AuditRecord) -> list[Violation]:
         self._state.update(record)
-        kind = record.kind
-        # no checker reads a kind that is not a string (a list cannot be a key)
-        checkers = self._routes.get(kind, ()) if isinstance(kind, str) else ()
         found: list[Violation] = []
-        for checker in checkers:
+        for checker in self._routes.get(record.kind, ()):
             found.extend(checker.feed(record, self._state))
         if len(found) > 1:
             found.sort(key=_sort_key)
@@ -367,16 +364,15 @@ def run_checks(
     An imported record can chain correctly and still be malformed: lack a
     field its kind needs, hold one of the wrong type or an unknown spelling,
     create a token out of order or move one never created. That raises
-    IntegrityError at its seq, or at its position if its seq is not an int.
+    IntegrityError at its seq.
     """
     monitor = TraceMonitor(specs, template)
-    for index, record in enumerate(trace):
+    for record in trace:
         try:
             monitor.feed(record)
         except (KeyError, TypeError, ValueError, UnknownToken) as exc:
-            seq = record.seq if type(record.seq) is int else index
             raise IntegrityError(
-                f"malformed {record.kind} record at seq {seq}: {exc!r}", seq
+                f"malformed {record.kind} record at seq {record.seq}: {exc!r}", record.seq
             ) from exc
     return sorted(monitor.violations, key=_sort_key)
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from covenant.cli import EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
-from covenant.runtime import GENESIS_PREV_HASH, canonical_json, record_digest
+from covenant.runtime import GENESIS_PREV_HASH, canonical_json
 
 GOOD_SPEC = """\
 community Clinic {
@@ -178,8 +179,9 @@ def _rechained(tmp_path, seq, mutate, respell=int):
     prev = GENESIS_PREV_HASH
     for raw in records:  # re-chain, so that only the record's shape is wrong
         raw["prev_hash"] = prev
-        detail_json = canonical_json(raw["detail"])
-        raw["hash"] = prev = record_digest(prev, raw["seq"], raw["kind"], raw["actor"], detail_json)
+        # the canonical encoding of the hashed fields, as written, whatever their types
+        hashed = {key: raw[key] for key in ("seq", "kind", "actor", "detail")}
+        raw["hash"] = prev = hashlib.sha256((prev + canonical_json(hashed)).encode("utf-8")).hexdigest()
     lines = [json.dumps(raw, separators=(",", ":")) for raw in records]
     trace.write_text("\n".join([header] + lines) + "\n", encoding="utf-8")
     return trace
@@ -203,6 +205,8 @@ def _rechained(tmp_path, seq, mutate, respell=int):
         (1, _with(modality="duty"), int),
         (1, _with(to="PENDING"), int),
         (14, _with(to="DONE"), int),
+        # seq 7 binds extract_bot
+        (7, _with(agent_kind="robot"), int),
     ],
     ids=[
         "binding_detail_not_an_object",
@@ -217,6 +221,7 @@ def _rechained(tmp_path, seq, mutate, respell=int):
         "unknown_modality",
         "unknown_created_state",
         "unknown_transition_state",
+        "unknown_agent_kind",
     ],
 )
 def test_verify_rejects_a_malformed_record_in_a_sound_chain(tmp_path, capsys, seq, mutate, respell):
@@ -227,7 +232,7 @@ def test_verify_rejects_a_malformed_record_in_a_sound_chain(tmp_path, capsys, se
 
 
 def test_verify_reports_an_unknown_agent_kind_as_an_integrity_failure(tmp_path, capsys):
-    # seq 7 binds extract_bot; a kind no role declares fails the group's AI test
+    # seq 7 binds extract_bot with a kind the language does not have
     trace = _rechained(tmp_path, 7, _with(agent_kind="robot"))
     capsys.readouterr()
     args = ["verify", "--trace", str(trace), "--property", "prohibition",

@@ -678,6 +678,29 @@ def test_truncated_export_fails_verification():
         import_log(clipped)
 
 
+@pytest.mark.parametrize(
+    "header",
+    ["", "{format", '{"format":"covenant-audit/0","digest":"sha256"}', '{"format":"covenant-audit/1","digest":"md5"}'],
+    ids=["empty", "unreadable", "unknown_format", "unsupported_digest"],
+)
+def test_an_export_with_a_bad_header_is_refused_at_seq_0(header):
+    lines = drive_sample_history(staffed_ward()).export_log().splitlines()
+    text = "\n".join([header] + lines[1:]) + "\n" if header else "\n \n"
+    with pytest.raises(IntegrityError) as info:
+        import_log(text)
+    assert info.value.bad_seq == 0
+
+
+def test_an_edited_link_is_a_broken_chain_at_its_seq():
+    text = drive_sample_history(staffed_ward()).export_log()
+    _, records = parse_export(text)
+    link = records[9].prev_hash
+    edited = text.replace(f'"prev_hash":"{link}"', f'"prev_hash":"{link[:-1]}{"0" if link[-1] != "0" else "1"}"')
+    with pytest.raises(IntegrityError, match="broken chain link at seq 9") as info:
+        import_log(edited)
+    assert info.value.bad_seq == 9
+
+
 # ----------------------------------------------------------------------
 # replay checks its own output
 
@@ -763,6 +786,9 @@ def test_replay_fails_where_import_log_does_on_an_edit_left_unchained():
         ('"seq":2,', '"seq":"x",', 2),
         # a kind no set can hold, on a record no earlier event regenerates
         ('"seq":18,"kind":"binding"', '"seq":18,"kind":["binding"]', 18),
+        # a seq out of place is reported at the larger of it and its position
+        ('"seq":13,', '"seq":3,', 13),
+        ('"seq":13,', '"seq":99,', 99),
     ):
         assert text.count(old) == 1, old
         respelled = text.replace(old, new)
@@ -770,6 +796,18 @@ def test_replay_fails_where_import_log_does_on_an_edit_left_unchained():
             import_log(respelled)
         assert info.value.bad_seq == seq and type(info.value.bad_seq) is int, new
         assert _replay_fails_at(template, respelled) == seq
+    # a dropped record is reported at the seq after it: the genesis, seq 3, or
+    # the request whose verdict ends the log
+    c = drive_sample_history(staffed_ward())
+    c.submit_action("officer_1", "read_case")
+    header, *lines = c.export_log().splitlines()
+    assert c.records()[-2].kind == KIND_ACTION_REQUEST
+    for seq in (0, 3, len(lines) - 2):
+        dropped = "\n".join([header] + lines[:seq] + lines[seq + 1 :]) + "\n"
+        with pytest.raises(IntegrityError) as info:
+            import_log(dropped)
+        assert info.value.bad_seq == seq + 1
+        assert _replay_fails_at(template, dropped) == seq + 1
 
 
 def test_replay_hashes_each_record_once(monkeypatch):
@@ -920,18 +958,40 @@ def test_record_digest_is_the_canonical_encoding_of_the_hashed_fields():
             expected = _four_key_digest(r.prev_hash, r.seq, r.kind, r.actor, r.detail)
             assert record_digest(r.prev_hash, r.seq, r.kind, r.actor, r.detail_json) == expected, (name, r.seq)
             assert r.hash == expected, (name, r.seq)
-    detail = {"event": 3, "x": [2.5, None, "é"]}
-    forged = (
-        (True, "binding", "bot_1"),
-        (1.0, "binding", None),
-        ("x", "binding", "bot_1"),
-        (4, ["binding"], "bot_1"),
-        (4, "binding", 7),
-        (4, {"b": 1, "a": [True]}, ["bot", None]),
-    )
-    for seq, kind, actor in forged:
-        got = record_digest(GENESIS_PREV_HASH, seq, kind, actor, canonical_json(detail))
-        assert got == _four_key_digest(GENESIS_PREV_HASH, seq, kind, actor, detail), (seq, kind, actor)
+
+
+_ILL_TYPED = (
+    # (seq, kind, actor, detail, prev_hash, hash) with one or more fields of the wrong type
+    (True, "binding", "bot_1", {}, "a", "b"),
+    (1.0, "binding", None, {}, "a", "b"),
+    ("x", "binding", "bot_1", {}, "a", "b"),
+    (4, ["binding"], "bot_1", {}, "a", "b"),
+    (4, "binding", 7, {}, "a", "b"),
+    (4, {"b": 1, "a": [True]}, ["bot", None], {}, "a", "b"),
+    (4, "binding", None, [1, 2], "a", "b"),
+    (4, "binding", None, {}, None, "b"),
+    (4, "binding", None, {}, "a", 7),
+)
+
+
+def test_a_record_refuses_a_field_of_the_wrong_type():
+    for fields in _ILL_TYPED:
+        with pytest.raises(TypeError):
+            AuditRecord(*fields)
+        with pytest.raises(TypeError):
+            AuditRecord(*fields, "{}")
+    template = parse_spec(WARD_SOURCE)
+    text = drive_sample_history(staffed_ward()).export_log()
+    lines = text.splitlines()
+    for position in (0, 6, 18):
+        for seq, kind, actor, detail, prev_hash, digest in _ILL_TYPED:
+            raw = json.loads(lines[position + 1])
+            raw.update(seq=seq, kind=kind, actor=actor, detail=detail, prev_hash=prev_hash, hash=digest)
+            forged = "\n".join(lines[: position + 1] + [json.dumps(raw)] + lines[position + 2 :]) + "\n"
+            for read in (parse_export, import_log, lambda t: replay(template, t)):
+                with pytest.raises(IntegrityError) as info:
+                    read(forged)
+                assert info.value.bad_seq == position, (position, raw)
 
 
 def test_a_template_is_validated_once(monkeypatch):
@@ -1081,6 +1141,41 @@ community Desk {
 
 _NO_POLICY_RULE = DESK_SOURCE.replace("    escalate when policy_violation to Reviewer;\n", "")
 
+
+def _listen_failing_on(c, failing):
+    def listener(record):
+        seen.append(record.seq)
+        if failing(record):
+            raise RuntimeError(f"listener failed on seq {record.seq}")
+
+    seen = []
+    c.add_listener(listener)
+    return seen
+
+
+def test_a_failing_listener_sees_the_event_whole_and_undoes_nothing():
+    template = parse_spec(DESK_SOURCE)
+    c = instantiate_community(template)
+    c.bind_agent("Officer", "officer_1", "human", "community_owner")
+    c.bind_agent("Bot", "bot_1", "llm_agent", "community_owner")
+    seen = _listen_failing_on(c, lambda r: r.kind == KIND_TOKEN_TRANSITION and r.detail["from"] == "CREATED")
+    burden = {"action": "sign", "holder": "officer_1"}
+    with pytest.raises(RuntimeError, match="seq 7"):
+        c.apply_speech_act(SpeechAct(SpeechActKind.DECLARE_BURDEN, "officer_1", burden))
+    # the act and its token are logged, and no rejection follows them
+    assert [(r.kind, r.detail.get("rejected")) for r in c.records()[6:]] == [
+        (KIND_SPEECH_ACT, None),
+        (KIND_TOKEN_TRANSITION, None),
+    ]
+    assert seen == [6, 7] and len(c.tokens) == 4
+    failing = _listen_failing_on(c, lambda r: r.kind == KIND_ACTION_REQUEST)
+    after = _listen_failing_on(c, lambda r: False)
+    with pytest.raises(RuntimeError, match="seq 8"):
+        c.submit_action("bot_1", "read_case")
+    # the request has its verdict, and every listener saw both
+    assert [r.kind for r in c.records()[8:]] == [KIND_ACTION_REQUEST, KIND_VERDICT]
+    assert seen == [6, 7, 8, 9] and failing == after == [8, 9]
+    assert replay(template, c.export_log()).export_log() == c.export_log()
 
 
 def test_escalate_whose_burden_cannot_be_created_logs_one_rejection():

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from covenant import verifier
-from covenant.errors import ScopeTooLarge, UnknownIdentifier
+from covenant.errors import IntegrityError, ScopeTooLarge, UnknownIdentifier
 from covenant.reference import (
     PROP_ACCOUNTABILITY,
     PROP_AUTHORITY,
@@ -27,6 +28,7 @@ from covenant.runtime import (
     Principal,
     SpeechAct,
     instantiate_community,
+    parse_export,
 )
 from covenant.scenarios import reduced_layer1_fixture
 from covenant.spec_lang import parse_spec
@@ -45,6 +47,7 @@ from covenant.verifier import (
     oracle_enumerate,
     run_checks,
 )
+from test_runtime import DESK_SOURCE
 
 CLINIC_SOURCE = """\
 community Clinic {
@@ -389,20 +392,40 @@ def test_the_monitor_sends_a_record_only_to_the_checkers_that_read_its_kind(monk
     assert calls == []
 
 
-def test_a_record_whose_kind_is_not_a_string_is_ignored():
+def test_a_record_whose_kind_is_not_a_string_is_refused():
     c = drive_clinic(clinic())
     records = list(c.records())
     expected = run_checks(records, ALL_SPECS, c.template)
     # the admitted close_file verdict: as a verdict it is a prohibition violation
     admitted = records[-1]
     assert admitted.kind == KIND_VERDICT and expected[-1].at_seq == admitted.seq
+    header, *lines = c.export_log().splitlines()
     for kind in (["verdict"], None, {"verdict": 1}, 7):
-        forged = dataclasses.replace(admitted, seq=admitted.seq + 1, kind=kind)
-        monitor = TraceMonitor(ALL_SPECS, c.template)
-        for record in records:
-            monitor.feed(record)
-        assert monitor.feed(forged) == []
-        assert run_checks(records + [forged], ALL_SPECS, c.template) == expected
+        # no such record can be made, so no monitor is ever fed one
+        with pytest.raises(TypeError):
+            dataclasses.replace(admitted, kind=kind)
+        raw = json.loads(lines[-1])
+        raw["kind"] = kind
+        forged = "\n".join([header] + lines[:-1] + [json.dumps(raw)]) + "\n"
+        with pytest.raises(IntegrityError) as info:
+            parse_export(forged)
+        assert info.value.bad_seq == admitted.seq
+
+
+def test_a_token_created_for_an_unregistered_principal_is_unaccountable():
+    # o9 is force-bound for Ghost, a principal never registered, and declares a burden
+    c = instantiate_community(parse_spec(DESK_SOURCE), owner=Principal("Desk", "Desk"))
+    monitor = TraceMonitor([PropertySpec.accountability()], c.template)
+    monitor.attach(c)
+    c.force_bind("Officer", "o9", "human", "Ghost")
+    burden = {"action": "sign", "holder": "o9"}
+    assert c.apply_speech_act(SpeechAct(SpeechActKind.DECLARE_BURDEN, "o9", burden)).accepted
+    created = c.records()[-1]
+    assert created.seq == 6 and created.detail["chain_head"] == "Ghost"
+    # the binding is flagged, and so is the token, whose chain starts at Ghost
+    expected = [Violation(PROP_ACCOUNTABILITY, s, (s,)) for s in (4, 6)]
+    assert monitor.violations == expected
+    assert check_accountability(c.records()) == expected
 
 
 def _ward_module():
