@@ -120,7 +120,8 @@ def _check_strings(
 ) -> None:
     """Raise TypeError unless each field is a string; an optional one may be absent or None.
 
-    These fields become token fields, and the token store keys its indexes by them.
+    These fields are logged as strings and key the indexes of tokens, bindings
+    and principals; a caller's value is checked before its event is numbered.
     """
     for name in required:
         if not isinstance(payload[name], str):
@@ -195,6 +196,10 @@ class Principal:
     id: str
     name: str
     kind: str = "organization"  # or "natural_person"
+
+    def __post_init__(self) -> None:
+        # every field is logged: another type would not replay (a tuple id comes back a list)
+        _check_strings(vars(self), ("id", "name", "kind"))
 
 
 @dataclass(frozen=True)
@@ -423,6 +428,9 @@ _VALID_TEMPLATES: weakref.WeakValueDictionary[int, CommunityTemplate] = (
 class CommunityInstance:
     """One running community; all mutation is serialized under a lock."""
 
+    # the input records a replay's shadow confirms as it writes; None on a live instance
+    _replay_input: list[AuditRecord] | None = None
+
     def __init__(
         self,
         template: CommunityTemplate,
@@ -450,7 +458,6 @@ class CommunityInstance:
         self._event_counter = 0
         self._listeners: list[Callable[[AuditRecord], None]] = []
         self._pending: dict[int, _Pending] = {}
-        self._negotiation_state = "idle"
         self._negotiation_proposer: str | None = None
         self._lock = threading.Lock()
         self._mutation = _Mutation(self._lock, self._records, self._listeners)
@@ -555,7 +562,10 @@ class CommunityInstance:
         prev = self._records[-1].hash if self._records else GENESIS_PREV_HASH
         seq = self._next_seq
         digest = record_digest(prev, seq, kind, actor, text)
-        record = AuditRecord(seq, kind, actor, detail, prev, digest, text)
+        if self._replay_input is None:
+            record = AuditRecord(seq, kind, actor, detail, prev, digest, text)
+        else:  # a replay's shadow keeps the input record it confirms
+            record = _record_at(self._replay_input, seq, prev, digest, kind, actor, text)
         self._records.append(record)
         self._next_seq += 1
         return record
@@ -697,6 +707,7 @@ class CommunityInstance:
             return self._bind(role, agent, kind, principal)
 
     def _bind(self, role: str, agent: str, kind: RoleKind | str, principal: str) -> RoleBinding:
+        _check_strings({"agent": agent, "principal": principal}, ("agent", "principal"))
         decl = self.template.role(role)
         if decl is None:
             raise UnknownRole(f"role {role!r} is not declared")
@@ -754,6 +765,7 @@ class CommunityInstance:
     def set_mode(self, mode: str, by: str | None = None) -> None:
         if mode not in MODES:
             raise InvalidTemplate(f"unknown deployment mode {mode!r}")
+        _check_strings({"by": by}, (), ("by",))
         with self._mutation:
             self._begin_event()
             previous = self.mode
@@ -850,6 +862,7 @@ class CommunityInstance:
     def apply_speech_act(self, act: SpeechAct) -> ApplyResult:
         with self._mutation:
             kind = SpeechActKind(act.kind)
+            _check_strings(vars(act), ("sender",))
             # fails before the event if the payload cannot be logged; the copy it
             # returns is what replay reads back and shares nothing with the caller
             payload = _decode_json(_caller_json(dict(act.payload)))
@@ -965,21 +978,17 @@ class CommunityInstance:
         if kind in (SpeechActKind.ACCEPT, SpeechActKind.REJECT) and "request_seq" in payload:
             return self._decide_recommendation(sender, kind, payload)
 
+        # a proposal is pending while it has a proposer; a sender is always a str
         if kind is SpeechActKind.PROPOSE:
-            if self._negotiation_state != "idle":
+            if self._negotiation_proposer is not None:
                 raise ProtocolViolation("a proposal is already pending")
-            self._negotiation_state = "pending"
             self._negotiation_proposer = sender
         else:
-            if self._negotiation_state != "pending":
+            if self._negotiation_proposer is None:
                 raise ProtocolViolation(f"{kind.value} without a pending proposal")
             if sender == self._negotiation_proposer:
                 raise ProtocolViolation("proposer cannot answer its own proposal")
-            if kind is SpeechActKind.COUNTER_PROPOSE:
-                self._negotiation_proposer = sender
-            else:
-                self._negotiation_state = "idle"
-                self._negotiation_proposer = None
+            self._negotiation_proposer = sender if kind is SpeechActKind.COUNTER_PROPOSE else None
 
         record = self._log_act(sender, kind, payload)
         history = self.objects.get("NegotiationHistory")
@@ -1068,7 +1077,6 @@ class CommunityInstance:
             twin._event_counter = self._event_counter
             twin._listeners = []
             twin._pending = dict(self._pending)
-            twin._negotiation_state = self._negotiation_state
             twin._negotiation_proposer = self._negotiation_proposer
             twin._lock = threading.Lock()
             twin._mutation = _Mutation(twin._lock, twin._records, twin._listeners)
@@ -1133,23 +1141,41 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
     return header, records
 
 
-def verify_chain(records: list[AuditRecord] | tuple[AuditRecord, ...]) -> None:
-    """Recompute the hash chain; raise IntegrityError at the first bad seq.
+def _record_at(
+    records: list[AuditRecord] | tuple[AuditRecord, ...],
+    seq: int,
+    prev_hash: str,
+    digest: str,
+    kind: str,
+    actor: str | None,
+    detail_json: str,
+) -> AuditRecord:
+    """Return the input record at `seq` if it is the record with these fields; else raise IntegrityError.
 
-    A record whose seq is not its position is reported at the larger of the
-    two, as replay reports it: a dropped record shows at the seq after it.
+    The one rule by which verify_chain and replay place a fault. A record whose
+    seq is not its position is reported at the larger of the two, so a dropped
+    record shows at the seq after it; any other difference at `seq`. Equal
+    detail texts mean equal JSON types too: 2e2 does not pass for 200, nor true for 1.
     """
+    if seq >= len(records):
+        raise IntegrityError(f"seq {seq} lies beyond the input's end", seq)
+    record = records[seq]
+    if record.seq != seq:
+        raise IntegrityError(f"sequence gap: expected {seq}, found {record.seq}", max(record.seq, seq))
+    if record.prev_hash != prev_hash:
+        raise IntegrityError(f"broken chain link at seq {seq}", seq)
+    if (record.hash, record.kind, record.actor, record.detail_json) != (digest, kind, actor, detail_json):
+        raise IntegrityError(f"digest mismatch at seq {seq}", seq)
+    return record
+
+
+def verify_chain(records: list[AuditRecord] | tuple[AuditRecord, ...]) -> None:
+    """Recompute the hash chain; raise IntegrityError at the first bad seq, as _record_at places it."""
     prev = GENESIS_PREV_HASH
-    for index, record in enumerate(records):
-        seq = record.seq
-        if seq != index:
-            raise IntegrityError(f"sequence gap: expected {index}, found {seq}", max(seq, index))
-        if record.prev_hash != prev:
-            raise IntegrityError(f"broken chain link at seq {index}", index)
-        expected = record_digest(prev, seq, record.kind, record.actor, record.detail_json)
-        if record.hash != expected:
-            raise IntegrityError(f"digest mismatch at seq {index}", index)
-        prev = record.hash
+    for seq, record in enumerate(records):
+        kind, actor, text = record.kind, record.actor, record.detail_json
+        digest = record_digest(prev, seq, kind, actor, text)
+        prev = _record_at(records, seq, prev, digest, kind, actor, text).hash
 
 
 def import_log(text: str) -> tuple[dict, list[AuditRecord]]:
@@ -1165,17 +1191,17 @@ _REEXECUTION_ERRORS = (GovernanceError, InvalidTemplate, KeyError, TypeError, Va
 def replay(
     template: CommunityTemplate, text_or_records: str | list[AuditRecord]
 ) -> CommunityInstance:
-    """Rebuild an instance by re-executing the initiating records, checking its own output.
+    """Rebuild an instance by re-executing the initiating records, confirming each record as it writes it.
 
     Derived records (expiries, verdicts, transitions, escalations) are
     regenerated, not read back. Each record the rebuilt instance writes must
-    match the input record at its seq: the same hash, the same detail text,
-    and the same seq, kind, actor and previous hash. The rebuilt instance then
-    keeps the input record in its place. Regenerated records chain by
-    construction, so a log that replays needs no separate chain check.
-    IntegrityError names the first seq that differs, that is never
-    regenerated, that lies beyond the input's end, or whose initiating record
-    cannot be re-executed.
+    be the input record at its seq by the rule verify_chain applies
+    (`_record_at`): the same seq, previous hash, hash, kind, actor and detail
+    text. The instance then keeps the input record, so it holds one copy of
+    each. Regenerated records chain by construction, so a log that replays
+    needs no separate chain check. IntegrityError names the first seq that
+    differs, that is never regenerated, that lies beyond the input's end, or
+    whose initiating record cannot be re-executed.
     """
     if isinstance(text_or_records, str):
         _, records = parse_export(text_or_records)
@@ -1190,16 +1216,14 @@ def replay(
         raise InvalidTemplate(
             f"log is for community {genesis.get('community')!r}, not {template.name!r}"
         )
+    instance = CommunityInstance.__new__(CommunityInstance)
+    instance._replay_input = records  # before __init__ writes event 0
     try:
         owner_info = genesis["owner"]
         owner = Principal(owner_info["id"], owner_info["name"], owner_info["kind"])
-        instance = CommunityInstance(
-            template, genesis["mode"], owner, dict(genesis.get("disciplines", {}))
-        )
+        instance.__init__(template, genesis["mode"], owner, dict(genesis.get("disciplines", {})))
     except _REEXECUTION_ERRORS as exc:
         raise IntegrityError(f"genesis cannot be re-executed: {exc!r}", 0) from exc
-    regenerated = instance._records
-    checked = _check_regenerated(records, regenerated, 0)
     for seq, record in enumerate(records):
         if record.kind not in INITIATING_KINDS:
             continue  # regenerated by the next event, or found to differ there
@@ -1207,60 +1231,35 @@ def replay(
             _replay_record(instance, record)
         except _REEXECUTION_ERRORS as exc:
             reason = f"seq {seq} cannot be re-executed: {exc!r}"
-            _raise_unexplained(instance, records, checked, seq, reason, exc)
-        checked = _check_regenerated(records, regenerated, checked)
-    if checked < len(records):
+            _raise_unexplained(instance, records, seq, reason, exc)
+    if len(instance._records) < len(records):
         end = len(records)
-        _raise_unexplained(instance, records, checked, end, f"no initiating record at seq {end}")
+        _raise_unexplained(instance, records, end, f"no initiating record at seq {end}")
+    instance._replay_input = None
     return instance
 
 
 def _raise_unexplained(
     instance: CommunityInstance,
     records: list[AuditRecord],
-    checked: int,
     seq: int,
     reason: str,
     cause: Exception | None = None,
 ) -> NoReturn:
-    """Raise IntegrityError for the input records from `checked` that no re-execution wrote.
+    """Raise IntegrityError at the first input record, up to `seq`, that no re-execution wrote.
 
-    Up to `seq`, where re-execution fails or the input ends, they can still be
-    the expiry sweep that opens an event; the first that is not is the bad seq,
-    reported as _check_regenerated reports a difference.
+    Before `seq`, where re-execution fails or the input ends, the records not
+    yet written can still be the expiry sweep that opens an event, which the
+    shadow confirms as it writes it. The first record left is placed as
+    _record_at places a difference: at the larger of its seq and its position.
     """
     with instance._lock:
         instance._begin_event()
-    checked = _check_regenerated(records, instance._records, checked)
-    if checked < seq:
-        bad_seq = max(records[checked].seq, checked)
-        raise IntegrityError(f"seq {checked} is never regenerated", bad_seq) from cause
-    raise IntegrityError(reason, seq) from cause
-
-
-def _check_regenerated(
-    records: list[AuditRecord], regenerated: list[AuditRecord], checked: int
-) -> int:
-    """Compare the records regenerated past `checked` with the input; return the new count.
-
-    Each regenerated record that matches is replaced by the input record, so
-    the rebuilt instance holds one copy of each. Equal detail texts mean equal
-    JSON types too: 2e2 does not pass for 200, nor true for 1. A difference is
-    reported where verify_chain would: at the larger of the input's seq and its position.
-    """
-    for seq in range(checked, len(regenerated)):
-        if seq >= len(records):
-            raise IntegrityError(f"replay regenerates seq {seq} beyond the input's end", seq)
-        mine, theirs = regenerated[seq], records[seq]
-        if (
-            mine.hash != theirs.hash
-            or mine.detail_json != theirs.detail_json
-            or (mine.seq, mine.kind, mine.actor, mine.prev_hash)
-            != (theirs.seq, theirs.kind, theirs.actor, theirs.prev_hash)
-        ):
-            raise IntegrityError(f"replayed record differs at seq {seq}", max(theirs.seq, seq))
-        regenerated[seq] = theirs
-    return len(regenerated)
+    written = len(instance._records)  # at most seq: _record_at refuses a sweep record there
+    if written < seq:
+        reason = f"seq {written} is never regenerated"
+    bad_seq = max(records[written].seq, written) if written < len(records) else written
+    raise IntegrityError(reason, bad_seq) from cause
 
 
 def _replay_record(instance: CommunityInstance, record: AuditRecord) -> None:
@@ -1279,14 +1278,11 @@ def _replay_record(instance: CommunityInstance, record: AuditRecord) -> None:
         else:
             raise ValueError(f"unknown binding event {event_type!r}")
     elif record.kind == KIND_SPEECH_ACT:
-        act = SpeechAct(
-            SpeechActKind(detail["kind"]), record.actor or "", dict(detail["payload"])
-        )
+        act = SpeechAct(SpeechActKind(detail["kind"]), record.actor or "", detail["payload"])
         instance.apply_speech_act(act)
     elif record.kind == KIND_ACTION_REQUEST:
-        effects = [dict(e) for e in detail.get("effects", [])]
         instance.submit_action(
-            record.actor or "", detail["action"], detail.get("subject"), effects
+            record.actor or "", detail["action"], detail.get("subject"), detail.get("effects", ())
         )
     elif record.kind == KIND_MODE_CHANGE:
         instance.set_mode(detail["to"], record.actor)
