@@ -8,12 +8,12 @@ answers "who is ultimately responsible" by construction.
 Tokens are immutable values. A transition builds the successor token and
 the TokenStore swaps it in under the same id, so the store's two writers
 (`add` and `update`) are the only place a token changes. They also keep the
-store's indexes (HELD tokens by action and holder, discharged burdens by
-action, a deadline heap), so admissibility, guards and expiry look up what
-they need instead of scanning every token. All operations here are pure
-with respect to everything except the passed TokenStore; sequencing, audit,
-and authorization of the *speech act* that invoked them belong to the
-runtime layer.
+store's indexes (HELD tokens by action and holder, and by action and
+subject; discharged burdens by action; a deadline heap), so admissibility,
+exceptions, guards and expiry look up what they need instead of scanning
+every token. All operations here are pure with respect to everything except
+the passed TokenStore; sequencing, audit, and authorization of the *speech
+act* that invoked them belong to the runtime layer.
 """
 
 from __future__ import annotations
@@ -129,29 +129,35 @@ class TokenStore:
 
     Tokens are never removed and each gets its id as it is inserted, so
     iteration (insertion order) is id order. `add` and `update` are the only
-    writers, and they keep three indexes, so that no judgment scans the store:
+    writers, and they keep four indexes, so that no judgment scans the store:
 
-    - the ids of HELD tokens under `(modality, action)`, and again (in the
-      same dict) under `(modality, action, agent)`, where `agent` is the
-      holder's name for an agent holder and None for a role or group holder;
-      each bucket is a tuple in id order
+    - the ids of HELD tokens under `(modality, action, agent)`, where `agent`
+      is the holder's name for an agent holder and None for a role or group
+      holder
+    - the same ids again under `(modality, action, subject)`, with None for an
+      unscoped token
     - the subjects of DISCHARGED burdens, as a frozenset under their action
     - a min-heap of `(deadline, id)` for burdens. A deadline is fixed when
       its burden is created; an entry whose token has left HELD is dropped
       when it is popped.
 
-    Buckets are immutable, so a clone copies the outer dicts and the heap
-    list, and shares every bucket with its parent.
+    A HELD bucket is a tuple in id order. Buckets are immutable, so a clone
+    copies the outer dicts and the heap list, and shares every bucket with
+    its parent.
     """
 
     def __init__(self) -> None:
         self._tokens: dict[int, Token] = {}
-        self._held: dict[tuple, tuple[int, ...]] = {}
+        self._by_holder: dict[tuple, tuple[int, ...]] = {}
+        self._by_subject: dict[tuple, tuple[int, ...]] = {}
         self._discharged: dict[str, frozenset] = {}
         self._deadlines: list[tuple[int, int]] = []
 
     def add(self, **fields) -> Token:
-        token = Token(id=len(self._tokens) + 1, **fields)
+        # built as `update` builds a successor: Token.__init__ sets each frozen
+        # field through object.__setattr__ and costs about five times as much
+        token = object.__new__(Token)
+        token.__dict__.update(fields, id=len(self._tokens) + 1)
         self._index(token)
         if token.modality is Modality.BURDEN and token.deadline is not None:
             heappush(self._deadlines, (token.deadline, token.id))
@@ -169,20 +175,11 @@ class TokenStore:
         self._tokens[token.id] = successor
         return successor
 
-    @staticmethod
-    def _held_keys(token: Token) -> tuple[tuple, tuple]:
-        agent = token.holder.name if token.holder.kind is HolderKind.AGENT else None
-        return (token.modality, token.action), (token.modality, token.action, agent)
-
     def _index(self, token: Token) -> None:
         if token.state is TokenState.HELD:
-            for key in self._held_keys(token):
-                bucket = self._held.get(key, ())
-                if bucket and bucket[-1] > token.id:  # a successor re-enters mid-bucket
-                    i = bisect_left(bucket, token.id)
-                    self._held[key] = bucket[:i] + (token.id,) + bucket[i:]
-                else:
-                    self._held[key] = bucket + (token.id,)
+            agent = token.holder.name if token.holder.kind is HolderKind.AGENT else None
+            _insert(self._by_holder, (token.modality, token.action, agent), token.id)
+            _insert(self._by_subject, (token.modality, token.action, token.subject), token.id)
         elif token.state is TokenState.DISCHARGED and token.modality is Modality.BURDEN:
             subjects = self._discharged.get(token.action, frozenset())
             self._discharged[token.action] = subjects | {token.subject}
@@ -190,10 +187,9 @@ class TokenStore:
     def _unindex(self, token: Token) -> None:
         # DISCHARGED is terminal, so only a HELD token can leave an index
         if token.state is TokenState.HELD:
-            for key in self._held_keys(token):
-                bucket = self._held[key]
-                i = bisect_left(bucket, token.id)
-                self._held[key] = bucket[:i] + bucket[i + 1 :]
+            agent = token.holder.name if token.holder.kind is HolderKind.AGENT else None
+            _remove(self._by_holder, (token.modality, token.action, agent), token.id)
+            _remove(self._by_subject, (token.modality, token.action, token.subject), token.id)
 
     def get(self, token_id: int) -> Token:
         token = self._tokens.get(token_id)
@@ -210,14 +206,19 @@ class TokenStore:
     def clone(self) -> TokenStore:
         twin = TokenStore.__new__(TokenStore)
         twin._tokens = self._tokens.copy()
-        twin._held = self._held.copy()
+        twin._by_holder = self._by_holder.copy()
+        twin._by_subject = self._by_subject.copy()
         twin._discharged = self._discharged.copy()
         twin._deadlines = self._deadlines.copy()
         return twin
 
-    def active_tokens(self, modality: Modality, action: str) -> list[Token]:
-        """The HELD tokens of `modality` on `action`, in id order."""
-        return [self._tokens[i] for i in self._held.get((modality, action), ())]
+    def held_by(self, modality: Modality, action: str, agent: str | None) -> tuple[int, ...]:
+        """The ids of HELD tokens on `action` that `agent` holds, or (None) a role or group holds."""
+        return self._by_holder.get((modality, action, agent), ())
+
+    def held_on(self, modality: Modality, action: str, subject: str | None) -> tuple[int, ...]:
+        """The ids of HELD tokens on `action` scoped to `subject`, or (None) unscoped."""
+        return self._by_subject.get((modality, action, subject), ())
 
     def active_for(self, modality: Modality, action: str, agent: str) -> list[Token]:
         """The HELD tokens on `action` that `agent` may fill, in id order.
@@ -225,8 +226,8 @@ class TokenStore:
         These are the tokens `agent` holds itself and those held by a role or
         group; a token held by another agent can never cover `agent`.
         """
-        own = self._held.get((modality, action, agent), ())
-        shared = self._held.get((modality, action, None), ())
+        own = self._by_holder.get((modality, action, agent), ())
+        shared = self._by_holder.get((modality, action, None), ())
         return [self._tokens[i] for i in sorted(own + shared)]
 
     def guard_discharged(self, guard_action: str, subject: str | None) -> bool:
@@ -251,6 +252,21 @@ class TokenStore:
 
     def states(self) -> dict[int, str]:
         return {t.id: t.state.value for t in self}
+
+
+def _insert(index: dict[tuple, tuple[int, ...]], key: tuple, token_id: int) -> None:
+    bucket = index.get(key, ())
+    if bucket and bucket[-1] > token_id:  # a successor re-enters mid-bucket
+        i = bisect_left(bucket, token_id)
+        index[key] = bucket[:i] + (token_id,) + bucket[i:]
+    else:
+        index[key] = bucket + (token_id,)
+
+
+def _remove(index: dict[tuple, tuple[int, ...]], key: tuple, token_id: int) -> None:
+    bucket = index[key]
+    i = bisect_left(bucket, token_id)
+    index[key] = bucket[:i] + bucket[i + 1 :]
 
 
 class BindingResolver(Protocol):
@@ -417,18 +433,21 @@ def _subject_scope_matches(token_subject: str | None, subject: str | None) -> bo
 def _exception_open(
     store: TokenStore, resolver: BindingResolver, embargo: Token, subject: str | None
 ) -> bool:
-    if embargo.unless_action is None:
+    action = embargo.unless_action
+    if action is None:
         return False
     target = embargo.unless_target
     filler = None if target is None else holder_for_name(resolver, target)
-    for p in store.active_tokens(Modality.PERMIT, embargo.unless_action):
-        if not _subject_scope_matches(p.subject, subject):
-            continue
-        if target is None or p.holder.name == target:
-            return True
-        # an agent-held permit counts when the agent fills the named target
-        if p.holder.kind is HolderKind.AGENT and resolver.covers(filler, p.holder.name):
-            return True
+    # only a permit scoped to the subject, or an unscoped one, can open it
+    scoped = () if subject is None else store.held_on(Modality.PERMIT, action, subject)
+    for ids in (scoped, store.held_on(Modality.PERMIT, action, None)):
+        for i in ids:
+            holder = store.get(i).holder
+            if target is None or holder.name == target:
+                return True
+            # an agent-held permit counts when the agent fills the named target
+            if holder.kind is HolderKind.AGENT and resolver.covers(filler, holder.name):
+                return True
     return False
 
 

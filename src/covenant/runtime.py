@@ -212,7 +212,8 @@ class RoleBinding:
 
 
 class Bindings:
-    """Role bindings in bind order, indexed by agent, with a count per role.
+    """Role bindings in bind order, indexed by agent, with a count per role
+    and a count of AI-kind bindings.
 
     The one place (besides the reference engine) that decides which agents
     fill a role, a declared group, ALL or ALL_AI_AGENTS. An agent's kind and
@@ -224,6 +225,7 @@ class Bindings:
         self._all: dict[int, RoleBinding] = {}
         self._by_agent: dict[str, tuple[RoleBinding, ...]] = {}
         self._count: dict[str, int] = {}  # role -> fillers
+        self._ai = 0  # bindings of an AI kind
 
     def __iter__(self):
         return iter(self._all.values())
@@ -235,6 +237,8 @@ class Bindings:
         self._all[id(binding)] = binding
         self._by_agent[binding.agent] = self._by_agent.get(binding.agent, ()) + (binding,)
         self._count[binding.role] = self._count.get(binding.role, 0) + 1
+        if binding.agent_kind in AI_ROLE_KINDS:
+            self._ai += 1
 
     def remove(self, role: str, agent: str) -> None:
         """Drop the earliest binding of `agent` to `role`, if there is one."""
@@ -248,6 +252,8 @@ class Bindings:
                     del self._by_agent[agent]
                 del self._all[id(b)]
                 self._count[role] -= 1
+                if b.agent_kind in AI_ROLE_KINDS:
+                    self._ai -= 1
                 return
 
     def is_agent(self, agent: str) -> bool:
@@ -284,7 +290,7 @@ class Bindings:
         if group == "ALL":
             return bool(self)
         if group == "ALL_AI_AGENTS":
-            return any(b.agent_kind in AI_ROLE_KINDS for b in self)
+            return self._ai > 0
         decl = template.group(group) if template is not None else None
         if decl is None:
             return False
@@ -295,6 +301,7 @@ class Bindings:
         twin._all = dict(self._all)
         twin._by_agent = dict(self._by_agent)
         twin._count = dict(self._count)
+        twin._ai = self._ai
         return twin
 
 
@@ -672,6 +679,8 @@ class CommunityInstance:
         with self._mutation:
             if principal_id in self._principals:
                 return self._principals[principal_id]
+            # refused before a falsy non-string (0, False) could give way to the id
+            _check_strings({"name": name}, (), ("name",))
             principal = Principal(principal_id, name or principal_id, kind)
             self._principals[principal_id] = principal
             self._begin_event()

@@ -22,8 +22,6 @@ from typing import Iterable, Sequence
 from .deontic import (
     OUTCOME_ADMISSIBLE,
     OUTCOME_RECOMMENDED,
-    ChainLink,
-    DelegationChain,
     HolderKind,
     HolderRef,
     TokenState,
@@ -124,7 +122,8 @@ class _TraceState:
 
     Bindings and tokens live in the runtime's own indexes, written only
     through their `add`/`remove` and `add`/`update`, so the monitor looks up
-    what it checks the way the runtime does instead of scanning.
+    what it checks the way the runtime does instead of scanning. Its tokens
+    carry no delegation chain (`chain` is None), since no checker reads one.
     """
 
     def __init__(self) -> None:
@@ -173,14 +172,17 @@ class _TraceState:
             # the runtime numbers tokens as it creates them, one record each
             if token_id != len(self.tokens) + 1:
                 raise ValueError(f"token {token_id!r} is not the next token created")
-            head, holder = detail["chain_head"], detail["holder"]
+            # no checker reads a chain (accountability reads the head off the
+            # record), but a record without a head is malformed all the same
+            detail["chain_head"]
+            holder = detail["holder"]
             self.tokens.add(
                 modality=_MODALITIES[detail["modality"]],
                 action=detail["action"],
                 holder=HolderRef(_HOLDER_KINDS[holder["kind"]], holder["name"]),
                 subject=detail.get("subject"),
                 state=to,
-                chain=DelegationChain((ChainLink(head, holder["name"], record.seq),)),
+                chain=None,
                 issuer=detail["issuer"],
             )
 
@@ -244,9 +246,11 @@ class _ProhibitionChecker:
         self.template = template
 
     def _embargo_held(self, state: _TraceState) -> bool:
+        # a group embargo is never agent-held: it is in the role/group bucket
+        tokens = state.tokens
         return any(
             t.holder.kind is HolderKind.GROUP and t.holder.name in (self.group, "ALL")
-            for t in state.tokens.active_tokens(Modality.EMBARGO, self.action)
+            for t in map(tokens.get, tokens.held_by(Modality.EMBARGO, self.action, None))
         )
 
     def feed(self, record: AuditRecord, state: _TraceState) -> list[Violation]:
@@ -333,10 +337,15 @@ class TraceMonitor:
         return found
 
     def attach(self, instance: CommunityInstance) -> None:
-        """Start monitoring a live instance, catching up on its history."""
-        for record in instance.records():
-            self.feed(record)
-        instance.add_listener(self.feed)
+        """Start monitoring a live instance, catching up on its history.
+
+        Both steps hold the instance's lock, so no event is logged between
+        them and the monitor sees each record exactly once.
+        """
+        with instance._lock:
+            for record in instance.records():
+                self.feed(record)
+            instance.add_listener(self.feed)
 
     def clone(self) -> TraceMonitor:
         """Independent copy that shares the template, the checkers and their routes."""

@@ -41,7 +41,8 @@ from covenant.errors import (
     UnknownIssuer,
     UnresolvedHolder,
 )
-from covenant.spec_lang.ast import Modality
+from covenant.runtime import Bindings, RoleBinding
+from covenant.spec_lang.ast import AI_ROLE_KINDS, Modality, RoleKind
 
 
 class StaticResolver:
@@ -603,7 +604,17 @@ def fuzz_step(store, resolver, rng, step):
         for t in list(store)
         if t.state is TokenState.HELD and t.modality is modality and t.action == action
     ]
-    assert store.active_tokens(modality, action) == held, f"step {step}"
+    # each HELD token sits in one holder bucket and one subject bucket
+    for agent in FUZZ_AGENTS + [None]:
+        want = tuple(
+            t.id
+            for t in held
+            if (t.holder.name if t.holder.kind is HolderKind.AGENT else None) == agent
+        )
+        assert store.held_by(modality, action, agent) == want, f"step {step}"
+    for subject in FUZZ_SUBJECTS:
+        want = tuple(t.id for t in held if t.subject == subject)
+        assert store.held_on(modality, action, subject) == want, f"step {step}"
     agent = rng.choice(FUZZ_AGENTS)
     fillable = [t for t in held if t.holder.kind is not HolderKind.AGENT or t.holder.name == agent]
     assert store.active_for(modality, action, agent) == fillable, f"step {step}"
@@ -667,6 +678,85 @@ def test_admissibility_asks_only_about_the_actors_own_and_shared_tokens():
     verdict = check_action_admissible(store, resolver, "doc_a", "read")
     assert verdict.permits == (by_role.id, own.id, by_group.id)
     assert resolver.asked == [by_role.holder, own.holder, by_group.holder]
+
+
+def test_an_exception_asks_only_about_permits_on_the_verdicts_subject_or_unscoped():
+    others = [f"agent_{i}" for i in range(500)]
+    resolver = CountingResolver(
+        principals={"Hospital"},
+        agents={name: ("Hospital", {"Nurse"}) for name in others + ["doc_a", "doc_b"]}
+        | {"bot_1": ("Hospital", {"Matcher"})},
+        roles={"Nurse", "Physician", "Matcher"},
+        groups={"AI_POOL": {"bot_1"}},
+    )
+    store = TokenStore()
+
+    def approve(holder, subject):
+        return create_token(
+            store, resolver, Modality.PERMIT, "approve", holder, subject, "Hospital", 1
+        )
+
+    for i, name in enumerate(others):  # none fills the target, none is on p1
+        approve(agent_ref(name), f"p{i + 2}")
+    create_token(
+        store,
+        resolver,
+        Modality.EMBARGO,
+        "close",
+        HolderRef(HolderKind.GROUP, "AI_POOL"),
+        None,
+        "Hospital",
+        2,
+        unless_action="approve",
+        unless_target="Physician",
+    )
+    create_token(store, resolver, Modality.PERMIT, "close", role_ref("Matcher"), None, "Hospital", 3)
+    approve(agent_ref("doc_a"), "p1")
+    approve(agent_ref("doc_b"), None)
+    resolver.asked.clear()
+    verdict = check_action_admissible(store, resolver, "bot_1", "close", "p1")
+    assert verdict.reason == REASON_EMBARGO
+    physician = role_ref("Physician")
+    # the permit and the embargo each cover bot_1; then one question each
+    # about doc_a's permit on p1 and doc_b's unscoped one, none about the 500
+    assert resolver.asked[2:] == [physician, physician]
+    assert len(resolver.asked) == 4
+    # an unscoped verdict reads the unscoped bucket alone
+    resolver.asked.clear()
+    check_action_admissible(store, resolver, "bot_1", "close")
+    assert resolver.asked[2:] == [physician]
+    # once doc_b fills the target, the unscoped permit opens every subject
+    resolver.agents["doc_b"] = ("Hospital", {"Physician"})
+    assert check_action_admissible(store, resolver, "bot_1", "close", "p7").admissible
+
+
+def test_the_ai_binding_count_follows_binds_unbinds_and_clones():
+    rng = random.Random(16)
+    roles, agents, kinds = ["Physician", "Matcher"], ["a0", "a1", "a2", "a3"], list(RoleKind)
+    pool, seen = [Bindings()], set()
+    for step in range(800):
+        bindings = rng.choice(pool)
+        bound = list(bindings)
+        roll = rng.random()
+        if roll < 0.3 or not bound:
+            role, agent, kind = rng.choice(roles), rng.choice(agents), rng.choice(kinds)
+            bindings.add(RoleBinding(role, agent, kind, "P", step))
+        elif roll < 0.4:  # an agent that fills no such role: nothing to drop
+            bindings.remove("Scribe", rng.choice(agents))
+        elif roll < 0.75:
+            b = rng.choice(bound)
+            bindings.remove(b.role, b.agent)
+        elif roll < 0.95:  # re-bind, perhaps under another kind
+            b = rng.choice(bound)
+            bindings.remove(b.role, b.agent)
+            bindings.add(RoleBinding(b.role, b.agent, rng.choice(kinds), b.principal, step))
+        elif len(pool) < 6:
+            pool.append(bindings.clone())
+        for each in pool:
+            scan = any(b.agent_kind in AI_ROLE_KINDS for b in each)
+            assert each.any_in_group("ALL_AI_AGENTS", None) == scan, f"step {step}"
+            seen.add(scan)
+    assert seen == {False, True}
 
 
 def test_intent_records_are_frozen_and_owner_bound():

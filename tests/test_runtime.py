@@ -152,6 +152,13 @@ def test_register_principal_is_idempotent_without_new_records():
     assert len(c.records()) == count
 
 
+def test_an_empty_principal_name_logs_the_id():
+    c = make_ward()
+    principal = c.register_principal("Agency", name="")
+    assert principal.name == "Agency"
+    assert c.records()[-1].detail["name"] == "Agency"
+
+
 def test_unbind_removes_binding_and_logs():
     c = staffed_ward()
     c.unbind_agent("Bot", "bot_1")
@@ -377,6 +384,8 @@ def test_malformed_payload_rejected():
         (lambda c: c.force_bind("Officer", "officer_2", "human", object()), TypeError),
         (lambda c: c.apply_speech_act(SpeechAct(SpeechActKind.PROPOSE, 5, {})), TypeError),
         (lambda c: c.register_principal("Agency", name=object()), TypeError),
+        (lambda c: c.register_principal("Agency", name=0), TypeError),
+        (lambda c: c.register_principal("Agency", name=False), TypeError),
         (lambda c: c.register_principal("Agency", kind=float("nan")), TypeError),
         (lambda c: c.register_principal(("Agency", "North")), TypeError),
         (
@@ -399,6 +408,8 @@ def test_malformed_payload_rejected():
         "unencodable_principal_of_a_binding",
         "non_string_sender",
         "unencodable_principal_name",
+        "zero_principal_name",
+        "false_principal_name",
         "nan_principal_kind",
         "tuple_principal_id",
         "nan_owner_kind",

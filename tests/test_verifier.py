@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,7 @@ from covenant.runtime import (
     SpeechAct,
     instantiate_community,
     parse_export,
+    replay,
 )
 from covenant.scenarios import reduced_layer1_fixture
 from covenant.spec_lang import parse_spec
@@ -457,6 +461,55 @@ def test_online_violations_equal_offline_ones_on_ward_runs():
         seen |= {r.detail["to"] for r in records if r.kind == KIND_TOKEN_TRANSITION}
     # the runs are not vacuous: they break two properties and transfer burdens
     assert {PROP_SAFETY, PROP_AUTHORITY, "DELEGATED"} <= seen, seen
+
+
+def test_a_monitor_attached_mid_run_sees_each_record_once():
+    ward = _ward_module()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for seed in (1, 2, 3):
+            tpl, instance, caller = ward.populate(seed, 40, 40, 20, action_share=0.75)
+            errors, attached = [], threading.Event()
+
+            def drive():  # until 200 events after the attach
+                try:
+                    after = 0
+                    while after < 200:
+                        after += attached.is_set()
+                        _category, call, args, observe = caller.plan()
+                        observe(call(*args))
+                except Exception as exc:
+                    errors.append(exc)
+
+            monitor = TraceMonitor(ward.PROPERTIES, tpl)
+            feed, fed = monitor.feed, []  # (seq, fed by the writer)
+
+            def counted(record):
+                fed.append((record.seq, threading.current_thread() is writer))
+                return feed(record)
+
+            monitor.feed = counted
+            writer = threading.Thread(target=drive, daemon=True)
+            start = instance.head_seq
+            writer.start()
+            while instance.head_seq < start + 100 and writer.is_alive():
+                time.sleep(0)
+            monitor.attach(instance)
+            attached.set()
+            writer.join(timeout=60)
+            assert not writer.is_alive() and errors == [], seed
+            records = instance.records()
+            assert [seq for seq, _ in fed] == list(range(len(records))), seed
+            # caught up on this thread, then followed the writer's events
+            by_writer = [by for _, by in fed]
+            assert start < by_writer.index(True) < len(records) - 200, seed
+            online = sorted(monitor.violations, key=lambda v: (v.at_seq, v.property))
+            assert online == run_checks(records, ward.PROPERTIES, tpl), seed
+            text = instance.export_log()
+            assert replay(tpl, text).export_log() == text, seed
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_unknown_identifiers_are_rejected():
