@@ -124,6 +124,14 @@ class Token:
     evidence: int | None = None
 
 
+# A token built by __init__. `TokenStore.add` copies its __dict__ into each new
+# token before the fields: the dict then keeps the key-sharing layout of the
+# class's instances, which the keyword dict alone would not give it
+_PROTOTYPE = Token(
+    0, Modality.BURDEN, "", HolderRef(HolderKind.AGENT, ""), None, TokenState.HELD, DelegationChain(()), ""
+)
+
+
 class TokenStore:
     """All tokens of one community instance, keyed by monotonic integer id.
 
@@ -157,7 +165,9 @@ class TokenStore:
         # built as `update` builds a successor: Token.__init__ sets each frozen
         # field through object.__setattr__ and costs about five times as much
         token = object.__new__(Token)
-        token.__dict__.update(fields, id=len(self._tokens) + 1)
+        values = token.__dict__
+        values.update(_PROTOTYPE.__dict__)
+        values.update(fields, id=len(self._tokens) + 1)
         self._index(token)
         if token.modality is Modality.BURDEN and token.deadline is not None:
             heappush(self._deadlines, (token.deadline, token.id))

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import weakref
 from dataclasses import InitVar, dataclass, field
+from threading import RLock, get_ident
 from typing import Callable, Iterable, NoReturn
 
 from . import deontic
@@ -391,40 +391,6 @@ class _Pending:
     effects: tuple[ObjectWrite, ...]
 
 
-class _Mutation:
-    """Hold an instance's lock for one public mutator, then show the listeners what it logged.
-
-    A listener sees an event only once it is logged whole, and every listener
-    sees every record; the first error one raises then reaches the caller and
-    undoes nothing. Each instance keeps one, built around its own lock, record
-    list and listener list (so those lists are never rebound), and a mutator
-    allocates nothing to use it.
-    """
-
-    __slots__ = ("lock", "records", "listeners", "start")
-
-    def __init__(self, lock: threading.Lock, records: list, listeners: list) -> None:
-        self.lock, self.records, self.listeners = lock, records, listeners
-
-    def __enter__(self) -> None:
-        self.lock.acquire()
-        self.start = len(self.records)
-
-    def __exit__(self, *exc_info) -> None:
-        error = None
-        try:
-            for record in self.records[self.start :]:
-                for listener in self.listeners:
-                    try:
-                        listener(record)
-                    except Exception as exc:
-                        error = error or exc
-        finally:
-            self.lock.release()
-        if error is not None:
-            raise error
-
-
 # templates that passed validation, by identity: a template is immutable, so a
 # check of the same object would find what it found the first time
 _VALID_TEMPLATES: weakref.WeakValueDictionary[int, CommunityTemplate] = (
@@ -433,10 +399,46 @@ _VALID_TEMPLATES: weakref.WeakValueDictionary[int, CommunityTemplate] = (
 
 
 class CommunityInstance:
-    """One running community; all mutation is serialized under a lock."""
+    """One running community; each event is one `with self:` block, serialized under a lock."""
 
     # the input records a replay's shadow confirms as it writes; None on a live instance
     _replay_input: list[AuditRecord] | None = None
+    # the id of the thread inside a `with self:` block; None while no event is open
+    _holder: int | None = None
+
+    def __enter__(self) -> None:
+        """Open an event: take the lock, unless this thread holds it already.
+
+        A mutator or `TraceMonitor.attach` called from a listener raises
+        ProtocolViolation before its event is numbered. `export_log` and
+        `clone` take the re-entrant lock alone, so a listener may call them.
+        """
+        thread = get_ident()
+        if self._holder == thread:
+            raise ProtocolViolation("an event of this instance is open on this thread")
+        self._lock.acquire()
+        self._holder = thread
+        self._start = len(self._records)
+
+    def __exit__(self, *exc_info) -> None:
+        """Show every listener every record the block logged, in order, then release the lock.
+
+        A listener sees an event only once it is logged whole; the first error
+        one raises then reaches the caller and undoes nothing.
+        """
+        error = None
+        try:
+            for record in self._records[self._start :]:
+                for listener in self._listeners:
+                    try:
+                        listener(record)
+                    except Exception as exc:
+                        error = error or exc
+        finally:
+            self._holder = None
+            self._lock.release()
+        if error is not None:
+            raise error
 
     def __init__(
         self,
@@ -466,8 +468,7 @@ class CommunityInstance:
         self._listeners: list[Callable[[AuditRecord], None]] = []
         self._pending: dict[int, _Pending] = {}
         self._negotiation_proposer: str | None = None
-        self._lock = threading.Lock()
-        self._mutation = _Mutation(self._lock, self._records, self._listeners)
+        self._lock = RLock()
 
         disciplines = dict(object_disciplines or {})
         self.objects: dict[str, EnterpriseObject] = {}
@@ -476,7 +477,7 @@ class CommunityInstance:
                 decl.name, disciplines.get(decl.name, APPEND_ONLY)
             )
 
-        with self._lock:
+        with self:
             self._begin_event()
             self._append(
                 KIND_GENESIS,
@@ -676,7 +677,7 @@ class CommunityInstance:
     def register_principal(
         self, principal_id: str, name: str | None = None, kind: str = "organization"
     ) -> Principal:
-        with self._mutation:
+        with self:
             if principal_id in self._principals:
                 return self._principals[principal_id]
             # refused before a falsy non-string (0, False) could give way to the id
@@ -699,7 +700,7 @@ class CommunityInstance:
     def bind_agent(
         self, role: str, agent: str, kind: RoleKind | str, principal: str
     ) -> RoleBinding:
-        with self._mutation:
+        with self:
             if principal not in self._principals:
                 raise UnknownPrincipal(f"principal {principal!r} is not registered")
             return self._bind(role, agent, kind, principal)
@@ -712,7 +713,7 @@ class CommunityInstance:
         Exists for fault injection: the accountability checker must be able
         to see a binding whose principal was never registered.
         """
-        with self._mutation:
+        with self:
             return self._bind(role, agent, kind, principal)
 
     def _bind(self, role: str, agent: str, kind: RoleKind | str, principal: str) -> RoleBinding:
@@ -758,7 +759,7 @@ class CommunityInstance:
         return binding
 
     def unbind_agent(self, role: str, agent: str) -> None:
-        with self._mutation:
+        with self:
             if self.template.role(role) is None:
                 raise UnknownRole(f"role {role!r} is not declared")
             if not self._bindings.has_role(agent, role):
@@ -775,7 +776,7 @@ class CommunityInstance:
         if mode not in MODES:
             raise InvalidTemplate(f"unknown deployment mode {mode!r}")
         _check_strings({"by": by}, (), ("by",))
-        with self._mutation:
+        with self:
             self._begin_event()
             previous = self.mode
             self.mode = mode
@@ -791,7 +792,7 @@ class CommunityInstance:
         subject: str | None = None,
         effects: Iterable[ObjectWrite | dict] = (),
     ) -> ActionResult:
-        with self._mutation:
+        with self:
             if not self.is_agent(actor):
                 raise UnknownAgent(f"{actor!r} is not bound to any role")
             writes = tuple(self._coerce_write(e) for e in effects)
@@ -869,7 +870,7 @@ class CommunityInstance:
     # speech acts
 
     def apply_speech_act(self, act: SpeechAct) -> ApplyResult:
-        with self._mutation:
+        with self:
             kind = SpeechActKind(act.kind)
             _check_strings(vars(act), ("sender",))
             # fails before the event if the payload cannot be logged; the copy it
@@ -1087,8 +1088,7 @@ class CommunityInstance:
             twin._listeners = []
             twin._pending = dict(self._pending)
             twin._negotiation_proposer = self._negotiation_proposer
-            twin._lock = threading.Lock()
-            twin._mutation = _Mutation(twin._lock, twin._records, twin._listeners)
+            twin._lock = RLock()
             twin.objects = {name: obj.clone() for name, obj in self.objects.items()}
             return twin
 
@@ -1262,7 +1262,7 @@ def _raise_unexplained(
     shadow confirms as it writes it. The first record left is placed as
     _record_at places a difference: at the larger of its seq and its position.
     """
-    with instance._lock:
+    with instance:
         instance._begin_event()
     written = len(instance._records)  # at most seq: _record_at refuses a sweep record there
     if written < seq:

@@ -339,10 +339,10 @@ class TraceMonitor:
     def attach(self, instance: CommunityInstance) -> None:
         """Start monitoring a live instance, catching up on its history.
 
-        Both steps hold the instance's lock, so no event is logged between
-        them and the monitor sees each record exactly once.
+        Both steps are one `with instance:` block, so no event is logged
+        between them and the monitor sees each record exactly once.
         """
-        with instance._lock:
+        with instance:
             for record in instance.records():
                 self.feed(record)
             instance.add_listener(self.feed)

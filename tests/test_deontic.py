@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -227,6 +228,15 @@ def test_update_swaps_in_a_successor_and_keeps_the_token(ward):
     assert t.state is TokenState.HELD and t.evidence is None
     assert store.get(t.id) is successor
     assert store.guard_discharged("x", "p1") and not store.guard_discharged("x", "p2")
+
+
+def test_stored_tokens_keep_the_key_sharing_layout_of_init(ward):
+    # a dict filled from keywords alone takes about twice the memory, and successors copy it
+    store, resolver = ward
+    t = create_token(store, resolver, Modality.BURDEN, "x", agent_ref("doc_a"), "p1", "Hospital", 1, deadline=9)
+    successor = store.update(t, state=TokenState.DISCHARGED, evidence=3)
+    built = dataclasses.replace(successor)  # through Token.__init__
+    assert sys.getsizeof(vars(t)) == sys.getsizeof(vars(successor)) == sys.getsizeof(vars(built))
 
 
 def test_discharge_requires_holder(ward):

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import threading
 
 import pytest
 
@@ -15,9 +16,11 @@ from covenant.deontic import TokenState
 from covenant.errors import (
     CardinalityExceeded,
     DisciplineViolation,
+    GovernanceError,
     IntegrityError,
     InvalidTemplate,
     KindMismatch,
+    ProtocolViolation,
     UnknownAgent,
     UnknownPrincipal,
     UnknownRole,
@@ -49,7 +52,7 @@ from covenant.runtime import (
 from covenant.scenarios import built_in_scenarios, inject_violation, run_scenario
 from covenant.spec_lang import parse_spec
 from covenant.spec_lang.ast import SpeechActKind
-from covenant.verifier import PropertySpec, TraceMonitor
+from covenant.verifier import PropertySpec, TraceMonitor, run_checks
 
 WARD_SOURCE = """\
 community Ward {
@@ -1212,6 +1215,58 @@ def test_a_failing_listener_sees_the_event_whole_and_undoes_nothing():
     assert replay(template, c.export_log()).export_log() == c.export_log()
 
 
+_READERS = ("clone", "export_log")
+
+
+@pytest.mark.parametrize(
+    "call_back", ("apply_speech_act", "attach", "register_principal", "set_mode", "submit_action") + _READERS
+)
+def test_a_listener_that_calls_back_never_wedges_its_instance(call_back):
+    template = parse_spec(DESK_SOURCE)
+    c = instantiate_community(template)
+    c.bind_agent("Officer", "officer_1", "human", "community_owner")
+    c.bind_agent("Bot", "bot_1", "llm_agent", "community_owner")
+    monitor, fed = TraceMonitor([PropertySpec.accountability()], template), []
+    monitor.feed = fed.append
+    burden = {"action": "sign", "holder": "officer_1"}
+    call = {
+        "apply_speech_act": lambda: c.apply_speech_act(SpeechAct(SpeechActKind.DECLARE_BURDEN, "officer_1", burden)),
+        "attach": lambda: monitor.attach(c),
+        "register_principal": lambda: c.register_principal("Latecomer"),
+        "set_mode": lambda: c.set_mode(MODE_SUPERVISED),
+        "submit_action": lambda: c.submit_action("officer_1", "sign"),
+        "clone": lambda: c.clone().export_log(),
+        "export_log": c.export_log,
+    }[call_back]
+    before, events, tokens = len(c.records()), c.event_count, c.tokens.states()
+    seen, outcome = [], []
+    c.add_listener(lambda record: seen.append(call()))
+
+    def outer():
+        try:
+            outcome.append(c.submit_action("bot_1", "read_case"))
+        except Exception as exc:
+            outcome.append(exc)
+
+    # run in a thread of its own, so that a wedged instance fails the test instead of hanging it
+    thread = threading.Thread(target=outer, daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive(), f"{call_back} from a listener wedged the instance"
+    # the outer event is logged whole, and the inner call left no record, event or state
+    assert [r.kind for r in c.records()[before:]] == [KIND_ACTION_REQUEST, KIND_VERDICT]
+    assert (c.event_count, c.tokens.states(), c.mode) == (events + 1, tokens, MODE_AUTONOMOUS)
+    assert not c.is_principal("Latecomer") and fed == []
+    export = c.export_log()
+    if call_back in _READERS:
+        assert outcome[0].verdict.outcome == "blocked"
+        # each record's listener saw the log as it stands at the event's end
+        assert seen == [export, export]
+    else:
+        assert isinstance(outcome[0], ProtocolViolation) and seen == []
+    assert replay(template, export).export_log() == export
+
+
 def test_escalate_whose_burden_cannot_be_created_logs_one_rejection():
     # a bot force-bound without a principal cannot issue the review burden
     c = instantiate_community(parse_spec(DESK_SOURCE))
@@ -1578,3 +1633,80 @@ def test_replay_places_every_tamper_where_import_log_does():
                 assert _replay_fails_at(template, text) == exc.bad_seq, (name, str(exc))
                 refused += 1
     assert refused > 350
+
+
+# Calls the Ward (bench/ward.py) must refuse, each given an officer and a bound
+# agent. Each of these raises before its event is numbered.
+_RAISING = (
+    lambda c, officer, agent: c.submit_action("ghost", "read_case"),
+    lambda c, officer, agent: c.submit_action(agent, 7),
+    lambda c, officer, agent: c.submit_action(agent, "read_case", subject={"case_1"}),
+    lambda c, officer, agent: c.submit_action(agent, "read_case", effects=[{"object": "Nowhere", "key": "k"}]),
+    lambda c, officer, agent: c.submit_action(agent, "read_case", effects=[{"object": "CaseFile", "op": "erase", "key": "k"}]),
+    lambda c, officer, agent: c.submit_action(agent, "read_case", effects=[{"object": "CaseFile", "op": "put", "key": "k"}]),
+    lambda c, officer, agent: c.submit_action(agent, "read_case", effects=[{"object": "CaseFile"}]),
+    lambda c, officer, agent: c.set_mode("chaos"),
+    lambda c, officer, agent: c.set_mode(MODE_SUPERVISED, by=5),
+    lambda c, officer, agent: c.register_principal("Latecomer", name=0),
+    lambda c, officer, agent: c.register_principal(("Latecomer",)),
+    lambda c, officer, agent: c.bind_agent("Nurse", 9, "human", "WardHospital"),
+    lambda c, officer, agent: c.bind_agent("Janitor", "janitor_1", "human", "WardHospital"),
+    lambda c, officer, agent: c.bind_agent("Nurse", "nurse_x", "robot", "WardHospital"),
+    lambda c, officer, agent: c.bind_agent("Nurse", "nurse_x", "human", "Nobody"),
+    lambda c, officer, agent: c.unbind_agent("Nurse", "ghost"),
+    lambda c, officer, agent: c.apply_speech_act(SpeechAct("shout", agent, {})),
+    lambda c, officer, agent: c.apply_speech_act(SpeechAct(SpeechActKind.GRANT, 5, {})),
+    lambda c, officer, agent: c.apply_speech_act(SpeechAct(SpeechActKind.GRANT, officer, {"action": float("nan")})),
+)
+# Each of these speech acts is logged as a rejection.
+_REJECTED = (
+    lambda officer, agent: SpeechAct(SpeechActKind.GRANT, "ghost", {"action": "read_case", "to": agent}),
+    lambda officer, agent: SpeechAct(SpeechActKind.DECLARE_PERMIT, officer, {"action": "x", "holder": agent}),
+    lambda officer, agent: SpeechAct(SpeechActKind.DECLARE_BURDEN, officer, {"action": 5, "holder": "Officer"}),
+    lambda officer, agent: SpeechAct(
+        SpeechActKind.DECLARE_BURDEN, officer, {"action": "sign_off", "holder": "Officer", "deadline": "soon"}
+    ),
+    lambda officer, agent: SpeechAct(SpeechActKind.GRANT, officer, {"to": agent}),
+    lambda officer, agent: SpeechAct(SpeechActKind.GRANT, officer, {"action": "read_case", "to": "ghost"}),
+    lambda officer, agent: SpeechAct(SpeechActKind.DISCHARGE, officer, {"token": "first"}),
+    lambda officer, agent: SpeechAct(SpeechActKind.DISCHARGE, officer, {"token": 10**6}),
+    lambda officer, agent: SpeechAct(SpeechActKind.TRANSFER, officer, {"token": 10**6, "to": officer}),
+    lambda officer, agent: SpeechAct(SpeechActKind.REVOKE, officer, {"token": 10**6}),
+)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_event_fuzz_refused_calls_change_nothing_and_every_export_replays(seed):
+    from test_verifier import _ward_module  # here: test_verifier imports this module
+
+    ward = _ward_module()
+    tpl, c, caller = ward.populate(seed, 40, 40, 20, action_share=0.75)
+    monitor = TraceMonitor(ward.PROPERTIES, tpl)
+    monitor.attach(c)
+    rng = random.Random(seed)
+    for step in range(1, 601):
+        if rng.random() < 0.5:
+            _category, call, args, observe = caller.plan()
+            observe(call(*args))
+            continue
+        officer = rng.choice(caller.bound["Officer"])
+        agent = rng.choice(caller.bound[rng.choice(sorted(caller.bound))])
+        records, events, bindings, mode, tokens = state = (
+            c.records(), c.event_count, c.bindings(), c.mode, c.tokens.states()
+        )
+        if rng.random() < 0.5:
+            with pytest.raises((GovernanceError, InvalidTemplate, KeyError, TypeError, ValueError)):
+                rng.choice(_RAISING)(c, officer, agent)
+            assert (c.records(), c.event_count, c.bindings(), c.mode, c.tokens.states()) == state
+        else:
+            result = c.apply_speech_act(rng.choice(_REJECTED)(officer, agent))
+            # one rejected record, after the burdens the event found overdue
+            *expired, rejected = c.records()[len(records) :]
+            assert not result.accepted and (rejected.seq, rejected.detail["rejected"]) == (result.seq, True)
+            assert all((r.kind, r.detail["to"]) == (KIND_TOKEN_TRANSITION, "VIOLATED") for r in expired)
+            assert (c.event_count, c.bindings(), c.mode, len(c.tokens)) == (events + 1, bindings, mode, len(tokens))
+        if step % 150 == 0:
+            text = c.export_log()
+            assert replay(tpl, text).export_log() == text, step
+    online = sorted(monitor.violations, key=lambda v: (v.at_seq, v.property))
+    assert online == run_checks(c.records(), ward.PROPERTIES, tpl)

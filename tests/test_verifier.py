@@ -470,7 +470,7 @@ def test_a_monitor_attached_mid_run_sees_each_record_once():
     try:
         for seed in (1, 2, 3):
             tpl, instance, caller = ward.populate(seed, 40, 40, 20, action_share=0.75)
-            errors, attached = [], threading.Event()
+            errors, attached, done = [], threading.Event(), threading.Event()
 
             def drive():  # until 200 events after the attach
                 try:
@@ -481,29 +481,46 @@ def test_a_monitor_attached_mid_run_sees_each_record_once():
                         observe(call(*args))
                 except Exception as exc:
                     errors.append(exc)
+                finally:
+                    done.set()
+
+            def register():  # a second writer: the Ward caller is not thread-safe, so calls of its own
+                try:
+                    while not done.is_set():
+                        registered.append(instance.register_principal(f"late_{len(registered)}").id)
+                        time.sleep(0)  # yield, so that both writers keep logging events
+                except Exception as exc:
+                    errors.append(exc)
 
             monitor = TraceMonitor(ward.PROPERTIES, tpl)
-            feed, fed = monitor.feed, []  # (seq, fed by the writer)
+            feed, fed = monitor.feed, []  # (seq, fed on the attaching thread)
 
             def counted(record):
-                fed.append((record.seq, threading.current_thread() is writer))
+                fed.append((record.seq, threading.current_thread() is attacher))
                 return feed(record)
 
             monitor.feed = counted
-            writer = threading.Thread(target=drive, daemon=True)
+            attacher, registered = threading.current_thread(), []
+            writers = [threading.Thread(target=run, daemon=True) for run in (drive, register)]
             start = instance.head_seq
-            writer.start()
-            while instance.head_seq < start + 100 and writer.is_alive():
+            for writer in writers:
+                writer.start()
+            while instance.head_seq < start + 100 and not done.is_set():
                 time.sleep(0)
             monitor.attach(instance)
             attached.set()
-            writer.join(timeout=60)
-            assert not writer.is_alive() and errors == [], seed
+            for writer in writers:
+                writer.join(timeout=60)
+            assert not any(writer.is_alive() for writer in writers) and errors == [], seed
             records = instance.records()
             assert [seq for seq, _ in fed] == list(range(len(records))), seed
-            # caught up on this thread, then followed the writer's events
-            by_writer = [by for _, by in fed]
-            assert start < by_writer.index(True) < len(records) - 200, seed
+            # caught up on this thread, then followed the writers' events
+            by_attacher = [by for _, by in fed]
+            caught_up = by_attacher.count(True)
+            assert by_attacher == [True] * caught_up + [False] * (len(fed) - caught_up), seed
+            assert start < caught_up < len(records) - 200, seed
+            late = [r.seq for r in records if r.detail.get("principal", "").startswith("late_")]
+            assert len(late) == len(registered) and late[-1] > caught_up, seed
             online = sorted(monitor.violations, key=lambda v: (v.at_seq, v.property))
             assert online == run_checks(records, ward.PROPERTIES, tpl), seed
             text = instance.export_log()
