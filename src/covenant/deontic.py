@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterator, Protocol
+from typing import Iterator, NamedTuple, Protocol
 
 from .errors import (
     CycleDetected,
@@ -105,8 +105,7 @@ class DelegationChain:
         return DelegationChain(self.links + (ChainLink(frm, to, at),))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     id: int
     modality: Modality
     action: str
@@ -122,14 +121,6 @@ class Token:
     unless_action: str | None = None
     unless_target: str | None = None
     evidence: int | None = None
-
-
-# A token built by __init__. `TokenStore.add` copies its __dict__ into each new
-# token before the fields: the dict then keeps the key-sharing layout of the
-# class's instances, which the keyword dict alone would not give it
-_PROTOTYPE = Token(
-    0, Modality.BURDEN, "", HolderRef(HolderKind.AGENT, ""), None, TokenState.HELD, DelegationChain(()), ""
-)
 
 
 class TokenStore:
@@ -162,12 +153,7 @@ class TokenStore:
         self._deadlines: list[tuple[int, int]] = []
 
     def add(self, **fields) -> Token:
-        # built as `update` builds a successor: Token.__init__ sets each frozen
-        # field through object.__setattr__ and costs about five times as much
-        token = object.__new__(Token)
-        values = token.__dict__
-        values.update(_PROTOTYPE.__dict__)
-        values.update(fields, id=len(self._tokens) + 1)
+        token = Token(len(self._tokens) + 1, **fields)
         self._index(token)
         if token.modality is Modality.BURDEN and token.deadline is not None:
             heappush(self._deadlines, (token.deadline, token.id))
@@ -176,10 +162,7 @@ class TokenStore:
 
     def update(self, token: Token, **changes) -> Token:
         """Swap in the successor of `token`, with `changes` applied; return it."""
-        # a field-for-field copy: Token has no __post_init__ to rerun, and
-        # dataclasses.replace costs four to six times as much
-        successor = object.__new__(Token)
-        successor.__dict__.update(token.__dict__, **changes)
+        successor = token._replace(**changes)
         self._unindex(self._tokens[token.id])
         self._index(successor)
         self._tokens[token.id] = successor

@@ -1112,24 +1112,34 @@ def instantiate_community(
 # export / import / replay
 
 
+# what decoding a line can raise: JSONDecodeError is a ValueError, as is an
+# integer literal longer than sys.get_int_max_str_digits(); deep nesting recurses
+_UNREADABLE_JSON = (ValueError, RecursionError)
+
+
 def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
     """Parse an export; verify header shape only (chain check is separate).
 
     Each record's detail is encoded once, here. A `prev_hash` equal to the
     previous record's hash shares that string, and each distinct kind and
-    actor is kept once. A line AuditRecord refuses is an IntegrityError at its position.
+    actor is kept once. A line AuditRecord refuses is an IntegrityError at its
+    position; a bad header, or an export without records, at seq 0.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise IntegrityError("empty export", 0)
     try:
         header = _decode_json(lines[0])
-    except json.JSONDecodeError as exc:
+    except _UNREADABLE_JSON as exc:
         raise IntegrityError(f"unreadable header: {exc}", 0) from exc
+    if not isinstance(header, dict):
+        raise IntegrityError("header is not a JSON object", 0)
     if header.get("format") != EXPORT_FORMAT:
         raise IntegrityError(f"unknown export format {header.get('format')!r}", 0)
     if header.get("digest") != DIGEST_NAME:
         raise IntegrityError(f"unsupported digest {header.get('digest')!r}", 0)
+    if len(lines) == 1:
+        raise IntegrityError("export holds no records", 0)
     records: list[AuditRecord] = []
     names: dict[str, str] = {}
     prev = None
@@ -1145,7 +1155,7 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
             records.append(
                 AuditRecord(raw["seq"], kind, actor, detail, prev_hash, prev, canonical_json(detail))
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (*_UNREADABLE_JSON, KeyError, TypeError) as exc:
             raise IntegrityError(f"unreadable record on line {index + 2}: {exc}", index) from exc
     return header, records
 

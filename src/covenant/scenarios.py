@@ -241,11 +241,14 @@ class ScenarioReport:
 _INT_KEYS = {"token", "request_seq", "evidence", "deadline"}
 
 
-def _coerce(key: str, value: str):
+def _coerce(lineno: int, key: str, value: str):
     # an optional "-" and ASCII digits only: "--5" and "²" stay strings
     digits = value.removeprefix("-")
     if key in _INT_KEYS and digits.isascii() and digits.isdigit():
-        return int(value)
+        try:
+            return int(value)
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+            raise ScriptError(f"line {lineno}: {key}: {exc}") from None
     return value
 
 
@@ -336,7 +339,7 @@ def parse_script(text: str) -> tuple[EventSchema, ...]:
                 if key == "select":
                     params["select_token"] = _selector(lineno, value)
                 else:
-                    payload[key] = _coerce(key, value)
+                    payload[key] = _coerce(lineno, key, value)
         else:
             raise ScriptError(f"line {lineno}: cannot parse event {raw.strip()!r}")
         events.append(EventSchema(label, op, params))

@@ -187,7 +187,11 @@ class _Parser:
     def _expect_int(self) -> int:
         if self._cur.type != "int":
             raise self._fail(("integer",))
-        return int(self._advance().value)
+        tok = self._advance()
+        try:
+            return int(tok.value)
+        except ValueError as exc:  # too many digits for int(), or one it does not read ("²")
+            raise ParseError(f"unreadable integer: {exc}", tok.line, tok.column) from None
 
     # grammar productions ----------------------------------------------
 

@@ -152,6 +152,25 @@ def test_verify_needs_property_parameters(tmp_path, capsys):
     code = main(["verify", "--trace", str(trace), "--property", "safety"])
     assert code == EXIT_USAGE
     assert "--burden" in capsys.readouterr().err
+    for prop, flag in (("authority", "--role"), ("prohibition", "--group")):
+        code = main(["verify", "--trace", str(trace), "--property", prop, "--action", "read_demographics"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {prop} needs --action and {flag}\n"
+
+
+def test_an_integer_too_long_to_read_in_a_spec_or_a_script_is_a_usage_error(tmp_path, capsys):
+    spec = tmp_path / "clinic.community"
+    huge = "9" * 5000
+    spec.write_text(GOOD_SPEC.replace("Officer: human;", f"Officer: human [0..{huge}];"), encoding="utf-8")
+    assert main(["parse", "--spec", str(spec)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("parse error: 2:27: unreadable integer")
+    spec.write_text(GOOD_SPEC, encoding="utf-8")
+    script = tmp_path / "probe.script"
+    script.write_text(f"bind Officer officer_1 human community_owner\nspeech_act officer_1 discharge token={huge}\n", encoding="utf-8")
+    code = main(["run", "--spec", str(spec), "--script", str(script), "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: line 2: token: ")
+    assert not list(tmp_path.glob("*.audit"))
 
 
 def test_verify_accountability_needs_no_parameters(tmp_path, capsys):
@@ -241,7 +260,16 @@ def test_verify_reports_an_unknown_agent_kind_as_an_integrity_failure(tmp_path, 
     assert "integrity failure at seq 7:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seq", ['"x"', "true", "3.0"])
+@pytest.mark.parametrize(
+    "seq",
+    [
+        '"x"',
+        "true",
+        "3.0",
+        pytest.param("9" * 5000, id="5000_digits"),
+        pytest.param("[" * 100_000, id="nested_past_the_recursion_limit"),
+    ],
+)
 def test_verify_reports_a_seq_that_is_not_an_int_at_its_position(tmp_path, capsys, seq):
     run_happy(tmp_path)
     capsys.readouterr()
@@ -251,6 +279,26 @@ def test_verify_reports_a_seq_that_is_not_an_int_at_its_position(tmp_path, capsy
     trace.write_text(text.replace('"seq":3,', f'"seq":{seq},'), encoding="utf-8")
     assert main(["verify", "--trace", str(trace), "--property", "accountability"]) == EXIT_INTEGRITY
     assert "integrity failure at seq 3:" in capsys.readouterr().err
+    assert main(["audit", "--trace", str(trace)]) == EXIT_INTEGRITY
+    assert "integrity failure at seq 3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["[]", '"x"', "7", "null", "[" * 100_000, '{"format":' + "9" * 5000 + "}", None],
+    ids=["array", "string", "number", "null", "nested_past_the_recursion_limit", "integer_of_5000_digits", "no_records"],
+)
+def test_audit_and_verify_refuse_an_unreadable_header_at_seq_0(tmp_path, capsys, header):
+    run_happy(tmp_path)
+    trace = tmp_path / "happy_path.0.DataAccessCommunity.audit"
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    # None: a sound header and no records
+    trace.write_text("\n".join(lines[:1] if header is None else [header] + lines[1:]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["audit", "--trace", str(trace)], ["verify", "--trace", str(trace), "--property", "accountability"]):
+        assert main(argv) == EXIT_INTEGRITY, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("integrity failure at seq 0:") and captured.out == "", argv
 
 
 def test_audit_reports_head_digest(tmp_path, capsys):

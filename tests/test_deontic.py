@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import sys
 
 import pytest
 
@@ -223,20 +222,22 @@ def test_update_swaps_in_a_successor_and_keeps_the_token(ward):
     store, resolver = ward
     t = create_token(store, resolver, Modality.BURDEN, "x", agent_ref("doc_a"), "p1", "Hospital", 1)
     successor = store.update(t, state=TokenState.DISCHARGED, evidence=3)
-    assert successor == dataclasses.replace(t, state=TokenState.DISCHARGED, evidence=3)
-    assert hash(successor) == hash(dataclasses.replace(successor))
+    assert successor == t._replace(state=TokenState.DISCHARGED, evidence=3)
+    assert hash(successor) == hash(successor._replace())
     assert t.state is TokenState.HELD and t.evidence is None
     assert store.get(t.id) is successor
     assert store.guard_discharged("x", "p1") and not store.guard_discharged("x", "p2")
 
 
-def test_stored_tokens_keep_the_key_sharing_layout_of_init(ward):
-    # a dict filled from keywords alone takes about twice the memory, and successors copy it
+def test_stored_tokens_are_plain_immutable_tuples(ward):
     store, resolver = ward
     t = create_token(store, resolver, Modality.BURDEN, "x", agent_ref("doc_a"), "p1", "Hospital", 1, deadline=9)
     successor = store.update(t, state=TokenState.DISCHARGED, evidence=3)
-    built = dataclasses.replace(successor)  # through Token.__init__
-    assert sys.getsizeof(vars(t)) == sys.getsizeof(vars(successor)) == sys.getsizeof(vars(built))
+    for token in (t, successor):
+        assert type(token) is Token and not hasattr(token, "__dict__")
+        assert token == Token(*token)
+        with pytest.raises(AttributeError):
+            token.state = TokenState.REVOKED
 
 
 def test_discharge_requires_holder(ward):
@@ -470,9 +471,7 @@ def test_trace_to_principal_rejects_agent_head(ward):
     store, resolver = ward
     t = create_token(store, resolver, Modality.BURDEN, "x", agent_ref("doc_b"), None, "doc_a", 1)
     # tokens are frozen: build a corrupt copy whose chain heads at an agent
-    broken = dataclasses.replace(
-        t, chain=type(t.chain)((type(t.chain.links[0])("doc_a", "doc_b", 1),))
-    )
+    broken = t._replace(chain=type(t.chain)((type(t.chain.links[0])("doc_a", "doc_b", 1),)))
     with pytest.raises(MalformedChain):
         trace_to_principal(resolver, broken)
 

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 import threading
 
 import pytest
@@ -715,15 +716,69 @@ def test_truncated_export_fails_verification():
 
 @pytest.mark.parametrize(
     "header",
-    ["", "{format", '{"format":"covenant-audit/0","digest":"sha256"}', '{"format":"covenant-audit/1","digest":"md5"}'],
-    ids=["empty", "unreadable", "unknown_format", "unsupported_digest"],
+    [
+        "",
+        "{format",
+        '{"format":"covenant-audit/0","digest":"sha256"}',
+        '{"format":"covenant-audit/1","digest":"md5"}',
+        "[]",
+        '"x"',
+        "7",
+        "null",
+        "[" * 100_000,
+        '{"format":' + "1" * 5000 + "}",
+        None,
+    ],
+    ids=[
+        "empty",
+        "unreadable",
+        "unknown_format",
+        "unsupported_digest",
+        "array",
+        "string",
+        "number",
+        "null",
+        "nested_past_the_recursion_limit",
+        "integer_of_5000_digits",
+        "no_records",
+    ],
 )
 def test_an_export_with_a_bad_header_is_refused_at_seq_0(header):
     lines = drive_sample_history(staffed_ward()).export_log().splitlines()
-    text = "\n".join([header] + lines[1:]) + "\n" if header else "\n \n"
-    with pytest.raises(IntegrityError) as info:
-        import_log(text)
-    assert info.value.bad_seq == 0
+    if header is None:  # a sound header and nothing after it
+        text = lines[0] + "\n"
+    elif header:
+        text = "\n".join([header] + lines[1:]) + "\n"
+    else:
+        text = "\n \n"
+    template = parse_spec(WARD_SOURCE)
+    for read in (parse_export, import_log, lambda t: replay(template, t)):
+        with pytest.raises(IntegrityError) as info:
+            read(text)
+        assert info.value.bad_seq == 0
+
+
+@pytest.mark.parametrize(
+    "spell",
+    [
+        lambda line: line[:-1],
+        lambda line: "[]",
+        lambda line: "[" * 100_000,
+        lambda line: re.sub(r'"seq":\d+', '"seq":' + "9" * 5000, line, count=1),
+    ],
+    ids=["truncated", "array", "nested_past_the_recursion_limit", "seq_of_5000_digits"],
+)
+def test_an_unreadable_record_line_is_refused_at_its_position(spell):
+    template = parse_spec(WARD_SOURCE)
+    lines = drive_sample_history(staffed_ward()).export_log().splitlines()
+    for position in (0, 6, 18):
+        edited = list(lines)
+        edited[position + 1] = spell(lines[position + 1])
+        text = "\n".join(edited) + "\n"
+        for read in (parse_export, import_log, lambda t: replay(template, t)):
+            with pytest.raises(IntegrityError, match=f"unreadable record on line {position + 2}") as info:
+                read(text)
+            assert info.value.bad_seq == position
 
 
 def test_an_edited_link_is_a_broken_chain_at_its_seq():
@@ -1099,7 +1154,7 @@ def test_clone_isolates_state():
     )
     assert len(list(twin.tokens)) + 1 == len(list(c.tokens))
     token = next(iter(c.tokens))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         token.state = TokenState.REVOKED
 
     # a transition in either copy leaves the other's tokens as they were

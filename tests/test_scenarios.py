@@ -38,7 +38,7 @@ from covenant.scenarios import (
     stage_from_script,
 )
 from covenant.spec_lang import format_specs, parse_spec, parse_specs
-from covenant.verifier import apply_schema
+from covenant.verifier import EventSchema, apply_schema
 
 GOLDEN = Path(__file__).parent / "data" / "clinical_layers.golden"
 
@@ -232,6 +232,44 @@ def test_preflight_rejects_unknown_cast_references():
 
 
 
+@pytest.mark.parametrize(
+    "script, match",
+    [
+        (parse_script("probe: bind Janitor extract_bot llm_agent VendorX"), "role 'Janitor' is not declared"),
+        (parse_script("probe: unbind Janitor extract_bot"), "role 'Janitor' is not declared"),
+        (parse_script("probe: bind Patient stranger human MedCenter"), "agent 'stranger' is not in the cast"),
+        (parse_script("probe: unbind Patient stranger"), "agent 'stranger' is not in the cast"),
+        (parse_script("probe: speech_act stranger propose"), "sender 'stranger' is not in the cast"),
+        (
+            parse_script("probe: bind Patient patient_007 human NoSuchCouncil"),
+            "principal 'NoSuchCouncil' is not registered at this point",
+        ),
+        (parse_script("probe: speech_act officer_dga shout"), "unknown speech act kind 'shout'"),
+        (
+            parse_script("probe: speech_act officer_dga accept request_seq=$last_request"),
+            "[$]last_request used before any action event",
+        ),
+        ((EventSchema("probe", "teleport", {}),), "unknown event op 'teleport'"),
+    ],
+    ids=[
+        "bind_undeclared_role",
+        "unbind_undeclared_role",
+        "bind_agent_not_in_cast",
+        "unbind_agent_not_in_cast",
+        "sender_not_in_cast",
+        "unregistered_principal",
+        "unknown_speech_act_kind",
+        "last_request_before_any_action",
+        "unknown_op",
+    ],
+)
+def test_preflight_refuses_a_bad_event_before_the_stage_runs(monkeypatch, script, match):
+    stage = dataclasses.replace(get_scenario("happy_path").stages[0], script=script)
+    monkeypatch.setattr(scenarios, "instantiate_community", None)  # nothing may run
+    with pytest.raises(ScriptError, match=f"^probe: {match}"):
+        run_stage(stage)
+
+
 def test_preflight_rejects_unknown_agent_kinds():
     stage = stage_from_script(
         REDUCED_LAYER1_SOURCE, parse_script("bind ConsentManager bot robot MedCenter")
@@ -337,6 +375,22 @@ def test_parse_script_reports_line_numbers():
         )
     with pytest.raises(ScriptError, match="line 1: .*'HELDX'"):
         parse_script("speech_act bot discharge select=burden:verify_consent:HELDX")
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        ("speech_act bot discharge select=burden:verify_consent", "select needs modality:action:state"),
+        ('speech_act bot propose body="unbalanced', "No closing quotation"),
+        ("action bot read_demographics effect=Cache:put:p1", "effect needs object:op:key:value"),
+        ("action bot read_demographics colour=red", "unknown action argument 'colour'"),
+        ("speech_act bot revoke token=" + "9" * 5000, "token: Exceeds the limit"),
+    ],
+    ids=["malformed_select", "unbalanced_quote", "malformed_effect", "unknown_action_argument", "token_of_5000_digits"],
+)
+def test_parse_script_refuses_a_malformed_line_by_its_number(line, match):
+    with pytest.raises(ScriptError, match=f"^line 2: {match}"):
+        parse_script("register_principal A\n" + line)
 
 
 def test_stage_from_script_runs_ad_hoc_communities():

@@ -66,6 +66,52 @@ def test_unterminated_community_is_an_error():
         parse_spec("community X {\n  role A: human;\n")
 
 
+_ONE_ROLE = "community X {\n  role A: human;\n"
+
+
+@pytest.mark.parametrize(
+    "source, line, column, expected",
+    [
+        (_ONE_ROLE + "  @\n}\n", 3, 3, ()),
+        (_ONE_ROLE + "  policy permit(x, A) requires burden(y, A);\n}\n", 3, 32, ("discharged",)),
+        ("community {\n}\n", 1, 11, ("community name",)),
+        ("community X {\n  role A: human [..1];\n}\n", 2, 18, ("integer",)),
+        ("community X {\n  role A: robot;\n}\n", 2, 11, tuple(sorted(k.value for k in RoleKind))),
+        ("community X {\n  role A: human [0..x];\n}\n", 2, 21, ("*", "integer")),
+        # an integer token with more digits than int() will read
+        ("community X {\n  role A: human [0.." + "9" * 5000 + "];\n}\n", 2, 21, ()),
+        ("community X {\n  role A: human [\u00b2..1];\n}\n", 2, 18, ()),  # a digit int() does not read
+        (_ONE_ROLE + "  policy duty(x, A);\n}\n", 3, 10, tuple(sorted(m.value for m in Modality))),
+        (_ONE_ROLE + "  contract C {\n    deny A: grant;\n  }\n}\n", 4, 5, ("allow", "escalate", "}")),
+        (
+            _ONE_ROLE + "  contract C {\n    allow A: grant, shout;\n  }\n}\n",
+            4,
+            21,
+            tuple(sorted(k.value for k in SpeechActKind)),
+        ),
+        (_ONE_ROLE + "}\ncommunity Y {\n}\n", 4, 1, ("end of input",)),
+    ],
+    ids=[
+        "unexpected_character",
+        "missing_keyword",
+        "missing_identifier",
+        "missing_integer",
+        "bad_role_kind",
+        "bad_cardinality_bound",
+        "integer_of_5000_digits",
+        "superscript_digit",
+        "bad_modality",
+        "bad_contract_member",
+        "bad_speech_act_kind",
+        "trailing_input",
+    ],
+)
+def test_a_parse_error_is_placed_at_the_offending_token(source, line, column, expected):
+    with pytest.raises(ParseError) as info:
+        parse_spec(source)
+    assert (info.value.line, info.value.column, info.value.expected) == (line, column, expected)
+
+
 def test_cardinality_forms():
     t = parse_spec(
         "community C {\n"
@@ -172,6 +218,11 @@ def test_escalation_to_undeclared_role_is_an_error():
         "}\n"
     )
     assert any("undeclared role 'Nobody'" in f.message for f in errors_of(t))
+
+
+def test_contract_for_an_undeclared_role_is_an_error():
+    t = parse_spec(_ONE_ROLE + "  contract K {\n    allow Nobody: grant;\n  }\n}\n")
+    assert [f.message for f in errors_of(t)] == ["contract 'K' authorizes undeclared role 'Nobody'"]
 
 
 def conflict_oracle(template):

@@ -8,6 +8,7 @@ import json
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from covenant.runtime import (
     parse_export,
     replay,
 )
-from covenant.scenarios import reduced_layer1_fixture
+from covenant.scenarios import GateFixture, parse_script, reduced_layer1_fixture
 from covenant.spec_lang import parse_spec
 from covenant.spec_lang.ast import SpeechActKind
 from covenant.verifier import (
@@ -539,6 +540,8 @@ def test_unknown_identifiers_are_rejected():
         # custom group names need a template to resolve membership
         run_checks((), [PropertySpec.prohibition("close_file", "Cabal")], None)
     run_checks((), [PropertySpec.prohibition("close_file", "ALL")], None)
+    with pytest.raises(UnknownIdentifier, match="unknown property template 'liveness'"):
+        TraceMonitor([PropertySpec("liveness")], template)
 
 
 def test_violation_line_format():
@@ -590,6 +593,20 @@ def test_apply_schema_honours_force_and_the_oracle_refuses_it():
     # the reference engine cannot model a forced bind, so it must not ignore one
     with pytest.raises(ScopeTooLarge, match="forced binds"):
         oracle_enumerate(fx.template, (forced,), 1, fx.properties, fx.prologue, fx.owner)
+
+def test_apply_schema_refuses_an_unknown_op_and_sends_a_last_request_it_cannot_resolve():
+    c = instantiate_community(parse_spec(DESK_SOURCE), owner=Principal("Clinic", "Clinic"))
+    c.bind_agent("Reviewer", "reviewer_1", "human", "Clinic")
+    head = c.head_seq
+    with pytest.raises(ValueError, match="unknown schema op 'teleport'"):
+        apply_schema(c, EventSchema("probe", "teleport", {}))
+    assert c.head_seq == head
+    # no recommendation yet: the accept goes out with no request and is logged as malformed
+    approve = {"sender": "reviewer_1", "kind": "accept", "payload": {"request_seq": "$last_request"}}
+    assert apply_schema(c, EventSchema("approve", "speech_act", approve)) == "rejected:MalformedPayload"
+    logged = c.records()[-1]
+    assert (logged.seq, logged.detail["payload"]) == (head + 1, {"request_seq": None})
+
 
 def runtime_enumerate(fx, depth):
     """DFS over the real runtime, mapping violations back to trace positions."""
@@ -647,6 +664,84 @@ def test_monitor_agrees_with_oracle_to_depth_three():
     assert any(expected[k] for k in expected)
     flagged = {p for vs in expected.values() for p, _ in vs}
     assert PROP_SAFETY in flagged and PROP_PROHIBITION in flagged and PROP_AUTHORITY in flagged
+
+
+DECISION_DESK_SOURCE = """\
+community DecisionDesk {
+  role Physician: human [0..2];
+  role Matcher: agentic_ai [0..1];
+  role Officer: human [0..1];
+  group Clinicians = {Physician};
+
+  policy burden(make_decision, Physician);
+  policy permit(final_decision, Clinicians);
+  policy embargo(final_decision, ALL_AI_AGENTS) unless permit(override, Officer);
+
+  contract DeskRules {
+    allow Physician: transfer, discharge;
+    allow Matcher: discharge;
+    allow Officer: grant, declare_permit, revoke;
+  }
+}
+"""
+
+DECISION_DESK_PROLOGUE = """\
+reg_vendor: register_principal VendorX
+bind_officer: bind Officer officer_1 human Hospital
+bind_p1: bind Physician physician_1 human Hospital
+"""
+
+_DESK_EVENTS = {
+    "bind_p2": "bind Physician physician_2 human Hospital",
+    "bind_matcher": "bind Matcher matcher agentic_ai VendorX",
+    "usurp": "speech_act physician_2 transfer to=matcher select=burden:make_decision:HELD",
+    "decide_matcher": "speech_act matcher discharge select=burden:make_decision:HELD",
+    "p2_final": "action physician_2 final_decision",
+    "grant_final": "speech_act officer_1 grant action=final_decision to=matcher",
+    "grant_override": "speech_act officer_1 grant action=override to=officer_1",
+    "matcher_final": "action matcher final_decision",
+    "unbind_p1": "unbind Physician physician_1",
+    "revoke_embargo": "speech_act officer_1 revoke select=embargo:final_decision:HELD",
+}
+
+
+@pytest.mark.parametrize(
+    "alphabet, flagged",
+    [
+        (
+            ("bind_p2", "bind_matcher", "usurp", "decide_matcher",
+             "p2_final", "grant_final", "grant_override", "matcher_final"),
+            {PROP_SAFETY: 380, PROP_PROHIBITION: 3, PROP_AUTHORITY: 2},
+        ),
+        (
+            ("bind_p2", "bind_matcher", "usurp", "decide_matcher",
+             "unbind_p1", "revoke_embargo", "p2_final", "matcher_final"),
+            {PROP_PROHIBITION: 634, PROP_SAFETY: 377, PROP_AUTHORITY: 2},
+        ),
+    ],
+    ids=["grants", "unbind_and_revoke"],
+)
+def test_monitor_agrees_with_oracle_on_the_decision_desk_to_depth_four(alphabet, flagged):
+    # the branches the gate fixture never takes: a transfer, the authority check
+    # on a discharge, an agent-held unless permit, a declared-group holder, an unbind
+    fx = GateFixture(
+        template=parse_spec(DECISION_DESK_SOURCE),
+        owner="Hospital",
+        prologue=parse_script(DECISION_DESK_PROLOGUE),
+        alphabet=parse_script("".join(f"{name}: {_DESK_EVENTS[name]}\n" for name in alphabet)),
+        properties=(
+            PropertySpec.safety("final_decision", "make_decision"),
+            PropertySpec.authority("make_decision", "Physician"),
+            PropertySpec.prohibition("final_decision", "ALL_AI_AGENTS"),
+            PropertySpec.accountability(),
+        ),
+    )
+    expected = dict(oracle_enumerate(fx.template, fx.alphabet, 4, fx.properties, fx.prologue, fx.owner))
+    actual = runtime_enumerate(fx, 4)
+    assert len(expected) == 1 + 8 + 64 + 512 + 4096
+    assert actual.keys() == expected.keys()
+    assert [k for k in expected if actual[k] != expected[k]] == []
+    assert Counter(prop for violations in expected.values() for prop, _ in violations) == flagged
 
 
 def test_oracle_positions_anchor_to_offending_event():
