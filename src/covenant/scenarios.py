@@ -29,6 +29,7 @@ from .deontic import TokenState
 from .errors import CannotInject, ScriptError
 from .runtime import (
     AuditRecord,
+    CommunityInstance,
     KIND_SPEECH_ACT,
     KIND_TOKEN_TRANSITION,
     KIND_VERDICT,
@@ -360,6 +361,29 @@ def _template(source: str) -> CommunityTemplate:
     return template
 
 
+# one freshly instantiated community per distinct stage setup, filled on first
+# use. Its genesis and policy tokens read only the template and the setup, so
+# every run starts from a clone of it, which shares the finished records and
+# the immutable tokens; the prototype itself is never run or handed out.
+# Threads that miss at once each build one and the last stored stays: all
+# hold the same state. `instantiate_community` is looked up at call time, as
+# `parse_spec` is above
+_PROTOTYPES: dict[tuple, CommunityInstance] = {}
+
+
+def _fresh_instance(stage: Stage, template: CommunityTemplate) -> CommunityInstance:
+    key = (stage.source, stage.mode, stage.owner, stage.disciplines)
+    prototype = _PROTOTYPES.get(key)
+    if prototype is None:
+        prototype = _PROTOTYPES[key] = instantiate_community(
+            template,
+            mode=stage.mode,
+            owner=Principal(stage.owner, stage.owner),
+            object_disciplines=dict(stage.disciplines),
+        )
+    return prototype.clone()
+
+
 # the event parameter that names an agent for the cast of a stage; an agent
 # only ever unbound stays out, so preflight rejects the unbind
 _CAST_PARAM = {"bind": "agent", "action": "actor", "speech_act": "sender"}
@@ -680,12 +704,7 @@ def _preflight(stage: Stage, template: CommunityTemplate) -> None:
 
 
 def _execute_stage(stage: Stage, template: CommunityTemplate) -> StageReport:
-    instance = instantiate_community(
-        template,
-        mode=stage.mode,
-        owner=Principal(stage.owner, stage.owner),
-        object_disciplines=dict(stage.disciplines),
-    )
+    instance = _fresh_instance(stage, template)
     outcomes: list[tuple[str, str]] = []
     ranges: list[tuple[str, int, int]] = []
     for ev in stage.script:

@@ -67,6 +67,8 @@ KEYWORDS = frozenset(
 )
 
 _PUNCT = {"{", "}", "(", ")", "[", "]", ":", ";", ",", "=", "*"}
+# ASCII only, as in the script reader: "٣" or "²" is an unexpected character
+_DIGITS = frozenset("0123456789")
 
 _ROLE_KINDS = tuple(k.value for k in RoleKind)
 _MODALITIES = tuple(m.value for m in Modality)
@@ -121,9 +123,9 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", source[i:j], line, start_col))
             col += j - i
@@ -190,7 +192,7 @@ class _Parser:
         tok = self._advance()
         try:
             return int(tok.value)
-        except ValueError as exc:  # too many digits for int(), or one it does not read ("²")
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
             raise ParseError(f"unreadable integer: {exc}", tok.line, tok.column) from None
 
     # grammar productions ----------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -419,6 +421,93 @@ def test_each_stage_source_is_parsed_once(monkeypatch):
     third = run_stage(stage)
     assert calls == [source]
     assert first.stages[0].export == second.stages[0].export == third.export
+
+
+def _setup_state(instance):
+    """What a run could change in an instance: its log, event count, tokens and bindings."""
+    return instance.export_log(), instance.event_count, tuple(instance.tokens), instance.bindings()
+
+
+def _fresh_state(source, mode, owner, disciplines):
+    template = scenarios._template(source)
+    return _setup_state(
+        instantiate_community(template, mode, Principal(owner, owner), dict(disciplines))
+    )
+
+
+def test_each_stage_setup_is_instantiated_once(monkeypatch):
+    calls = []
+    instantiate = scenarios.instantiate_community
+
+    def counting(template, mode, owner, object_disciplines):
+        calls.append((template.name, mode, owner.id, tuple(object_disciplines.items())))
+        return instantiate(template, mode=mode, owner=owner, object_disciplines=object_disciplines)
+
+    monkeypatch.setattr(scenarios, "instantiate_community", counting)
+    source = REDUCED_LAYER1_SOURCE + "# a source no other test instantiates\n"
+    script = parse_script(SCRIPT_TEXT)
+    autonomous = stage_from_script(source, script, owner="MedCenter")
+    advisory = stage_from_script(source, script, owner="MedCenter", mode="advisory")
+    scenario = Scenario("twice", "two setups, one run twice", (autonomous, advisory, autonomous))
+    reports = [run_scenario(scenario) for _ in range(3)]
+    again = run_stage(autonomous)
+    assert calls == [
+        ("DataAccessGate", "autonomous", "MedCenter", ()),
+        ("DataAccessGate", "advisory", "MedCenter", ()),
+    ]
+    exports = [[stage.export for stage in report.stages] for report in reports]
+    assert exports[0] == exports[1] == exports[2]
+    assert exports[0][0] == exports[0][2] == again.export != exports[0][1]
+
+
+def test_no_run_changes_a_prototype():
+    variants = [inject_violation(get_scenario(name), kind) for name, kind in _VARIANTS]
+    stages = [stage for scenario in [*built_in_scenarios(), *variants] for stage in scenario.stages]
+    for scenario in [*built_in_scenarios(), *variants]:
+        assert run_scenario(scenario).ok, scenario.name
+    for stage in stages:
+        run_stage(stage)
+    setups = {(stage.source, stage.mode, stage.owner, stage.disciplines) for stage in stages}
+    assert len(setups) == 6
+    for setup in setups:
+        assert _setup_state(scenarios._PROTOTYPES[setup]) == _fresh_state(*setup)
+
+
+def test_four_threads_running_one_stage_match_a_single_threaded_run():
+    # a source of its own, so that the threads also race to build the prototype
+    source = REDUCED_LAYER1_SOURCE + "# a source no other test runs in threads\n"
+    stage = stage_from_script(source, parse_script(SCRIPT_TEXT), owner="MedCenter")
+    start, reports, errors = threading.Barrier(4), [], []
+
+    def run():
+        try:
+            start.wait(timeout=10)
+            for _ in range(5):
+                reports.append(run_stage(stage))
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=run, daemon=True) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    alone = run_stage(stage)
+    assert len(reports) == 20
+    for report in reports:
+        assert (report.export, report.outcomes, report.violations) == (
+            alone.export,
+            alone.outcomes,
+            alone.violations,
+        )
+    setup = (stage.source, stage.mode, stage.owner, stage.disciplines)
+    assert _setup_state(scenarios._PROTOTYPES[setup]) == _fresh_state(*setup)
 
 
 def test_stage_from_script_rejects_unknown_mode():

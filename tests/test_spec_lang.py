@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from covenant.errors import ParseError
+from covenant.errors import CannotInject, ParseError
+from covenant.scenarios import built_in_scenarios, inject_violation
 from covenant.spec_lang import format_spec, parse_spec, validate_template
 from covenant.spec_lang.ast import (
     BUILTIN_GROUPS,
@@ -80,7 +81,10 @@ _ONE_ROLE = "community X {\n  role A: human;\n"
         ("community X {\n  role A: human [0..x];\n}\n", 2, 21, ("*", "integer")),
         # an integer token with more digits than int() will read
         ("community X {\n  role A: human [0.." + "9" * 5000 + "];\n}\n", 2, 21, ()),
-        ("community X {\n  role A: human [\u00b2..1];\n}\n", 2, 18, ()),  # a digit int() does not read
+        # a digit outside ASCII is no digit: the reader agrees with the script reader
+        ("community X {\n  role A: human [\u00b2..1];\n}\n", 2, 18, ()),
+        ("community X {\n  role A: human [\u0663..\u0665];\n}\n", 2, 18, ()),
+        ("community X {\n  role A: human [0..1\u00b2];\n}\n", 2, 22, ()),
         (_ONE_ROLE + "  policy duty(x, A);\n}\n", 3, 10, tuple(sorted(m.value for m in Modality))),
         (_ONE_ROLE + "  contract C {\n    deny A: grant;\n  }\n}\n", 4, 5, ("allow", "escalate", "}")),
         (
@@ -100,6 +104,8 @@ _ONE_ROLE = "community X {\n  role A: human;\n"
         "bad_cardinality_bound",
         "integer_of_5000_digits",
         "superscript_digit",
+        "arabic_indic_digits",
+        "superscript_after_an_ascii_digit",
         "bad_modality",
         "bad_contract_member",
         "bad_speech_act_kind",
@@ -110,6 +116,21 @@ def test_a_parse_error_is_placed_at_the_offending_token(source, line, column, ex
     with pytest.raises(ParseError) as info:
         parse_spec(source)
     assert (info.value.line, info.value.column, info.value.expected) == (line, column, expected)
+
+
+def test_every_built_in_stage_source_round_trips():
+    built = built_in_scenarios()
+    variants = []
+    for scenario in built:
+        for kind in ("safety", "authority", "prohibition", "accountability"):
+            try:
+                variants.append(inject_violation(scenario, kind))
+            except CannotInject:
+                pass
+    sources = {stage.source for s in built + tuple(variants) for stage in s.stages}
+    assert len(variants) == 7 and len(sources) > 3
+    for source in sources:
+        assert round_trip_holds(parse_spec(source))
 
 
 def test_cardinality_forms():
