@@ -17,7 +17,7 @@ import json
 import weakref
 from dataclasses import InitVar, dataclass, field
 from threading import RLock, get_ident
-from typing import Callable, Iterable, NoReturn
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from . import deontic
 from .deontic import (
@@ -108,11 +108,32 @@ def canonical_json(value: object) -> str:
     return "".join(_canonical_chunks(value, 0))
 
 
-# What a caller hands in must be JSON proper, checked for cycles: NaN, unequal to
-# itself, would make a replay's regenerated record differ from the logged one.
-_caller_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+# What a caller hands in must be JSON proper: NaN, unequal to itself, would make a
+# replay's regenerated record differ from the logged one. The encoder is built
+# once, as the canonical one is, with allow_nan=False and no markers dict: one
+# shared by every call would let two threads see each other's container ids.
+_caller_chunks = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, _str_json, None, ":", ",", True, False, False
+)
+# the encoder that looks for cycles; a value the prebuilt one recursed too deep in
+# is encoded again with it, so a cycle is a ValueError and deep nesting a RecursionError
+_checked_caller_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+
+
+def _caller_json(value: object) -> str:
+    """`value` as `JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)` encodes it."""
+    try:
+        return "".join(_caller_chunks(value, 0))
+    except RecursionError:
+        return _checked_caller_json(value)
+
+
+_decoder = json.JSONDecoder()
 # json.loads on a str, without its per-call type and keyword checks
-_decode_json = json.JSONDecoder().decode
+_decode_json = _decoder.decode
+# the C scanner decode calls after skipping whitespace; it raises StopIteration
+# where no value starts, and returns the index where the value ends
+_scan_json = _decoder.scan_once
 
 
 def _check_strings(
@@ -402,7 +423,7 @@ class CommunityInstance:
     """One running community; each event is one `with self:` block, serialized under a lock."""
 
     # the input records a replay's shadow confirms as it writes; None on a live instance
-    _replay_input: list[AuditRecord] | None = None
+    _replay_input: list[AuditRecord] | _CheckedLog | None = None
     # the id of the thread inside a `with self:` block; None while no event is open
     _holder: int | None = None
 
@@ -569,11 +590,17 @@ class CommunityInstance:
             text = canonical_json(detail)
         prev = self._records[-1].hash if self._records else GENESIS_PREV_HASH
         seq = self._next_seq
-        digest = record_digest(prev, seq, kind, actor, text)
-        if self._replay_input is None:
+        inputs = self._replay_input
+        if type(inputs) is _CheckedLog and seq < len(inputs):
+            # a checked record carries the digest of its own fields, and
+            # _record_at confirms that each of them is the one written here
+            digest = inputs[seq].hash
+        else:
+            digest = record_digest(prev, seq, kind, actor, text)
+        if inputs is None:
             record = AuditRecord(seq, kind, actor, detail, prev, digest, text)
         else:  # a replay's shadow keeps the input record it confirms
-            record = _record_at(self._replay_input, seq, prev, digest, kind, actor, text)
+            record = _record_at(inputs, seq, prev, digest, kind, actor, text)
         self._records.append(record)
         self._next_seq += 1
         return record
@@ -1145,7 +1172,12 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
     prev = None
     for index, line in enumerate(lines[1:]):
         try:
-            raw = _decode_json(line)
+            try:
+                raw, end = _scan_json(line, 0)
+            except StopIteration:  # no value at the line's start: decode reports why
+                end = -1
+            if end != len(line):  # whitespace or data after the value: decode judges it
+                raw = _decode_json(line)
             detail, prev_hash = raw["detail"], raw["prev_hash"]
             kind = names.setdefault(raw["kind"], raw["kind"])
             actor = names.setdefault(raw["actor"], raw["actor"])
@@ -1197,10 +1229,22 @@ def verify_chain(records: list[AuditRecord] | tuple[AuditRecord, ...]) -> None:
         prev = _record_at(records, seq, prev, digest, kind, actor, text).hash
 
 
-def import_log(text: str) -> tuple[dict, list[AuditRecord]]:
+class _CheckedLog(tuple):
+    """Records that verify_chain has passed: each sits at its seq, links to the
+    one before it and carries the digest of its own fields.
+
+    Only import_log builds one. It is immutable, and a slice or a copy of it is
+    a plain tuple or list, which replay hashes again.
+    """
+
+    __slots__ = ()
+
+
+def import_log(text: str) -> tuple[dict, tuple[AuditRecord, ...]]:
+    """Parse an export and check its chain; the records come back as an immutable tuple."""
     header, records = parse_export(text)
     verify_chain(records)
-    return header, records
+    return header, _CheckedLog(records)
 
 
 # what re-executing a tampered record can raise; replay reports each as an IntegrityError
@@ -1208,7 +1252,7 @@ _REEXECUTION_ERRORS = (GovernanceError, InvalidTemplate, KeyError, TypeError, Va
 
 
 def replay(
-    template: CommunityTemplate, text_or_records: str | list[AuditRecord]
+    template: CommunityTemplate, text_or_records: str | Sequence[AuditRecord]
 ) -> CommunityInstance:
     """Rebuild an instance by re-executing the initiating records, confirming each record as it writes it.
 
@@ -1218,12 +1262,16 @@ def replay(
     (`_record_at`): the same seq, previous hash, hash, kind, actor and detail
     text. The instance then keeps the input record, so it holds one copy of
     each. Regenerated records chain by construction, so a log that replays
-    needs no separate chain check. IntegrityError names the first seq that
-    differs, that is never regenerated, that lies beyond the input's end, or
-    whose initiating record cannot be re-executed.
+    needs no separate chain check. Each record is hashed once, as it is
+    written; the records import_log returns are hashed already, so their own
+    digests are taken and only the other fields are compared. IntegrityError
+    names the first seq that differs, that is never regenerated, that lies
+    beyond the input's end, or whose initiating record cannot be re-executed.
     """
     if isinstance(text_or_records, str):
         _, records = parse_export(text_or_records)
+    elif type(text_or_records) is _CheckedLog:  # immutable and chained: confirmed, not hashed
+        records = text_or_records
     else:
         records = list(text_or_records)
     if not records or records[0].kind != KIND_GENESIS:
@@ -1260,7 +1308,7 @@ def replay(
 
 def _raise_unexplained(
     instance: CommunityInstance,
-    records: list[AuditRecord],
+    records: list[AuditRecord] | tuple[AuditRecord, ...],
     seq: int,
     reason: str,
     cause: Exception | None = None,

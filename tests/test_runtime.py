@@ -8,6 +8,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 import threading
 
 import pytest
@@ -781,6 +782,63 @@ def test_an_unreadable_record_line_is_refused_at_its_position(spell):
             assert info.value.bad_seq == position
 
 
+def _ward_export(records: int, seed: int = 1):
+    """The Ward of bench/ward.py, 20 agents, driven until its log holds `records` records."""
+    from test_verifier import _ward_module  # here: test_verifier imports this module
+
+    ward = _ward_module()
+    tpl, c, caller = ward.populate(seed, 20, 20, 50, action_share=0.6)
+    while c.head_seq + 1 < records:
+        _category, call, args, observe = caller.plan()
+        observe(call(*args))
+    return tpl, c.export_log()
+
+
+def _parse_outcome(text):
+    """What parse_export makes of `text`: its header and records' fields, or where and why it refused it."""
+    try:
+        header, records = parse_export(text)
+    except IntegrityError as exc:
+        return "refused", exc.bad_seq, str(exc)
+    return "parsed", header, [(r.seq, r.kind, r.actor, r.detail, r.prev_hash, r.hash, r.detail_json) for r in records]
+
+
+def _decode_only(line, index):
+    raise StopIteration(index)  # as the scanner does where no value starts: decode reads every line
+
+
+def test_the_scanner_parses_what_decoding_every_line_parses(monkeypatch):
+    exports = [export for _, export in _pinned_runs().values()] + [_ward_export(12_000)[1]]
+    scanned = [_parse_outcome(export) for export in exports]
+    # lines the scanner leaves to the decoder: whitespace around the value, data
+    # after it, a line no value starts, nesting past the limit, an overlong integer
+    lines = drive_sample_history(staffed_ward()).export_log().splitlines()
+    too_long = "9" * (sys.get_int_max_str_digits() + 1)
+    edits = (
+        lambda line: " \t" + line,
+        lambda line: line + " \t",
+        lambda line: line + " x",
+        lambda line: line + "{}",
+        lambda line: "[]",
+        lambda line: "x" + line,
+        lambda line: "[" * 100_000,
+        lambda line: line.replace('"event":', f'"event":{too_long},"was":', 1),
+    )
+    edited = []
+    for position in (0, 6, 18):
+        for edit in edits:
+            spelled = list(lines)
+            spelled[position + 1] = edit(lines[position + 1])
+            edited.append("\n".join(spelled) + "\n")
+    scanned_edits = [_parse_outcome(text) for text in edited]
+    monkeypatch.setattr(runtime, "_scan_json", _decode_only)
+    assert [_parse_outcome(export) for export in exports] == scanned
+    assert all(outcome[0] == "parsed" for outcome in scanned)
+    assert [_parse_outcome(text) for text in edited] == scanned_edits
+    # whitespace around a line's value is read as the value; the rest is refused
+    assert [outcome[0] for outcome in scanned_edits] == (["parsed"] * 2 + ["refused"] * 6) * 3
+
+
 def test_an_edited_link_is_a_broken_chain_at_its_seq():
     text = drive_sample_history(staffed_ward()).export_log()
     _, records = parse_export(text)
@@ -914,6 +972,67 @@ def test_replay_hashes_each_record_once(monkeypatch):
     assert list(twin.records()) == records
 
 
+def _count_digests(monkeypatch) -> list[int]:
+    """Record the seq of each record_digest call."""
+    calls = []
+    digest = runtime.record_digest
+    monkeypatch.setattr(runtime, "record_digest", lambda *args: calls.append(args[1]) or digest(*args))
+    return calls
+
+
+def test_replay_of_import_logs_records_hashes_none_of_them(monkeypatch):
+    runs = {**_pinned_runs(), "ward": _ward_export(3_000)}
+    calls = _count_digests(monkeypatch)
+    for name, (template, export) in runs.items():
+        calls.clear()
+        _, checked = import_log(export)
+        assert calls == list(range(len(checked))), name  # the chain check hashes each record once
+        assert isinstance(checked, tuple), name
+        with pytest.raises(TypeError):
+            checked[0] = checked[1]
+        calls.clear()
+        twin = replay(template, checked)
+        assert calls == [], name  # confirmed field by field, not hashed again
+        assert twin.export_log() == export, name
+        assert all(mine is theirs for mine, theirs in zip(twin.records(), checked, strict=True)), name
+        # text, a list or a plain tuple, even of the same records, is hashed once per record
+        for given in (export, list(checked), tuple(checked)):
+            calls.clear()
+            assert replay(template, given).export_log() == export, name
+            assert calls == list(range(len(checked))), (name, type(given))
+
+
+def test_an_edited_copy_of_an_imported_log_is_refused_where_import_log_refuses_its_text():
+    # a copy of import_log's records is hashed again, so a record whose hash no
+    # longer fits its fields is refused, the last one of the log included
+    runs = {**_pinned_runs(), "ward": _ward_export(3_000)}
+    for name, (template, export) in runs.items():
+        header = export.splitlines()[0]
+        _, checked = import_log(export)
+        last = len(checked) - 1
+        edits = []
+        for seq in (0, last // 2, last):
+            digest = checked[seq].hash
+            edits.append((seq, dataclasses.replace(checked[seq], hash=digest[:-1] + "01"[digest[-1] == "0"])))
+        seq = last // 3
+        edits.append((seq, dataclasses.replace(checked[seq], detail={**checked[seq].detail, "event": -1})))
+        seq = last * 3 // 5
+        kind = KIND_ESCALATION if checked[seq].kind != KIND_ESCALATION else KIND_VERDICT
+        edits.append((seq, dataclasses.replace(checked[seq], kind=kind)))
+        seq = last * 4 // 5
+        edits.append((seq, dataclasses.replace(checked[seq], actor=f"{checked[seq].actor}_x")))
+        for seq, record in edits:
+            edited = list(checked)
+            edited[seq] = record
+            text = "\n".join([header] + [r.to_line() for r in edited]) + "\n"
+            with pytest.raises(IntegrityError) as expected:
+                import_log(text)
+            assert expected.value.bad_seq == seq, (name, seq)
+            with pytest.raises(IntegrityError) as info:
+                replay(template, edited)
+            assert info.value.bad_seq == seq, (name, seq, str(info.value))
+
+
 def _count_encodings(monkeypatch) -> list[str]:
     """Record the name of each encoder the runtime calls, canonical or boundary."""
     calls = []
@@ -954,6 +1073,7 @@ def test_each_record_is_encoded_once(monkeypatch):
 
 def test_canonical_json_writes_what_the_standard_encoder_writes():
     standard = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    checking = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
     class Name(str):
         pass
@@ -974,24 +1094,86 @@ def test_canonical_json_writes_what_the_standard_encoder_writes():
     ]
     for value in values:
         assert canonical_json(value) == standard(value), value
+    # the boundary's prebuilt encoder writes what the checking encoder writes,
+    # and refuses what it refuses
+    for value in values:
+        if value in (float("inf"), -float("inf")) or value != value:
+            for encode in (checking, runtime._caller_json):
+                with pytest.raises(ValueError):
+                    encode(value)
+        else:
+            assert runtime._caller_json(value) == checking(value), value
+    for bad in (-float("inf"), [1, {"x": float("nan")}], {"a": [float("inf")]}):
+        with pytest.raises(ValueError):
+            runtime._caller_json(bad)
     for name, (_, export) in _pinned_runs().items():
         for r in parse_export(export)[1]:
             fields = {"seq": r.seq, "kind": r.kind, "actor": r.actor, "detail": r.detail}
             assert canonical_json(r.detail) == standard(r.detail) == r.detail_json, (name, r.seq)
             assert canonical_json(fields) == standard(fields), (name, r.seq)
+            assert runtime._caller_json(r.detail) == r.detail_json, (name, r.seq)
     # what the standard encoder refuses, the prebuilt one refuses too
     for bad in ({1, 2}, {"a": object()}, {"a": 1, 2: "b"}):
         with pytest.raises(TypeError):
             standard(bad)
         with pytest.raises(TypeError):
             canonical_json(bad)
+    for bad in ({1, 2}, {"a": object()}, {"a": 1, 2: "b"}):
+        with pytest.raises(TypeError):
+            runtime._caller_json(bad)
     # only the boundary looks for cycles; the canonical encoder never meets one
     loop: list = []
     loop.append(loop)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Circular reference"):
         runtime._caller_json(loop)
     with pytest.raises(RecursionError):
         canonical_json(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        runtime._caller_json({"a": [1, {"b": loop}]})
+    # deep acyclic nesting: the same outcome as the checking encoder at 5,000 levels
+    # (a RecursionError where the C recursion limit is the interpreter's, before
+    # 3.12), and a RecursionError past every supported interpreter's limit
+    for depth in (5_000, 100_000):
+        deep = _nested(depth)
+        try:
+            expected = checking(deep)
+        except RecursionError:
+            with pytest.raises(RecursionError):
+                runtime._caller_json(deep)
+        else:
+            assert depth == 5_000 and runtime._caller_json(deep) == expected
+
+
+def _nested(depth: int) -> list:
+    """A list nested `depth` levels deep, without a cycle."""
+    value: list = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), -float("inf"), "cycle", "deep"],
+    ids=["nan", "inf", "minus_inf", "cycle", "nested_past_the_recursion_limit"],
+)
+def test_a_caller_value_json_cannot_log_is_refused_before_its_event(value):
+    if value == "cycle":
+        value = {"k": []}
+        value["k"].append(value)
+    elif value == "deep":
+        value = _nested(100_000)
+    c = staffed_ward(source=_WARD_WITH_HISTORY)
+    state = (c.records(), c.event_count)
+    for call in (
+        lambda: c.submit_action("officer_1", "read_case", effects=[{"object": "Ledger", "key": "k", "value": value}]),
+        lambda: c.apply_speech_act(SpeechAct(SpeechActKind.PROPOSE, "bot_1", {"body": value})),
+    ):
+        with pytest.raises((ValueError, RecursionError)):
+            call()
+        assert (c.records(), c.event_count) == state
+    text = c.export_log()
+    assert replay(parse_spec(_WARD_WITH_HISTORY), text).export_log() == text
 
 
 def test_integer_keys_in_caller_values_replay_byte_for_byte():
@@ -1641,6 +1823,15 @@ def _tamper(rng, records):
     return edited, i
 
 
+def _replay_outcome(template, text_or_records):
+    try:
+        return "replayed", replay(template, text_or_records).export_log()
+    except IntegrityError as exc:
+        return "failed", exc.bad_seq, str(exc)
+    except InvalidTemplate as exc:
+        return "other_community", str(exc)
+
+
 def test_replay_of_a_tampered_export_reproduces_it_or_fails_at_or_after_the_edit():
     rng = random.Random(10)
     outcomes = {"replayed": 0, "failed": 0}
@@ -1649,16 +1840,17 @@ def test_replay_of_a_tampered_export_reproduces_it_or_fails_at_or_after_the_edit
         for _ in range(12):
             edited, first = _tamper(rng, records)
             text = _rechain(header, edited)
-            try:
-                twin = replay(template, text)
-            except IntegrityError as exc:
-                assert exc.bad_seq >= first, (name, first, exc)
+            outcome = _replay_outcome(template, text)
+            # the chain holds, so import_log's records replay as the text does
+            assert _replay_outcome(template, import_log(text)[1]) == outcome, (name, first)
+            if outcome[0] == "failed":
+                assert outcome[1] >= first, (name, first, outcome)
                 outcomes["failed"] += 1
-            except InvalidTemplate:
+            elif outcome[0] == "other_community":
                 # a log renamed to another community is refused before any replay
                 assert edited[0].detail["community"] != template.name, name
             else:
-                assert twin.export_log() == text, (name, first)
+                assert outcome[1] == text, (name, first)
                 outcomes["replayed"] += 1
     assert outcomes["failed"] > outcomes["replayed"] > 0, outcomes
 
