@@ -61,8 +61,7 @@ class HolderKind(str, Enum):
     GROUP = "group"
 
 
-@dataclass(frozen=True)
-class HolderRef:
+class HolderRef(NamedTuple):
     """Who a token binds: a concrete agent, or a role/group resolved late.
 
     Role and group holders are resolved against current bindings at each
@@ -76,15 +75,13 @@ class HolderRef:
         return {"kind": self.kind.value, "name": self.name}
 
 
-@dataclass(frozen=True)
-class ChainLink:
+class ChainLink(NamedTuple):
     frm: str
     to: str
     at: int
 
 
-@dataclass(frozen=True)
-class DelegationChain:
+class DelegationChain(NamedTuple):
     links: tuple[ChainLink, ...]
 
     @property
@@ -221,7 +218,9 @@ class TokenStore:
         """
         own = self._by_holder.get((modality, action, agent), ())
         shared = self._by_holder.get((modality, action, None), ())
-        return [self._tokens[i] for i in sorted(own + shared)]
+        # each bucket is in id order, so only two non-empty ones need a merge
+        ids = sorted(own + shared) if own and shared else own or shared
+        return [self._tokens[i] for i in ids]
 
     def guard_discharged(self, guard_action: str, subject: str | None) -> bool:
         """Whether a DISCHARGED burden on `guard_action` matches `subject`.
@@ -236,9 +235,12 @@ class TokenStore:
 
     def pop_overdue(self, at: int) -> list[Token]:
         """Take the HELD burdens whose deadline is before `at` off the heap, in id order."""
+        deadlines = self._deadlines
+        if not deadlines or deadlines[0][0] >= at:
+            return []
         due = []
-        while self._deadlines and self._deadlines[0][0] < at:
-            _deadline, token_id = heappop(self._deadlines)
+        while deadlines and deadlines[0][0] < at:
+            _deadline, token_id = heappop(deadlines)
             if self._tokens[token_id].state is TokenState.HELD:
                 due.append(token_id)
         return [self._tokens[i] for i in sorted(due)]
@@ -288,8 +290,7 @@ REASON_NO_PERMIT = "no-permit"
 REASON_EMBARGO = "embargo"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     outcome: str
     permits: tuple[int, ...] = ()
     blockers: tuple[int, ...] = ()
@@ -333,12 +334,14 @@ def create_token(
     else:
         raise UnknownIssuer(f"{issuer!r} is neither a registered principal nor a bound agent")
 
-    resolves = {
-        HolderKind.AGENT: resolver.is_agent,
-        HolderKind.ROLE: resolver.is_role,
-        HolderKind.GROUP: resolver.is_group,
-    }[holder.kind]
-    if not resolves(holder.name):
+    kind, name = holder
+    if kind is HolderKind.AGENT:
+        resolves = resolver.is_agent(name)
+    elif kind is HolderKind.ROLE:
+        resolves = resolver.is_role(name)
+    else:
+        resolves = resolver.is_group(name)
+    if not resolves:
         raise UnresolvedHolder(f"holder {holder.name!r} ({holder.kind.value}) does not resolve")
 
     return store.add(

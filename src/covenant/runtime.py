@@ -17,7 +17,7 @@ import json
 import weakref
 from dataclasses import InitVar, dataclass, field
 from threading import RLock, get_ident
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 from . import deontic
 from .deontic import (
@@ -132,7 +132,9 @@ _decoder = json.JSONDecoder()
 # json.loads on a str, without its per-call type and keyword checks
 _decode_json = _decoder.decode
 # the C scanner decode calls after skipping whitespace; it raises StopIteration
-# where no value starts, and returns the index where the value ends
+# where no value starts, and returns the index where the value ends. The
+# boundary encoder writes one value and no whitespace, so its text is read
+# back with the scanner alone
 _scan_json = _decoder.scan_once
 
 
@@ -151,6 +153,17 @@ def _check_strings(
         value = payload.get(name)
         if value is not None and not isinstance(value, str):
             raise TypeError(f"{name} {value!r} is not a string")
+
+
+def _check_int(name: str, value: object) -> int:
+    """Return `value` if it is an int, and raise TypeError for anything else, a bool too.
+
+    A token id, seq or deadline is used and logged as the caller sent it;
+    int() would read 25.9 as 25 and True as 1.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not an integer")
+    return value
 
 
 def record_digest(
@@ -223,8 +236,7 @@ class Principal:
         _check_strings(vars(self), ("id", "name", "kind"))
 
 
-@dataclass(frozen=True)
-class RoleBinding:
+class RoleBinding(NamedTuple):
     role: str
     agent: str
     agent_kind: RoleKind
@@ -292,7 +304,10 @@ class Bindings:
         return tuple(b.role for b in self._by_agent.get(agent, ()))
 
     def has_role(self, agent: str, role: str) -> bool:
-        return any(b.role == role for b in self._by_agent.get(agent, ()))
+        for b in self._by_agent.get(agent, ()):
+            if b.role == role:
+                return True
+        return False
 
     def count(self, role: str) -> int:
         return self._count.get(role, 0)
@@ -305,7 +320,10 @@ class Bindings:
         decl = template.group(group) if template is not None else None
         if decl is None:
             return False
-        return any(b.role in decl.members for b in self._by_agent.get(agent, ()))
+        for b in self._by_agent.get(agent, ()):
+            if b.role in decl.members:
+                return True
+        return False
 
     def any_in_group(self, group: str, template: CommunityTemplate | None) -> bool:
         if group == "ALL":
@@ -389,23 +407,20 @@ class EnterpriseObject:
         return twin
 
 
-@dataclass(frozen=True)
-class ActionResult:
+class ActionResult(NamedTuple):
     verdict: Verdict
     request_seq: int
     verdict_seq: int
 
 
-@dataclass(frozen=True)
-class ApplyResult:
+class ApplyResult(NamedTuple):
     accepted: bool
     reason: str | None = None
     seq: int | None = None
     token_id: int | None = None
 
 
-@dataclass(frozen=True)
-class _Pending:
+class _Pending(NamedTuple):
     actor: str
     action: str
     subject: str | None
@@ -449,8 +464,9 @@ class CommunityInstance:
         """
         error = None
         try:
-            for record in self._records[self._start :]:
-                for listener in self._listeners:
+            listeners = self._listeners
+            for record in self._records[self._start :] if listeners else ():
+                for listener in listeners:
                     try:
                         listener(record)
                     except Exception as exc:
@@ -648,13 +664,33 @@ class CommunityInstance:
         verdict: Verdict,
         approved_by: str | None = None,
     ) -> AuditRecord:
-        detail = verdict.to_detail()
-        detail.update(request=request, actor=actor, action=action)
-        if subject is not None:
-            detail["subject"] = subject
+        outcome, permits, blockers, reason = verdict
+        event = self._event_counter - 1  # the event last begun
+        # the detail and its canonical text together, key by key in sorted
+        # order: each string as _str_json writes it, each int as JSON writes it
+        detail: dict = {"action": action, "actor": actor}
+        text = f'{{"action":{_str_json(action)},"actor":{_str_json(actor)}'
         if approved_by is not None:
             detail["approved_by"] = approved_by
-        return self._append(KIND_VERDICT, None, detail)
+            text += f',"approved_by":{_str_json(approved_by)}'
+        if blockers:
+            detail["blockers"] = list(blockers)
+            text += f',"blockers":[{",".join(map(str, blockers))}]'
+        detail["event"] = event
+        detail["outcome"] = outcome
+        text += f',"event":{event:d},"outcome":{_str_json(outcome)}'
+        if permits:
+            detail["permits"] = list(permits)
+            text += f',"permits":[{",".join(map(str, permits))}]'
+        if reason is not None:
+            detail["reason"] = reason
+            text += f',"reason":{_str_json(reason)}'
+        detail["request"] = request
+        text += f',"request":{request:d}'
+        if subject is not None:
+            detail["subject"] = subject
+            text += f',"subject":{_str_json(subject)}'
+        return self._append(KIND_VERDICT, None, detail, text + "}")
 
     def _review_burden(
         self, condition: str, issuer: str, subject: str | None = None
@@ -822,7 +858,7 @@ class CommunityInstance:
         with self:
             if not self.is_agent(actor):
                 raise UnknownAgent(f"{actor!r} is not bound to any role")
-            writes = tuple(self._coerce_write(e) for e in effects)
+            writes = tuple(map(self._coerce_write, effects)) if effects else ()
             for write in writes:
                 obj = self.objects.get(write.object)
                 if obj is None:
@@ -841,8 +877,8 @@ class CommunityInstance:
                 # The copy is encoded afresh: JSON makes integer keys strings, which
                 # sort otherwise ({2: …, 10: …} is checked as {"2":…,"10":…}, and the
                 # copy's canonical text is {"10":…,"2":…})
-                request_detail = _decode_json(encoded)
-                writes = tuple(self._coerce_write(e) for e in request_detail["effects"])
+                request_detail = _scan_json(encoded, 0)[0]
+                writes = tuple(map(self._coerce_write, request_detail["effects"]))
                 encoded = None
 
             self._begin_event()
@@ -898,11 +934,11 @@ class CommunityInstance:
 
     def apply_speech_act(self, act: SpeechAct) -> ApplyResult:
         with self:
-            kind = SpeechActKind(act.kind)
+            kind = act.kind if type(act.kind) is SpeechActKind else SpeechActKind(act.kind)
             _check_strings(vars(act), ("sender",))
             # fails before the event if the payload cannot be logged; the copy it
             # returns is what replay reads back and shares nothing with the caller
-            payload = _decode_json(_caller_json(dict(act.payload)))
+            payload = _scan_json(_caller_json(dict(act.payload)), 0)[0]
 
             self._begin_event()
             reason = self._authorize(act.sender, kind)
@@ -920,8 +956,8 @@ class CommunityInstance:
             return UnknownAgent.__name__
         roles = self.roles_of(sender)
         for contract in self.template.contracts:
-            for role in roles:
-                if kind in contract.allowed_kinds(role):
+            for role, kinds in contract.allows:
+                if kind in kinds and role in roles:
                     return None
         return UnauthorizedSpeechAct.__name__
 
@@ -955,9 +991,9 @@ class CommunityInstance:
             _check_strings(payload, ("action", "holder"), optional)
             holder = deontic.holder_for_name(self, payload["holder"])
             deadline = payload.get("deadline")
-            if deadline is not None and not isinstance(deadline, int):
+            if deadline is not None:
                 # the expiry sweep compares deadlines with seqs at every event
-                raise TypeError(f"deadline {deadline!r} is not a seq")
+                _check_int("deadline", deadline)
         token = deontic.create_token(
             self.tokens,
             self,
@@ -974,7 +1010,7 @@ class CommunityInstance:
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     def _act_transfer(self, sender: str, payload: dict) -> ApplyResult:
-        token_id = int(payload["token"])
+        token_id = _check_int("token", payload["token"])
         _check_strings(payload, ("to",))
         to = payload["to"]
         token = deontic.delegate_burden(
@@ -992,8 +1028,8 @@ class CommunityInstance:
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     def _act_discharge(self, sender: str, payload: dict) -> ApplyResult:
-        token_id = int(payload["token"])
-        evidence = int(payload.get("evidence", self.head_seq))
+        token_id = _check_int("token", payload["token"])
+        evidence = _check_int("evidence", payload.get("evidence", self.head_seq))
         token = deontic.discharge_burden(
             self.tokens, self, token_id, sender, evidence, self.head_seq
         )
@@ -1005,7 +1041,7 @@ class CommunityInstance:
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     def _act_revoke(self, sender: str, payload: dict) -> ApplyResult:
-        token_id = int(payload["token"])
+        token_id = _check_int("token", payload["token"])
         token = deontic.revoke_token(self.tokens, self, token_id, sender)
         record = self._log_act(sender, SpeechActKind.REVOKE, {"token": token_id})
         self._transition(token, TokenState.HELD, TokenState.REVOKED, by=sender)
@@ -1039,7 +1075,7 @@ class CommunityInstance:
     def _decide_recommendation(
         self, sender: str, kind: SpeechActKind, payload: dict
     ) -> ApplyResult:
-        request_seq = int(payload["request_seq"])
+        request_seq = _check_int("request_seq", payload["request_seq"])
         pending = self._pending.get(request_seq)
         if pending is None:
             raise ProtocolViolation(f"no pending recommendation for request {request_seq}")

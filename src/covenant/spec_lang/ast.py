@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 
 class Modality(str, Enum):
@@ -162,16 +163,21 @@ class CommunityTemplate:
     pos: Pos = field(default=_NOPOS, compare=False)
 
     def role(self, name: str) -> RoleDecl | None:
-        for r in self.roles:
-            if r.name == name:
-                return r
-        return None
+        return self._roles_by_name.get(name)
 
     def group(self, name: str) -> GroupDecl | None:
-        for g in self.groups:
-            if g.name == name:
-                return g
-        return None
+        return self._groups_by_name.get(name)
+
+    # Built on first use and kept in the instance dict, outside the fields: a
+    # template is immutable, so its declarations never change. Where a name is
+    # declared twice (an invalid template), the first declaration is found.
+    @cached_property
+    def _roles_by_name(self) -> dict[str, RoleDecl]:
+        return {r.name: r for r in reversed(self.roles)}
+
+    @cached_property
+    def _groups_by_name(self) -> dict[str, GroupDecl]:
+        return {g.name: g for g in reversed(self.groups)}
 
     def role_names(self) -> frozenset[str]:
         return frozenset(r.name for r in self.roles)

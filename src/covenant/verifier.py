@@ -260,8 +260,13 @@ class _ProhibitionChecker:
             if actor is not None and state.bindings.in_group(actor, self.group, self.template):
                 found.append(Violation(PROP_PROHIBITION, record.seq, (record.seq,)))
         # gap scan: the embargo must be HELD whenever a group member is bound.
-        # Only a binding or a token transition changes what the scan reads.
-        if record.kind != KIND_BINDING and record.kind != KIND_TOKEN_TRANSITION:
+        # Only a binding, or a transition of an embargo on the action, changes
+        # what the scan reads.
+        if record.kind == KIND_TOKEN_TRANSITION:
+            token = state.tokens.get(record.detail["token"])
+            if token.modality is not Modality.EMBARGO or token.action != self.action:
+                return found
+        elif record.kind != KIND_BINDING:
             return found
         bound = state.bindings.any_in_group(self.group, self.template)
         exposed = bound and not self._embargo_held(state)

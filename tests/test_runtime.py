@@ -13,8 +13,8 @@ import threading
 
 import pytest
 
-from covenant import runtime
-from covenant.deontic import TokenState
+from covenant import deontic, runtime
+from covenant.deontic import HolderKind, HolderRef, TokenState
 from covenant.errors import (
     CardinalityExceeded,
     DisciplineViolation,
@@ -53,7 +53,7 @@ from covenant.runtime import (
 )
 from covenant.scenarios import built_in_scenarios, inject_violation, run_scenario
 from covenant.spec_lang import parse_spec
-from covenant.spec_lang.ast import SpeechActKind
+from covenant.spec_lang.ast import RoleKind, SpeechActKind
 from covenant.verifier import PropertySpec, TraceMonitor, run_checks
 
 WARD_SOURCE = """\
@@ -342,6 +342,39 @@ def test_malformed_payload_rejected():
     )
     assert (moved.accepted, moved.reason) == (False, "MalformedPayload")
     assert c.tokens.get(declared.token_id).holder.name == "officer_1"
+    # a token id, seq or deadline is used as sent, so it must be an int: int()
+    # would read 25.9 as token 25 and True as token 1, and a bool is no int
+    granted = c.apply_speech_act(SpeechAct(SpeechActKind.GRANT, "officer_1", {"action": "read_case", "to": "bot_1"}))
+    tokens = c.tokens.states()
+    burden, permit = declared.token_id, granted.token_id
+    not_ints = (
+        (SpeechActKind.TRANSFER, "officer_1", {"token": burden + 0.9, "to": "bot_1"}),
+        (SpeechActKind.TRANSFER, "officer_1", {"token": True, "to": "bot_1"}),
+        (SpeechActKind.TRANSFER, "officer_1", {"token": str(burden), "to": "bot_1"}),
+        (SpeechActKind.DISCHARGE, "officer_1", {"token": burden + 0.9}),
+        (SpeechActKind.DISCHARGE, "officer_1", {"token": True}),
+        (SpeechActKind.DISCHARGE, "officer_1", {"token": burden, "evidence": 2.5}),
+        (SpeechActKind.DISCHARGE, "officer_1", {"token": burden, "evidence": True}),
+        (SpeechActKind.DISCHARGE, "officer_1", {"token": burden, "evidence": None}),
+        (SpeechActKind.REVOKE, "officer_1", {"token": permit + 0.5}),
+        (SpeechActKind.REVOKE, "officer_1", {"token": True}),
+        (SpeechActKind.REVOKE, "officer_1", {"token": str(permit)}),
+        (SpeechActKind.ACCEPT, "reviewer_1", {"request_seq": True}),
+        (SpeechActKind.ACCEPT, "reviewer_1", {"request_seq": 1.0}),
+        (SpeechActKind.REJECT, "reviewer_1", {"request_seq": False}),
+        (SpeechActKind.DECLARE_BURDEN, "officer_1", {"action": "sign", "holder": "officer_1", "deadline": True}),
+        (SpeechActKind.DECLARE_BURDEN, "officer_1", {"action": "sign", "holder": "officer_1", "deadline": 9.5}),
+    )
+    for kind, sender, payload in not_ints:
+        result = c.apply_speech_act(SpeechAct(kind, sender, payload))
+        assert (result.accepted, result.reason) == (False, "MalformedPayload"), payload
+        assert c.tokens.states() == tokens, payload
+        logged = c.records()[-1]
+        assert (logged.seq, logged.kind) == (result.seq, KIND_SPEECH_ACT), payload
+        # logged as sent: the float stays a float and the bool a bool
+        assert logged.detail_json == canonical_json(
+            {"event": c.event_count - 1, "kind": kind.value, "payload": payload, "reason": "MalformedPayload", "rejected": True}
+        ), payload
     c.submit_action("officer_1", "ping")
     assert c.submit_action("bot_1", "close_case").verdict.outcome == "blocked"
     text = c.export_log()
@@ -1048,19 +1081,21 @@ def test_each_record_is_encoded_once(monkeypatch):
     calls = _count_encodings(monkeypatch)
     c = drive_sample_history(staffed_ward())
     requests = sum(r.kind == KIND_ACTION_REQUEST for r in c.records())
+    verdicts = sum(r.kind == KIND_VERDICT for r in c.records())
     speech_acts = sum(r.kind == KIND_SPEECH_ACT for r in c.records())
-    assert (requests, speech_acts) == (2, 3)
+    assert (requests, verdicts, speech_acts) == (2, 2, 3)
     # once, as each record is written; a request without effects is written with
-    # the text its boundary check made, and each payload is checked at the boundary
-    assert calls.count("canonical_json") == len(c.records()) - requests
+    # the text its boundary check made, a verdict with the text its writer made,
+    # and each payload is checked at the boundary
+    assert calls.count("canonical_json") == len(c.records()) - requests - verdicts
     assert calls.count("_caller_json") == requests + speech_acts
     calls.clear()
     c.submit_action("officer_1", "read_case", "case2")  # the request, then its verdict
-    assert calls == ["_caller_json", "canonical_json"]
+    assert calls == ["_caller_json"]
     calls.clear()
     # a request with effects logs a copy, encoded afresh
     c.submit_action("officer_1", "read_case", effects=[{"object": "Ledger", "key": "k", "value": 1}])
-    assert calls == ["_caller_json", "canonical_json", "canonical_json"]
+    assert calls == ["_caller_json", "canonical_json"]
     calls.clear()
     text = c.export_log()
     assert calls == []  # the export writes each record's text as it is
@@ -1266,6 +1301,80 @@ def test_a_record_refuses_a_field_of_the_wrong_type():
                 with pytest.raises(IntegrityError) as info:
                     read(forged)
                 assert info.value.bad_seq == position, (position, raw)
+
+
+# the immutable values an event builds: each a NamedTuple, with its fields and defaults
+EVENT_VALUES = {
+    deontic.HolderRef: (("kind", "name"), {}),
+    deontic.ChainLink: (("frm", "to", "at"), {}),
+    deontic.DelegationChain: (("links",), {}),
+    deontic.Verdict: (
+        ("outcome", "permits", "blockers", "reason"),
+        {"permits": (), "blockers": (), "reason": None},
+    ),
+    runtime.RoleBinding: (("role", "agent", "agent_kind", "principal", "bound_at"), {}),
+    runtime.ActionResult: (("verdict", "request_seq", "verdict_seq"), {}),
+    runtime.ApplyResult: (
+        ("accepted", "reason", "seq", "token_id"),
+        {"reason": None, "seq": None, "token_id": None},
+    ),
+    runtime._Pending: (("actor", "action", "subject", "effects"), {}),
+}
+
+
+def test_event_values_are_immutable_tuples_with_their_fields_and_defaults():
+    for cls, (fields, defaults) in EVENT_VALUES.items():
+        assert issubclass(cls, tuple), cls
+        assert (cls._fields, cls._field_defaults) == (fields, defaults), cls
+        value = cls(*fields)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+    assert deontic.Verdict("blocked") == deontic.Verdict("blocked", (), (), None)
+    assert runtime.ApplyResult(False) == runtime.ApplyResult(False, None, None, None)
+
+
+def test_event_values_behave_as_they_did_as_dataclasses():
+    c = staffed_ward()
+    binding = c.bind_agent("Officer", "officer_2", "human", "Clinic")
+    assert binding == runtime.RoleBinding("Officer", "officer_2", RoleKind.HUMAN, "Clinic", c.head_seq)
+    assert binding in c.bindings()
+
+    blocked = deontic.check_action_admissible(c.tokens, c, "bot_1", "close_case", "case1")
+    embargo = next(t.id for t in c.tokens if t.action == "close_case")
+    assert blocked == deontic.Verdict("blocked", blockers=(embargo,), reason="embargo")
+    assert not blocked.admissible
+    assert blocked.to_detail() == {"outcome": "blocked", "blockers": [embargo], "reason": "embargo"}
+    assert deontic.Verdict("admissible", permits=(2,)).admissible
+
+    declared = c.apply_speech_act(
+        SpeechAct(SpeechActKind.DECLARE_BURDEN, "officer_1", {"action": "sign", "holder": "officer_1"})
+    )
+    assert declared == runtime.ApplyResult(True, None, c.head_seq - 1, len(c.tokens))
+    moved = c.apply_speech_act(
+        SpeechAct(SpeechActKind.TRANSFER, "officer_1", {"token": declared.token_id, "to": "officer_2"})
+    )
+    assert (moved.accepted, moved.token_id) == (True, declared.token_id)
+    chain = c.tokens.get(declared.token_id).chain
+    link = deontic.ChainLink("officer_1", "officer_2", moved.seq)
+    assert chain == deontic.DelegationChain((deontic.ChainLink("Clinic", "officer_1", declared.seq), link))
+    assert (chain.head, chain.links[-1], chain.nodes()) == ("Clinic", link, {"Clinic", "officer_1", "officer_2"})
+    assert chain.extended("officer_2", "bot_1", 99).links == chain.links + (deontic.ChainLink("officer_2", "bot_1", 99),)
+    holder = c.tokens.get(declared.token_id).holder
+    assert holder == HolderRef(HolderKind.AGENT, "officer_2")
+    assert holder.to_detail() == {"kind": "agent", "name": "officer_2"}
+    refused = c.apply_speech_act(SpeechAct(SpeechActKind.REVOKE, "officer_1", {"token": declared.token_id}))
+    assert refused == runtime.ApplyResult(False, "NotRevocable", c.head_seq)
+
+    result = c.submit_action("bot_1", "close_case", "case1")
+    assert result == runtime.ActionResult(blocked, c.head_seq - 1, c.head_seq)
+
+    advisory = staffed_ward(MODE_ADVISORY)
+    advisory.apply_speech_act(SpeechAct(SpeechActKind.GRANT, "officer_1", {"action": "read_case", "to": "bot_1"}))
+    effects = [{"object": "CaseFile", "key": "k", "value": 1}]
+    recommended = advisory.submit_action("bot_1", "read_case", "case1", effects)
+    pending = advisory._pending[recommended.request_seq]
+    assert pending == runtime._Pending("bot_1", "read_case", "case1", (runtime.ObjectWrite("CaseFile", "append", "k", 1),))
 
 
 def test_a_template_is_validated_once(monkeypatch):
@@ -1683,6 +1792,11 @@ PINNED_HEADS = {
 
 def _pinned_runs():
     """Each pinned run's template and export, by name."""
+    return {name: (template, export) for name, (template, export, _) in _pinned_logs().items()}
+
+
+def _pinned_logs():
+    """Each pinned run's template, export and records as they were written, by name."""
     runs = {}
     variants = [
         ("happy_path", "safety"),
@@ -1698,13 +1812,15 @@ def _pinned_runs():
         report = run_scenario(scenario)
         assert report.ok, report.summary()
         for spec, stage in zip(scenario.stages, report.stages):
-            runs[f"{scenario.name}/{stage.community}"] = (parse_spec(spec.source), stage.export)
-    for mode in (MODE_SUPERVISED, MODE_ADVISORY, MODE_AUTONOMOUS):
-        runs[f"desk/{mode}"] = (parse_spec(DESK_SOURCE), _desk(mode).export_log())
-    runs["desk/supervised_without_rule"] = (
-        parse_spec(_NO_POLICY_RULE),
-        _desk(MODE_SUPERVISED, _NO_POLICY_RULE).export_log(),
-    )
+            runs[f"{scenario.name}/{stage.community}"] = (parse_spec(spec.source), stage.export, stage.records)
+    for name, mode, source in (
+        (MODE_SUPERVISED, MODE_SUPERVISED, DESK_SOURCE),
+        (MODE_ADVISORY, MODE_ADVISORY, DESK_SOURCE),
+        (MODE_AUTONOMOUS, MODE_AUTONOMOUS, DESK_SOURCE),
+        ("supervised_without_rule", MODE_SUPERVISED, _NO_POLICY_RULE),
+    ):
+        c = _desk(mode, source)
+        runs[f"desk/{name}"] = (parse_spec(source), c.export_log(), c.records())
     return runs
 
 
@@ -1764,6 +1880,45 @@ def test_mode_runs_reach_every_record_writer():
         (KIND_SPEECH_ACT, "counter_propose", "ProtocolViolation"),
     }
     assert expected <= seen, sorted(expected - seen, key=str)
+
+
+def test_a_verdict_is_logged_with_the_canonical_text_its_writer_wrote():
+    from test_verifier import _ward_module  # here: test_verifier imports this module
+
+    runs = {name: records for name, (_, _, records) in _pinned_logs().items()}
+    ward = _ward_module()
+    for seed in (1, 2, 3):
+        _tpl, c, caller = ward.populate(seed, 20, 20, 50, action_share=0.6)
+        while c.head_seq < 3_000:
+            _category, call, args, observe = caller.plan()
+            observe(call(*args))
+        runs[f"ward/{seed}"] = c.records()
+    c = staffed_ward()  # two embargoes block the same request
+    c.apply_speech_act(SpeechAct(SpeechActKind.DECLARE_EMBARGO, "officer_1", {"action": "close_case", "holder": "Bot"}))
+    assert len(c.submit_action("bot_1", "close_case", "case1").verdict.blockers) == 2
+    runs["two_embargoes"] = c.records()
+    shapes, lists = set(), set()
+    for name, records in runs.items():
+        for r in records:
+            if r.kind != KIND_VERDICT:
+                continue
+            assert r.detail_json == canonical_json(r.detail), (name, r.seq)
+            d = r.detail
+            shapes.add((d["outcome"], d.get("reason"), "approved_by" in d, "subject" in d))
+            lists |= {(key, len(d[key]) > 1) for key in ("permits", "blockers") if key in d}
+    assert {
+        ("admissible", None, False, True),
+        ("recommended", None, False, False),
+        ("blocked", "embargo", False, True),
+        ("blocked", "no-permit", False, False),
+        # an advisory accept, and a reject, which names no subject
+        ("admissible", None, True, True),
+        ("blocked", "no-permit", True, True),
+        ("blocked", "UnknownAgent", True, False),
+        ("blocked", "rejected", True, False),
+    } <= shapes
+    assert {reason for _, reason, _, _ in shapes} == {None, "embargo", "no-permit", "UnknownAgent", "rejected"}
+    assert lists == {("permits", False), ("permits", True), ("blockers", False), ("blockers", True)}
 
 
 def test_export_heads_are_pinned():

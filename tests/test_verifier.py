@@ -31,6 +31,7 @@ from covenant.runtime import (
     AuditRecord,
     Principal,
     SpeechAct,
+    canonical_json,
     instantiate_community,
     parse_export,
     replay,
@@ -221,6 +222,50 @@ def test_prohibition_gap_dedupes_until_cover_restored():
     say(c, SpeechActKind.REVOKE, "officer_1", token=restored)
     found = check_prohibition(c.records(), "close_file", "ALL_AI_AGENTS", c.template)
     assert len(found) == 2
+
+
+def test_the_gap_scan_runs_on_a_binding_or_a_transition_of_an_embargo_on_its_action(monkeypatch):
+    scans = []
+    held = verifier._ProhibitionChecker._embargo_held
+    monkeypatch.setattr(
+        verifier._ProhibitionChecker,
+        "_embargo_held",
+        lambda self, state: scans.append(self.action) or held(self, state),
+    )
+    c = clinic()
+    monitor = TraceMonitor([PropertySpec.prohibition("close_file", "ALL_AI_AGENTS")], c.template)
+    monitor.attach(c)
+
+    def scans_in(event) -> int:
+        scans.clear()
+        event()
+        return len(scans)
+
+    def embargo_on(action):
+        return _select_token(c, {"modality": "embargo", "action": action, "state": "HELD"})
+
+    # burdens and permits never change whether the embargo is held, even on its action
+    declared = lambda: say(c, SpeechActKind.DECLARE_BURDEN, "officer_1", action="sign", holder="officer_1")
+    assert scans_in(declared) == 0
+    burden = len(c.tokens)  # the token just declared
+    assert scans_in(lambda: say(c, SpeechActKind.DISCHARGE, "officer_1", token=burden)) == 0
+    assert scans_in(lambda: say(c, SpeechActKind.GRANT, "officer_1", action="close_file", to="bot_1")) == 0
+    permit = len(c.tokens)
+    assert scans_in(lambda: say(c, SpeechActKind.REVOKE, "officer_1", token=permit)) == 0
+    assert scans_in(lambda: c.submit_action("bot_1", "close_file")) == 0
+    # nor does an embargo on another action
+    other = lambda: say(c, SpeechActKind.DECLARE_EMBARGO, "officer_1", action="read_file", holder="ALL_AI_AGENTS")
+    assert scans_in(other) == 0
+    assert scans_in(lambda: say(c, SpeechActKind.REVOKE, "officer_1", token=embargo_on("read_file"))) == 0
+    # a binding, and each transition of an embargo on the action, scans once
+    assert scans_in(lambda: c.bind_agent("Bot", "bot_2", "llm_agent", "Vendor")) == 1
+    assert scans_in(lambda: c.unbind_agent("Bot", "bot_2")) == 1
+    assert scans_in(lambda: say(c, SpeechActKind.REVOKE, "officer_1", token=embargo_on("close_file"))) == 1
+    covered = lambda: say(c, SpeechActKind.DECLARE_EMBARGO, "officer_1", action="close_file", holder="Bot")
+    assert scans_in(covered) == 1
+    # the revoke opened the one gap; a Bot-held embargo is not a group embargo
+    assert [v.at_seq for v in monitor.violations] == [c.head_seq - 2]
+    assert monitor.violations == check_prohibition(c.records(), "close_file", "ALL_AI_AGENTS", c.template)
 
 
 def test_prohibition_needs_a_bound_group_member():
@@ -643,6 +688,8 @@ def runtime_enumerate(fx, depth):
             apply_schema(child, schema)
             records = child.records()
             for record in records[fed:]:
+                if record.kind == KIND_VERDICT:  # logged with the text its writer wrote
+                    assert record.detail_json == canonical_json(record.detail), (trace, index, record.seq)
                 twin.feed(record)
             walk(child, twin, len(records), cuts + [(fed, len(records))], trace + [index])
 
