@@ -236,14 +236,12 @@ class TokenStore:
     def pop_overdue(self, at: int) -> list[Token]:
         """Take the HELD burdens whose deadline is before `at` off the heap, in id order."""
         deadlines = self._deadlines
-        if not deadlines or deadlines[0][0] >= at:
-            return []
         due = []
         while deadlines and deadlines[0][0] < at:
             _deadline, token_id = heappop(deadlines)
             if self._tokens[token_id].state is TokenState.HELD:
                 due.append(token_id)
-        return [self._tokens[i] for i in sorted(due)]
+        return [self._tokens[i] for i in sorted(due)] if due else due
 
     def states(self) -> dict[int, str]:
         return {t.id: t.state.value for t in self}
@@ -299,16 +297,6 @@ class Verdict(NamedTuple):
     @property
     def admissible(self) -> bool:
         return self.outcome == OUTCOME_ADMISSIBLE
-
-    def to_detail(self) -> dict:
-        detail: dict = {"outcome": self.outcome}
-        if self.permits:
-            detail["permits"] = list(self.permits)
-        if self.blockers:
-            detail["blockers"] = list(self.blockers)
-        if self.reason is not None:
-            detail["reason"] = self.reason
-        return detail
 
 
 def create_token(

@@ -464,9 +464,8 @@ class CommunityInstance:
         """
         error = None
         try:
-            listeners = self._listeners
-            for record in self._records[self._start :] if listeners else ():
-                for listener in listeners:
+            for record in self._records[self._start :]:
+                for listener in self._listeners:
                     try:
                         listener(record)
                     except Exception as exc:
@@ -665,32 +664,19 @@ class CommunityInstance:
         approved_by: str | None = None,
     ) -> AuditRecord:
         outcome, permits, blockers, reason = verdict
-        event = self._event_counter - 1  # the event last begun
-        # the detail and its canonical text together, key by key in sorted
-        # order: each string as _str_json writes it, each int as JSON writes it
-        detail: dict = {"action": action, "actor": actor}
-        text = f'{{"action":{_str_json(action)},"actor":{_str_json(actor)}'
-        if approved_by is not None:
-            detail["approved_by"] = approved_by
-            text += f',"approved_by":{_str_json(approved_by)}'
-        if blockers:
-            detail["blockers"] = list(blockers)
-            text += f',"blockers":[{",".join(map(str, blockers))}]'
-        detail["event"] = event
-        detail["outcome"] = outcome
-        text += f',"event":{event:d},"outcome":{_str_json(outcome)}'
+        detail: dict = {"outcome": outcome}
         if permits:
             detail["permits"] = list(permits)
-            text += f',"permits":[{",".join(map(str, permits))}]'
+        if blockers:
+            detail["blockers"] = list(blockers)
         if reason is not None:
             detail["reason"] = reason
-            text += f',"reason":{_str_json(reason)}'
-        detail["request"] = request
-        text += f',"request":{request:d}'
+        detail.update(request=request, actor=actor, action=action)
         if subject is not None:
             detail["subject"] = subject
-            text += f',"subject":{_str_json(subject)}'
-        return self._append(KIND_VERDICT, None, detail, text + "}")
+        if approved_by is not None:
+            detail["approved_by"] = approved_by
+        return self._append(KIND_VERDICT, None, detail)
 
     def _review_burden(
         self, condition: str, issuer: str, subject: str | None = None
@@ -858,7 +844,7 @@ class CommunityInstance:
         with self:
             if not self.is_agent(actor):
                 raise UnknownAgent(f"{actor!r} is not bound to any role")
-            writes = tuple(map(self._coerce_write, effects)) if effects else ()
+            writes = tuple(map(self._coerce_write, effects))
             for write in writes:
                 obj = self.objects.get(write.object)
                 if obj is None:

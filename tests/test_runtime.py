@@ -1081,21 +1081,19 @@ def test_each_record_is_encoded_once(monkeypatch):
     calls = _count_encodings(monkeypatch)
     c = drive_sample_history(staffed_ward())
     requests = sum(r.kind == KIND_ACTION_REQUEST for r in c.records())
-    verdicts = sum(r.kind == KIND_VERDICT for r in c.records())
     speech_acts = sum(r.kind == KIND_SPEECH_ACT for r in c.records())
-    assert (requests, verdicts, speech_acts) == (2, 2, 3)
+    assert (requests, speech_acts) == (2, 3)
     # once, as each record is written; a request without effects is written with
-    # the text its boundary check made, a verdict with the text its writer made,
-    # and each payload is checked at the boundary
-    assert calls.count("canonical_json") == len(c.records()) - requests - verdicts
+    # the text its boundary check made, and each payload is checked at the boundary
+    assert calls.count("canonical_json") == len(c.records()) - requests
     assert calls.count("_caller_json") == requests + speech_acts
     calls.clear()
     c.submit_action("officer_1", "read_case", "case2")  # the request, then its verdict
-    assert calls == ["_caller_json"]
+    assert calls == ["_caller_json", "canonical_json"]
     calls.clear()
     # a request with effects logs a copy, encoded afresh
     c.submit_action("officer_1", "read_case", effects=[{"object": "Ledger", "key": "k", "value": 1}])
-    assert calls == ["_caller_json", "canonical_json"]
+    assert calls == ["_caller_json", "canonical_json", "canonical_json"]
     calls.clear()
     text = c.export_log()
     assert calls == []  # the export writes each record's text as it is
@@ -1344,7 +1342,6 @@ def test_event_values_behave_as_they_did_as_dataclasses():
     embargo = next(t.id for t in c.tokens if t.action == "close_case")
     assert blocked == deontic.Verdict("blocked", blockers=(embargo,), reason="embargo")
     assert not blocked.admissible
-    assert blocked.to_detail() == {"outcome": "blocked", "blockers": [embargo], "reason": "embargo"}
     assert deontic.Verdict("admissible", permits=(2,)).admissible
 
     declared = c.apply_speech_act(
@@ -1792,11 +1789,6 @@ PINNED_HEADS = {
 
 def _pinned_runs():
     """Each pinned run's template and export, by name."""
-    return {name: (template, export) for name, (template, export, _) in _pinned_logs().items()}
-
-
-def _pinned_logs():
-    """Each pinned run's template, export and records as they were written, by name."""
     runs = {}
     variants = [
         ("happy_path", "safety"),
@@ -1812,15 +1804,13 @@ def _pinned_logs():
         report = run_scenario(scenario)
         assert report.ok, report.summary()
         for spec, stage in zip(scenario.stages, report.stages):
-            runs[f"{scenario.name}/{stage.community}"] = (parse_spec(spec.source), stage.export, stage.records)
-    for name, mode, source in (
-        (MODE_SUPERVISED, MODE_SUPERVISED, DESK_SOURCE),
-        (MODE_ADVISORY, MODE_ADVISORY, DESK_SOURCE),
-        (MODE_AUTONOMOUS, MODE_AUTONOMOUS, DESK_SOURCE),
-        ("supervised_without_rule", MODE_SUPERVISED, _NO_POLICY_RULE),
-    ):
-        c = _desk(mode, source)
-        runs[f"desk/{name}"] = (parse_spec(source), c.export_log(), c.records())
+            runs[f"{scenario.name}/{stage.community}"] = (parse_spec(spec.source), stage.export)
+    for mode in (MODE_SUPERVISED, MODE_ADVISORY, MODE_AUTONOMOUS):
+        runs[f"desk/{mode}"] = (parse_spec(DESK_SOURCE), _desk(mode).export_log())
+    runs["desk/supervised_without_rule"] = (
+        parse_spec(_NO_POLICY_RULE),
+        _desk(MODE_SUPERVISED, _NO_POLICY_RULE).export_log(),
+    )
     return runs
 
 
@@ -1880,45 +1870,6 @@ def test_mode_runs_reach_every_record_writer():
         (KIND_SPEECH_ACT, "counter_propose", "ProtocolViolation"),
     }
     assert expected <= seen, sorted(expected - seen, key=str)
-
-
-def test_a_verdict_is_logged_with_the_canonical_text_its_writer_wrote():
-    from test_verifier import _ward_module  # here: test_verifier imports this module
-
-    runs = {name: records for name, (_, _, records) in _pinned_logs().items()}
-    ward = _ward_module()
-    for seed in (1, 2, 3):
-        _tpl, c, caller = ward.populate(seed, 20, 20, 50, action_share=0.6)
-        while c.head_seq < 3_000:
-            _category, call, args, observe = caller.plan()
-            observe(call(*args))
-        runs[f"ward/{seed}"] = c.records()
-    c = staffed_ward()  # two embargoes block the same request
-    c.apply_speech_act(SpeechAct(SpeechActKind.DECLARE_EMBARGO, "officer_1", {"action": "close_case", "holder": "Bot"}))
-    assert len(c.submit_action("bot_1", "close_case", "case1").verdict.blockers) == 2
-    runs["two_embargoes"] = c.records()
-    shapes, lists = set(), set()
-    for name, records in runs.items():
-        for r in records:
-            if r.kind != KIND_VERDICT:
-                continue
-            assert r.detail_json == canonical_json(r.detail), (name, r.seq)
-            d = r.detail
-            shapes.add((d["outcome"], d.get("reason"), "approved_by" in d, "subject" in d))
-            lists |= {(key, len(d[key]) > 1) for key in ("permits", "blockers") if key in d}
-    assert {
-        ("admissible", None, False, True),
-        ("recommended", None, False, False),
-        ("blocked", "embargo", False, True),
-        ("blocked", "no-permit", False, False),
-        # an advisory accept, and a reject, which names no subject
-        ("admissible", None, True, True),
-        ("blocked", "no-permit", True, True),
-        ("blocked", "UnknownAgent", True, False),
-        ("blocked", "rejected", True, False),
-    } <= shapes
-    assert {reason for _, reason, _, _ in shapes} == {None, "embargo", "no-permit", "UnknownAgent", "rejected"}
-    assert lists == {("permits", False), ("permits", True), ("blockers", False), ("blockers", True)}
 
 
 def test_export_heads_are_pinned():
