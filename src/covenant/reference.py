@@ -358,7 +358,9 @@ class ReferenceEngine:
             if token is None:
                 return None, None, None
         elif "token" in payload:
-            token = self.tokens.get(int(payload["token"]))
+            # a token id that is not an int (a bool is not one) names no token: the act is rejected
+            token_id = payload["token"]
+            token = self.tokens.get(token_id) if type(token_id) is int else None
 
         if not self._is_agent(sender):
             return None, None, None

@@ -17,7 +17,7 @@ import json
 import weakref
 from dataclasses import InitVar, dataclass, field
 from threading import RLock, get_ident
-from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from . import deontic
 from .deontic import (
@@ -1115,8 +1115,8 @@ class CommunityInstance:
                 },
                 separators=(",", ":"),
             )
-            lines = [header] + [r.to_line() for r in self._records]
-            return "\n".join(lines) + "\n"
+            # one list, joined once: the empty last item writes the final newline
+            return "\n".join([header, *(r.to_line() for r in self._records), ""])
 
     def clone(self) -> CommunityInstance:
         """Independent copy for search over alternative futures.
@@ -1161,6 +1161,23 @@ def instantiate_community(
 # export / import / replay
 
 
+# parse_export reads its text about this many characters at a time. A block ends
+# just after a "\n", so it never splits a line, nor "\r\n" or any other line
+# separator str.splitlines knows; the lines of the blocks are the text's lines
+_BLOCK_CHARS = 1 << 16
+
+
+def _nonblank_lines(text: str) -> Iterator[str]:
+    """The lines of text.splitlines() that hold more than whitespace, split one block at a time."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or size
+        for line in text[start:end].splitlines():
+            if line.strip():
+                yield line
+        start = end
+
+
 # what decoding a line can raise: JSONDecodeError is a ValueError, as is an
 # integer literal longer than sys.get_int_max_str_digits(); deep nesting recurses
 _UNREADABLE_JSON = (ValueError, RecursionError)
@@ -1172,13 +1189,15 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
     Each record's detail is encoded once, here. A `prev_hash` equal to the
     previous record's hash shares that string, and each distinct kind and
     actor is kept once. A line AuditRecord refuses is an IntegrityError at its
-    position; a bad header, or an export without records, at seq 0.
+    position; a bad header, or an export without records, at seq 0. The text is
+    split one block at a time, so only the records and one block's lines are held.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    lines = _nonblank_lines(text)
+    first = next(lines, None)
+    if first is None:
         raise IntegrityError("empty export", 0)
     try:
-        header = _decode_json(lines[0])
+        header = _decode_json(first)
     except _UNREADABLE_JSON as exc:
         raise IntegrityError(f"unreadable header: {exc}", 0) from exc
     if not isinstance(header, dict):
@@ -1187,12 +1206,10 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
         raise IntegrityError(f"unknown export format {header.get('format')!r}", 0)
     if header.get("digest") != DIGEST_NAME:
         raise IntegrityError(f"unsupported digest {header.get('digest')!r}", 0)
-    if len(lines) == 1:
-        raise IntegrityError("export holds no records", 0)
     records: list[AuditRecord] = []
     names: dict[str, str] = {}
     prev = None
-    for index, line in enumerate(lines[1:]):
+    for index, line in enumerate(lines):
         try:
             try:
                 raw, end = _scan_json(line, 0)
@@ -1211,6 +1228,8 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
             )
         except (*_UNREADABLE_JSON, KeyError, TypeError) as exc:
             raise IntegrityError(f"unreadable record on line {index + 2}: {exc}", index) from exc
+    if not records:
+        raise IntegrityError("export holds no records", 0)
     return header, records
 
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import random
 import re
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -815,7 +817,7 @@ def test_an_unreadable_record_line_is_refused_at_its_position(spell):
             assert info.value.bad_seq == position
 
 
-def _ward_export(records: int, seed: int = 1):
+def _ward(records: int, seed: int = 1):
     """The Ward of bench/ward.py, 20 agents, driven until its log holds `records` records."""
     from test_verifier import _ward_module  # here: test_verifier imports this module
 
@@ -824,6 +826,11 @@ def _ward_export(records: int, seed: int = 1):
     while c.head_seq + 1 < records:
         _category, call, args, observe = caller.plan()
         observe(call(*args))
+    return tpl, c
+
+
+def _ward_export(records: int, seed: int = 1):
+    tpl, c = _ward(records, seed)
     return tpl, c.export_log()
 
 
@@ -831,8 +838,8 @@ def _parse_outcome(text):
     """What parse_export makes of `text`: its header and records' fields, or where and why it refused it."""
     try:
         header, records = parse_export(text)
-    except IntegrityError as exc:
-        return "refused", exc.bad_seq, str(exc)
+    except Exception as exc:
+        return "refused", type(exc), getattr(exc, "bad_seq", None), str(exc)
     return "parsed", header, [(r.seq, r.kind, r.actor, r.detail, r.prev_hash, r.hash, r.detail_json) for r in records]
 
 
@@ -870,6 +877,118 @@ def test_the_scanner_parses_what_decoding_every_line_parses(monkeypatch):
     assert [_parse_outcome(text) for text in edited] == scanned_edits
     # whitespace around a line's value is read as the value; the rest is refused
     assert [outcome[0] for outcome in scanned_edits] == (["parsed"] * 2 + ["refused"] * 6) * 3
+
+
+def _outcome_in_blocks(text, block, monkeypatch):
+    """_parse_outcome of `text` read in blocks of `block` characters."""
+    with monkeypatch.context() as patch:
+        patch.setattr(runtime, "_BLOCK_CHARS", block)
+        return _parse_outcome(text)
+
+
+def _whole_text_outcome(text, monkeypatch):
+    """The reference: `text` read as one block, so one text.splitlines() splits all of it."""
+    return _outcome_in_blocks(text, len(text) + 1, monkeypatch)
+
+
+# every separator str.splitlines knows besides "\n", by its ASCII or Unicode name
+_LINE_SEPARATORS = {
+    "CR": "\r",
+    "CRLF": "\r\n",
+    "VT": "\v",
+    "FF": "\f",
+    "FS": "\x1c",
+    "GS": "\x1d",
+    "RS": "\x1e",
+    "NEL": "\x85",
+    "LS": "\u2028",
+    "PS": "\u2029",
+}
+
+
+@pytest.mark.parametrize("separator", _LINE_SEPARATORS.values(), ids=_LINE_SEPARATORS.keys())
+def test_every_line_separator_reads_in_blocks_as_in_one_split(separator, monkeypatch):
+    ward = _ward_export(1_000)[1]
+    assert len(ward) > 4 * runtime._BLOCK_CHARS  # the default blocks cut it
+    for text in [export for _, export in _pinned_runs().values()] + [ward]:
+        lines = text.splitlines()
+        spelled = (
+            separator.join(lines) + separator,
+            # "\n" ends every other line, so blocks are still cut, and cut after a line that ends in `separator`
+            "".join(line + ("\n" if index % 2 else separator) for index, line in enumerate(lines)),
+        )
+        for edited in spelled:
+            expected = _whole_text_outcome(edited, monkeypatch)
+            assert expected == _parse_outcome(text)
+            assert _parse_outcome(edited) == expected
+            # a block of one line at a time, and blocks that end within a line
+            for block in (1, 2_000):
+                assert _outcome_in_blocks(edited, block, monkeypatch) == expected
+
+
+def _around_the_first_cut(text):
+    """Edits of `text` that place blank lines, or one record line, where the first block is cut.
+
+    A blank and a whitespace-only line go between two records in the first
+    block's first half. A whitespace-only first line of chosen length then moves
+    the first block's nominal end (`_BLOCK_CHARS - 1`) onto, just before and just
+    after each "\n" around them, and into the record line after them, once as
+    it is and once broken in two there.
+    """
+    block = runtime._BLOCK_CHARS
+    at = text.index("\n", block // 4) + 1
+    edited = text[:at] + "\n \t\n" + text[at:]
+    after = edited.index("\n", at + 4)  # the end of the record after the blank lines
+    middle = (at + 4 + after) // 2
+    ends = {end + shift for end in (at - 1, at, at + 3, after) for shift in (-1, 0, 1)} | {middle}
+    for end in sorted(ends):
+        yield " " * (block - 2 - end) + "\n" + edited
+    yield " " * (block - 2 - middle) + "\n" + edited[:middle] + "\n" + edited[middle:]
+
+
+def test_blank_lines_and_a_record_line_at_a_block_cut_read_as_in_one_split(monkeypatch):
+    ward = _ward_export(1_000)[1]
+    placed = set()
+    for text, block in [(export, 2_000) for _, export in _pinned_runs().values()] + [(ward, runtime._BLOCK_CHARS)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(runtime, "_BLOCK_CHARS", block)
+            edits = list(_around_the_first_cut(text))
+            outcomes = [_parse_outcome(edited) for edited in edits]
+        assert outcomes == [_whole_text_outcome(edited, monkeypatch) for edited in edits]
+        # every edit but the broken record line parses to the records of `text`
+        assert outcomes[:-1] == [_parse_outcome(text)] * (len(edits) - 1)
+        assert outcomes[-1][:2] == ("refused", IntegrityError)
+        for edited in edits:
+            cut = edited.index("\n", block - 1) + 1
+            before, after = edited[:cut], edited[cut:]
+            placed.add(
+                "before" if before.endswith("\n\n \t\n") else
+                "at" if before.endswith("\n\n") and after.startswith(" \t\n") else
+                "after" if after.startswith("\n \t\n") else
+                "record"
+            )
+    assert placed == {"before", "at", "after", "record"}
+
+
+def test_the_auditor_holds_an_export_about_once():
+    _, c = _ward(3_000)
+    text = c.export_log()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        exported = c.export_log()
+        export_peak = tracemalloc.get_traced_memory()[1] - base
+        del exported
+        tracemalloc.reset_peak()
+        parsed = parse_export(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(parsed[1]) == c.head_seq + 1
+    # the lines and the joined text; parsing holds one block of lines beside its records
+    assert export_peak <= 2.3 * len(text)
+    assert peak - kept <= 0.2 * len(text)
 
 
 def test_an_edited_link_is_a_broken_chain_at_its_seq():

@@ -788,6 +788,69 @@ def test_monitor_agrees_with_oracle_on_the_decision_desk_to_depth_four(alphabet,
     assert Counter(prop for violations in expected.values() for prop, _ in violations) == flagged
 
 
+TOKEN_TYPES_SOURCE = """\
+community Ledger {{
+  role Officer: human [0..2];
+  role Bot: llm_agent [0..1];
+  {first}
+  {second}
+  policy permit(final, ALL);
+
+  contract Rules {{
+    allow Officer: transfer, discharge, revoke;
+    allow Bot: discharge;
+  }}
+}}
+"""
+_BURDEN_POLICY = "policy burden(decide, Officer);"
+_EMBARGO_POLICY = "policy embargo(final, ALL_AI_AGENTS);"
+
+
+@pytest.mark.parametrize("token", [True, 25.9, "1"], ids=["true", "float", "string"])
+@pytest.mark.parametrize(
+    "kind, first, second, payload",
+    [
+        ("transfer", _BURDEN_POLICY, _EMBARGO_POLICY, {"to": "bot"}),
+        ("discharge", _BURDEN_POLICY, _EMBARGO_POLICY, {}),
+        ("revoke", _EMBARGO_POLICY, _BURDEN_POLICY, {}),
+    ],
+    ids=["transfer", "discharge", "revoke"],
+)
+def test_both_engines_reject_a_token_that_is_not_an_int(kind, first, second, payload, token):
+    # token 1 is the first policy's, the one each act would move if it read true or "1" as 1
+    fx = GateFixture(
+        template=parse_spec(TOKEN_TYPES_SOURCE.format(first=first, second=second)),
+        owner="Hospital",
+        prologue=parse_script(
+            "bind_officer: bind Officer officer_1 human Hospital\n"
+            "bind_bot: bind Bot bot llm_agent Hospital\n"
+        ),
+        alphabet=(
+            EventSchema(
+                "odd_token",
+                "speech_act",
+                {"sender": "officer_1", "kind": kind, "payload": {"token": token, **payload}},
+            ),
+            *parse_script(
+                "final: action officer_1 final\n"
+                "bot_decides: speech_act bot discharge select=burden:decide:HELD\n"
+            ),
+        ),
+        properties=(
+            PropertySpec.safety("final", "decide"),
+            PropertySpec.authority("decide", "Officer"),
+            PropertySpec.prohibition("final", "ALL_AI_AGENTS"),
+            PropertySpec.accountability(),
+        ),
+    )
+    expected = dict(oracle_enumerate(fx.template, fx.alphabet, 2, fx.properties, fx.prologue, fx.owner))
+    assert runtime_enumerate(fx, 2) == expected
+    # the act changes nothing: a trace that starts with it flags what the rest flags, one position later
+    for trace, found in expected.items():
+        if trace[:1] == (0,):
+            assert found == tuple((prop, at + 1) for prop, at in expected[trace[1:]]), trace
+
+
 def test_oracle_positions_anchor_to_offending_event():
     fx = reduced_layer1_fixture()
     results = dict(oracle_enumerate(
