@@ -138,32 +138,61 @@ _decode_json = _decoder.decode
 _scan_json = _decoder.scan_once
 
 
-def _check_strings(
-    payload: dict, required: tuple[str, ...], optional: tuple[str, ...] = ()
-) -> None:
-    """Raise TypeError unless each field is a string; an optional one may be absent or None.
+# How a field of CALLER_FIELDS may be sent: REQUIRED, present; NULLABLE, absent,
+# null or of its type; OMITTABLE, absent or of its type, never null
+REQUIRED, NULLABLE, OMITTABLE = "required", "nullable", "omittable"
 
-    These fields are logged as strings and key the indexes of tokens, bindings
-    and principals; a caller's value is checked before its event is numbered.
-    """
-    for name in required:
-        if not isinstance(payload[name], str):
-            raise TypeError(f"{name} {payload[name]!r} is not a string")
-    for name in optional:
-        value = payload.get(name)
-        if value is not None and not isinstance(value, str):
-            raise TypeError(f"{name} {value!r} is not a string")
+# the payload of each of the three declares
+_DECLARE = (
+    ("action", str, REQUIRED), ("holder", str, REQUIRED), ("subject", str, NULLABLE),
+    ("deadline", int, NULLABLE), ("requires_action", str, NULLABLE),
+    ("unless_action", str, NULLABLE), ("unless_target", str, NULLABLE),
+)
+
+# The fields each caller-facing event reads, with their types and presence: the
+# arguments of the mutators, and each speech act's payload, by kind. Names and
+# actions key the indexes of tokens, bindings and principals, so a string is
+# whatever isinstance(v, str) accepts. A token id, seq or deadline is used and
+# logged as sent, and a deadline is compared with seqs at every event, so an
+# integer is exactly an int, never a bool (int() would read 25.9 as 25 and True
+# as 1). `object` is any value. A field not listed is logged as sent and read by
+# nothing.
+CALLER_FIELDS: dict[str, tuple[tuple[str, type, str], ...]] = {
+    "principal": (("id", str, REQUIRED), ("name", str, REQUIRED), ("kind", str, REQUIRED)),
+    "binding": (("agent", str, REQUIRED), ("principal", str, REQUIRED)),
+    "mode_change": (("by", str, NULLABLE),),
+    "action_request": (("action", str, REQUIRED), ("subject", str, NULLABLE)),
+    "speech_act": (("sender", str, REQUIRED),),
+    SpeechActKind.DECLARE_BURDEN: _DECLARE,
+    SpeechActKind.DECLARE_PERMIT: _DECLARE,
+    SpeechActKind.DECLARE_EMBARGO: _DECLARE,
+    SpeechActKind.GRANT: (
+        ("action", str, REQUIRED), ("to", str, REQUIRED),
+        ("subject", str, NULLABLE), ("requires_action", str, NULLABLE),
+    ),
+    SpeechActKind.TRANSFER: (("token", int, REQUIRED), ("to", str, REQUIRED)),
+    SpeechActKind.DISCHARGE: (("token", int, REQUIRED), ("evidence", int, OMITTABLE)),
+    SpeechActKind.REVOKE: (("token", int, REQUIRED),),
+    SpeechActKind.PROPOSE: (("body", object, OMITTABLE),),
+    SpeechActKind.COUNTER_PROPOSE: (("body", object, OMITTABLE),),
+    SpeechActKind.ACCEPT: (("request_seq", int, OMITTABLE), ("body", object, OMITTABLE)),
+    SpeechActKind.REJECT: (("request_seq", int, OMITTABLE), ("body", object, OMITTABLE)),
+    SpeechActKind.ESCALATE: (("condition", object, REQUIRED), ("subject", str, NULLABLE)),
+}
 
 
-def _check_int(name: str, value: object) -> int:
-    """Return `value` if it is an int, and raise TypeError for anything else, a bool too.
-
-    A token id, seq or deadline is used and logged as the caller sent it;
-    int() would read 25.9 as 25 and True as 1.
-    """
-    if type(value) is not int:
-        raise TypeError(f"{name} {value!r} is not an integer")
-    return value
+def _check_fields(fields: dict, event: str) -> None:
+    """Raise TypeError at the first field of CALLER_FIELDS[event] that `fields` lacks or holds with another type."""
+    for name, wanted, presence in CALLER_FIELDS[event]:
+        if name in fields:
+            value = fields[name]
+            if type(value) is wanted or (value is None and presence is NULLABLE):
+                continue
+            # a str subclass is a string; a bool is no integer
+            if wanted is int or not isinstance(value, wanted):
+                raise TypeError(f"{name} {value!r} is not {'an integer' if wanted is int else 'a string'}")
+        elif presence is REQUIRED:
+            raise TypeError(f"{name} is missing")
 
 
 def record_digest(
@@ -233,7 +262,7 @@ class Principal:
 
     def __post_init__(self) -> None:
         # every field is logged: another type would not replay (a tuple id comes back a list)
-        _check_strings(vars(self), ("id", "name", "kind"))
+        _check_fields(vars(self), "principal")
 
 
 class RoleBinding(NamedTuple):
@@ -729,9 +758,8 @@ class CommunityInstance:
         with self:
             if principal_id in self._principals:
                 return self._principals[principal_id]
-            # refused before a falsy non-string (0, False) could give way to the id
-            _check_strings({"name": name}, (), ("name",))
-            principal = Principal(principal_id, name or principal_id, kind)
+            # only a null or empty name gives way to the id: Principal refuses 0 and False
+            principal = Principal(principal_id, principal_id if name in (None, "") else name, kind)
             self._principals[principal_id] = principal
             self._begin_event()
             self._append(
@@ -766,7 +794,7 @@ class CommunityInstance:
             return self._bind(role, agent, kind, principal)
 
     def _bind(self, role: str, agent: str, kind: RoleKind | str, principal: str) -> RoleBinding:
-        _check_strings({"agent": agent, "principal": principal}, ("agent", "principal"))
+        _check_fields({"agent": agent, "principal": principal}, "binding")
         decl = self.template.role(role)
         if decl is None:
             raise UnknownRole(f"role {role!r} is not declared")
@@ -824,7 +852,7 @@ class CommunityInstance:
     def set_mode(self, mode: str, by: str | None = None) -> None:
         if mode not in MODES:
             raise InvalidTemplate(f"unknown deployment mode {mode!r}")
-        _check_strings({"by": by}, (), ("by",))
+        _check_fields({"by": by}, "mode_change")
         with self:
             self._begin_event()
             previous = self.mode
@@ -856,7 +884,7 @@ class CommunityInstance:
             if writes:
                 request_detail["effects"] = [w.to_detail() for w in writes]
             request_detail["event"] = self._event_counter  # the event this request opens
-            _check_strings(request_detail, ("action",), ("subject",))
+            _check_fields(request_detail, "action_request")
             encoded = _caller_json(request_detail)  # fail before the event if unloggable
             if writes:
                 # log and journal a copy: the caller may change its effect values later.
@@ -921,7 +949,7 @@ class CommunityInstance:
     def apply_speech_act(self, act: SpeechAct) -> ApplyResult:
         with self:
             kind = act.kind if type(act.kind) is SpeechActKind else SpeechActKind(act.kind)
-            _check_strings(vars(act), ("sender",))
+            _check_fields(vars(act), "speech_act")
             # fails before the event if the payload cannot be logged; the copy it
             # returns is what replay reads back and shares nothing with the caller
             payload = _scan_json(_caller_json(dict(act.payload)), 0)[0]
@@ -930,11 +958,13 @@ class CommunityInstance:
             reason = self._authorize(act.sender, kind)
             if reason is None:
                 try:
+                    _check_fields(payload, kind)
+                except TypeError:
+                    return self._reject(act.sender, kind, payload, "MalformedPayload")
+                try:
                     return self._dispatch(act.sender, kind, payload)
                 except GovernanceError as exc:
                     reason = exc.code
-                except (KeyError, TypeError, ValueError):
-                    reason = "MalformedPayload"
             return self._reject(act.sender, kind, payload, reason)
 
     def _authorize(self, sender: str, kind: SpeechActKind) -> str | None:
@@ -965,7 +995,6 @@ class CommunityInstance:
     def _act_create(self, sender: str, kind: SpeechActKind, payload: dict) -> ApplyResult:
         if kind is SpeechActKind.GRANT:
             # grant = permit for one concrete agent; it takes a guard and nothing else
-            _check_strings(payload, ("action", "to"), ("subject", "requires_action"))
             grantee = payload["to"]
             if not self.is_agent(grantee):
                 raise UnknownAgent(f"grantee {grantee!r} is not bound to any role")
@@ -973,13 +1002,7 @@ class CommunityInstance:
             fields = ("requires_action",)
         else:
             fields = ("deadline", "requires_action", "unless_action", "unless_target")
-            optional = ("subject", "requires_action", "unless_action", "unless_target")
-            _check_strings(payload, ("action", "holder"), optional)
             holder = deontic.holder_for_name(self, payload["holder"])
-            deadline = payload.get("deadline")
-            if deadline is not None:
-                # the expiry sweep compares deadlines with seqs at every event
-                _check_int("deadline", deadline)
         token = deontic.create_token(
             self.tokens,
             self,
@@ -996,12 +1019,8 @@ class CommunityInstance:
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     def _act_transfer(self, sender: str, payload: dict) -> ApplyResult:
-        token_id = _check_int("token", payload["token"])
-        _check_strings(payload, ("to",))
-        to = payload["to"]
-        token = deontic.delegate_burden(
-            self.tokens, self, token_id, sender, to, self._next_seq
-        )
+        token_id, to = payload["token"], payload["to"]
+        token = deontic.delegate_burden(self.tokens, self, token_id, sender, to, self._next_seq)
         record = self._log_act(sender, SpeechActKind.TRANSFER, {"token": token_id, "to": to})
         self._transition(token, TokenState.HELD, TokenState.DELEGATED, by=sender, target=to)
         self._transition(
@@ -1014,22 +1033,15 @@ class CommunityInstance:
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     def _act_discharge(self, sender: str, payload: dict) -> ApplyResult:
-        token_id = _check_int("token", payload["token"])
-        evidence = _check_int("evidence", payload.get("evidence", self.head_seq))
-        token = deontic.discharge_burden(
-            self.tokens, self, token_id, sender, evidence, self.head_seq
-        )
-        logged = {"token": token_id, "evidence": evidence}
-        record = self._log_act(sender, SpeechActKind.DISCHARGE, logged)
-        self._transition(
-            token, TokenState.HELD, TokenState.DISCHARGED, by=sender, evidence=evidence
-        )
+        token_id, evidence = payload["token"], payload.get("evidence", self.head_seq)
+        token = deontic.discharge_burden(self.tokens, self, token_id, sender, evidence, self.head_seq)
+        record = self._log_act(sender, SpeechActKind.DISCHARGE, {"token": token_id, "evidence": evidence})
+        self._transition(token, TokenState.HELD, TokenState.DISCHARGED, by=sender, evidence=evidence)
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     def _act_revoke(self, sender: str, payload: dict) -> ApplyResult:
-        token_id = _check_int("token", payload["token"])
-        token = deontic.revoke_token(self.tokens, self, token_id, sender)
-        record = self._log_act(sender, SpeechActKind.REVOKE, {"token": token_id})
+        token = deontic.revoke_token(self.tokens, self, payload["token"], sender)
+        record = self._log_act(sender, SpeechActKind.REVOKE, {"token": token.id})
         self._transition(token, TokenState.HELD, TokenState.REVOKED, by=sender)
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
@@ -1061,7 +1073,7 @@ class CommunityInstance:
     def _decide_recommendation(
         self, sender: str, kind: SpeechActKind, payload: dict
     ) -> ApplyResult:
-        request_seq = _check_int("request_seq", payload["request_seq"])
+        request_seq = payload["request_seq"]
         pending = self._pending.get(request_seq)
         if pending is None:
             raise ProtocolViolation(f"no pending recommendation for request {request_seq}")
@@ -1092,7 +1104,6 @@ class CommunityInstance:
 
     def _act_escalate(self, sender: str, payload: dict) -> ApplyResult:
         condition = payload["condition"]
-        _check_strings(payload, (), ("subject",))
         # the burden comes before the event's first record, so a failure to
         # create it leaves a single rejected record, as every other act does
         burden = self._review_burden(condition, sender, payload.get("subject"))

@@ -29,6 +29,7 @@ from .deontic import TokenState
 from .errors import CannotInject, ScriptError
 from .runtime import (
     AuditRecord,
+    CALLER_FIELDS,
     CommunityInstance,
     KIND_SPEECH_ACT,
     KIND_TOKEN_TRANSITION,
@@ -239,7 +240,8 @@ class ScenarioReport:
 # script files: one event per line
 
 
-_INT_KEYS = {"token", "request_seq", "evidence", "deadline"}
+# the fields the runtime reads as integers: token, request_seq, evidence, deadline
+_INT_KEYS = {name for entry in CALLER_FIELDS.values() for name, wanted, _ in entry if wanted is int}
 
 
 def _coerce(lineno: int, key: str, value: str):

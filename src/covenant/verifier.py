@@ -145,19 +145,17 @@ class _TraceState:
         if record.kind == KIND_GENESIS:
             self.registered.add(detail["owner"]["id"])
         elif record.kind == KIND_BINDING:
-            event_type = detail.get("event_type")
+            event_type = detail["event_type"]
             if event_type == "register_principal":
                 self.registered.add(detail["principal"])
             elif event_type == "bind":
                 role, agent = detail["role"], detail["agent"]
                 kind, principal = _ROLE_KINDS[detail["agent_kind"]], detail["principal"]
                 self.bindings.add(RoleBinding(role, agent, kind, principal, record.seq))
-            elif event_type == "unbind" and self.bindings:
-                # read the agent only when the role has a filler, so a
-                # malformed record with nothing to unbind stays harmless
-                role = detail["role"]
-                if self.bindings.count(role):
-                    self.bindings.remove(role, detail["agent"])
+            elif event_type == "unbind":
+                self.bindings.remove(detail["role"], detail["agent"])
+            else:
+                raise ValueError(f"unknown binding event {event_type!r}")
         elif record.kind == KIND_TOKEN_TRANSITION:
             token_id, to = detail["token"], _STATES[detail["to"]]
             if detail["from"] != "CREATED":
@@ -188,7 +186,7 @@ class _TraceState:
 
 
 def _is_admissible_verdict(record: AuditRecord) -> bool:
-    return record.kind == KIND_VERDICT and record.detail.get("outcome") == OUTCOME_ADMISSIBLE
+    return record.kind == KIND_VERDICT and record.detail["outcome"] == OUTCOME_ADMISSIBLE
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +205,7 @@ class _SafetyChecker:
         if not _is_admissible_verdict(record):
             return []
         detail = record.detail
-        if detail.get("action") != self.guarded_action:
+        if detail["action"] != self.guarded_action:
             return []
         # records come in order, so every discharge seen precedes the verdict
         if state.tokens.guard_discharged(self.guard_burden, detail.get("subject")):
@@ -224,15 +222,14 @@ class _AuthorityChecker:
 
     def feed(self, record: AuditRecord, state: _TraceState) -> list[Violation]:
         detail = record.detail
-        if record.kind == KIND_TOKEN_TRANSITION and detail.get("to") == "DISCHARGED":
-            if state.tokens.get(detail["token"]).action == self.decision_action:
-                by = detail.get("by")
-                if by is None or not state.bindings.has_role(by, self.authorized_role):
-                    return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
+        if record.kind == KIND_TOKEN_TRANSITION and detail["to"] == "DISCHARGED":
+            by, action = detail["by"], state.tokens.get(detail["token"]).action
+            if action == self.decision_action and not state.bindings.has_role(by, self.authorized_role):
+                return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
             return []
         # a decision is made by discharging its burden; admitting it as an
         # action bypasses the role, and no event both admits and discharges
-        if _is_admissible_verdict(record) and detail.get("action") == self.decision_action:
+        if _is_admissible_verdict(record) and detail["action"] == self.decision_action:
             return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
         return []
 
@@ -255,9 +252,8 @@ class _ProhibitionChecker:
 
     def feed(self, record: AuditRecord, state: _TraceState) -> list[Violation]:
         found: list[Violation] = []
-        if _is_admissible_verdict(record) and record.detail.get("action") == self.action:
-            actor = record.detail.get("actor")
-            if actor is not None and state.bindings.in_group(actor, self.group, self.template):
+        if _is_admissible_verdict(record) and record.detail["action"] == self.action:
+            if state.bindings.in_group(record.detail["actor"], self.group, self.template):
                 found.append(Violation(PROP_PROHIBITION, record.seq, (record.seq,)))
         # gap scan: the embargo must be HELD whenever a group member is bound.
         # Only a binding, or a transition of an embargo on the action, changes
@@ -283,10 +279,10 @@ class _AccountabilityChecker:
 
     def feed(self, record: AuditRecord, state: _TraceState) -> list[Violation]:
         detail = record.detail
-        if record.kind == KIND_BINDING and detail.get("event_type") == "bind":
+        if record.kind == KIND_BINDING and detail["event_type"] == "bind":
             if detail["principal"] not in state.registered:
                 return [Violation(PROP_ACCOUNTABILITY, record.seq, (record.seq,))]
-        elif record.kind == KIND_TOKEN_TRANSITION and detail.get("from") == "CREATED":
+        elif record.kind == KIND_TOKEN_TRANSITION and detail["from"] == "CREATED":
             if detail["chain_head"] not in state.registered:
                 return [Violation(PROP_ACCOUNTABILITY, record.seq, (record.seq,))]
         return []

@@ -226,6 +226,9 @@ def _rechained(tmp_path, seq, mutate, respell=int):
         (14, _with(to="DONE"), int),
         # seq 7 binds extract_bot
         (7, _with(agent_kind="robot"), int),
+        # seq 6 binds fhir_gateway: without its event type, or with one the runtime never writes
+        (6, _without("event_type"), int),
+        (6, _with(event_type="rebind"), int),
     ],
     ids=[
         "binding_detail_not_an_object",
@@ -241,6 +244,8 @@ def _rechained(tmp_path, seq, mutate, respell=int):
         "unknown_created_state",
         "unknown_transition_state",
         "unknown_agent_kind",
+        "binding_without_event_type",
+        "unknown_binding_event_type",
     ],
 )
 def test_verify_rejects_a_malformed_record_in_a_sound_chain(tmp_path, capsys, seq, mutate, respell):

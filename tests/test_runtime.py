@@ -1767,6 +1767,115 @@ def test_escalate_with_a_non_string_subject_is_malformed():
     assert replay(parse_spec(DESK_SOURCE), export).export_log() == export
 
 
+# each field of a payload is sent absent, and as each of these JSON values
+_ABSENT = object()
+_FIELD_VALUES = (_ABSENT, None, True, 1, 2.5, "s", [], {})
+
+
+def _every_payload_field():
+    """(kind, field) for each field of every speech act's CALLER_FIELDS entry, and one field outside it."""
+    return [
+        (kind, name)
+        for kind in SpeechActKind
+        for name in [*(name for name, _, _ in runtime.CALLER_FIELDS[kind]), "note"]
+    ]
+
+
+def _send_every_field_value(c, cases):
+    """Staff the advisory Desk `c`, then send each case's act with its field as each of _FIELD_VALUES.
+
+    Before each send, a few preparing acts (each may be refused) set up the
+    state in which the act's base payload applies: a fresh burden to move, a
+    permit to revoke, a pending recommendation or proposal. Each varied act
+    must apply, or log one rejection after the burdens its event found
+    overdue and change no token or binding; it never raises.
+    """
+
+    def say(kind, sender, **payload):
+        return c.apply_speech_act(SpeechAct(kind, sender, payload))
+
+    def burden():
+        return say(SpeechActKind.DECLARE_BURDEN, "officer_1", action="sign", holder="officer_1").token_id
+
+    def recommendation():
+        return c.submit_action("bot_1", "export_case", "case1").request_seq
+
+    def no_proposal():
+        say(SpeechActKind.REJECT, "reviewer_1")  # refused when none is pending
+
+    def proposal():
+        no_proposal()
+        say(SpeechActKind.PROPOSE, "bot_1")
+
+    declare = {
+        "action": "sign", "holder": "officer_1", "subject": "case1", "deadline": 10**6,
+        "requires_action": "screen_case", "unless_action": "override_close", "unless_target": "Reviewer",
+    }
+    base = {
+        SpeechActKind.DECLARE_BURDEN: ("officer_1", lambda: declare),
+        SpeechActKind.DECLARE_PERMIT: ("officer_1", lambda: declare),
+        SpeechActKind.DECLARE_EMBARGO: ("officer_1", lambda: declare),
+        SpeechActKind.GRANT: (
+            "officer_1", lambda: {"action": "read_case", "to": "bot_1", "subject": "case1", "requires_action": "screen_case"}
+        ),
+        SpeechActKind.TRANSFER: ("officer_1", lambda: {"token": burden(), "to": "officer_2"}),
+        SpeechActKind.DISCHARGE: ("officer_1", lambda: {"token": burden(), "evidence": c.head_seq}),
+        SpeechActKind.REVOKE: (
+            "officer_1", lambda: {"token": say(SpeechActKind.GRANT, "officer_1", action="read_case", to="bot_2").token_id}
+        ),
+        SpeechActKind.PROPOSE: ("bot_1", lambda: no_proposal() or {"body": "plan"}),
+        SpeechActKind.COUNTER_PROPOSE: ("bot_2", lambda: proposal() or {"body": "plan"}),
+        SpeechActKind.ACCEPT: ("reviewer_1", lambda: {"request_seq": recommendation(), "body": "ok"}),
+        SpeechActKind.REJECT: ("reviewer_1", lambda: {"request_seq": recommendation(), "body": "no"}),
+        SpeechActKind.ESCALATE: ("bot_1", lambda: {"condition": "low_confidence", "subject": "case1"}),
+    }
+    c.register_principal("Vendor")
+    for role, agent, kind, principal in (
+        ("Officer", "officer_1", "human", "Desk"),
+        ("Officer", "officer_2", "human", "Desk"),
+        ("Reviewer", "reviewer_1", "human", "Desk"),
+        ("Bot", "bot_1", "llm_agent", "Vendor"),
+        ("Bot", "bot_2", "llm_agent", "Vendor"),
+    ):
+        c.bind_agent(role, agent, kind, principal)
+    say(SpeechActKind.GRANT, "officer_1", action="export_case", to="bot_1")
+    outcomes = set()
+    for kind, name in cases:
+        sender, make = base[kind]
+        for value in _FIELD_VALUES:
+            payload = dict(make())
+            payload.pop(name, None)
+            if value is not _ABSENT:
+                payload[name] = copy.deepcopy(value)
+            seen, tokens, bindings = len(c.records()), c.tokens.states(), c.bindings()
+            result = c.apply_speech_act(SpeechAct(kind, sender, payload))
+            outcomes.add((kind, result.reason))
+            if result.accepted:
+                continue
+            *expired, rejected = c.records()[seen:]
+            assert (rejected.seq, rejected.kind, rejected.detail["rejected"]) == (result.seq, KIND_SPEECH_ACT, True)
+            assert rejected.detail["payload"] == payload, (kind, name, value)
+            assert all((r.kind, r.detail["to"]) == (KIND_TOKEN_TRANSITION, "VIOLATED") for r in expired)
+            tokens.update((r.detail["token"], "VIOLATED") for r in expired)
+            assert (c.tokens.states(), c.bindings()) == (tokens, bindings), (kind, name, value)
+    return outcomes
+
+
+def test_every_payload_field_sent_as_every_json_type_applies_or_logs_one_rejection():
+    c = instantiate_community(
+        parse_spec(DESK_SOURCE), mode=MODE_ADVISORY, owner=Principal("Desk", "Desk"),
+        object_disciplines={"CaseFile": "append_only"},
+    )
+    outcomes = _send_every_field_value(c, _every_payload_field())
+    # every kind is applied, and refused as malformed where a field has a type
+    for kind in SpeechActKind:
+        assert (kind, None) in outcomes, kind
+        typed = any(wanted is not object for _, wanted, _ in runtime.CALLER_FIELDS[kind])
+        assert ((kind, "MalformedPayload") in outcomes) == typed, kind
+    text = c.export_log()
+    assert replay(parse_spec(DESK_SOURCE), text).export_log() == text
+
+
 def drive_every_writer(c):
     """One script that reaches every record writer; outcomes vary with the mode."""
 

@@ -347,15 +347,18 @@ def test_parse_script_forms_and_labels():
         "state": "HELD",
     }
 
-    # only an optional "-" and ASCII digits make an integer
+    # only an optional "-" and ASCII digits make an integer, and only in a field
+    # the runtime reads as one
     numbers = parse_script(
         "speech_act a discharge token=7 deadline=-3\n"
+        "speech_act a accept request_seq=12 evidence=4 subject=5 to=7\n"
         "speech_act a discharge token=--5\n"
         "speech_act a discharge token=\u00b2\n"
         "speech_act a discharge token=abc\n"
     )
     assert [e.params["payload"] for e in numbers] == [
         {"token": 7, "deadline": -3},
+        {"request_seq": 12, "evidence": 4, "subject": "5", "to": "7"},
         {"token": "--5"},
         {"token": "\u00b2"},
         {"token": "abc"},

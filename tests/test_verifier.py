@@ -461,6 +461,29 @@ def test_a_record_whose_kind_is_not_a_string_is_refused():
         assert info.value.bad_seq == admitted.seq
 
 
+def test_a_record_without_a_field_its_checkers_read_is_refused_at_its_seq():
+    c = drive_clinic(clinic())
+    decide = _select_token(c, {"modality": "burden", "action": "decide", "state": "HELD"})
+    say(c, SpeechActKind.DISCHARGE, "officer_1", token=decide)
+    records = list(c.records())
+    # the admitted close_file verdict, and the discharge of the decision burden
+    admitted, discharged = records[-3], records[-1]
+    assert (admitted.detail["action"], discharged.detail["to"]) == ("close_file", "DISCHARGED")
+    expected = run_checks(records, ALL_SPECS, c.template)
+    # safety at the read_file verdict; the embargo's gap when it is revoked, and the admitted verdict
+    assert [v.at_seq for v in expected] == [admitted.seq - 6, admitted.seq - 2, admitted.seq]
+    for record, key in [(admitted, "outcome"), (admitted, "action"), (admitted, "actor"), (discharged, "by")]:
+        edited = list(records)
+        edited[record.seq] = dataclasses.replace(record, detail={k: v for k, v in record.detail.items() if k != key})
+        with pytest.raises(IntegrityError) as info:
+            run_checks(edited, ALL_SPECS, c.template)
+        assert info.value.bad_seq == record.seq, key
+    # a field a checker only compares, of another type, reads as not matching
+    edited = list(records)
+    edited[admitted.seq] = dataclasses.replace(admitted, detail={**admitted.detail, "outcome": 7})
+    assert run_checks(edited, ALL_SPECS, c.template) == expected[:2]
+
+
 def test_a_token_created_for_an_unregistered_principal_is_unaccountable():
     # o9 is force-bound for Ghost, a principal never registered, and declares a burden
     c = instantiate_community(parse_spec(DESK_SOURCE), owner=Principal("Desk", "Desk"))
