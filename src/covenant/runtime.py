@@ -13,6 +13,7 @@ Logical time is the audit sequence number; nothing here reads a clock.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import weakref
 from dataclasses import InitVar, dataclass, field
@@ -248,7 +249,7 @@ class AuditRecord:
         # the detail key-sorted, as record_digest hashes it
         actor = "null" if self.actor is None else _str_json(self.actor)
         return (
-            f'{{"seq":{self.seq:d},"kind":{_str_json(self.kind)},"actor":{actor},'
+            f'{{"seq":{self.seq},"kind":{_str_json(self.kind)},"actor":{actor},'
             f'"detail":{self.detail_json},"prev_hash":{_str_json(self.prev_hash)},'
             f'"hash":{_str_json(self.hash)}}}'
         )
@@ -1172,43 +1173,98 @@ def instantiate_community(
 # export / import / replay
 
 
-# parse_export reads its text about this many characters at a time. A block ends
-# just after a "\n", so it never splits a line, nor "\r\n" or any other line
-# separator str.splitlines knows; the lines of the blocks are the text's lines
-_BLOCK_CHARS = 1 << 16
+# parse_export reads its text about this many characters at a time, and decodes
+# the lines of each block with one scanner call. A block ends just after a "\n",
+# so it never splits a line, nor "\r\n" or any other line separator
+# str.splitlines knows; the lines of the blocks are the text's lines
+_BLOCK_CHARS = 1 << 14
 
 
-def _nonblank_lines(text: str) -> Iterator[str]:
-    """The lines of text.splitlines() that hold more than whitespace, split one block at a time."""
+def _nonblank_blocks(text: str) -> Iterator[list[str]]:
+    """The lines of text.splitlines() that hold more than whitespace, split and listed one block at a time."""
     start, size = 0, len(text)
     while start < size:
         end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or size
-        for line in text[start:end].splitlines():
-            if line.strip():
-                yield line
+        lines = [line for line in text[start:end].splitlines() if line.strip()]
+        if lines:
+            yield lines
         start = end
 
 
 # what decoding a line can raise: JSONDecodeError is a ValueError, as is an
 # integer literal longer than sys.get_int_max_str_digits(); deep nesting recurses
 _UNREADABLE_JSON = (ValueError, RecursionError)
+# what making a record of a decoded value can raise
+_UNREADABLE_RECORD = (*_UNREADABLE_JSON, KeyError, TypeError)
+
+
+def _decode_line(line: str) -> object:
+    """The value of one line, as json.loads reads it."""
+    try:
+        raw, end = _scan_json(line, 0)
+    except StopIteration:  # no value at the line's start: decode reports why
+        end = -1
+    if end != len(line):  # whitespace or data after the value: decode judges it
+        raw = _decode_json(line)
+    return raw
+
+
+def _decode_group(lines: list[str]) -> list:
+    """The values of `lines` decoded by one scanner call, whose memo makes equal
+    keys one string; a None for each line where that call fails or finds
+    another count of values.
+
+    Value i is the value of line i where every line before it is JSON on its
+    own. So a line that is not (two records joined by ",", or one split in
+    two) can shift the values after it, and a value stands for its line only
+    where the record made of it writes that line back (parse_export).
+    """
+    try:
+        values = _decode_json("[" + ",".join(lines) + "]")
+    except _UNREADABLE_JSON:
+        return [None] * len(lines)
+    return values if len(values) == len(lines) else [None] * len(lines)
+
+
+def _record_of(raw, names: dict, prev: str | None) -> AuditRecord:
+    """The record of a decoded line. Its kind, actor, detail keys and top-level
+    detail string values are the strings kept in `names`, and a `prev_hash`
+    equal to `prev` is `prev`."""
+    detail, prev_hash = raw["detail"], raw["prev_hash"]
+    if type(detail) is dict:
+        share = names.setdefault
+        detail = {
+            share(key, key): share(value, value) if type(value) is str else value
+            for key, value in detail.items()
+        }
+    kind = names.setdefault(raw["kind"], raw["kind"])
+    actor = names.setdefault(raw["actor"], raw["actor"])
+    if prev_hash == prev:
+        prev_hash = prev
+    digest = raw["hash"]  # read before the seq, so a record lacking both names the hash
+    return AuditRecord(raw["seq"], kind, actor, detail, prev_hash, digest, canonical_json(detail))
 
 
 def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
     """Parse an export; verify header shape only (chain check is separate).
 
-    Each record's detail is encoded once, here. A `prev_hash` equal to the
-    previous record's hash shares that string, and each distinct kind and
-    actor is kept once. A line AuditRecord refuses is an IntegrityError at its
-    position; a bad header, or an export without records, at seq 0. The text is
-    split one block at a time, so only the records and one block's lines are held.
+    Each record's detail is encoded once, here. Repeated strings are held
+    once: a `prev_hash` equal to the previous record's hash is that string,
+    and each distinct kind, actor, detail key and top-level detail string
+    value is one string for all records. The lines of a block are decoded by
+    one scanner call, and a record made from it is kept only where its
+    to_line() is its line; any other line is decoded alone. So the records
+    are those of reading each line alone. A line AuditRecord refuses is an
+    IntegrityError at its position; a bad header, or an export without
+    records, at seq 0. The text is split one block at a time, so only the
+    records and one block's lines and values are held.
     """
-    lines = _nonblank_lines(text)
-    first = next(lines, None)
+    blocks = _nonblank_blocks(text)
+    first = next(blocks, None)
     if first is None:
         raise IntegrityError("empty export", 0)
     try:
-        header = _decode_json(first)
+        header = _decode_json(first[0])
     except _UNREADABLE_JSON as exc:
         raise IntegrityError(f"unreadable header: {exc}", 0) from exc
     if not isinstance(header, dict):
@@ -1220,25 +1276,21 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
     records: list[AuditRecord] = []
     names: dict[str, str] = {}
     prev = None
-    for index, line in enumerate(lines):
-        try:
+    for lines in itertools.chain([first[1:]], blocks):
+        for line, raw in zip(lines, _decode_group(lines)):
             try:
-                raw, end = _scan_json(line, 0)
-            except StopIteration:  # no value at the line's start: decode reports why
-                end = -1
-            if end != len(line):  # whitespace or data after the value: decode judges it
-                raw = _decode_json(line)
-            detail, prev_hash = raw["detail"], raw["prev_hash"]
-            kind = names.setdefault(raw["kind"], raw["kind"])
-            actor = names.setdefault(raw["actor"], raw["actor"])
-            if prev_hash == prev:
-                prev_hash = prev
-            prev = raw["hash"]
-            records.append(
-                AuditRecord(raw["seq"], kind, actor, detail, prev_hash, prev, canonical_json(detail))
-            )
-        except (*_UNREADABLE_JSON, KeyError, TypeError) as exc:
-            raise IntegrityError(f"unreadable record on line {index + 2}: {exc}", index) from exc
+                record = _record_of(raw, names, prev)
+            except _UNREADABLE_RECORD:  # a None, where no value stands for the line, too
+                record = None
+            # the one rule that keeps a record of the group's call: it is the record of this line alone
+            if record is None or record.to_line() != line:
+                try:
+                    record = _record_of(_decode_line(line), names, prev)
+                except _UNREADABLE_RECORD as exc:
+                    seq = len(records)
+                    raise IntegrityError(f"unreadable record on line {seq + 2}: {exc}", seq) from exc
+            prev = record.hash
+            records.append(record)
     if not records:
         raise IntegrityError("export holds no records", 0)
     return header, records

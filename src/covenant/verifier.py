@@ -156,6 +156,10 @@ class _TraceState:
                 self.bindings.remove(detail["role"], detail["agent"])
             else:
                 raise ValueError(f"unknown binding event {event_type!r}")
+        elif record.kind == KIND_VERDICT:
+            # a checker reads these of an admissible verdict only, and may stop
+            # before the last; a verdict without one is malformed all the same
+            detail["outcome"], detail["action"], detail["actor"]
         elif record.kind == KIND_TOKEN_TRANSITION:
             token_id, to = detail["token"], _STATES[detail["to"]]
             if detail["from"] != "CREATED":

@@ -835,21 +835,33 @@ def _ward_export(records: int, seed: int = 1):
 
 
 def _parse_outcome(text):
-    """What parse_export makes of `text`: its header and records' fields, or where and why it refused it."""
+    """What parse_export makes of `text`: its header and records' fields, or where and why it refused it.
+
+    A detail is compared as json.dumps writes it, so its keys' order counts too.
+    """
     try:
         header, records = parse_export(text)
     except IntegrityError as exc:  # any other exception breaks README's promise, and fails the test
         return "refused", type(exc), exc.bad_seq, str(exc)
-    return "parsed", header, [(r.seq, r.kind, r.actor, r.detail, r.prev_hash, r.hash, r.detail_json) for r in records]
+    fields = [(r.seq, r.kind, r.actor, json.dumps(r.detail), r.prev_hash, r.hash, r.detail_json) for r in records]
+    return "parsed", header, fields
 
 
 def _decode_only(line, index):
     raise StopIteration(index)  # as the scanner does where no value starts: decode reads every line
 
 
+def _no_group_value(lines):
+    return [None] * len(lines)  # as where no group call stands for a line: each is read alone
+
+
 def test_the_scanner_parses_what_decoding_every_line_parses(monkeypatch):
     exports = [export for _, export in _pinned_runs().values()] + [_ward_export(12_000)[1]]
+    grouped = [_parse_outcome(export) for export in exports]
+    # every line read alone: by the scanner, then by decode
+    monkeypatch.setattr(runtime, "_decode_group", _no_group_value)
     scanned = [_parse_outcome(export) for export in exports]
+    assert scanned == grouped
     # lines the scanner leaves to the decoder: whitespace around the value, data
     # after it, a line no value starts, nesting past the limit, an overlong integer
     lines = drive_sample_history(staffed_ward()).export_log().splitlines()
@@ -989,6 +1001,90 @@ def test_the_auditor_holds_an_export_about_once():
     # the lines and the joined text; parsing holds one block of lines beside its records
     assert export_peak <= 2.3 * len(text)
     assert peak - kept <= 0.2 * len(text)
+
+
+def test_a_parsed_log_holds_each_repeated_string_once():
+    text = _ward_export(1_000)[1]
+    assert len(text) > 4 * runtime._BLOCK_CHARS  # more lines than one scanner call reads
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, records = parse_export(text)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # kinds, actors, detail keys and top-level detail string values: equal is identical
+    strings, seen = {}, 0
+    for record in records:
+        for string in (record.kind, record.actor, *record.detail, *record.detail.values()):
+            if type(string) is str:
+                assert strings.setdefault(string, string) is string, string
+                seen += 1
+    assert seen > 20 * len(strings)
+    # 2.46 times the text on CPython 3.11; each line's own strings made it 4.1
+    assert kept <= 2.7 * len(text)
+
+
+def _alone_outcome(text, monkeypatch):
+    """_parse_outcome of `text` with every line decoded alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(runtime, "_decode_group", _no_group_value)
+        return _parse_outcome(text)
+
+
+def test_a_line_the_group_call_cannot_stand_for_is_read_alone(monkeypatch):
+    export = drive_sample_history(staffed_ward()).export_log()
+    lines, canonical = export.splitlines(), parse_export(export)[1]
+    # a subject holding "},{": cut there, the line is two lines that each start
+    # with "{" and end with "}", which the group's "," joins back into one value
+    subject = lines[13].replace('"subject":"case1"', '"subject":"case},{1"', 1)
+    at = subject.index("},{") + 1
+    split = [subject[:at], subject[at + 1:]]
+    assert subject != lines[13] and all(part[0] == "{" and part[-1] == "}" for part in split)
+    # valid lines that are not canonical: the scanner reads them as it reads their canonical lines
+    raw = json.loads(lines[15])
+    reordered = json.dumps({**raw, "detail": dict(reversed(raw["detail"].items()))}, separators=(",", ":"))
+    spaced = lines[9].replace('"event":5,', '"event": 5,', 1)
+    escaped = lines[14].replace('"read_case"', '"re\\u0061d_case"', 1)
+    assert not {reordered, spaced, escaped} & set(lines)
+    edits = {
+        "joined": lines[:6] + [lines[6] + "," + lines[7]] + lines[8:],
+        "split": lines[:13] + split + lines[14:],
+        # one value more and one fewer, so the count matches and the values between are shifted
+        "joined, split": lines[:6] + [lines[6] + "," + lines[7]] + lines[8:13] + split + lines[14:],
+        "split, joined": lines[:13] + split + lines[14:16] + [lines[16] + "," + lines[17]] + lines[18:],
+        "reordered": lines[:15] + [reordered] + lines[16:],
+        "spaced": lines[:9] + [spaced] + lines[10:],
+        "escaped": lines[:14] + [escaped] + lines[15:],
+        "spaced, escaped, reordered": lines[:9] + [spaced] + lines[10:14] + [escaped, reordered] + lines[16:],
+    }
+    groups = []
+    decode_group = runtime._decode_group
+
+    def seen(group):
+        values = decode_group(group)
+        groups.append((group, values))
+        return values
+
+    for name, edited in edits.items():
+        text = "\n".join(edited) + "\n"
+        groups.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(runtime, "_decode_group", seen)
+            outcome = _parse_outcome(text)
+        assert outcome == _alone_outcome(text, monkeypatch), name
+        # one call decoded every record line, the edited ones neither first nor last
+        assert [group for group, _ in groups] == [edited[1:]], name
+        if name in ("joined", "split"):  # the count differs: no value stands for a line
+            assert set(groups[0][1]) == {None}, name
+        if "," in name and "joined" in name:  # the count matches: only to_line tells the values apart
+            assert None not in groups[0][1], name
+        if "joined" in name or "split" in name:
+            assert outcome[:2] == ("refused", IntegrityError), name
+        else:  # the canonical lines' records, read from other bytes
+            records = parse_export(text)[1]
+            assert [(r.to_line(), r.detail) for r in records] == [(r.to_line(), r.detail) for r in canonical], name
 
 
 def test_an_edited_link_is_a_broken_chain_at_its_seq():

@@ -35,7 +35,7 @@ from covenant.runtime import (
     parse_export,
     replay,
 )
-from covenant.scenarios import GateFixture, parse_script, reduced_layer1_fixture
+from covenant.scenarios import GateFixture, get_scenario, parse_script, reduced_layer1_fixture, run_scenario
 from covenant.spec_lang import parse_spec
 from covenant.spec_lang.ast import SpeechActKind
 from covenant.verifier import (
@@ -482,6 +482,19 @@ def test_a_record_without_a_field_its_checkers_read_is_refused_at_its_seq():
     edited = list(records)
     edited[admitted.seq] = dataclasses.replace(admitted, detail={**admitted.detail, "outcome": 7})
     assert run_checks(edited, ALL_SPECS, c.template) == expected[:2]
+    # happy_path's properties read no actor of its admitted read, and nothing but
+    # the outcome of its blocked access: a verdict without them is refused all the same
+    scenario = get_scenario("happy_path")
+    stage, records = scenario.stages[0], run_scenario(scenario).stages[0].records
+    template, admitted, blocked = parse_spec(stage.source), records[16], records[18]
+    assert (admitted.detail["outcome"], blocked.detail["outcome"]) == ("admissible", "blocked")
+    assert run_checks(records, stage.properties, template) == []
+    for record, keys in [(admitted, {"actor"}), (blocked, {"action"}), (blocked, {"actor"}), (blocked, {"action", "actor"})]:
+        edited = list(records)
+        edited[record.seq] = dataclasses.replace(record, detail={k: v for k, v in record.detail.items() if k not in keys})
+        with pytest.raises(IntegrityError) as info:
+            run_checks(edited, stage.properties, template)
+        assert info.value.bad_seq == record.seq, keys
 
 
 def test_a_token_created_for_an_unregistered_principal_is_unaccountable():
