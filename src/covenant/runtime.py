@@ -366,7 +366,7 @@ class Bindings:
         return any(self.count(role) for role in decl.members)
 
     def clone(self) -> Bindings:
-        twin = Bindings()
+        twin = Bindings.__new__(Bindings)
         twin._all = dict(self._all)
         twin._by_agent = dict(self._by_agent)
         twin._count = dict(self._count)
@@ -1173,10 +1173,10 @@ def instantiate_community(
 # export / import / replay
 
 
-# parse_export reads its text about this many characters at a time, and decodes
-# the lines of each block with one scanner call. A block ends just after a "\n",
-# so it never splits a line, nor "\r\n" or any other line separator
-# str.splitlines knows; the lines of the blocks are the text's lines
+# parse_export reads its text about this many characters at a time, so it holds
+# one block's lines beside its records. A block ends just after a "\n", so it
+# never splits a line, nor "\r\n" or any other line separator str.splitlines
+# knows; the lines of the blocks are the text's lines
 _BLOCK_CHARS = 1 << 14
 
 
@@ -1209,23 +1209,6 @@ def _decode_line(line: str) -> object:
     return raw
 
 
-def _decode_group(lines: list[str]) -> list:
-    """The values of `lines` decoded by one scanner call, whose memo makes equal
-    keys one string; a None for each line where that call fails or finds
-    another count of values.
-
-    Value i is the value of line i where every line before it is JSON on its
-    own. So a line that is not (two records joined by ",", or one split in
-    two) can shift the values after it, and a value stands for its line only
-    where the record made of it writes that line back (parse_export).
-    """
-    try:
-        values = _decode_json("[" + ",".join(lines) + "]")
-    except _UNREADABLE_JSON:
-        return [None] * len(lines)
-    return values if len(values) == len(lines) else [None] * len(lines)
-
-
 def _record_of(raw, names: dict, prev: str | None) -> AuditRecord:
     """The record of a decoded line. Its kind, actor, detail keys and top-level
     detail string values are the strings kept in `names`, and a `prev_hash`
@@ -1251,13 +1234,10 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
     Each record's detail is encoded once, here. Repeated strings are held
     once: a `prev_hash` equal to the previous record's hash is that string,
     and each distinct kind, actor, detail key and top-level detail string
-    value is one string for all records. The lines of a block are decoded by
-    one scanner call, and a record made from it is kept only where its
-    to_line() is its line; any other line is decoded alone. So the records
-    are those of reading each line alone. A line AuditRecord refuses is an
-    IntegrityError at its position; a bad header, or an export without
-    records, at seq 0. The text is split one block at a time, so only the
-    records and one block's lines and values are held.
+    value is one string for all records. Each line is decoded alone. A line
+    AuditRecord refuses is an IntegrityError at its position; a bad header,
+    or an export without records, at seq 0. The text is split one block at a
+    time, so only the records and one block's lines are held.
     """
     blocks = _nonblank_blocks(text)
     first = next(blocks, None)
@@ -1277,18 +1257,12 @@ def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:
     names: dict[str, str] = {}
     prev = None
     for lines in itertools.chain([first[1:]], blocks):
-        for line, raw in zip(lines, _decode_group(lines)):
+        for line in lines:
             try:
-                record = _record_of(raw, names, prev)
-            except _UNREADABLE_RECORD:  # a None, where no value stands for the line, too
-                record = None
-            # the one rule that keeps a record of the group's call: it is the record of this line alone
-            if record is None or record.to_line() != line:
-                try:
-                    record = _record_of(_decode_line(line), names, prev)
-                except _UNREADABLE_RECORD as exc:
-                    seq = len(records)
-                    raise IntegrityError(f"unreadable record on line {seq + 2}: {exc}", seq) from exc
+                record = _record_of(_decode_line(line), names, prev)
+            except _UNREADABLE_RECORD as exc:
+                seq = len(records)
+                raise IntegrityError(f"unreadable record on line {seq + 2}: {exc}", seq) from exc
             prev = record.hash
             records.append(record)
     if not records:

@@ -851,17 +851,9 @@ def _decode_only(line, index):
     raise StopIteration(index)  # as the scanner does where no value starts: decode reads every line
 
 
-def _no_group_value(lines):
-    return [None] * len(lines)  # as where no group call stands for a line: each is read alone
-
-
 def test_the_scanner_parses_what_decoding_every_line_parses(monkeypatch):
     exports = [export for _, export in _pinned_runs().values()] + [_ward_export(12_000)[1]]
-    grouped = [_parse_outcome(export) for export in exports]
-    # every line read alone: by the scanner, then by decode
-    monkeypatch.setattr(runtime, "_decode_group", _no_group_value)
     scanned = [_parse_outcome(export) for export in exports]
-    assert scanned == grouped
     # lines the scanner leaves to the decoder: whitespace around the value, data
     # after it, a line no value starts, nesting past the limit, an overlong integer
     lines = drive_sample_history(staffed_ward()).export_log().splitlines()
@@ -982,9 +974,25 @@ def test_blank_lines_and_a_record_line_at_a_block_cut_read_as_in_one_split(monke
     assert placed == {"before", "at", "after", "record"}
 
 
-def test_the_auditor_holds_an_export_about_once():
+def test_the_auditor_holds_an_export_about_once(monkeypatch):
     _, c = _ward(3_000)
     text = c.export_log()
+    nonblank_blocks = runtime._nonblank_blocks
+    spans = []  # (traced memory as a block is asked for, the peak until the next is)
+
+    def measured(text):
+        blocks = nonblank_blocks(text)
+        while True:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lines = next(blocks, None)
+            if lines is not None:
+                yield lines
+            spans.append((start, tracemalloc.get_traced_memory()[1]))
+            if lines is None:
+                return
+
+    monkeypatch.setattr(runtime, "_nonblank_blocks", measured)
     gc.collect()
     tracemalloc.start()
     try:
@@ -992,15 +1000,17 @@ def test_the_auditor_holds_an_export_about_once():
         exported = c.export_log()
         export_peak = tracemalloc.get_traced_memory()[1] - base
         del exported
-        tracemalloc.reset_peak()
         parsed = parse_export(text)
-        kept, peak = tracemalloc.get_traced_memory()
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(parsed[1]) == c.head_seq + 1
+    assert len(spans) > 4  # the text is read in blocks
     # the lines and the joined text; parsing holds one block of lines beside its records
     assert export_peak <= 2.3 * len(text)
-    assert peak - kept <= 0.2 * len(text)
+    # reading a block (its slice, its lines and its records) and the whole parse
+    assert max(peak - start for start, peak in spans) <= 0.2 * len(text)
+    assert max(peak for _, peak in spans) - kept <= 0.2 * len(text)
 
 
 def test_a_parsed_log_holds_each_repeated_string_once():
@@ -1026,65 +1036,46 @@ def test_a_parsed_log_holds_each_repeated_string_once():
     assert kept <= 2.7 * len(text)
 
 
-def _alone_outcome(text, monkeypatch):
-    """_parse_outcome of `text` with every line decoded alone."""
-    with monkeypatch.context() as patch:
-        patch.setattr(runtime, "_decode_group", _no_group_value)
-        return _parse_outcome(text)
-
-
-def test_a_line_the_group_call_cannot_stand_for_is_read_alone(monkeypatch):
+def test_a_joined_or_split_line_is_refused_and_a_respelled_one_parses():
     export = drive_sample_history(staffed_ward()).export_log()
     lines, canonical = export.splitlines(), parse_export(export)[1]
     # a subject holding "},{": cut there, the line is two lines that each start
-    # with "{" and end with "}", which the group's "," joins back into one value
+    # with "{" and end with "}", which a "," would join back into one value
     subject = lines[13].replace('"subject":"case1"', '"subject":"case},{1"', 1)
     at = subject.index("},{") + 1
     split = [subject[:at], subject[at + 1:]]
     assert subject != lines[13] and all(part[0] == "{" and part[-1] == "}" for part in split)
-    # valid lines that are not canonical: the scanner reads them as it reads their canonical lines
+    # valid lines that are not canonical: each reads as its canonical line
     raw = json.loads(lines[15])
     reordered = json.dumps({**raw, "detail": dict(reversed(raw["detail"].items()))}, separators=(",", ":"))
     spaced = lines[9].replace('"event":5,', '"event": 5,', 1)
     escaped = lines[14].replace('"read_case"', '"re\\u0061d_case"', 1)
     assert not {reordered, spaced, escaped} & set(lines)
+    joined_at_7 = (5, "unreadable record on line 7: Extra data: line 1 column 320 (char 319)")
+    split_at_14 = (12, "unreadable record on line 14: Unterminated string starting at: line 1 column 102 (char 101)")
     edits = {
-        "joined": lines[:6] + [lines[6] + "," + lines[7]] + lines[8:],
-        "split": lines[:13] + split + lines[14:],
-        # one value more and one fewer, so the count matches and the values between are shifted
-        "joined, split": lines[:6] + [lines[6] + "," + lines[7]] + lines[8:13] + split + lines[14:],
-        "split, joined": lines[:13] + split + lines[14:16] + [lines[16] + "," + lines[17]] + lines[18:],
-        "reordered": lines[:15] + [reordered] + lines[16:],
-        "spaced": lines[:9] + [spaced] + lines[10:],
-        "escaped": lines[:14] + [escaped] + lines[15:],
-        "spaced, escaped, reordered": lines[:9] + [spaced] + lines[10:14] + [escaped, reordered] + lines[16:],
+        "joined": (lines[:6] + [lines[6] + "," + lines[7]] + lines[8:], joined_at_7),
+        "split": (lines[:13] + split + lines[14:], split_at_14),
+        # one line more and one fewer, so the count of lines is the export's
+        "joined, split": (lines[:6] + [lines[6] + "," + lines[7]] + lines[8:13] + split + lines[14:], joined_at_7),
+        "split, joined": (lines[:13] + split + lines[14:16] + [lines[16] + "," + lines[17]] + lines[18:], split_at_14),
+        "reordered": (lines[:15] + [reordered] + lines[16:], None),
+        "spaced": (lines[:9] + [spaced] + lines[10:], None),
+        "escaped": (lines[:14] + [escaped] + lines[15:], None),
+        "spaced, escaped, reordered": (lines[:9] + [spaced] + lines[10:14] + [escaped, reordered] + lines[16:], None),
     }
-    groups = []
-    decode_group = runtime._decode_group
-
-    def seen(group):
-        values = decode_group(group)
-        groups.append((group, values))
-        return values
-
-    for name, edited in edits.items():
+    for name, (edited, refusal) in edits.items():
         text = "\n".join(edited) + "\n"
-        groups.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(runtime, "_decode_group", seen)
-            outcome = _parse_outcome(text)
-        assert outcome == _alone_outcome(text, monkeypatch), name
-        # one call decoded every record line, the edited ones neither first nor last
-        assert [group for group, _ in groups] == [edited[1:]], name
-        if name in ("joined", "split"):  # the count differs: no value stands for a line
-            assert set(groups[0][1]) == {None}, name
-        if "," in name and "joined" in name:  # the count matches: only to_line tells the values apart
-            assert None not in groups[0][1], name
-        if "joined" in name or "split" in name:
-            assert outcome[:2] == ("refused", IntegrityError), name
-        else:  # the canonical lines' records, read from other bytes
-            records = parse_export(text)[1]
-            assert [(r.to_line(), r.detail) for r in records] == [(r.to_line(), r.detail) for r in canonical], name
+        if refusal is not None:  # the first line that is not one record is refused at its position
+            with pytest.raises(IntegrityError) as info:
+                parse_export(text)
+            assert (info.value.bad_seq, str(info.value)) == refusal, name
+            continue
+        # the canonical lines' records, read from other bytes; a detail keeps its line's key order
+        records = parse_export(text)[1]
+        assert [(r.to_line(), r.detail) for r in records] == [(r.to_line(), r.detail) for r in canonical], name
+        if "reordered" in name:
+            assert list(records[14].detail) == list(reversed(canonical[14].detail)), name
 
 
 def test_an_edited_link_is_a_broken_chain_at_its_seq():
