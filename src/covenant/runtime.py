@@ -96,26 +96,22 @@ _CREATED_MODALITY = {
 _str_json = json.encoder.encode_basestring_ascii  # a str as JSONEncoder writes it
 # The canonical encoder, built once: JSONEncoder.encode builds a C encoder and a
 # dict of circular markers on every call. The arguments are those encode passes
-# for sort_keys=True, separators=(",", ":"), except that markers is None: every
-# value it sees was built by the runtime from a copy checked by _caller_json, or
-# parsed from JSON, so it holds no cycle.
+# for sort_keys=True, separators=(",", ":"), allow_nan=False, except that markers
+# is None: one dict shared by every call would let two threads see each other's
+# container ids. NaN and the infinities are not JSON, and NaN, unequal to itself,
+# would make a replay's regenerated record differ from the logged one: a caller's
+# is refused before its event, an export's is an unreadable record.
 _canonical_chunks = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, _str_json, None, ":", ",", True, False, True
+    None, json.JSONEncoder().default, _str_json, None, ":", ",", True, False, False
 )
 
 
 def canonical_json(value: object) -> str:
-    """Key-sorted, compact JSON, as `JSONEncoder(sort_keys=True, separators=(",", ":"))` writes it."""
+    """Key-sorted, compact JSON, as `_checked_caller_json` writes it, with no cycle check: every
+    value it sees was built by the runtime from a copy `_caller_json` checked, or parsed from JSON."""
     return "".join(_canonical_chunks(value, 0))
 
 
-# What a caller hands in must be JSON proper: NaN, unequal to itself, would make a
-# replay's regenerated record differ from the logged one. The encoder is built
-# once, as the canonical one is, with allow_nan=False and no markers dict: one
-# shared by every call would let two threads see each other's container ids.
-_caller_chunks = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, _str_json, None, ":", ",", True, False, False
-)
 # the encoder that looks for cycles; a value the prebuilt one recursed too deep in
 # is encoded again with it, so a cycle is a ValueError and deep nesting a RecursionError
 _checked_caller_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
@@ -124,7 +120,7 @@ _checked_caller_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), a
 def _caller_json(value: object) -> str:
     """`value` as `JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)` encodes it."""
     try:
-        return "".join(_caller_chunks(value, 0))
+        return "".join(_canonical_chunks(value, 0))
     except RecursionError:
         return _checked_caller_json(value)
 
@@ -467,8 +463,8 @@ _VALID_TEMPLATES: weakref.WeakValueDictionary[int, CommunityTemplate] = (
 class CommunityInstance:
     """One running community; each event is one `with self:` block, serialized under a lock."""
 
-    # the input records a replay's shadow confirms as it writes; None on a live instance
-    _replay_input: list[AuditRecord] | _CheckedLog | None = None
+    # the chained input records a replay's shadow confirms as it writes; None on a live instance
+    _replay_input: _CheckedLog | None = None
     # the id of the thread inside a `with self:` block; None while no event is open
     _holder: int | None = None
 
@@ -636,15 +632,14 @@ class CommunityInstance:
         prev = self._records[-1].hash if self._records else GENESIS_PREV_HASH
         seq = self._next_seq
         inputs = self._replay_input
-        if type(inputs) is _CheckedLog and seq < len(inputs):
-            # a checked record carries the digest of its own fields, and
-            # _record_at confirms that each of them is the one written here
-            digest = inputs[seq].hash
-        else:
-            digest = record_digest(prev, seq, kind, actor, text)
         if inputs is None:
+            digest = record_digest(prev, seq, kind, actor, text)
             record = AuditRecord(seq, kind, actor, detail, prev, digest, text)
         else:  # a replay's shadow keeps the input record it confirms
+            # the input chains, so the record at seq carries the digest of its own
+            # fields; _record_at confirms that they are the ones written here, and
+            # refuses a seq past the input's end
+            digest = inputs[seq].hash if seq < len(inputs) else None
             record = _record_at(inputs, seq, prev, digest, kind, actor, text)
         self._records.append(record)
         self._next_seq += 1
@@ -1311,8 +1306,9 @@ class _CheckedLog(tuple):
     """Records that verify_chain has passed: each sits at its seq, links to the
     one before it and carries the digest of its own fields.
 
-    Only import_log builds one. It is immutable, and a slice or a copy of it is
-    a plain tuple or list, which replay hashes again.
+    import_log and replay build one, each only once verify_chain has passed. It
+    is immutable, and a slice or a copy of it is a plain tuple or list, which
+    replay passes through verify_chain again.
     """
 
     __slots__ = ()
@@ -1334,30 +1330,32 @@ def replay(
 ) -> CommunityInstance:
     """Rebuild an instance by re-executing the initiating records, confirming each record as it writes it.
 
-    Derived records (expiries, verdicts, transitions, escalations) are
-    regenerated, not read back. Each record the rebuilt instance writes must
-    be the input record at its seq by the rule verify_chain applies
-    (`_record_at`): the same seq, previous hash, hash, kind, actor and detail
-    text. The instance then keeps the input record, so it holds one copy of
-    each. Regenerated records chain by construction, so a log that replays
-    needs no separate chain check. Each record is hashed once, as it is
-    written; the records import_log returns are hashed already, so their own
-    digests are taken and only the other fields are compared. IntegrityError
-    names the first seq that differs, that is never regenerated, that lies
-    beyond the input's end, or whose initiating record cannot be re-executed.
+    Every input passes the chain check first: text through import_log, the
+    records import_log returns as they are, and any other iterable as a tuple
+    through verify_chain, whose IntegrityError, message and seq, replay raises
+    as it is. Derived records (expiries, verdicts, transitions, escalations)
+    are regenerated, not read back. Each record the rebuilt instance writes
+    must be the input record at its seq by the rule verify_chain applies
+    (`_record_at`), taken with that record's own digest: on a chained input
+    only its kind, actor and detail text, or the input's end, can differ, and
+    equal fields mean an equal hash. So each record is hashed once, by the
+    chain check. The instance keeps the input record, so it holds one copy of
+    each. On a chained input, IntegrityError names the first seq that
+    differs, that is never regenerated, that lies beyond the input's end, or
+    whose initiating record cannot be re-executed.
     """
     if isinstance(text_or_records, str):
-        _, records = parse_export(text_or_records)
-    elif type(text_or_records) is _CheckedLog:  # immutable and chained: confirmed, not hashed
+        _, records = import_log(text_or_records)
+    elif type(text_or_records) is _CheckedLog:
         records = text_or_records
     else:
-        records = list(text_or_records)
+        records = tuple(text_or_records)
+        verify_chain(records)
+        records = _CheckedLog(records)
     if not records or records[0].kind != KIND_GENESIS:
-        bad_seq = max(records[0].seq, 0) if records else 0  # as verify_chain reports it
-        raise IntegrityError("export does not start with a genesis record", bad_seq)
+        raise IntegrityError("export does not start with a genesis record", 0)
     genesis = records[0].detail
     if genesis.get("community") != template.name:
-        verify_chain(records[:1])  # an edited genesis is not a log of another community
         raise InvalidTemplate(
             f"log is for community {genesis.get('community')!r}, not {template.name!r}"
         )
@@ -1376,35 +1374,30 @@ def replay(
             _replay_record(instance, record)
         except _REEXECUTION_ERRORS as exc:
             reason = f"seq {seq} cannot be re-executed: {exc!r}"
-            _raise_unexplained(instance, records, seq, reason, exc)
+            _raise_unexplained(instance, seq, reason, exc)
     if len(instance._records) < len(records):
         end = len(records)
-        _raise_unexplained(instance, records, end, f"no initiating record at seq {end}")
+        _raise_unexplained(instance, end, f"no initiating record at seq {end}")
     instance._replay_input = None
     return instance
 
 
 def _raise_unexplained(
-    instance: CommunityInstance,
-    records: list[AuditRecord] | tuple[AuditRecord, ...],
-    seq: int,
-    reason: str,
-    cause: Exception | None = None,
+    instance: CommunityInstance, seq: int, reason: str, cause: Exception | None = None
 ) -> NoReturn:
     """Raise IntegrityError at the first input record, up to `seq`, that no re-execution wrote.
 
     Before `seq`, where re-execution fails or the input ends, the records not
     yet written can still be the expiry sweep that opens an event, which the
-    shadow confirms as it writes it. The first record left is placed as
-    _record_at places a difference: at the larger of its seq and its position.
+    shadow confirms as it writes it. The input chains, so the first record
+    left sits at its own seq.
     """
     with instance:
         instance._begin_event()
     written = len(instance._records)  # at most seq: _record_at refuses a sweep record there
     if written < seq:
         reason = f"seq {written} is never regenerated"
-    bad_seq = max(records[written].seq, written) if written < len(records) else written
-    raise IntegrityError(reason, bad_seq) from cause
+    raise IntegrityError(reason, written) from cause
 
 
 def _replay_record(instance: CommunityInstance, record: AuditRecord) -> None:

@@ -16,6 +16,7 @@ import tracemalloc
 import pytest
 
 from covenant import deontic, runtime
+from covenant.cli import EXIT_INTEGRITY, main
 from covenant.deontic import HolderKind, HolderRef, TokenState
 from covenant.errors import (
     CardinalityExceeded,
@@ -1115,6 +1116,15 @@ def _edited(records, seq, **changes):
     return records[:seq] + [edited] + records[seq + 1 :]
 
 
+def _link_broken(text: str, seq: int) -> str:
+    """`text` with one character of record `seq`'s previous hash changed, and the chain left as it is."""
+    lines = text.splitlines()
+    line = lines[seq + 1]
+    at = line.index('"prev_hash":"') + len('"prev_hash":"')
+    lines[seq + 1] = line[:at] + "01"[line[at] == "0"] + line[at + 1 :]
+    return "\n".join(lines) + "\n"
+
+
 def test_replay_rejects_a_rechained_log_the_runtime_would_not_write():
     template = parse_spec(WARD_SOURCE)
     text = drive_sample_history(staffed_ward()).export_log()
@@ -1156,9 +1166,12 @@ def test_replay_tells_an_edited_genesis_from_another_communitys_log():
     template = parse_spec(WARD_SOURCE)
     text = drive_sample_history(staffed_ward()).export_log()
     header, records = text.splitlines()[0], parse_export(text)[1]
+    renamed = _rechain(header, _edited(records, 0, community="Desk"))
     with pytest.raises(InvalidTemplate):
-        replay(template, _rechain(header, _edited(records, 0, community="Desk")))
+        replay(template, renamed)
     assert _replay_fails_at(template, text.replace('"community":"Ward",', '"community":"Desk",')) == 0
+    # another community's log whose chain breaks later is refused where the chain breaks
+    assert _replay_fails_at(template, _link_broken(renamed, 9)) == 9
 
 
 def test_replay_fails_where_import_log_does_on_an_edit_left_unchained():
@@ -1197,6 +1210,25 @@ def test_replay_fails_where_import_log_does_on_an_edit_left_unchained():
         assert _replay_fails_at(template, dropped) == seq + 1
 
 
+def test_a_log_with_two_faults_is_refused_where_its_chain_breaks():
+    # a verdict forged and re-chained at seq 13, then a link broken at seq 16:
+    # every input passes the chain check before the shadow runs, so replay
+    # refuses the log where import_log does, with its message
+    template = parse_spec(WARD_SOURCE)
+    text = drive_sample_history(staffed_ward()).export_log()
+    header, records = text.splitlines()[0], parse_export(text)[1]
+    forged = _rechain(header, _edited(records, 13, outcome="blocked"))
+    assert _replay_fails_at(template, forged) == 13
+    broken = _link_broken(forged, 16)
+    with pytest.raises(IntegrityError) as expected:
+        import_log(broken)
+    assert (expected.value.bad_seq, str(expected.value)) == (16, "broken chain link at seq 16")
+    for given in (broken, list(parse_export(broken)[1])):
+        with pytest.raises(IntegrityError) as info:
+            replay(template, given)
+        assert (info.value.bad_seq, str(info.value)) == (16, str(expected.value)), type(given)
+
+
 def test_replay_hashes_each_record_once(monkeypatch):
     template = parse_spec(WARD_SOURCE)
     records = list(drive_sample_history(staffed_ward()).records())
@@ -1206,7 +1238,7 @@ def test_replay_hashes_each_record_once(monkeypatch):
     monkeypatch.setattr(runtime, "AuditRecord", lambda *args: made.append(args))
     twin = replay(template, records)
     assert len(records) == 19
-    assert calls == list(range(19))  # the regenerated records; the input is not hashed again
+    assert calls == list(range(19))  # the chain check, once per record; the shadow hashes none
     assert made == []  # each regenerated record is confirmed, and the input record kept
     assert list(twin.records()) == records
 
@@ -1332,7 +1364,11 @@ def test_canonical_json_writes_what_the_standard_encoder_writes():
         {Name("k"): Name("v"), "j": [Name("w")]},
     ]
     for value in values:
-        assert canonical_json(value) == standard(value), value
+        if value in (float("inf"), -float("inf")) or value != value:
+            with pytest.raises(ValueError):  # NaN and the infinities are not JSON
+                canonical_json(value)
+        else:
+            assert canonical_json(value) == standard(value), value
     # the boundary's prebuilt encoder writes what the checking encoder writes,
     # and refuses what it refuses
     for value in values:
@@ -1343,8 +1379,9 @@ def test_canonical_json_writes_what_the_standard_encoder_writes():
         else:
             assert runtime._caller_json(value) == checking(value), value
     for bad in (-float("inf"), [1, {"x": float("nan")}], {"a": [float("inf")]}):
-        with pytest.raises(ValueError):
-            runtime._caller_json(bad)
+        for encode in (canonical_json, runtime._caller_json):
+            with pytest.raises(ValueError):
+                encode(bad)
     for name, (_, export) in _pinned_runs().items():
         for r in parse_export(export)[1]:
             fields = {"seq": r.seq, "kind": r.kind, "actor": r.actor, "detail": r.detail}
@@ -1413,6 +1450,35 @@ def test_a_caller_value_json_cannot_log_is_refused_before_its_event(value):
         assert (c.records(), c.event_count) == state
     text = c.export_log()
     assert replay(parse_spec(_WARD_WITH_HISTORY), text).export_log() == text
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_an_export_holding_a_number_json_does_not_have_is_unreadable(literal, tmp_path, capsys):
+    # the boundary refuses NaN and the infinities, so no run writes one. Here
+    # seq 8 of the Ward sample holds one in its detail, and the chain is rebuilt
+    # over the detail as json.dumps writes it (1e999 reads as inf, written Infinity)
+    template = parse_spec(WARD_SOURCE)
+    header, *lines = drive_sample_history(staffed_ward()).export_log().splitlines()
+    raws = [json.loads(line) for line in lines]
+    raws[8]["detail"]["note"] = float(literal)
+    prev = GENESIS_PREV_HASH
+    for raw in raws:
+        raw["prev_hash"] = prev
+        detail_json = json.dumps(raw["detail"], sort_keys=True, separators=(",", ":"))
+        raw["hash"] = prev = record_digest(prev, raw["seq"], raw["kind"], raw["actor"], detail_json)
+    text = "\n".join([header] + [json.dumps(raw, separators=(",", ":")) for raw in raws]) + "\n"
+    if literal == "1e999":
+        text = text.replace('"note":Infinity', '"note":1e999')
+    assert text.count(f'"note":{literal}') == 1
+    for read in (parse_export, import_log, lambda text: replay(template, text)):
+        with pytest.raises(IntegrityError, match="unreadable record on line 10") as info:
+            read(text)
+        assert info.value.bad_seq == 8
+    trace = tmp_path / "nonfinite.audit"
+    trace.write_text(text, encoding="utf-8")
+    for argv in (["audit", "--trace", str(trace)], ["verify", "--trace", str(trace), "--property", "accountability"]):
+        assert main(argv) == EXIT_INTEGRITY, argv
+        assert capsys.readouterr().err.startswith("integrity failure at seq 8:"), argv
 
 
 def test_integer_keys_in_caller_values_replay_byte_for_byte():
@@ -2262,8 +2328,11 @@ def test_replay_of_a_tampered_export_reproduces_it_or_fails_at_or_after_the_edit
             edited, first = _tamper(rng, records)
             text = _rechain(header, edited)
             outcome = _replay_outcome(template, text)
-            # the chain holds, so import_log's records replay as the text does
-            assert _replay_outcome(template, import_log(text)[1]) == outcome, (name, first)
+            # the chain holds, so import_log's records, copies of them and a
+            # one-shot iterator over them replay as the text does
+            checked = import_log(text)[1]
+            for given in (checked, list(checked), tuple(checked), iter(checked)):
+                assert _replay_outcome(template, given) == outcome, (name, first, type(given))
             if outcome[0] == "failed":
                 assert outcome[1] >= first, (name, first, outcome)
                 outcomes["failed"] += 1
@@ -2298,7 +2367,9 @@ def test_replay_places_every_tamper_where_import_log_does():
             try:
                 import_log(text)
             except IntegrityError as exc:
-                assert _replay_fails_at(template, text) == exc.bad_seq, (name, str(exc))
+                with pytest.raises(IntegrityError) as info:
+                    replay(template, text)
+                assert (info.value.bad_seq, str(info.value)) == (exc.bad_seq, str(exc)), name
                 refused += 1
     assert refused > 350
 
