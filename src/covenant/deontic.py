@@ -348,7 +348,7 @@ def create_token(
 
 
 def _require_holder(resolver: BindingResolver, token: Token, agent: str, verb: str) -> None:
-    if token.holder.name != agent and not resolver.covers(token.holder, agent):
+    if not resolver.covers(token.holder, agent):
         raise NotHolder(f"{agent!r} does not hold token {token.id} and cannot {verb} it")
 
 

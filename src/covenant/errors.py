@@ -102,6 +102,10 @@ class UnknownPrincipal(GovernanceError):
     pass
 
 
+class NameCollision(GovernanceError):
+    """An agent would share its name with a principal, a role or a group."""
+
+
 class UnauthorizedSpeechAct(GovernanceError):
     pass
 

@@ -218,11 +218,6 @@ class ReferenceEngine:
                 best = token
         return best
 
-    def _holds(self, token: dict, agent: str) -> bool:
-        if token["holder_name"] == agent:
-            return True
-        return self._covers(token["holder_kind"], token["holder_name"], agent)
-
     def _guard_discharged(self, guard_action: str, subject: str | None) -> bool:
         for d in self.discharged:
             if d["action"] != guard_action:
@@ -294,7 +289,8 @@ class ReferenceEngine:
         bound: dict | None = None
 
         if schema.op == "register_principal":
-            self.principals.add(p["principal"])
+            if not self._is_agent(p["principal"]):
+                self.principals.add(p["principal"])
         elif schema.op == "bind":
             if p.get("force"):
                 raise ScopeTooLarge("forced binds are outside the oracle's scope")
@@ -321,6 +317,9 @@ class ReferenceEngine:
     def _bind(self, role: str, agent: str, kind, principal: str) -> dict | None:
         decl = self.template.role(role)
         if decl is None or principal not in self.principals:
+            return None
+        # an agent's name is never a principal's, a role's or a group's
+        if agent in self.principals or self._holder_ref(agent)[0] != "agent":
             return None
         kind = RoleKind(kind)
         if kind is not decl.kind:
@@ -406,7 +405,7 @@ class ReferenceEngine:
             if (
                 token["modality"] is Modality.BURDEN
                 and token["state"] == "HELD"
-                and self._holds(token, sender)
+                and self._covers(token["holder_kind"], token["holder_name"], sender)
                 and self._is_agent(to)
                 and to not in token["nodes"]
             ):
@@ -418,7 +417,7 @@ class ReferenceEngine:
             if (
                 token["modality"] is Modality.BURDEN
                 and token["state"] == "HELD"
-                and self._holds(token, sender)
+                and self._covers(token["holder_kind"], token["holder_name"], sender)
             ):
                 token["state"] = "DISCHARGED"
                 entry = {"action": token["action"], "subject": token["subject"], "by": sender}

@@ -38,6 +38,7 @@ from .errors import (
     IntegrityError,
     InvalidTemplate,
     KindMismatch,
+    NameCollision,
     ProtocolViolation,
     UnauthorizedSpeechAct,
     UnknownAgent,
@@ -271,8 +272,8 @@ class RoleBinding(NamedTuple):
 
 
 class Bindings:
-    """Role bindings in bind order, indexed by agent, with a count per role
-    and a count of AI-kind bindings.
+    """Role bindings indexed by agent, with a count per role and a count of
+    AI-kind bindings; they iterate in bind order.
 
     The one place (besides the reference engine) that decides which agents
     fill a role, a declared group, ALL or ALL_AI_AGENTS. An agent's kind and
@@ -280,20 +281,19 @@ class Bindings:
     """
 
     def __init__(self) -> None:
-        # keyed by identity: an edited log may repeat a binding field for field
-        self._all: dict[int, RoleBinding] = {}
         self._by_agent: dict[str, tuple[RoleBinding, ...]] = {}
         self._count: dict[str, int] = {}  # role -> fillers
         self._ai = 0  # bindings of an AI kind
 
     def __iter__(self):
-        return iter(self._all.values())
+        # bound_at is the seq of the binding's record, so bind order is bound_at order
+        bound = itertools.chain.from_iterable(self._by_agent.values())
+        return iter(sorted(bound, key=lambda b: b.bound_at))
 
     def __bool__(self) -> bool:
-        return bool(self._all)
+        return bool(self._by_agent)
 
     def add(self, binding: RoleBinding) -> None:
-        self._all[id(binding)] = binding
         self._by_agent[binding.agent] = self._by_agent.get(binding.agent, ()) + (binding,)
         self._count[binding.role] = self._count.get(binding.role, 0) + 1
         if binding.agent_kind in AI_ROLE_KINDS:
@@ -309,7 +309,6 @@ class Bindings:
                     self._by_agent[agent] = rest
                 else:
                     del self._by_agent[agent]
-                del self._all[id(b)]
                 self._count[role] -= 1
                 if b.agent_kind in AI_ROLE_KINDS:
                     self._ai -= 1
@@ -363,7 +362,6 @@ class Bindings:
 
     def clone(self) -> Bindings:
         twin = Bindings.__new__(Bindings)
-        twin._all = dict(self._all)
         twin._by_agent = dict(self._by_agent)
         twin._count = dict(self._count)
         twin._ai = self._ai
@@ -536,8 +534,10 @@ class CommunityInstance:
         self.objects: dict[str, EnterpriseObject] = {}
         for decl in template.objects:
             self.objects[decl.name] = EnterpriseObject(
-                decl.name, disciplines.get(decl.name, APPEND_ONLY)
+                decl.name, disciplines.pop(decl.name, APPEND_ONLY)
             )
+        if disciplines:  # a misspelt object would silently keep the default
+            raise DisciplineViolation(f"unknown object {next(iter(disciplines))!r}")
 
         with self:
             self._begin_event()
@@ -754,6 +754,8 @@ class CommunityInstance:
         with self:
             if principal_id in self._principals:
                 return self._principals[principal_id]
+            if self.is_agent(principal_id):
+                raise NameCollision(f"{principal_id!r} names a bound agent, not a principal")
             # only a null or empty name gives way to the id: Principal refuses 0 and False
             principal = Principal(principal_id, principal_id if name in (None, "") else name, kind)
             self._principals[principal_id] = principal
@@ -791,6 +793,8 @@ class CommunityInstance:
 
     def _bind(self, role: str, agent: str, kind: RoleKind | str, principal: str) -> RoleBinding:
         _check_fields({"agent": agent, "principal": principal}, "binding")
+        if self.is_principal(agent) or self.is_role(agent) or self.is_group(agent):
+            raise NameCollision(f"{agent!r} names a principal, a role or a group, not an agent")
         decl = self.template.role(role)
         if decl is None:
             raise UnknownRole(f"role {role!r} is not declared")

@@ -106,87 +106,11 @@ def _sort_key(v: Violation) -> tuple[int, str]:
     return (v.at_seq, v.property)
 
 
-# ----------------------------------------------------------------------
-# incremental trace state shared by all checkers
-
-
 # members by spelling: cheaper than Enum.__call__, and an unknown spelling is a KeyError
 _STATES = {s.value: s for s in TokenState}
 _MODALITIES = {m.value: m for m in Modality}
 _HOLDER_KINDS = {k.value: k for k in HolderKind}
 _ROLE_KINDS = {k.value: k for k in RoleKind}
-
-
-class _TraceState:
-    """Everything a monitor learns from the records; checkers keep nothing.
-
-    Bindings and tokens live in the runtime's own indexes, written only
-    through their `add`/`remove` and `add`/`update`, so the monitor looks up
-    what it checks the way the runtime does instead of scanning. Its tokens
-    carry no delegation chain (`chain` is None), since no checker reads one.
-    """
-
-    def __init__(self) -> None:
-        self.registered: set[str] = set()
-        self.bindings = Bindings()
-        self.tokens = TokenStore()
-        self.gaps: set[_ProhibitionChecker] = set()  # checkers in an embargo gap
-
-    def clone(self) -> _TraceState:
-        twin = _TraceState.__new__(_TraceState)
-        twin.registered = set(self.registered)
-        twin.bindings = self.bindings.clone()
-        twin.tokens = self.tokens.clone()
-        twin.gaps = set(self.gaps)
-        return twin
-
-    def update(self, record: AuditRecord) -> None:
-        detail = record.detail
-        if record.kind == KIND_GENESIS:
-            self.registered.add(detail["owner"]["id"])
-        elif record.kind == KIND_BINDING:
-            event_type = detail["event_type"]
-            if event_type == "register_principal":
-                self.registered.add(detail["principal"])
-            elif event_type == "bind":
-                role, agent = detail["role"], detail["agent"]
-                kind, principal = _ROLE_KINDS[detail["agent_kind"]], detail["principal"]
-                self.bindings.add(RoleBinding(role, agent, kind, principal, record.seq))
-            elif event_type == "unbind":
-                self.bindings.remove(detail["role"], detail["agent"])
-            else:
-                raise ValueError(f"unknown binding event {event_type!r}")
-        elif record.kind == KIND_VERDICT:
-            # a checker reads these of an admissible verdict only, and may stop
-            # before the last; a verdict without one is malformed all the same
-            detail["outcome"], detail["action"], detail["actor"]
-        elif record.kind == KIND_TOKEN_TRANSITION:
-            token_id, to = detail["token"], _STATES[detail["to"]]
-            if detail["from"] != "CREATED":
-                token = self.tokens.get(token_id)
-                holder = detail.get("holder")
-                if holder is None:
-                    self.tokens.update(token, state=to)
-                else:  # a delegation ends with the burden filed under its delegate
-                    delegate = HolderRef(_HOLDER_KINDS[holder["kind"]], holder["name"])
-                    self.tokens.update(token, state=to, holder=delegate)
-                return
-            # the runtime numbers tokens as it creates them, one record each
-            if token_id != len(self.tokens) + 1:
-                raise ValueError(f"token {token_id!r} is not the next token created")
-            # no checker reads a chain (accountability reads the head off the
-            # record), but a record without a head is malformed all the same
-            detail["chain_head"]
-            holder = detail["holder"]
-            self.tokens.add(
-                modality=_MODALITIES[detail["modality"]],
-                action=detail["action"],
-                holder=HolderRef(_HOLDER_KINDS[holder["kind"]], holder["name"]),
-                subject=detail.get("subject"),
-                state=to,
-                chain=None,
-                issuer=detail["issuer"],
-            )
 
 
 def _is_admissible_verdict(record: AuditRecord) -> bool:
@@ -205,14 +129,14 @@ class _SafetyChecker:
         self.guarded_action = spec.param("guarded_action")
         self.guard_burden = spec.param("guard_burden")
 
-    def feed(self, record: AuditRecord, state: _TraceState) -> list[Violation]:
+    def feed(self, record: AuditRecord, monitor: TraceMonitor) -> list[Violation]:
         if not _is_admissible_verdict(record):
             return []
         detail = record.detail
         if detail["action"] != self.guarded_action:
             return []
         # records come in order, so every discharge seen precedes the verdict
-        if state.tokens.guard_discharged(self.guard_burden, detail.get("subject")):
+        if monitor._tokens.guard_discharged(self.guard_burden, detail.get("subject")):
             return []
         return [Violation(PROP_SAFETY, record.seq, (record.seq,))]
 
@@ -224,11 +148,11 @@ class _AuthorityChecker:
         self.decision_action = spec.param("decision_action")
         self.authorized_role = spec.param("authorized_role")
 
-    def feed(self, record: AuditRecord, state: _TraceState) -> list[Violation]:
+    def feed(self, record: AuditRecord, monitor: TraceMonitor) -> list[Violation]:
         detail = record.detail
         if record.kind == KIND_TOKEN_TRANSITION and detail["to"] == "DISCHARGED":
-            by, action = detail["by"], state.tokens.get(detail["token"]).action
-            if action == self.decision_action and not state.bindings.has_role(by, self.authorized_role):
+            by, action = detail["by"], monitor._tokens.get(detail["token"]).action
+            if action == self.decision_action and not monitor._bindings.has_role(by, self.authorized_role):
                 return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
             return []
         # a decision is made by discharging its burden; admitting it as an
@@ -246,48 +170,48 @@ class _ProhibitionChecker:
         self.group = spec.param("group")
         self.template = template
 
-    def _embargo_held(self, state: _TraceState) -> bool:
+    def _embargo_held(self, monitor: TraceMonitor) -> bool:
         # a group embargo is never agent-held: it is in the role/group bucket
-        tokens = state.tokens
+        tokens = monitor._tokens
         return any(
             t.holder.kind is HolderKind.GROUP and t.holder.name in (self.group, "ALL")
             for t in map(tokens.get, tokens.held_by(Modality.EMBARGO, self.action, None))
         )
 
-    def feed(self, record: AuditRecord, state: _TraceState) -> list[Violation]:
+    def feed(self, record: AuditRecord, monitor: TraceMonitor) -> list[Violation]:
         found: list[Violation] = []
         if _is_admissible_verdict(record) and record.detail["action"] == self.action:
-            if state.bindings.in_group(record.detail["actor"], self.group, self.template):
+            if monitor._bindings.in_group(record.detail["actor"], self.group, self.template):
                 found.append(Violation(PROP_PROHIBITION, record.seq, (record.seq,)))
         # gap scan: the embargo must be HELD whenever a group member is bound.
         # Only a binding, or a transition of an embargo on the action, changes
         # what the scan reads.
         if record.kind == KIND_TOKEN_TRANSITION:
-            token = state.tokens.get(record.detail["token"])
+            token = monitor._tokens.get(record.detail["token"])
             if token.modality is not Modality.EMBARGO or token.action != self.action:
                 return found
         elif record.kind != KIND_BINDING:
             return found
-        bound = state.bindings.any_in_group(self.group, self.template)
-        exposed = bound and not self._embargo_held(state)
-        if exposed and self not in state.gaps:
-            state.gaps.add(self)
+        bound = monitor._bindings.any_in_group(self.group, self.template)
+        exposed = bound and not self._embargo_held(monitor)
+        if exposed and self not in monitor._gaps:
+            monitor._gaps.add(self)
             found.append(Violation(PROP_PROHIBITION, record.seq, (record.seq,)))
         elif not exposed:
-            state.gaps.discard(self)
+            monitor._gaps.discard(self)
         return found
 
 
 class _AccountabilityChecker:
     kinds = (KIND_BINDING, KIND_TOKEN_TRANSITION)
 
-    def feed(self, record: AuditRecord, state: _TraceState) -> list[Violation]:
+    def feed(self, record: AuditRecord, monitor: TraceMonitor) -> list[Violation]:
         detail = record.detail
         if record.kind == KIND_BINDING and detail["event_type"] == "bind":
-            if detail["principal"] not in state.registered:
+            if detail["principal"] not in monitor._registered:
                 return [Violation(PROP_ACCOUNTABILITY, record.seq, (record.seq,))]
         elif record.kind == KIND_TOKEN_TRANSITION and detail["from"] == "CREATED":
-            if detail["chain_head"] not in state.registered:
+            if detail["chain_head"] not in monitor._registered:
                 return [Violation(PROP_ACCOUNTABILITY, record.seq, (record.seq,))]
         return []
 
@@ -317,12 +241,22 @@ def _build_checker(spec: PropertySpec, template: CommunityTemplate | None):
 
 
 class TraceMonitor:
-    """Online monitor: feed audit records, collect violations incrementally."""
+    """Online monitor: feed audit records, collect violations incrementally.
+
+    The monitor keeps everything it learns from the records; its checkers keep
+    nothing. Bindings and tokens live in the runtime's own indexes, written
+    only through their `add`/`remove` and `add`/`update`, so the monitor looks
+    up what it checks the way the runtime does instead of scanning. Its tokens
+    carry no delegation chain (`chain` is None), since no checker reads one.
+    """
 
     def __init__(
         self, specs: Iterable[PropertySpec], template: CommunityTemplate | None = None
     ):
-        self._state = _TraceState()
+        self._registered: set[str] = set()
+        self._bindings = Bindings()
+        self._tokens = TokenStore()
+        self._gaps: set[_ProhibitionChecker] = set()  # checkers in an embargo gap
         # record kind -> the checkers that read it, in spec order
         self._routes: dict[str, tuple] = {}
         for spec in specs:
@@ -332,14 +266,62 @@ class TraceMonitor:
         self.violations: list[Violation] = []
 
     def feed(self, record: AuditRecord) -> list[Violation]:
-        self._state.update(record)
+        self._fold(record)
         found: list[Violation] = []
         for checker in self._routes.get(record.kind, ()):
-            found.extend(checker.feed(record, self._state))
+            found.extend(checker.feed(record, self))
         if len(found) > 1:
             found.sort(key=_sort_key)
         self.violations.extend(found)
         return found
+
+    def _fold(self, record: AuditRecord) -> None:
+        detail = record.detail
+        if record.kind == KIND_GENESIS:
+            self._registered.add(detail["owner"]["id"])
+        elif record.kind == KIND_BINDING:
+            event_type = detail["event_type"]
+            if event_type == "register_principal":
+                self._registered.add(detail["principal"])
+            elif event_type == "bind":
+                role, agent = detail["role"], detail["agent"]
+                kind, principal = _ROLE_KINDS[detail["agent_kind"]], detail["principal"]
+                self._bindings.add(RoleBinding(role, agent, kind, principal, record.seq))
+            elif event_type == "unbind":
+                self._bindings.remove(detail["role"], detail["agent"])
+            else:
+                raise ValueError(f"unknown binding event {event_type!r}")
+        elif record.kind == KIND_VERDICT:
+            # a checker reads these of an admissible verdict only, and may stop
+            # before the last; a verdict without one is malformed all the same
+            detail["outcome"], detail["action"], detail["actor"]
+        elif record.kind == KIND_TOKEN_TRANSITION:
+            token_id, to = detail["token"], _STATES[detail["to"]]
+            if detail["from"] != "CREATED":
+                token = self._tokens.get(token_id)
+                holder = detail.get("holder")
+                if holder is None:
+                    self._tokens.update(token, state=to)
+                else:  # a delegation ends with the burden filed under its delegate
+                    delegate = HolderRef(_HOLDER_KINDS[holder["kind"]], holder["name"])
+                    self._tokens.update(token, state=to, holder=delegate)
+                return
+            # the runtime numbers tokens as it creates them, one record each
+            if token_id != len(self._tokens) + 1:
+                raise ValueError(f"token {token_id!r} is not the next token created")
+            # no checker reads a chain (accountability reads the head off the
+            # record), but a record without a head is malformed all the same
+            detail["chain_head"]
+            holder = detail["holder"]
+            self._tokens.add(
+                modality=_MODALITIES[detail["modality"]],
+                action=detail["action"],
+                holder=HolderRef(_HOLDER_KINDS[holder["kind"]], holder["name"]),
+                subject=detail.get("subject"),
+                state=to,
+                chain=None,
+                issuer=detail["issuer"],
+            )
 
     def attach(self, instance: CommunityInstance) -> None:
         """Start monitoring a live instance, catching up on its history.
@@ -355,7 +337,10 @@ class TraceMonitor:
     def clone(self) -> TraceMonitor:
         """Independent copy that shares the template, the checkers and their routes."""
         twin = TraceMonitor.__new__(TraceMonitor)
-        twin._state = self._state.clone()
+        twin._registered = set(self._registered)
+        twin._bindings = self._bindings.clone()
+        twin._tokens = self._tokens.clone()
+        twin._gaps = set(self._gaps)
         twin._routes = self._routes
         twin.violations = list(self.violations)
         return twin

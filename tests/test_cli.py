@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from covenant import cli
 from covenant.cli import EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
 from covenant.runtime import GENESIS_PREV_HASH, canonical_json
+from covenant.scenarios import LAYER2_SOURCE, get_scenario
 
 GOOD_SPEC = """\
 community Clinic {
@@ -68,6 +71,16 @@ def test_run_with_injected_fault_exits_nonzero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "violation embargo_holds" in out
     assert "(revoke_final_embargo)" in out
+
+
+def test_run_exits_one_when_a_stage_misses_its_expectations(tmp_path, capsys, monkeypatch):
+    happy = get_scenario("happy_path")
+    stage = dataclasses.replace(happy.stages[0], expected_verdicts=(("read_demographics", "blocked"),))
+    monkeypatch.setattr(cli, "get_scenario", lambda name: dataclasses.replace(happy, stages=(stage,)))
+    assert main(["run", "--scenario", "happy_path", "--out", str(tmp_path)]) == EXIT_VIOLATIONS
+    out = capsys.readouterr().out
+    assert "scenario happy_path [FAIL]" in out
+    assert "MISMATCH read_demographics: expected blocked, got admissible" in out
 
 
 def test_run_requires_a_source(capsys):
@@ -144,6 +157,29 @@ def test_verify_flags_violations_and_writes_report(tmp_path, capsys):
     assert report.read_text() == "\n".join(
         json.dumps(entry, separators=(",", ":")) for entry in lines
     ) + "\n"
+
+
+def test_verify_authority_reads_the_role_from_the_spec(tmp_path, capsys):
+    main(["run", "--scenario", "happy_path", "--inject", "authority", "--out", str(tmp_path)])
+    run_happy(tmp_path)
+    spec = tmp_path / "matching.community"
+    spec.write_text(LAYER2_SOURCE, encoding="utf-8")
+    capsys.readouterr()
+
+    def verify(trace, role):
+        return main(
+            ["verify", "--trace", str(tmp_path / trace), "--property", "authority",
+             "--action", "make_enrollment_decision", "--role", role, "--spec", str(spec)]
+        )
+
+    assert verify("happy_path__authority.1.MatchingWorkflowCommunity.audit", "Physician") == EXIT_VIOLATIONS
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert lines == [{"property": "exclusive_authority", "at_seq": 23, "witness": [23]}]
+    assert verify("happy_path.1.MatchingWorkflowCommunity.audit", "Physician") == EXIT_OK
+    assert capsys.readouterr().out == ""
+    # a role the spec does not declare is a usage error
+    assert verify("happy_path.1.MatchingWorkflowCommunity.audit", "Nurse") == EXIT_USAGE
+    assert capsys.readouterr().err == "error: role 'Nurse' is not declared\n"
 
 
 def test_verify_needs_property_parameters(tmp_path, capsys):

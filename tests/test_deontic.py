@@ -249,6 +249,22 @@ def test_discharge_requires_holder(ward):
     assert store.get(t.id).state is TokenState.DISCHARGED
 
 
+def test_an_agent_named_like_a_role_does_not_hold_that_roles_burden():
+    # only covers decides: a shared name is no claim on the role's tokens
+    resolver = StaticResolver(
+        principals={"Hospital"},
+        agents={"Physician": ("Hospital", {"Nurse"}), "nurse_2": ("Hospital", {"Nurse"})},
+        roles={"Physician", "Nurse"},
+    )
+    store = TokenStore()
+    t = create_token(store, resolver, Modality.BURDEN, "sign_off", role_ref("Physician"), None, "Hospital", 1)
+    with pytest.raises(NotHolder):
+        discharge_burden(store, resolver, t.id, "Physician", 0, 5)
+    with pytest.raises(NotHolder):
+        delegate_burden(store, resolver, t.id, "Physician", "nurse_2", 2)
+    assert store.get(t.id) == t
+
+
 def test_discharge_evidence_bounds(ward):
     store, resolver = ward
     t = create_token(store, resolver, Modality.BURDEN, "x", agent_ref("doc_a"), None, "Hospital", 1)

@@ -25,6 +25,7 @@ from covenant.errors import (
     IntegrityError,
     InvalidTemplate,
     KindMismatch,
+    NameCollision,
     ProtocolViolation,
     UnknownAgent,
     UnknownPrincipal,
@@ -44,6 +45,7 @@ from covenant.runtime import (
     MODE_AUTONOMOUS,
     MODE_SUPERVISED,
     AuditRecord,
+    ObjectWrite,
     Principal,
     SpeechAct,
     canonical_json,
@@ -167,6 +169,69 @@ def test_an_empty_principal_name_logs_the_id():
     assert c.records()[-1].detail["name"] == "Agency"
 
 
+NAMES_SOURCE = """\
+community Clinic {
+  role Physician: human [0..2];
+  role Nurse: human [0..2];
+  role Clerk: human [0..2];
+  role DataOfficer: human [0..1];
+  role Bot: llm_agent [0..2];
+  group Clinicians = {Physician, Nurse};
+
+  policy burden(sign_off, Physician);
+  policy permit(export, Bot);
+  policy embargo(export, ALL_AI_AGENTS) unless permit(approve_export, DataOfficer);
+
+  contract Rules {
+    allow Nurse: discharge;
+    allow Physician: grant;
+    allow Bot: declare_permit, revoke;
+  }
+}
+"""
+
+
+def _staffed_clinic():
+    c = instantiate_community(parse_spec(NAMES_SOURCE), owner=Principal("Hospital", "Hospital"))
+    c.register_principal("VendorX")
+    c.bind_agent("Physician", "doc_1", "human", "Hospital")
+    c.bind_agent("Bot", "bot_1", "llm_agent", "VendorX")
+    return c
+
+
+@pytest.mark.parametrize("binder", ["bind_agent", "force_bind"])
+@pytest.mark.parametrize(
+    "role, agent, kind, principal",
+    [
+        # as a role's name it would discharge the Physician role's burden
+        ("Nurse", "Physician", "human", "Hospital"),
+        # a permit granted to it would open the embargo's unless permit(approve_export, DataOfficer)
+        ("Clerk", "DataOfficer", "human", "Hospital"),
+        # as the owner's id it would head its tokens with the owner and revoke the owner's embargo
+        ("Bot", "Hospital", "llm_agent", "VendorX"),
+        ("Nurse", "VendorX", "human", "Hospital"),
+        ("Nurse", "Clinicians", "human", "Hospital"),
+        ("Nurse", "ALL", "human", "Hospital"),
+        ("Bot", "ALL_AI_AGENTS", "llm_agent", "VendorX"),
+    ],
+)
+def test_an_agent_cannot_take_the_name_of_a_principal_a_role_or_a_group(binder, role, agent, kind, principal):
+    c = _staffed_clinic()
+    before = (c.records(), c.event_count, c.bindings())
+    with pytest.raises(NameCollision):
+        getattr(c, binder)(role, agent, kind, principal)
+    assert (c.records(), c.event_count, c.bindings()) == before
+
+
+def test_a_bound_agents_name_cannot_be_registered_as_a_principal():
+    c = _staffed_clinic()
+    before = (c.records(), c.event_count, c.bindings())
+    with pytest.raises(NameCollision):
+        c.register_principal("bot_1")
+    assert (c.records(), c.event_count, c.bindings()) == before
+    assert not c.is_principal("bot_1")
+
+
 def test_unbind_removes_binding_and_logs():
     c = staffed_ward()
     c.unbind_agent("Bot", "bot_1")
@@ -225,7 +290,7 @@ def test_bind_fuzz_matches_reference_model():
     monitor = TraceMonitor([PropertySpec.accountability()], c.template)
     for record in c.records():
         monitor.feed(record)
-    index = monitor._state.bindings
+    index = monitor._bindings
     assert tuple(index) == c.bindings()
     assert [b.bound_at for b in c.bindings()] == sorted(b.bound_at for b in c.bindings())
     for agent in agents:
@@ -275,6 +340,35 @@ def test_admissible_action_applies_effects():
     )
     assert result.verdict.admissible
     assert c.objects["CaseFile"].state() == {"case9": "notes"}
+
+
+def test_an_object_write_and_a_read_effect_are_logged_and_replay():
+    c = staffed_ward()
+    screen = {"action": "screen_case", "holder": "Officer", "subject": "case9"}
+    c.apply_speech_act(SpeechAct(SpeechActKind.DECLARE_BURDEN, "officer_1", screen))
+    token_id = max(t.id for t in c.tokens)
+    c.apply_speech_act(SpeechAct(SpeechActKind.DISCHARGE, "officer_1", {"token": token_id}))
+    effects = [ObjectWrite("CaseFile", "put", "case9", "notes"), ObjectWrite("Ledger", "read", "case9", "unlogged")]
+    result = c.submit_action("bot_1", "read_case", "case9", effects=effects)
+    assert result.verdict.admissible
+    assert c.records()[result.request_seq].detail["effects"] == [
+        {"object": "CaseFile", "op": "put", "key": "case9", "value": "notes"},
+        {"object": "Ledger", "op": "read", "key": "case9"},
+    ]
+    assert c.objects["CaseFile"].state() == {"case9": "notes"}
+    assert c.objects["Ledger"].state() == {}
+    text = c.export_log()
+    assert replay(parse_spec(WARD_SOURCE), text).export_log() == text
+
+
+def test_a_discipline_for_an_undeclared_object_or_of_an_unknown_kind_is_refused():
+    template = parse_spec(WARD_SOURCE)
+    for disciplines, match in (
+        ({"Casefile": "read_write"}, "unknown object 'Casefile'"),
+        ({"CaseFile": "read_only"}, "unknown discipline 'read_only'"),
+    ):
+        with pytest.raises(DisciplineViolation, match=match):
+            instantiate_community(template, object_disciplines=disciplines)
 
 
 def test_append_only_discipline_rejects_put_before_logging():
@@ -710,17 +804,17 @@ def test_a_monitor_rebuilds_the_runtimes_token_states():
     monitor = TraceMonitor([PropertySpec.accountability()], c.template)
     monitor.attach(c)
     drive_sample_history(c)
-    assert _states_and_holders(monitor._state.tokens) == _states_and_holders(c.tokens)
+    assert _states_and_holders(monitor._tokens) == _states_and_holders(c.tokens)
     for name, (template, export) in _pinned_runs().items():
         twin = replay(template, export)
         monitor = TraceMonitor([PropertySpec.accountability()], template)
         monitor.attach(twin)
-        assert _states_and_holders(monitor._state.tokens) == _states_and_holders(twin.tokens), name
+        assert _states_and_holders(monitor._tokens) == _states_and_holders(twin.tokens), name
     for mode in (MODE_SUPERVISED, MODE_ADVISORY, MODE_AUTONOMOUS):
         c = _desk(mode)
         monitor = TraceMonitor([PropertySpec.accountability()], c.template)
         monitor.attach(c)
-        assert _states_and_holders(monitor._state.tokens) == _states_and_holders(c.tokens), mode
+        assert _states_and_holders(monitor._tokens) == _states_and_holders(c.tokens), mode
         delegated = [t for t in c.tokens if len(t.chain.links) > 1]
         assert [(t.id, t.holder.name) for t in delegated] == [(7, "officer_2")], mode
 
@@ -1141,6 +1235,26 @@ def test_replay_rejects_a_rechained_log_the_runtime_would_not_write():
     assert _replay_fails_at(template, _rechain(header, _edited(records, 5, role="Janitor"))) == 5
     # trailing records no event regenerates
     assert _replay_fails_at(template, _rechain(header, records + records[17:])) == 19
+
+
+def test_replay_refuses_a_log_that_gives_an_agent_a_principals_name():
+    # a log written before agents and principals had to be named apart
+    template = parse_spec(WARD_SOURCE)
+    text = drive_sample_history(staffed_ward()).export_log()
+    header, records = text.splitlines()[0], parse_export(text)[1]
+    bind = records[5]
+    assert (bind.detail["event_type"], bind.detail["agent"]) == ("bind", "officer_1")
+    as_owner = dataclasses.replace(bind, actor="Clinic", detail={**bind.detail, "agent": "Clinic"})
+    with pytest.raises(IntegrityError, match="NameCollision") as info:
+        replay(template, _rechain(header, records[:5] + [as_owner] + records[6:]))
+    assert info.value.bad_seq == 5
+    event = records[-1].detail["event"] + 1
+    register = dataclasses.replace(
+        records[4], detail={**records[4].detail, "event": event, "principal": "officer_1", "name": "officer_1"}
+    )
+    with pytest.raises(IntegrityError, match="NameCollision") as info:
+        replay(template, _rechain(header, records + [register]))
+    assert info.value.bad_seq == len(records)
 
 
 def test_replay_checks_the_expiry_sweep_before_a_missing_or_failing_record():

@@ -28,6 +28,7 @@ from covenant.scenarios import (
     REDUCED_LAYER1_SOURCE,
     ROGUE_AI_SCRIPT,
     Scenario,
+    ScenarioReport,
     built_in_scenarios,
     build_clinical_layers,
     coverage_report,
@@ -109,6 +110,26 @@ def test_built_in_scenarios_run_clean():
         assert all(not stage.violations for stage in report.stages), report.summary()
         names.append(scenario.name)
     assert names == ["happy_path", "rogue_ai", "negotiation", "advisory_gate"]
+
+
+def test_a_stage_that_misses_its_expectations_is_reported_failing():
+    stage = get_scenario("happy_path").stages[0]
+    verdict = run_stage(dataclasses.replace(stage, expected_verdicts=(("read_demographics", "blocked"),)))
+    assert not verdict.ok
+    assert verdict.verdict_mismatches == ("read_demographics: expected blocked, got admissible",)
+    assert verdict.violation_mismatches == ()
+    violation = run_stage(dataclasses.replace(stage, expected_violations=((PROP_SAFETY, "read_demographics"),)))
+    assert not violation.ok
+    assert violation.verdict_mismatches == ()
+    assert violation.violation_mismatches == (
+        "expected [('consent_gated_access', 'read_demographics')], got []",
+    )
+    lines = ScenarioReport("happy_path", (verdict, violation)).summary().splitlines()
+    assert lines[0] == "scenario happy_path [FAIL]"
+    assert [line for line in lines if "MISMATCH" in line] == [
+        "    MISMATCH read_demographics: expected blocked, got admissible",
+        "    MISMATCH expected [('consent_gated_access', 'read_demographics')], got []",
+    ]
 
 
 def test_scenario_runs_are_deterministic():

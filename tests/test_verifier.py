@@ -328,7 +328,7 @@ def test_attached_monitor_matches_offline_checks():
     drive_clinic(c)
     assert monitor.violations == run_checks(c.records(), ALL_SPECS, c.template)
     assert len(monitor.violations) == 3
-    assert monitor._state.tokens.states() == c.tokens.states()
+    assert monitor._tokens.states() == c.tokens.states()
     # a log annotated by an older release, with the embargo gap still open,
     # checks the same: the annotation changes no state
     last = monitor.violations[-1]
@@ -389,7 +389,7 @@ def test_monitor_keeps_duplicate_binds_of_an_edited_log():
         return AuditRecord(seq, KIND_BINDING, detail["agent"], detail, "", "")
 
     monitor = TraceMonitor([PropertySpec.prohibition("close_file", "ALL_AI_AGENTS")])
-    index = monitor._state.bindings
+    index = monitor._bindings
 
     def seen():
         return index.agent_kind("x"), index.principal_of("x"), index.count("Bot")
@@ -535,7 +535,7 @@ def test_online_violations_equal_offline_ones_on_ward_runs():
         records = instance.records()
         online = sorted(monitor.violations, key=lambda v: (v.at_seq, v.property))
         assert online == run_checks(records, ward.PROPERTIES, tpl), seed
-        assert {t.id: (t.state, t.holder) for t in monitor._state.tokens} == {
+        assert {t.id: (t.state, t.holder) for t in monitor._tokens} == {
             t.id: (t.state, t.holder) for t in instance.tokens
         }, seed
         seen |= {v.property for v in online}
@@ -822,6 +822,56 @@ def test_monitor_agrees_with_oracle_on_the_decision_desk_to_depth_four(alphabet,
     assert actual.keys() == expected.keys()
     assert [k for k in expected if actual[k] != expected[k]] == []
     assert Counter(prop for violations in expected.values() for prop, _ in violations) == flagged
+
+
+_COLLIDING_EVENTS = """\
+bind_matcher: bind Matcher matcher agentic_ai VendorX
+matcher_as_owner: bind Matcher Hospital agentic_ai VendorX
+matcher_as_role: bind Matcher Physician agentic_ai VendorX
+physician_as_role: bind Physician Officer human Hospital
+register_matcher: register_principal matcher
+decide_by_name: speech_act Physician discharge select=burden:make_decision:HELD
+officer_decides: speech_act Officer discharge select=burden:make_decision:HELD
+p1_final: action physician_1 final_decision
+"""
+
+
+def _colliding_desk() -> GateFixture:
+    return GateFixture(
+        template=parse_spec(DECISION_DESK_SOURCE),
+        owner="Hospital",
+        prologue=parse_script(DECISION_DESK_PROLOGUE),
+        alphabet=parse_script(_COLLIDING_EVENTS),
+        properties=(
+            PropertySpec.safety("final_decision", "make_decision"),
+            PropertySpec.authority("make_decision", "Physician"),
+            PropertySpec.prohibition("final_decision", "ALL_AI_AGENTS"),
+            PropertySpec.accountability(),
+        ),
+    )
+
+
+def test_apply_schema_reports_a_name_collision():
+    fx = _colliding_desk()
+    c = instantiate_community(fx.template, owner=Principal(fx.owner, fx.owner))
+    for schema in fx.prologue + fx.alphabet[:1]:
+        assert apply_schema(c, schema) == "ok", schema.name
+    head = c.head_seq
+    for schema in fx.alphabet[1:5]:
+        assert apply_schema(c, schema) == "raised:NameCollision", schema.name
+    assert c.head_seq == head
+
+
+def test_both_engines_refuse_agents_and_principals_named_like_another_party():
+    # an agent named like the owner, like a role, and a principal named like an agent
+    fx = _colliding_desk()
+    expected = dict(oracle_enumerate(fx.template, fx.alphabet, 3, fx.properties, fx.prologue, fx.owner))
+    assert runtime_enumerate(fx, 3) == expected
+    # no agent named Physician or Officer discharges the Physician role's burden: every
+    # p1_final acts before a decision, and nothing else is flagged
+    final = [schema.name for schema in fx.alphabet].index("p1_final")
+    flagged = Counter(prop for violations in expected.values() for prop, _ in violations)
+    assert flagged == {PROP_SAFETY: sum(trace.count(final) for trace in expected)}
 
 
 TOKEN_TYPES_SOURCE = """\
