@@ -8,12 +8,13 @@ answers "who is ultimately responsible" by construction.
 Tokens are immutable values. A transition builds the successor token and
 the TokenStore swaps it in under the same id, so the store's two writers
 (`add` and `update`) are the only place a token changes. They also keep the
-store's indexes (HELD tokens by action and holder, and by action and
-subject; discharged burdens by action; a deadline heap), so admissibility,
-exceptions, guards and expiry look up what they need instead of scanning
-every token. All operations here are pure with respect to everything except
-the passed TokenStore; sequencing, audit, and authorization of the *speech
-act* that invoked them belong to the runtime layer.
+store's indexes (HELD tokens by action and holder, and HELD permits by
+action and subject; discharged burdens by action; a deadline heap), so
+admissibility, exceptions, guards and expiry look up what they need instead
+of scanning every token. All operations here are pure with respect to
+everything except the passed TokenStore; sequencing, audit, and
+authorization of the *speech act* that invoked them belong to the runtime
+layer.
 """
 
 from __future__ import annotations
@@ -130,8 +131,9 @@ class TokenStore:
     - the ids of HELD tokens under `(modality, action, agent)`, where `agent`
       is the holder's name for an agent holder and None for a role or group
       holder
-    - the same ids again under `(modality, action, subject)`, with None for an
-      unscoped token
+    - the ids of HELD permits again under `(action, subject)`, with None for an
+      unscoped permit: an embargo's exception asks for these and nothing
+      else, so burdens and embargoes have no subject index
     - the subjects of DISCHARGED burdens, as a frozenset under their action
     - a min-heap of `(deadline, id)` for burdens. A deadline is fixed when
       its burden is created; an entry whose token has left HELD is dropped
@@ -145,7 +147,7 @@ class TokenStore:
     def __init__(self) -> None:
         self._tokens: dict[int, Token] = {}
         self._by_holder: dict[tuple, tuple[int, ...]] = {}
-        self._by_subject: dict[tuple, tuple[int, ...]] = {}
+        self._permits_on: dict[tuple, tuple[int, ...]] = {}
         self._discharged: dict[str, frozenset] = {}
         self._deadlines: list[tuple[int, int]] = []
 
@@ -169,7 +171,8 @@ class TokenStore:
         if token.state is TokenState.HELD:
             agent = token.holder.name if token.holder.kind is HolderKind.AGENT else None
             _insert(self._by_holder, (token.modality, token.action, agent), token.id)
-            _insert(self._by_subject, (token.modality, token.action, token.subject), token.id)
+            if token.modality is Modality.PERMIT:
+                _insert(self._permits_on, (token.action, token.subject), token.id)
         elif token.state is TokenState.DISCHARGED and token.modality is Modality.BURDEN:
             subjects = self._discharged.get(token.action, frozenset())
             self._discharged[token.action] = subjects | {token.subject}
@@ -179,7 +182,8 @@ class TokenStore:
         if token.state is TokenState.HELD:
             agent = token.holder.name if token.holder.kind is HolderKind.AGENT else None
             _remove(self._by_holder, (token.modality, token.action, agent), token.id)
-            _remove(self._by_subject, (token.modality, token.action, token.subject), token.id)
+            if token.modality is Modality.PERMIT:
+                _remove(self._permits_on, (token.action, token.subject), token.id)
 
     def get(self, token_id: int) -> Token:
         token = self._tokens.get(token_id)
@@ -197,7 +201,7 @@ class TokenStore:
         twin = TokenStore.__new__(TokenStore)
         twin._tokens = self._tokens.copy()
         twin._by_holder = self._by_holder.copy()
-        twin._by_subject = self._by_subject.copy()
+        twin._permits_on = self._permits_on.copy()
         twin._discharged = self._discharged.copy()
         twin._deadlines = self._deadlines.copy()
         return twin
@@ -206,9 +210,9 @@ class TokenStore:
         """The ids of HELD tokens on `action` that `agent` holds, or (None) a role or group holds."""
         return self._by_holder.get((modality, action, agent), ())
 
-    def held_on(self, modality: Modality, action: str, subject: str | None) -> tuple[int, ...]:
-        """The ids of HELD tokens on `action` scoped to `subject`, or (None) unscoped."""
-        return self._by_subject.get((modality, action, subject), ())
+    def permits_on(self, action: str, subject: str | None) -> tuple[int, ...]:
+        """The ids of HELD permits on `action` scoped to `subject`, or (None) unscoped."""
+        return self._permits_on.get((action, subject), ())
 
     def active_for(self, modality: Modality, action: str, agent: str) -> list[Token]:
         """The HELD tokens on `action` that `agent` may fill, in id order.
@@ -423,8 +427,8 @@ def _exception_open(
     target = embargo.unless_target
     filler = None if target is None else holder_for_name(resolver, target)
     # only a permit scoped to the subject, or an unscoped one, can open it
-    scoped = () if subject is None else store.held_on(Modality.PERMIT, action, subject)
-    for ids in (scoped, store.held_on(Modality.PERMIT, action, None)):
+    scoped = () if subject is None else store.permits_on(action, subject)
+    for ids in (scoped, store.permits_on(action, None)):
         for i in ids:
             holder = store.get(i).holder
             if target is None or holder.name == target:
@@ -490,7 +494,8 @@ def check_action_admissible(
 
 def expire_due(store: TokenStore, at: int) -> list[Token]:
     """Transition every overdue HELD burden to VIOLATED, in id order; deadline is a seq."""
-    return [store.update(t, state=TokenState.VIOLATED) for t in store.pop_overdue(at)]
+    due = store.pop_overdue(at)
+    return [store.update(t, state=TokenState.VIOLATED) for t in due] if due else due
 
 
 def trace_to_principal(resolver: BindingResolver, token: Token) -> str:

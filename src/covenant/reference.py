@@ -62,6 +62,8 @@ class ReferenceEngine:
         self.principals: set[str] = {owner}
         # bindings: {role, agent, kind, principal}
         self.bindings: list[dict] = []
+        # every name ever bound as an agent; a new set on each bind, so clones share it
+        self.agent_names: frozenset[str] = frozenset()
         # tokens: id -> {modality, action, holder_kind, holder_name, subject,
         #                state, requires, unless_action, unless_target, head, nodes}
         self.tokens: dict[int, dict] = {}
@@ -90,6 +92,7 @@ class ReferenceEngine:
         twin.owner = self.owner
         twin.principals = set(self.principals)
         twin.bindings = [dict(b) for b in self.bindings]
+        twin.agent_names = self.agent_names
         twin.tokens = {i: dict(t) for i, t in self.tokens.items()}
         twin.next_token = self.next_token
         twin.discharged = [dict(d) for d in self.discharged]
@@ -289,7 +292,8 @@ class ReferenceEngine:
         bound: dict | None = None
 
         if schema.op == "register_principal":
-            if not self._is_agent(p["principal"]):
+            # a name once bound stays an agent's name, also after its last unbind
+            if p["principal"] not in self.agent_names:
                 self.principals.add(p["principal"])
         elif schema.op == "bind":
             if p.get("force"):
@@ -337,6 +341,7 @@ class ReferenceEngine:
             return None
         binding = {"role": role, "agent": agent, "kind": kind, "principal": principal}
         self.bindings.append(binding)
+        self.agent_names = self.agent_names | {agent}
         return binding
 
     def _speech_act(self, p: dict):

@@ -51,8 +51,10 @@ from .spec_lang.ast import (
     CommunityTemplate,
     Modality,
     NEGOTIATION_KINDS,
+    ROLE_KINDS,
     RoleKind,
     SpeechActKind,
+    speech_act_kind,
 )
 from .spec_lang.validate import SEVERITY_ERROR, validate_template
 
@@ -277,10 +279,12 @@ class Bindings:
 
     The one place (besides the reference engine) that decides which agents
     fill a role, a declared group, ALL or ALL_AI_AGENTS. An agent's kind and
-    principal are those of its first binding.
+    principal are those of its first binding. An agent unbound from its last
+    role keeps an empty entry, so a name once bound stays an agent's name.
     """
 
     def __init__(self) -> None:
+        # every name ever bound, with its current bindings
         self._by_agent: dict[str, tuple[RoleBinding, ...]] = {}
         self._count: dict[str, int] = {}  # role -> fillers
         self._ai = 0  # bindings of an AI kind
@@ -291,7 +295,7 @@ class Bindings:
         return iter(sorted(bound, key=lambda b: b.bound_at))
 
     def __bool__(self) -> bool:
-        return bool(self._by_agent)
+        return any(self._count.values())
 
     def add(self, binding: RoleBinding) -> None:
         self._by_agent[binding.agent] = self._by_agent.get(binding.agent, ()) + (binding,)
@@ -304,18 +308,17 @@ class Bindings:
         bound = self._by_agent.get(agent, ())
         for i, b in enumerate(bound):
             if b.role == role:
-                rest = bound[:i] + bound[i + 1 :]
-                if rest:
-                    self._by_agent[agent] = rest
-                else:
-                    del self._by_agent[agent]
+                self._by_agent[agent] = bound[:i] + bound[i + 1 :]
                 self._count[role] -= 1
                 if b.agent_kind in AI_ROLE_KINDS:
                     self._ai -= 1
                 return
 
     def is_agent(self, agent: str) -> bool:
-        return agent in self._by_agent
+        return bool(self._by_agent.get(agent))
+
+    def ever_bound(self, name: str) -> bool:
+        return name in self._by_agent
 
     def agent_kind(self, agent: str) -> RoleKind | None:
         bound = self._by_agent.get(agent)
@@ -488,12 +491,13 @@ class CommunityInstance:
         """
         error = None
         try:
-            for record in self._records[self._start :]:
-                for listener in self._listeners:
-                    try:
-                        listener(record)
-                    except Exception as exc:
-                        error = error or exc
+            if self._listeners:
+                for record in self._records[self._start :]:
+                    for listener in self._listeners:
+                        try:
+                            listener(record)
+                        except Exception as exc:
+                            error = error or exc
         finally:
             self._holder = None
             self._lock.release()
@@ -659,25 +663,28 @@ class CommunityInstance:
         return self._append(KIND_TOKEN_TRANSITION, None, detail)
 
     def _log_token_created(self, token: Token, origin: str) -> AuditRecord:
-        optional = {
-            "subject": token.subject,
-            "deadline": token.deadline,
-            "requires": token.requires_action,
-            "unless_action": token.unless_action,
-            "unless_target": token.unless_target,
+        detail = {
+            "token": token.id,
+            "from": "CREATED",
+            "to": "HELD",
+            "modality": token.modality.value,
+            "action": token.action,
+            "holder": token.holder.to_detail(),
+            "issuer": token.issuer,
+            "chain_head": token.chain.head,
+            "origin": origin,
         }
-        return self._transition(
-            token,
-            TokenState.CREATED,
-            TokenState.HELD,
-            modality=token.modality.value,
-            action=token.action,
-            holder=token.holder.to_detail(),
-            issuer=token.issuer,
-            chain_head=token.chain.head,
-            origin=origin,
-            **{key: value for key, value in optional.items() if value is not None},
-        )
+        if token.subject is not None:
+            detail["subject"] = token.subject
+        if token.deadline is not None:
+            detail["deadline"] = token.deadline
+        if token.requires_action is not None:
+            detail["requires"] = token.requires_action
+        if token.unless_action is not None:
+            detail["unless_action"] = token.unless_action
+        if token.unless_target is not None:
+            detail["unless_target"] = token.unless_target
+        return self._append(KIND_TOKEN_TRANSITION, None, detail)
 
     def _log_verdict(
         self,
@@ -689,14 +696,13 @@ class CommunityInstance:
         approved_by: str | None = None,
     ) -> AuditRecord:
         outcome, permits, blockers, reason = verdict
-        detail: dict = {"outcome": outcome}
+        detail = {"outcome": outcome, "request": request, "actor": actor, "action": action}
         if permits:
             detail["permits"] = list(permits)
         if blockers:
             detail["blockers"] = list(blockers)
         if reason is not None:
             detail["reason"] = reason
-        detail.update(request=request, actor=actor, action=action)
         if subject is not None:
             detail["subject"] = subject
         if approved_by is not None:
@@ -754,8 +760,8 @@ class CommunityInstance:
         with self:
             if principal_id in self._principals:
                 return self._principals[principal_id]
-            if self.is_agent(principal_id):
-                raise NameCollision(f"{principal_id!r} names a bound agent, not a principal")
+            if self._bindings.ever_bound(principal_id):
+                raise NameCollision(f"{principal_id!r} names an agent, not a principal")
             # only a null or empty name gives way to the id: Principal refuses 0 and False
             principal = Principal(principal_id, principal_id if name in (None, "") else name, kind)
             self._principals[principal_id] = principal
@@ -799,8 +805,8 @@ class CommunityInstance:
         if decl is None:
             raise UnknownRole(f"role {role!r} is not declared")
         try:
-            kind = RoleKind(kind)
-        except ValueError:
+            kind = ROLE_KINDS[kind]
+        except (KeyError, TypeError):  # unknown, or unhashable
             raise KindMismatch(f"unknown agent kind {kind!r}") from None
         if kind is not decl.kind:
             raise KindMismatch(f"role {role!r} requires kind {decl.kind.value}, got {kind.value}")
@@ -1420,7 +1426,7 @@ def _replay_record(instance: CommunityInstance, record: AuditRecord) -> None:
         else:
             raise ValueError(f"unknown binding event {event_type!r}")
     elif record.kind == KIND_SPEECH_ACT:
-        act = SpeechAct(SpeechActKind(detail["kind"]), record.actor or "", detail["payload"])
+        act = SpeechAct(speech_act_kind(detail["kind"]), record.actor or "", detail["payload"])
         instance.apply_speech_act(act)
     elif record.kind == KIND_ACTION_REQUEST:
         instance.submit_action(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import shlex
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable
 
 from .deontic import TokenState
@@ -42,7 +43,7 @@ from .runtime import (
     instantiate_community,
 )
 from .spec_lang import parse_spec
-from .spec_lang.ast import CommunityTemplate, Modality, RoleKind, SpeechActKind
+from .spec_lang.ast import ROLE_KINDS, CommunityTemplate, Modality, SpeechActKind, speech_act_kind
 from .verifier import (
     EventSchema,
     PROP_ACCOUNTABILITY,
@@ -50,8 +51,8 @@ from .verifier import (
     PROP_PROHIBITION,
     PROP_SAFETY,
     PropertySpec,
+    TraceMonitor,
     apply_schema,
-    run_checks,
 )
 
 # ----------------------------------------------------------------------
@@ -229,6 +230,9 @@ class ScenarioReport:
                 f"  {stage.community}: {len(stage.outcomes)} events, "
                 f"{len(stage.records)} records, {len(stage.violations)} violations"
             )
+            for label, outcome in stage.outcomes:
+                if outcome.startswith("raised:"):
+                    lines.append(f"    refused {label}: {outcome.removeprefix('raised:')}")
             for prop, at_seq, label in stage.violations:
                 lines.append(f"    violation {prop} at seq {at_seq} ({label})")
             for mismatch in stage.verdict_mismatches + stage.violation_mismatches:
@@ -372,18 +376,36 @@ def _template(source: str) -> CommunityTemplate:
 # `parse_spec` is above
 _PROTOTYPES: dict[tuple, CommunityInstance] = {}
 
+# one monitor per stage setup and property list, filled on first use: it folds
+# the prototype's records and is stored only once it has folded them all, so
+# no thread sees it half fed. Each run checks its stage with a clone of it, fed
+# as the stage's events are logged; the kept monitor itself is never fed again
+_MONITORS: dict[tuple, TraceMonitor] = {}
 
-def _fresh_instance(stage: Stage, template: CommunityTemplate) -> CommunityInstance:
-    key = (stage.source, stage.mode, stage.owner, stage.disciplines)
-    prototype = _PROTOTYPES.get(key)
+
+def _fresh_instance(
+    stage: Stage, template: CommunityTemplate
+) -> tuple[CommunityInstance, TraceMonitor]:
+    """A clone of the stage's prototype, and a monitor of the stage's properties attached to it."""
+    setup = (stage.source, stage.mode, stage.owner, stage.disciplines)
+    prototype = _PROTOTYPES.get(setup)
     if prototype is None:
-        prototype = _PROTOTYPES[key] = instantiate_community(
+        prototype = _PROTOTYPES[setup] = instantiate_community(
             template,
             mode=stage.mode,
             owner=Principal(stage.owner, stage.owner),
             object_disciplines=dict(stage.disciplines),
         )
-    return prototype.clone()
+    checks = (setup, stage.properties)
+    monitor = _MONITORS.get(checks)
+    if monitor is None:
+        monitor = TraceMonitor(stage.properties, template)
+        for record in prototype.records():
+            monitor.feed(record)
+        _MONITORS[checks] = monitor
+    instance, monitor = prototype.clone(), monitor.clone()
+    instance.add_listener(monitor.feed)
+    return instance, monitor
 
 
 # the event parameter that names an agent for the cast of a stage; an agent
@@ -676,8 +698,8 @@ def _preflight(stage: Stage, template: CommunityTemplate) -> None:
             if p["agent"] not in agents:
                 raise ScriptError(f"{ev.name}: agent {p['agent']!r} is not in the cast")
             try:
-                RoleKind(p["kind"])
-            except ValueError:
+                ROLE_KINDS[p["kind"]]
+            except (KeyError, TypeError):  # unknown, or unhashable
                 raise ScriptError(f"{ev.name}: unknown agent kind {p['kind']!r}") from None
             if not p.get("force") and p["principal"] not in registered:
                 raise ScriptError(
@@ -696,7 +718,7 @@ def _preflight(stage: Stage, template: CommunityTemplate) -> None:
             if p["sender"] not in agents:
                 raise ScriptError(f"{ev.name}: sender {p['sender']!r} is not in the cast")
             try:
-                SpeechActKind(p["kind"])
+                speech_act_kind(p["kind"])
             except ValueError:
                 raise ScriptError(f"{ev.name}: unknown speech act kind {p['kind']!r}") from None
             if p.get("payload", {}).get("request_seq") == "$last_request" and not saw_action:
@@ -706,7 +728,7 @@ def _preflight(stage: Stage, template: CommunityTemplate) -> None:
 
 
 def _execute_stage(stage: Stage, template: CommunityTemplate) -> StageReport:
-    instance = _fresh_instance(stage, template)
+    instance, monitor = _fresh_instance(stage, template)
     outcomes: list[tuple[str, str]] = []
     ranges: list[tuple[str, int, int]] = []
     for ev in stage.script:
@@ -715,7 +737,8 @@ def _execute_stage(stage: Stage, template: CommunityTemplate) -> StageReport:
         ranges.append((ev.name, lo + 1, instance.head_seq))
 
     records = instance.records()
-    found = run_checks(records, stage.properties, template)
+    # the monitor has seen every record, so this is what run_checks finds
+    found = sorted(monitor.violations, key=attrgetter("at_seq", "property"))
 
     def label_of(at_seq: int) -> str:
         for label, lo, hi in ranges:

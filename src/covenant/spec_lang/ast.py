@@ -46,6 +46,20 @@ class SpeechActKind(str, Enum):
     ESCALATE = "escalate"
 
 
+# Members by spelling, for the event paths: a dict lookup costs less than
+# Enum.__call__. A member is a str, so it looks up as its own spelling.
+ROLE_KINDS = {k.value: k for k in RoleKind}
+_SPEECH_ACT_BY_SPELLING = {k.value: k for k in SpeechActKind}
+
+
+def speech_act_kind(spelling: object) -> SpeechActKind:
+    """`SpeechActKind(spelling)`: an unknown or unhashable spelling raises as that call does."""
+    try:
+        return _SPEECH_ACT_BY_SPELLING[spelling]
+    except (KeyError, TypeError):
+        return SpeechActKind(spelling)
+
+
 NEGOTIATION_KINDS = frozenset(
     {
         SpeechActKind.PROPOSE,

@@ -47,7 +47,13 @@ from .runtime import (
     RoleBinding,
     SpeechAct,
 )
-from .spec_lang.ast import BUILTIN_GROUPS, CommunityTemplate, Modality, RoleKind, SpeechActKind
+from .spec_lang.ast import (
+    BUILTIN_GROUPS,
+    ROLE_KINDS,
+    CommunityTemplate,
+    Modality,
+    speech_act_kind,
+)
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,6 @@ def _sort_key(v: Violation) -> tuple[int, str]:
 _STATES = {s.value: s for s in TokenState}
 _MODALITIES = {m.value: m for m in Modality}
 _HOLDER_KINDS = {k.value: k for k in HolderKind}
-_ROLE_KINDS = {k.value: k for k in RoleKind}
 
 
 def _is_admissible_verdict(record: AuditRecord) -> bool:
@@ -269,10 +274,13 @@ class TraceMonitor:
         self._fold(record)
         found: list[Violation] = []
         for checker in self._routes.get(record.kind, ()):
-            found.extend(checker.feed(record, self))
-        if len(found) > 1:
-            found.sort(key=_sort_key)
-        self.violations.extend(found)
+            hits = checker.feed(record, self)
+            if hits:
+                found += hits
+        if found:
+            if len(found) > 1:
+                found.sort(key=_sort_key)
+            self.violations += found
         return found
 
     def _fold(self, record: AuditRecord) -> None:
@@ -285,7 +293,7 @@ class TraceMonitor:
                 self._registered.add(detail["principal"])
             elif event_type == "bind":
                 role, agent = detail["role"], detail["agent"]
-                kind, principal = _ROLE_KINDS[detail["agent_kind"]], detail["principal"]
+                kind, principal = ROLE_KINDS[detail["agent_kind"]], detail["principal"]
                 self._bindings.add(RoleBinding(role, agent, kind, principal, record.seq))
             elif event_type == "unbind":
                 self._bindings.remove(detail["role"], detail["agent"])
@@ -478,7 +486,7 @@ def apply_schema(instance: CommunityInstance, schema: EventSchema) -> str:
             if selector is not None:
                 token_id = _select_token(instance, selector)
                 payload["token"] = token_id if token_id is not None else -1
-            act = SpeechAct(SpeechActKind(p["kind"]), p["sender"], payload)
+            act = SpeechAct(speech_act_kind(p["kind"]), p["sender"], payload)
             applied = instance.apply_speech_act(act)
             return "accepted" if applied.accepted else f"rejected:{applied.reason}"
         else:

@@ -127,6 +127,21 @@ def test_ad_hoc_script_run(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_run_prints_each_refused_event(tmp_path, capsys):
+    spec = tmp_path / "clinic.spec"
+    spec.write_text("community Clinic { role Nurse: human [0..2]; }\n", encoding="utf-8")
+    script = tmp_path / "clinic.events"
+    # an agent named like the owner is refused; the run goes on and passes
+    script.write_text("bind Nurse Owner human Owner\nbind Nurse nurse_1 human Owner\n", encoding="utf-8")
+    code = main(
+        ["run", "--spec", str(spec), "--script", str(script), "--owner", "Owner", "--out", str(tmp_path)]
+    )
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "scenario clinic [PASS]" in lines
+    assert [line for line in lines if line.startswith("    refused")] == ["    refused e0: NameCollision"]
+
+
 def test_verify_clean_trace(tmp_path, capsys):
     run_happy(tmp_path)
     capsys.readouterr()

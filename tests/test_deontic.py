@@ -629,7 +629,7 @@ def fuzz_step(store, resolver, rng, step):
         for t in list(store)
         if t.state is TokenState.HELD and t.modality is modality and t.action == action
     ]
-    # each HELD token sits in one holder bucket and one subject bucket
+    # each HELD token sits in one holder bucket, and each HELD permit in one subject bucket
     for agent in FUZZ_AGENTS + [None]:
         want = tuple(
             t.id
@@ -637,9 +637,14 @@ def fuzz_step(store, resolver, rng, step):
             if (t.holder.name if t.holder.kind is HolderKind.AGENT else None) == agent
         )
         assert store.held_by(modality, action, agent) == want, f"step {step}"
+    permits = [
+        t
+        for t in list(store)
+        if t.state is TokenState.HELD and t.modality is Modality.PERMIT and t.action == action
+    ]
     for subject in FUZZ_SUBJECTS:
-        want = tuple(t.id for t in held if t.subject == subject)
-        assert store.held_on(modality, action, subject) == want, f"step {step}"
+        want = tuple(t.id for t in permits if t.subject == subject)
+        assert store.permits_on(action, subject) == want, f"step {step}"
     agent = rng.choice(FUZZ_AGENTS)
     fillable = [t for t in held if t.holder.kind is not HolderKind.AGENT or t.holder.name == agent]
     assert store.active_for(modality, action, agent) == fillable, f"step {step}"

@@ -232,6 +232,30 @@ def test_a_bound_agents_name_cannot_be_registered_as_a_principal():
     assert not c.is_principal("bot_1")
 
 
+def test_a_name_once_bound_stays_an_agents_name():
+    c = _staffed_clinic()
+    c.unbind_agent("Bot", "bot_1")
+    assert not c.is_agent("bot_1")
+    before = (c.records(), c.event_count)
+    with pytest.raises(NameCollision):
+        c.register_principal("bot_1")
+    assert (c.records(), c.event_count) == before and not c.is_principal("bot_1")
+    # a log that registers it after the unbind no longer replays
+    text = c.export_log()
+    header, records = text.splitlines()[0], parse_export(text)[1]
+    vendor = next(r for r in records if r.detail.get("event_type") == "register_principal")
+    register = dataclasses.replace(
+        vendor,
+        detail={**vendor.detail, "event": c.event_count, "principal": "bot_1", "name": "bot_1"},
+    )
+    with pytest.raises(IntegrityError, match="NameCollision") as info:
+        replay(c.template, _rechain(header, records + [register]))
+    assert info.value.bad_seq == len(records)
+    # it may still be bound again, as the agent it was
+    c.bind_agent("Bot", "bot_1", "llm_agent", "VendorX")
+    assert c.is_agent("bot_1")
+
+
 def test_unbind_removes_binding_and_logs():
     c = staffed_ward()
     c.unbind_agent("Bot", "bot_1")

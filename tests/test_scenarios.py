@@ -41,7 +41,7 @@ from covenant.scenarios import (
     stage_from_script,
 )
 from covenant.spec_lang import format_specs, parse_spec, parse_specs
-from covenant.verifier import EventSchema, apply_schema
+from covenant.verifier import EventSchema, PropertySpec, TraceMonitor, apply_schema, run_checks
 
 GOLDEN = Path(__file__).parent / "data" / "clinical_layers.golden"
 
@@ -130,6 +130,25 @@ def test_a_stage_that_misses_its_expectations_is_reported_failing():
         "    MISMATCH read_demographics: expected blocked, got admissible",
         "    MISMATCH expected [('consent_gated_access', 'read_demographics')], got []",
     ]
+
+
+def test_a_refused_event_shows_in_the_summary():
+    script = parse_script(
+        "register_principal VendorX\n"
+        "clash: bind ConsentManager VendorX llm_agent VendorX\n"
+        "bind DataExtractionAgent extract_bot llm_agent VendorX\n"
+    )
+    stage = stage_from_script(REDUCED_LAYER1_SOURCE, script, owner="MedCenter")
+    report = ScenarioReport("clash", (run_stage(stage),))
+    assert report.ok
+    assert report.summary().splitlines() == [
+        "scenario clash [PASS]",
+        "  DataAccessGate: 3 events, 6 records, 0 violations",
+        "    refused clash: NameCollision",
+    ]
+    # no built-in run refuses an event, so their summaries show no such line
+    for scenario in built_in_scenarios():
+        assert "refused" not in run_scenario(scenario).summary(), scenario.name
 
 
 def test_scenario_runs_are_deterministic():
@@ -532,6 +551,72 @@ def test_four_threads_running_one_stage_match_a_single_threaded_run():
         )
     setup = (stage.source, stage.mode, stage.owner, stage.disciplines)
     assert _setup_state(scenarios._PROTOTYPES[setup]) == _fresh_state(*setup)
+
+
+def test_each_stage_finds_what_run_checks_finds_in_its_records():
+    variants = [inject_violation(get_scenario(name), kind) for name, kind in _VARIANTS]
+    happy = get_scenario("happy_path").stages[0]
+    # one setup under two property lists that find different things, each run
+    # twice: a monitor kept under the wrong key, or fed in place, finds the wrong ones
+    authority = dataclasses.replace(
+        happy, properties=(PropertySpec.authority("read_demographics", "ConsentManager"),)
+    )
+    extra = Scenario("extra", "one setup, two property lists", (happy, authority, happy, authority))
+    flagged = 0
+    for scenario in [*built_in_scenarios(), *variants, extra]:
+        for stage, report in zip(scenario.stages, run_scenario(scenario).stages):
+            found = run_checks(report.records, stage.properties, scenarios._template(stage.source))
+            assert [(p, at_seq) for p, at_seq, _label in report.violations] == [
+                (v.property, v.at_seq) for v in found
+            ], scenario.name
+            flagged += len(found)
+    assert flagged == len(variants) + 2
+    setup = (happy.source, happy.mode, happy.owner, happy.disciplines)
+    for properties in (happy.properties, authority.properties):
+        fresh = TraceMonitor(properties, scenarios._template(happy.source))
+        for record in scenarios._PROTOTYPES[setup].records():
+            fresh.feed(record)
+        kept = scenarios._MONITORS[setup, properties]
+        assert (kept.violations, kept._tokens.states()) == (fresh.violations, fresh._tokens.states())
+
+
+def test_a_stage_monitor_is_kept_only_once_it_has_folded_the_prototype(monkeypatch):
+    # one thread is parked in the first feed of its monitor's fold while another
+    # runs the same stage: that run must not clone the half-fed monitor
+    source = REDUCED_LAYER1_SOURCE + "# a source no other test checks while it folds\n"
+    stage = stage_from_script(source, parse_script(SCRIPT_TEXT), owner="MedCenter")
+    folding, resume, reports, errors = threading.Event(), threading.Event(), [], []
+
+    class Parked(TraceMonitor):
+        def feed(self, record):
+            if threading.current_thread() is parked and not resume.is_set():
+                folding.set()
+                resume.wait(timeout=10)
+            return super().feed(record)
+
+    def run():
+        try:
+            reports.append(run_stage(stage))
+        except Exception as exc:
+            errors.append(exc)
+
+    monkeypatch.setattr(scenarios, "TraceMonitor", Parked)
+    parked = threading.Thread(target=run, daemon=True)
+    parked.start()
+    try:
+        assert folding.wait(timeout=10)
+        run()
+    finally:
+        resume.set()
+        parked.join(timeout=10)
+    assert not parked.is_alive() and errors == [] and len(reports) == 2
+    alone = run_stage(stage)
+    for report in reports:
+        assert (report.export, report.outcomes, report.violations) == (
+            alone.export,
+            alone.outcomes,
+            alone.violations,
+        )
 
 
 def test_stage_from_script_rejects_unknown_mode():

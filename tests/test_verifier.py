@@ -15,11 +15,13 @@ import pytest
 
 from covenant import verifier
 from covenant.errors import IntegrityError, ScopeTooLarge, UnknownIdentifier
+from covenant.deontic import TokenState
 from covenant.reference import (
     PROP_ACCOUNTABILITY,
     PROP_AUTHORITY,
     PROP_PROHIBITION,
     PROP_SAFETY,
+    ReferenceEngine,
 )
 from covenant.runtime import (
     KIND_ACTION_REQUEST,
@@ -872,6 +874,50 @@ def test_both_engines_refuse_agents_and_principals_named_like_another_party():
     final = [schema.name for schema in fx.alphabet].index("p1_final")
     flagged = Counter(prop for violations in expected.values() for prop, _ in violations)
     assert flagged == {PROP_SAFETY: sum(trace.count(final) for trace in expected)}
+
+
+FORMER_AGENT_SOURCE = """\
+community Registry {
+  role Officer: human [0..2];
+
+  contract Rules {
+    allow Officer: declare_permit, revoke;
+  }
+}
+"""
+
+# an Officer declares a permit and leaves; its name may not become a principal's,
+# so no agent acts for it and none may revoke its permit
+_FORMER_AGENT_EVENTS = """\
+bind_ann: bind Officer ann human Hospital
+declare: speech_act ann declare_permit action=approve holder=Officer
+unbind_ann: unbind Officer ann
+register_ann: register_principal ann
+bind_bob: bind Officer bob human ann
+bob_revokes: speech_act bob revoke select=permit:approve:HELD
+"""
+
+
+def test_neither_engine_lets_a_former_agents_name_become_a_principal():
+    template, events = parse_spec(FORMER_AGENT_SOURCE), parse_script(_FORMER_AGENT_EVENTS)
+    c = instantiate_community(template, owner=Principal("Hospital", "Hospital"))
+    assert [apply_schema(c, schema) for schema in events] == [
+        "ok", "accepted", "ok", "raised:NameCollision", "raised:UnknownPrincipal", "rejected:UnknownAgent",
+    ]
+    (permit,) = c.tokens
+    assert (permit.issuer, permit.state) == ("ann", TokenState.HELD)
+    assert not c.is_principal("ann")
+    # bound for ann by force, bob still does not act for ann's permit
+    c.force_bind("Officer", "bob", "human", "ann")
+    assert apply_schema(c, events[-1]) == "rejected:NotIssuer"
+    assert c.tokens.get(permit.id).state is TokenState.HELD
+
+    engine = ReferenceEngine(template, MODE_AUTONOMOUS, "Hospital", ())
+    for position, schema in enumerate(events):
+        engine.apply_schema(schema, position)
+    assert engine.principals == {"Hospital"}
+    assert [b["agent"] for b in engine.bindings] == []
+    assert [(t["issuer"], t["state"]) for t in engine.tokens.values()] == [("ann", "HELD")]
 
 
 TOKEN_TYPES_SOURCE = """\
