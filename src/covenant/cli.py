@@ -21,7 +21,7 @@ from .errors import (
     ScriptError,
     UnknownIdentifier,
 )
-from .runtime import MODE_AUTONOMOUS, MODES, import_log
+from .runtime import MODE_AUTONOMOUS, MODES, check_community, import_log
 from .scenarios import (
     ScenarioReport,
     built_in_scenarios,
@@ -35,7 +35,7 @@ from .scenarios import (
 )
 from .spec_lang import format_spec, parse_spec
 from .spec_lang.validate import SEVERITY_ERROR, validate_template
-from .verifier import PropertySpec, run_checks
+from .verifier import PROPERTY_NAMES, PropertySpec, run_checks
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -119,6 +119,8 @@ def _property_spec(args: argparse.Namespace) -> PropertySpec:
 def _cmd_verify(args: argparse.Namespace) -> int:
     _header, records = import_log(_read(args.trace))
     template = parse_spec(_read(args.spec)) if args.spec else None
+    if template is not None:
+        check_community(records, template)
     spec = _property_spec(args)
     violations = run_checks(records, (spec,), template)
     lines = [v.to_line() for v in violations]
@@ -178,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="built-in scenario name")
     p.add_argument(
         "--inject",
-        choices=("safety", "authority", "prohibition", "accountability"),
+        choices=tuple(PROPERTY_NAMES.values()),
         help="run the mutated variant that violates the given property",
     )
     p.add_argument("--spec", help="community spec for an ad-hoc script run")
@@ -193,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--property",
         required=True,
-        choices=("safety", "authority", "prohibition", "accountability"),
+        choices=tuple(PROPERTY_NAMES.values()),
     )
     p.add_argument("--action", help="action the property constrains")
     p.add_argument("--burden", help="guard burden action (safety)")

@@ -128,6 +128,11 @@ def _caller_json(value: object) -> str:
         return _checked_caller_json(value)
 
 
+# an export's header, as json.dumps(..., separators=(",", ":")) wrote it, around the
+# community name, which the prebuilt encoder writes (keys unsorted) as json.dumps does
+_HEADER_START = f'{{"format":{_str_json(EXPORT_FORMAT)},"digest":{_str_json(DIGEST_NAME)},"community":'
+_header_json = json.JSONEncoder(separators=(",", ":")).encode
+
 _decoder = json.JSONDecoder()
 # json.loads on a str, without its per-call type and keyword checks
 _decode_json = _decoder.decode
@@ -1124,14 +1129,7 @@ class CommunityInstance:
 
     def export_log(self) -> str:
         with self._lock:
-            header = json.dumps(
-                {
-                    "format": EXPORT_FORMAT,
-                    "digest": DIGEST_NAME,
-                    "community": self.template.name,
-                },
-                separators=(",", ":"),
-            )
+            header = f"{_HEADER_START}{_header_json(self.template.name)}}}"
             # one list, joined once: the empty last item writes the final newline
             return "\n".join([header, *(r.to_line() for r in self._records), ""])
 
@@ -1331,6 +1329,14 @@ def import_log(text: str) -> tuple[dict, tuple[AuditRecord, ...]]:
     return header, _CheckedLog(records)
 
 
+def check_community(records: Sequence[AuditRecord], template: CommunityTemplate) -> None:
+    """Raise InvalidTemplate if the log starts with a genesis record of another community."""
+    if records and records[0].kind == KIND_GENESIS:
+        community = records[0].detail.get("community")
+        if community != template.name:
+            raise InvalidTemplate(f"log is for community {community!r}, not {template.name!r}")
+
+
 # what re-executing a tampered record can raise; replay reports each as an IntegrityError
 _REEXECUTION_ERRORS = (GovernanceError, InvalidTemplate, KeyError, TypeError, ValueError)
 
@@ -1364,11 +1370,8 @@ def replay(
         records = _CheckedLog(records)
     if not records or records[0].kind != KIND_GENESIS:
         raise IntegrityError("export does not start with a genesis record", 0)
+    check_community(records, template)
     genesis = records[0].detail
-    if genesis.get("community") != template.name:
-        raise InvalidTemplate(
-            f"log is for community {genesis.get('community')!r}, not {template.name!r}"
-        )
     instance = CommunityInstance.__new__(CommunityInstance)
     instance._replay_input = records  # before __init__ writes event 0
     try:

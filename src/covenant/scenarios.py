@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import shlex
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from functools import cache
 from typing import Iterable
 
 from .deontic import TokenState
@@ -50,6 +50,7 @@ from .verifier import (
     PROP_AUTHORITY,
     PROP_PROHIBITION,
     PROP_SAFETY,
+    PROPERTY_NAMES,
     PropertySpec,
     TraceMonitor,
     apply_schema,
@@ -353,57 +354,38 @@ def parse_script(text: str) -> tuple[EventSchema, ...]:
     return tuple(events)
 
 
-# one parsed template per distinct stage source, filled on first use. A
-# template is immutable and every instance only reads it, so all runs of all
-# stages with the same source share one; `parse_spec` is looked up at call
-# time, so a wrapper put on the module attribute sees each miss
-_TEMPLATES: dict[str, CommunityTemplate] = {}
+# Where every run of a stage starts, built on first use and kept for the life
+# of the process. Each function looks up `parse_spec`, `instantiate_community`
+# and `TraceMonitor` at call time, so a wrapper put on the module attribute
+# sees each miss. Threads that miss at once may each build a value; all alike.
 
 
+@cache
 def _template(source: str) -> CommunityTemplate:
-    template = _TEMPLATES.get(source)
-    if template is None:
-        template = _TEMPLATES[source] = parse_spec(source)
-    return template
+    return parse_spec(source)
 
 
-# one freshly instantiated community per distinct stage setup, filled on first
-# use. Its genesis and policy tokens read only the template and the setup, so
-# every run starts from a clone of it, which shares the finished records and
-# the immutable tokens; the prototype itself is never run or handed out.
-# Threads that miss at once each build one and the last stored stays: all
-# hold the same state. `instantiate_community` is looked up at call time, as
-# `parse_spec` is above
-_PROTOTYPES: dict[tuple, CommunityInstance] = {}
-
-# one monitor per stage setup and property list, filled on first use: it folds
-# the prototype's records and is stored only once it has folded them all, so
-# no thread sees it half fed. Each run checks its stage with a clone of it, fed
-# as the stage's events are logged; the kept monitor itself is never fed again
-_MONITORS: dict[tuple, TraceMonitor] = {}
+@cache
+def _prototype(source: str, mode: str, owner: str, disciplines: tuple) -> CommunityInstance:
+    # its genesis and policy tokens read only the template and the setup, so
+    # every run starts from a clone of it; the prototype itself is never run
+    return instantiate_community(_template(source), mode, Principal(owner, owner), dict(disciplines))
 
 
-def _fresh_instance(
-    stage: Stage, template: CommunityTemplate
-) -> tuple[CommunityInstance, TraceMonitor]:
+@cache
+def _genesis_monitor(setup: tuple, properties: tuple[PropertySpec, ...]) -> TraceMonitor:
+    # cached only once it returns, so no run clones it half fed; never fed again
+    monitor = TraceMonitor(properties, _template(setup[0]))
+    for record in _prototype(*setup).records():
+        monitor.feed(record)
+    return monitor
+
+
+def _fresh_instance(stage: Stage) -> tuple[CommunityInstance, TraceMonitor]:
     """A clone of the stage's prototype, and a monitor of the stage's properties attached to it."""
     setup = (stage.source, stage.mode, stage.owner, stage.disciplines)
-    prototype = _PROTOTYPES.get(setup)
-    if prototype is None:
-        prototype = _PROTOTYPES[setup] = instantiate_community(
-            template,
-            mode=stage.mode,
-            owner=Principal(stage.owner, stage.owner),
-            object_disciplines=dict(stage.disciplines),
-        )
-    checks = (setup, stage.properties)
-    monitor = _MONITORS.get(checks)
-    if monitor is None:
-        monitor = TraceMonitor(stage.properties, template)
-        for record in prototype.records():
-            monitor.feed(record)
-        _MONITORS[checks] = monitor
-    instance, monitor = prototype.clone(), monitor.clone()
+    instance = _prototype(*setup).clone()
+    monitor = _genesis_monitor(setup, stage.properties).clone()
     instance.add_listener(monitor.feed)
     return instance, monitor
 
@@ -728,7 +710,7 @@ def _preflight(stage: Stage, template: CommunityTemplate) -> None:
 
 
 def _execute_stage(stage: Stage, template: CommunityTemplate) -> StageReport:
-    instance, monitor = _fresh_instance(stage, template)
+    instance, monitor = _fresh_instance(stage)
     outcomes: list[tuple[str, str]] = []
     ranges: list[tuple[str, int, int]] = []
     for ev in stage.script:
@@ -737,8 +719,9 @@ def _execute_stage(stage: Stage, template: CommunityTemplate) -> StageReport:
         ranges.append((ev.name, lo + 1, instance.head_seq))
 
     records = instance.records()
-    # the monitor has seen every record, so this is what run_checks finds
-    found = sorted(monitor.violations, key=attrgetter("at_seq", "property"))
+    # the monitor has seen every record in seq order, and each record's hits
+    # sorted, so this is what run_checks finds, in its order
+    found = monitor.violations
 
     def label_of(at_seq: int) -> str:
         for label, lo, hi in ranges:
@@ -788,13 +771,6 @@ def run_stage(stage: Stage) -> StageReport:
 
 # ----------------------------------------------------------------------
 # violation injection (mutation testing of the verifier)
-
-_ALIASES = {
-    PROP_SAFETY: "safety",
-    PROP_AUTHORITY: "authority",
-    PROP_PROHIBITION: "prohibition",
-    PROP_ACCOUNTABILITY: "accountability",
-}
 
 _GUARD_CLAUSE = "\n    requires discharged burden(verify_consent, ConsentManager)"
 
@@ -942,17 +918,17 @@ _MUTATIONS = {
 
 def inject_violation(scenario: Scenario, kind: str) -> Scenario:
     """A minimally mutated copy whose run violates exactly the given template."""
-    if kind in _ALIASES.values():
-        kind = next(k for k, v in _ALIASES.items() if v == kind)
-    if kind not in _ALIASES:
+    if kind in PROPERTY_NAMES.values():
+        kind = next(k for k, v in PROPERTY_NAMES.items() if v == kind)
+    if kind not in PROPERTY_NAMES:
         raise CannotInject(f"unknown property template {kind!r}")
     mutation = _MUTATIONS.get((scenario.name, kind))
     if mutation is None:
         raise CannotInject(
-            f"scenario {scenario.name!r} has no construct for a {_ALIASES[kind]} violation"
+            f"scenario {scenario.name!r} has no construct for a {PROPERTY_NAMES[kind]} violation"
         )
     mutate, args = mutation
-    return replace(mutate(scenario, *args), name=f"{scenario.name}__{_ALIASES[kind]}")
+    return replace(mutate(scenario, *args), name=f"{scenario.name}__{PROPERTY_NAMES[kind]}")
 
 
 # ----------------------------------------------------------------------

@@ -56,6 +56,15 @@ from .spec_lang.ast import (
 )
 
 
+# each property template's short name, as `inject_violation` and the CLI take it
+PROPERTY_NAMES = {
+    PROP_SAFETY: "safety",
+    PROP_AUTHORITY: "authority",
+    PROP_PROHIBITION: "prohibition",
+    PROP_ACCOUNTABILITY: "accountability",
+}
+
+
 @dataclass(frozen=True)
 class PropertySpec:
     """One property template plus its parameters."""

@@ -197,6 +197,35 @@ def test_verify_authority_reads_the_role_from_the_spec(tmp_path, capsys):
     assert capsys.readouterr().err == "error: role 'Nurse' is not declared\n"
 
 
+
+def test_verify_refuses_a_spec_for_another_community(tmp_path, capsys):
+    run_happy(tmp_path)
+    trace = tmp_path / "happy_path.0.DataAccessCommunity.audit"
+    clinic, matching = tmp_path / "clinic.community", tmp_path / "matching.community"
+    clinic.write_text(GOOD_SPEC, encoding="utf-8")
+    matching.write_text(LAYER2_SOURCE, encoding="utf-8")
+    capsys.readouterr()
+
+    def verify(spec, *args):
+        return main(["verify", "--trace", str(trace), "--spec", str(spec), *args])
+
+    def refused(community):
+        return ("", f"error: log is for community 'DataAccessCommunity', not '{community}'\n")
+
+    assert verify(clinic, "--property", "accountability") == EXIT_USAGE
+    assert capsys.readouterr() == refused("Clinic")
+    authority = ("--property", "authority", "--action", "read_demographics", "--role", "Physician")
+    assert verify(matching, *authority) == EXIT_USAGE
+    assert capsys.readouterr() == refused("MatchingWorkflowCommunity")
+    # the community is read from the chained genesis record, not from the header
+    text = trace.read_text(encoding="utf-8")
+    trace.write_text(text.replace('"community":"DataAccessCommunity"}', '"community":"Clinic"}', 1), encoding="utf-8")
+    assert verify(clinic, "--property", "accountability") == EXIT_USAGE
+    assert capsys.readouterr() == refused("Clinic")
+    trace = _rechained(tmp_path, 0, _with(community="Clinic"))
+    capsys.readouterr()
+    assert verify(clinic, "--property", "accountability") == EXIT_OK
+
 def test_verify_needs_property_parameters(tmp_path, capsys):
     run_happy(tmp_path)
     trace = tmp_path / "happy_path.0.DataAccessCommunity.audit"

@@ -49,6 +49,7 @@ from covenant.runtime import (
     Principal,
     SpeechAct,
     canonical_json,
+    check_community,
     import_log,
     instantiate_community,
     parse_export,
@@ -58,7 +59,7 @@ from covenant.runtime import (
 )
 from covenant.scenarios import built_in_scenarios, inject_violation, run_scenario
 from covenant.spec_lang import parse_spec
-from covenant.spec_lang.ast import RoleKind, SpeechActKind
+from covenant.spec_lang.ast import CommunityTemplate, RoleKind, SpeechActKind
 from covenant.verifier import PropertySpec, TraceMonitor, run_checks
 
 WARD_SOURCE = """\
@@ -803,6 +804,29 @@ def test_export_parses_and_chain_verifies():
     verify_chain(records)
     assert [r.seq for r in records] == list(range(len(records)))
 
+
+
+@pytest.mark.parametrize(
+    "name",
+    ['Ward "B"', "Ward\\B", "Station Ä 病棟", "Ward\x07", 7, None, ["Ward", 2], {"b": 1, "a": 2}],
+    ids=["quote", "backslash", "non_ascii", "control_character", "int", "null", "list", "unsorted_object"],
+)
+def test_the_export_header_is_what_json_dumps_writes(name):
+    c = instantiate_community(CommunityTemplate(name), MODE_AUTONOMOUS, Principal("Clinic", "Clinic"), {})
+    header = c.export_log().split("\n", 1)[0]
+    fields = {"format": "covenant-audit/1", "digest": "sha256", "community": name}
+    assert header == json.dumps(fields, separators=(",", ":"))
+
+
+def test_check_community_reads_the_genesis_record_only():
+    _header, records = parse_export(drive_sample_history(staffed_ward()).export_log())
+    check_community(records, parse_spec(WARD_SOURCE))
+    desk = CommunityTemplate("Desk")
+    with pytest.raises(InvalidTemplate, match="^log is for community 'Ward', not 'Desk'$"):
+        check_community(records, desk)
+    # a log that does not start with a genesis record, or holds none, names no community
+    check_community(records[1:], desk)
+    check_community([], desk)
 
 def test_replay_reproduces_states_and_bytes():
     c = drive_sample_history(staffed_ward())

@@ -478,6 +478,18 @@ def _fresh_state(source, mode, owner, disciplines):
     )
 
 
+def _cached(cached, *args):
+    """What a stage cache holds for `args`; a lookup that would build anew fails."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError(f"{cached.__name__}{args!r} is not cached")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "instantiate_community", refuse)
+        patch.setattr(scenarios, "TraceMonitor", refuse)
+        return cached(*args)
+
+
 def test_each_stage_setup_is_instantiated_once(monkeypatch):
     calls = []
     instantiate = scenarios.instantiate_community
@@ -513,7 +525,7 @@ def test_no_run_changes_a_prototype():
     setups = {(stage.source, stage.mode, stage.owner, stage.disciplines) for stage in stages}
     assert len(setups) == 6
     for setup in setups:
-        assert _setup_state(scenarios._PROTOTYPES[setup]) == _fresh_state(*setup)
+        assert _setup_state(_cached(scenarios._prototype, *setup)) == _fresh_state(*setup)
 
 
 def test_four_threads_running_one_stage_match_a_single_threaded_run():
@@ -550,7 +562,7 @@ def test_four_threads_running_one_stage_match_a_single_threaded_run():
             alone.violations,
         )
     setup = (stage.source, stage.mode, stage.owner, stage.disciplines)
-    assert _setup_state(scenarios._PROTOTYPES[setup]) == _fresh_state(*setup)
+    assert _setup_state(_cached(scenarios._prototype, *setup)) == _fresh_state(*setup)
 
 
 def test_each_stage_finds_what_run_checks_finds_in_its_records():
@@ -574,9 +586,9 @@ def test_each_stage_finds_what_run_checks_finds_in_its_records():
     setup = (happy.source, happy.mode, happy.owner, happy.disciplines)
     for properties in (happy.properties, authority.properties):
         fresh = TraceMonitor(properties, scenarios._template(happy.source))
-        for record in scenarios._PROTOTYPES[setup].records():
+        for record in _cached(scenarios._prototype, *setup).records():
             fresh.feed(record)
-        kept = scenarios._MONITORS[setup, properties]
+        kept = _cached(scenarios._genesis_monitor, setup, properties)
         assert (kept.violations, kept._tokens.states()) == (fresh.violations, fresh._tokens.states())
 
 
