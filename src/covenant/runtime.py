@@ -97,6 +97,12 @@ _CREATED_MODALITY = {
 
 
 _str_json = json.encoder.encode_basestring_ascii  # a str as JSONEncoder writes it
+
+
+def _int_list(ids: Sequence[int]) -> str:
+    """A sequence of exact ints, as JSONEncoder writes it."""
+    return f'[{",".join(map(str, ids))}]'
+
 # The canonical encoder, built once: JSONEncoder.encode builds a C encoder and a
 # dict of circular markers on every call. The arguments are those encode passes
 # for sort_keys=True, separators=(",", ":"), allow_nan=False, except that markers
@@ -141,6 +147,23 @@ _decode_json = _decoder.decode
 # boundary encoder writes one value and no whitespace, so its text is read
 # back with the scanner alone
 _scan_json = _decoder.scan_once
+
+
+# the types of a flat payload's values: JSON writes each as the value it decodes to writes it
+_FLAT_VALUE_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _is_flat(payload: dict) -> bool:
+    """Whether `payload`'s canonical JSON is that of its decoded copy.
+
+    So it is where each key is an exact str and each value is an exact str, int,
+    float, bool or None. An integer key sorts as a number but decodes as a
+    string, and a str subclass may sort otherwise than its text.
+    """
+    for key, value in payload.items():
+        if type(key) is not str or type(value) not in _FLAT_VALUE_TYPES:
+            return False
+    return True
 
 
 # How a field of CALLER_FIELDS may be sent: REQUIRED, present; NULLABLE, absent,
@@ -223,7 +246,8 @@ class AuditRecord:
     make a new record (`dataclasses.replace(record, detail=...)` encodes the
     new detail). `encoded_detail` passes in a text the caller already holds.
     A field of another type than declared (a bool seq too) raises TypeError:
-    this is the one check of a record's types.
+    this is the one check of a record's types. The runtime's own records skip
+    it (`_written_record`), since their writers fix each field's type.
     """
 
     seq: int
@@ -257,6 +281,34 @@ class AuditRecord:
             f'"detail":{self.detail_json},"prev_hash":{_str_json(self.prev_hash)},'
             f'"hash":{_str_json(self.hash)}}}'
         )
+
+
+# the setter of each field's slot: they set a field as the generated __init__
+# does, but without the frozen class's __setattr__ and without __post_init__
+(_set_seq, _set_kind, _set_actor, _set_detail, _set_prev_hash, _set_hash, _set_detail_json) = (
+    AuditRecord.__dict__[name].__set__
+    for name in ("seq", "kind", "actor", "detail", "prev_hash", "hash", "detail_json")
+)
+
+
+def _written_record(
+    seq: int, kind: str, actor: str | None, detail: dict, prev_hash: str, digest: str, detail_json: str
+) -> AuditRecord:
+    """The AuditRecord of these fields, made without its type checks.
+
+    For the runtime's own records only: their writers give each field its
+    declared type, and record_digest, which runs first, has taken each string
+    as a string.
+    """
+    record = object.__new__(AuditRecord)
+    _set_seq(record, seq)
+    _set_kind(record, kind)
+    _set_actor(record, actor)
+    _set_detail(record, detail)
+    _set_prev_hash(record, prev_hash)
+    _set_hash(record, digest)
+    _set_detail_json(record, detail_json)
+    return record
 
 
 @dataclass(frozen=True)
@@ -550,15 +602,14 @@ class CommunityInstance:
 
         with self:
             self._begin_event()
+            owner_detail = {"id": owner.id, "name": owner.name, "kind": owner.kind}
+            disciplines = {o.name: o.discipline for o in self.objects.values()}
             self._append(
                 KIND_GENESIS,
                 None,
-                {
-                    "community": template.name,
-                    "mode": mode,
-                    "owner": {"id": owner.id, "name": owner.name, "kind": owner.kind},
-                    "disciplines": {o.name: o.discipline for o in self.objects.values()},
-                },
+                {"community": template.name, "mode": mode, "owner": owner_detail, "disciplines": disciplines},
+                f'{{"community":{canonical_json(template.name)},"disciplines":{canonical_json(disciplines)},',
+                f',"mode":{canonical_json(mode)},"owner":{canonical_json(owner_detail)}}}',
             )
             for policy in template.policies:
                 holder = deontic.holder_for_name(self, policy.target)
@@ -631,19 +682,22 @@ class CommunityInstance:
     # ------------------------------------------------------------------
     # audit plumbing
 
-    def _append(
-        self, kind: str, actor: str | None, detail: dict, text: str | None = None
-    ) -> AuditRecord:
-        """Log `detail`; `text`, if given, is its canonical JSON, event number included."""
-        if text is None:
-            detail["event"] = self._event_counter - 1  # the event last begun
-            text = canonical_json(detail)
+    def _append(self, kind: str, actor: str | None, detail: dict, head: str, tail: str) -> AuditRecord:
+        """Log `detail` with the number of the event last begun as its "event".
+
+        The detail's canonical JSON is `head`, that member, then `tail`: its
+        writer wrote each other member, in key order, from the values it put
+        in `detail`. `head` ends in "{" or ",", and `tail` starts with "," or "}".
+        """
+        event = self._event_counter - 1
+        detail["event"] = event
+        text = f'{head}"event":{event}{tail}'
         prev = self._records[-1].hash if self._records else GENESIS_PREV_HASH
         seq = self._next_seq
         inputs = self._replay_input
         if inputs is None:
             digest = record_digest(prev, seq, kind, actor, text)
-            record = AuditRecord(seq, kind, actor, detail, prev, digest, text)
+            record = _written_record(seq, kind, actor, detail, prev, digest, text)
         else:  # a replay's shadow keeps the input record it confirms
             # the input chains, so the record at seq carries the digest of its own
             # fields; _record_at confirms that they are the ones written here, and
@@ -662,19 +716,56 @@ class CommunityInstance:
 
     # Record writers. Every token transition, verdict, escalation and speech
     # act record is written by exactly one of these, so each kind has one shape.
+    # Each builds its detail and, from the same values, that detail's canonical
+    # JSON but for the event number, which _append writes: a string with
+    # _str_json (never format(), which a str subclass overrides), an int as the
+    # exact int the runtime or _check_fields allows, and a value the caller
+    # shaped, nested or of a type no check fixed, with canonical_json.
 
-    def _transition(self, token: Token, frm: TokenState, to: TokenState, **extra) -> AuditRecord:
-        detail = {"token": token.id, "from": frm.value, "to": to.value, **extra}
-        return self._append(KIND_TOKEN_TRANSITION, None, detail)
+    def _transition(
+        self,
+        token: Token,
+        frm: TokenState,
+        to: TokenState,
+        *,
+        by: str | None = None,
+        deadline: int | None = None,
+        evidence: int | None = None,
+        holder: dict | None = None,
+        link: dict | None = None,
+        target: str | None = None,
+    ) -> AuditRecord:
+        detail = {"token": token.id, "from": frm.value, "to": to.value}
+        head = "{"
+        if by is not None:
+            detail["by"] = by
+            head += f'"by":{_str_json(by)},'
+        if deadline is not None:
+            detail["deadline"] = deadline
+            head += f'"deadline":{deadline},'
+        tail = ""
+        if evidence is not None:
+            detail["evidence"] = evidence
+            tail = f',"evidence":{evidence}'
+        tail += f',"from":{_str_json(frm.value)}'
+        if holder is not None:  # a delegation's return to HELD: the new holder and link
+            detail["holder"], detail["link"] = holder, link
+            tail += f',"holder":{canonical_json(holder)},"link":{canonical_json(link)}'
+        if target is not None:
+            detail["target"] = target
+            tail += f',"target":{_str_json(target)}'
+        tail += f',"to":{_str_json(to.value)},"token":{token.id}}}'
+        return self._append(KIND_TOKEN_TRANSITION, None, detail, head, tail)
 
     def _log_token_created(self, token: Token, origin: str) -> AuditRecord:
+        holder = token.holder
         detail = {
             "token": token.id,
             "from": "CREATED",
             "to": "HELD",
             "modality": token.modality.value,
             "action": token.action,
-            "holder": token.holder.to_detail(),
+            "holder": holder.to_detail(),
             "issuer": token.issuer,
             "chain_head": token.chain.head,
             "origin": origin,
@@ -689,7 +780,25 @@ class CommunityInstance:
             detail["unless_action"] = token.unless_action
         if token.unless_target is not None:
             detail["unless_target"] = token.unless_target
-        return self._append(KIND_TOKEN_TRANSITION, None, detail)
+        head = f'{{"action":{_str_json(token.action)},"chain_head":{_str_json(token.chain.head)},'
+        if token.deadline is not None:
+            head += f'"deadline":{token.deadline},'
+        tail = (
+            f',"from":"CREATED"'
+            f',"holder":{{"kind":{_str_json(holder.kind.value)},"name":{_str_json(holder.name)}}}'
+            f',"issuer":{_str_json(token.issuer)},"modality":{_str_json(token.modality.value)}'
+            f',"origin":{_str_json(origin)}'
+        )
+        if token.requires_action is not None:
+            tail += f',"requires":{_str_json(token.requires_action)}'
+        if token.subject is not None:
+            tail += f',"subject":{_str_json(token.subject)}'
+        tail += f',"to":"HELD","token":{token.id}'
+        if token.unless_action is not None:
+            tail += f',"unless_action":{_str_json(token.unless_action)}'
+        if token.unless_target is not None:
+            tail += f',"unless_target":{_str_json(token.unless_target)}'
+        return self._append(KIND_TOKEN_TRANSITION, None, detail, head, tail + "}")
 
     def _log_verdict(
         self,
@@ -712,7 +821,20 @@ class CommunityInstance:
             detail["subject"] = subject
         if approved_by is not None:
             detail["approved_by"] = approved_by
-        return self._append(KIND_VERDICT, None, detail)
+        head = f'{{"action":{_str_json(action)},"actor":{_str_json(actor)},'
+        if approved_by is not None:
+            head += f'"approved_by":{_str_json(approved_by)},'
+        if blockers:
+            head += f'"blockers":{_int_list(blockers)},'
+        tail = f',"outcome":{_str_json(outcome)}'
+        if permits:
+            tail += f',"permits":{_int_list(permits)}'
+        if reason is not None:
+            tail += f',"reason":{_str_json(reason)}'
+        tail += f',"request":{request}'
+        if subject is not None:
+            tail += f',"subject":{_str_json(subject)}'
+        return self._append(KIND_VERDICT, None, detail, head, tail + "}")
 
     def _review_burden(
         self, condition: str, issuer: str, subject: str | None = None
@@ -737,24 +859,41 @@ class CommunityInstance:
     ) -> None:
         """Log an escalation and the review burden it opened, if any."""
         detail: dict = {"condition": condition, "agent": agent}
+        head, tail = f'{{"agent":{_str_json(agent)},', ""
         if request is not None:
             detail["request"] = request
+            tail = f',"request":{request}'
         if burden is not None:
             detail.update(to_role=burden.holder.name, burden=burden.id)
-        self._append(KIND_ESCALATION, agent, detail)
+            head += f'"burden":{burden.id},'
+            tail += f',"to_role":{_str_json(burden.holder.name)}'
+        head += f'"condition":{canonical_json(condition)},'
+        self._append(KIND_ESCALATION, agent, detail, head, tail + "}")
         if burden is not None:
             self._log_token_created(burden, origin="escalation")
 
     def _log_act(
-        self, sender: str, kind: SpeechActKind, payload: dict, rejected_for: str | None = None
+        self,
+        sender: str,
+        kind: SpeechActKind,
+        payload: dict,
+        payload_json: str | None,
+        rejected_for: str | None = None,
     ) -> AuditRecord:
+        """Log a speech act; `payload_json` is the payload's canonical JSON, or None to encode it here."""
+        if payload_json is None:
+            payload_json = canonical_json(payload)
         detail: dict = {"kind": kind.value, "payload": payload}
+        tail = f',"kind":{_str_json(kind.value)},"payload":{payload_json}'
         if rejected_for is not None:
             detail.update(rejected=True, reason=rejected_for)
-        return self._append(KIND_SPEECH_ACT, sender, detail)
+            tail += f',"reason":{_str_json(rejected_for)},"rejected":true'
+        return self._append(KIND_SPEECH_ACT, sender, detail, "{", tail + "}")
 
-    def _reject(self, sender: str, kind: SpeechActKind, payload: dict, reason: str) -> ApplyResult:
-        return ApplyResult(False, reason, self._log_act(sender, kind, payload, reason).seq)
+    def _reject(
+        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str | None, reason: str
+    ) -> ApplyResult:
+        return ApplyResult(False, reason, self._log_act(sender, kind, payload, payload_json, reason).seq)
 
     # ------------------------------------------------------------------
     # principals and bindings
@@ -780,6 +919,9 @@ class CommunityInstance:
                     "name": principal.name,
                     "kind": principal.kind,
                 },
+                "{",
+                f',"event_type":"register_principal","kind":{_str_json(principal.kind)}'
+                f',"name":{_str_json(principal.name)},"principal":{_str_json(principal.id)}}}',
             )
             return principal
 
@@ -830,20 +972,21 @@ class CommunityInstance:
             raise CardinalityExceeded(
                 f"role {role!r} already has {count} of at most {decl.max_card} fillers"
             )
+        # the text comes before the event: a role the lookup found need not be a
+        # string, and then nothing is bound or numbered
+        head = f'{{"agent":{_str_json(agent)},"agent_kind":{_str_json(kind.value)},'
+        tail = f',"event_type":"bind","principal":{_str_json(principal)},"role":{_str_json(role)}}}'
         self._begin_event()
         binding = RoleBinding(role, agent, kind, principal, self._next_seq)
         self._bindings.add(binding)
-        self._append(
-            KIND_BINDING,
-            agent,
-            {
-                "event_type": "bind",
-                "role": role,
-                "agent": agent,
-                "agent_kind": kind.value,
-                "principal": principal,
-            },
-        )
+        detail = {
+            "event_type": "bind",
+            "role": role,
+            "agent": agent,
+            "agent_kind": kind.value,
+            "principal": principal,
+        }
+        self._append(KIND_BINDING, agent, detail, head, tail)
         return binding
 
     def unbind_agent(self, role: str, agent: str) -> None:
@@ -852,10 +995,13 @@ class CommunityInstance:
                 raise UnknownRole(f"role {role!r} is not declared")
             if not self._bindings.has_role(agent, role):
                 raise UnknownAgent(f"agent {agent!r} does not fill role {role!r}")
+            # the text comes before the event: the role and agent were only looked up
+            head = f'{{"agent":{_str_json(agent)},'
+            tail = f',"event_type":"unbind","role":{_str_json(role)}}}'
             self._begin_event()
             self._bindings.remove(role, agent)
             detail = {"event_type": "unbind", "role": role, "agent": agent}
-            self._append(KIND_BINDING, agent, detail)
+            self._append(KIND_BINDING, agent, detail, head, tail)
 
     # ------------------------------------------------------------------
     # deployment mode
@@ -868,7 +1014,8 @@ class CommunityInstance:
             self._begin_event()
             previous = self.mode
             self.mode = mode
-            self._append(KIND_MODE_CHANGE, by, {"from": previous, "to": mode})
+            tail = f',"from":{canonical_json(previous)},"to":{canonical_json(mode)}}}'
+            self._append(KIND_MODE_CHANGE, by, {"from": previous, "to": mode}, "{", tail)
 
     # ------------------------------------------------------------------
     # actions
@@ -894,20 +1041,24 @@ class CommunityInstance:
                 request_detail["subject"] = subject
             if writes:
                 request_detail["effects"] = [w.to_detail() for w in writes]
-            request_detail["event"] = self._event_counter  # the event this request opens
             _check_fields(request_detail, "action_request")
-            encoded = _caller_json(request_detail)  # fail before the event if unloggable
+            head = f'{{"action":{_str_json(action)},'
             if writes:
-                # log and journal a copy: the caller may change its effect values later.
-                # The copy is encoded afresh: JSON makes integer keys strings, which
-                # sort otherwise ({2: …, 10: …} is checked as {"2":…,"10":…}, and the
-                # copy's canonical text is {"10":…,"2":…})
-                request_detail = _scan_json(encoded, 0)[0]
+                # log and journal a copy: the caller may change its effect values
+                # later. Encoding it fails before the event if it is unloggable. The
+                # copy's effects are encoded afresh: JSON makes integer keys strings,
+                # which sort otherwise ({2: …, 10: …} is checked as {"2":…,"10":…},
+                # and the copy's canonical text is {"10":…,"2":…}). The copy's "event"
+                # holds its key's place; _append gives it the event's number
+                request_detail["event"] = None
+                request_detail = _scan_json(_caller_json(request_detail), 0)[0]
                 writes = tuple(map(self._coerce_write, request_detail["effects"]))
-                encoded = None
+                head += f'"effects":{canonical_json(request_detail["effects"])},'
+            # _check_fields has shown the action and subject to be strings
+            tail = "}" if subject is None else f',"subject":{_str_json(subject)}}}'
 
             self._begin_event()
-            request = self._append(KIND_ACTION_REQUEST, actor, request_detail, encoded)
+            request = self._append(KIND_ACTION_REQUEST, actor, request_detail, head, tail)
 
             verdict = deontic.check_action_admissible(self.tokens, self, actor, action, subject)
             # only the advisory and supervised modes treat an AI actor apart
@@ -963,7 +1114,11 @@ class CommunityInstance:
             _check_fields(vars(act), "speech_act")
             # fails before the event if the payload cannot be logged; the copy it
             # returns is what replay reads back and shares nothing with the caller
-            payload = _scan_json(_caller_json(dict(act.payload)), 0)[0]
+            sent = dict(act.payload)
+            payload_json = _caller_json(sent)
+            payload = _scan_json(payload_json, 0)[0]
+            if not _is_flat(sent):
+                payload_json = None  # not the copy's canonical text: the copy is encoded as it is logged
 
             self._begin_event()
             reason = self._authorize(act.sender, kind)
@@ -971,12 +1126,12 @@ class CommunityInstance:
                 try:
                     _check_fields(payload, kind)
                 except TypeError:
-                    return self._reject(act.sender, kind, payload, "MalformedPayload")
+                    return self._reject(act.sender, kind, payload, payload_json, "MalformedPayload")
                 try:
-                    return self._dispatch(act.sender, kind, payload)
+                    return self._dispatch(act.sender, kind, payload, payload_json)
                 except GovernanceError as exc:
                     reason = exc.code
-            return self._reject(act.sender, kind, payload, reason)
+            return self._reject(act.sender, kind, payload, payload_json, reason)
 
     def _authorize(self, sender: str, kind: SpeechActKind) -> str | None:
         if not self.is_agent(sender):
@@ -988,9 +1143,14 @@ class CommunityInstance:
                     return None
         return UnauthorizedSpeechAct.__name__
 
-    def _dispatch(self, sender: str, kind: SpeechActKind, payload: dict) -> ApplyResult:
+    def _dispatch(
+        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str | None
+    ) -> ApplyResult:
+        """Apply an authorized act; `payload_json` is its payload's canonical JSON, or None."""
         if kind in _CREATED_MODALITY:
-            return self._act_create(sender, kind, payload)
+            return self._act_create(sender, kind, payload, payload_json)
+        # transfer, discharge and revoke log the payload fields they read, which
+        # _check_fields has shown to be a str and exact ints
         if kind is SpeechActKind.TRANSFER:
             return self._act_transfer(sender, payload)
         if kind is SpeechActKind.DISCHARGE:
@@ -998,12 +1158,14 @@ class CommunityInstance:
         if kind is SpeechActKind.REVOKE:
             return self._act_revoke(sender, payload)
         if kind in NEGOTIATION_KINDS:
-            return self._act_negotiation(sender, kind, payload)
+            return self._act_negotiation(sender, kind, payload, payload_json)
         if kind is SpeechActKind.ESCALATE:
-            return self._act_escalate(sender, payload)
+            return self._act_escalate(sender, payload, payload_json)
         raise RuntimeError(f"unhandled speech act kind {kind}")  # pragma: no cover
 
-    def _act_create(self, sender: str, kind: SpeechActKind, payload: dict) -> ApplyResult:
+    def _act_create(
+        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str | None
+    ) -> ApplyResult:
         if kind is SpeechActKind.GRANT:
             # grant = permit for one concrete agent; it takes a guard and nothing else
             grantee = payload["to"]
@@ -1025,14 +1187,15 @@ class CommunityInstance:
             self._next_seq,
             **{name: payload.get(name) for name in fields},
         )
-        record = self._log_act(sender, kind, payload)
+        record = self._log_act(sender, kind, payload, payload_json)
         self._log_token_created(token, origin="speech_act")
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     def _act_transfer(self, sender: str, payload: dict) -> ApplyResult:
         token_id, to = payload["token"], payload["to"]
         token = deontic.delegate_burden(self.tokens, self, token_id, sender, to, self._next_seq)
-        record = self._log_act(sender, SpeechActKind.TRANSFER, {"token": token_id, "to": to})
+        payload_json = f'{{"to":{_str_json(to)},"token":{token_id}}}'
+        record = self._log_act(sender, SpeechActKind.TRANSFER, {"token": token_id, "to": to}, payload_json)
         self._transition(token, TokenState.HELD, TokenState.DELEGATED, by=sender, target=to)
         self._transition(
             token,
@@ -1046,17 +1209,20 @@ class CommunityInstance:
     def _act_discharge(self, sender: str, payload: dict) -> ApplyResult:
         token_id, evidence = payload["token"], payload.get("evidence", self.head_seq)
         token = deontic.discharge_burden(self.tokens, self, token_id, sender, evidence, self.head_seq)
-        record = self._log_act(sender, SpeechActKind.DISCHARGE, {"token": token_id, "evidence": evidence})
+        payload_json = f'{{"evidence":{evidence},"token":{token_id}}}'
+        record = self._log_act(sender, SpeechActKind.DISCHARGE, {"token": token_id, "evidence": evidence}, payload_json)
         self._transition(token, TokenState.HELD, TokenState.DISCHARGED, by=sender, evidence=evidence)
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     def _act_revoke(self, sender: str, payload: dict) -> ApplyResult:
         token = deontic.revoke_token(self.tokens, self, payload["token"], sender)
-        record = self._log_act(sender, SpeechActKind.REVOKE, {"token": token.id})
+        record = self._log_act(sender, SpeechActKind.REVOKE, {"token": token.id}, f'{{"token":{token.id}}}')
         self._transition(token, TokenState.HELD, TokenState.REVOKED, by=sender)
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
-    def _act_negotiation(self, sender: str, kind: SpeechActKind, payload: dict) -> ApplyResult:
+    def _act_negotiation(
+        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str | None
+    ) -> ApplyResult:
         if kind in (SpeechActKind.ACCEPT, SpeechActKind.REJECT) and "request_seq" in payload:
             return self._decide_recommendation(sender, kind, payload)
 
@@ -1072,7 +1238,7 @@ class CommunityInstance:
                 raise ProtocolViolation("proposer cannot answer its own proposal")
             self._negotiation_proposer = sender if kind is SpeechActKind.COUNTER_PROPOSE else None
 
-        record = self._log_act(sender, kind, payload)
+        record = self._log_act(sender, kind, payload, payload_json)
         history = self.objects.get("NegotiationHistory")
         if history is not None:
             entry: dict = {"kind": kind.value, "by": sender}
@@ -1093,7 +1259,7 @@ class CommunityInstance:
             verb = "approve" if approve else "reject"
             raise ProtocolViolation(f"only a human may {verb} a recommendation")
         del self._pending[request_seq]
-        record = self._log_act(sender, kind, {"request_seq": request_seq})
+        record = self._log_act(sender, kind, {"request_seq": request_seq}, f'{{"request_seq":{request_seq}}}')
         if approve:
             subject = pending.subject
             try:
@@ -1113,14 +1279,14 @@ class CommunityInstance:
                 self.objects[write.object].apply(write)
         return ApplyResult(True, seq=record.seq)
 
-    def _act_escalate(self, sender: str, payload: dict) -> ApplyResult:
+    def _act_escalate(self, sender: str, payload: dict, payload_json: str | None) -> ApplyResult:
         condition = payload["condition"]
         # the burden comes before the event's first record, so a failure to
         # create it leaves a single rejected record, as every other act does
         burden = self._review_burden(condition, sender, payload.get("subject"))
         if burden is None:
-            return self._reject(sender, SpeechActKind.ESCALATE, payload, "no-escalation-rule")
-        record = self._log_act(sender, SpeechActKind.ESCALATE, payload)
+            return self._reject(sender, SpeechActKind.ESCALATE, payload, payload_json, "no-escalation-rule")
+        record = self._log_act(sender, SpeechActKind.ESCALATE, payload, payload_json)
         self._escalate(sender, condition, burden)
         return ApplyResult(True, seq=record.seq, token_id=burden.id)
 

@@ -121,19 +121,18 @@ def _sort_key(v: Violation) -> tuple[int, str]:
     return (v.at_seq, v.property)
 
 
+# the kinds whose records TraceMonitor._fold keeps something of
+_FOLDED_KINDS = frozenset({KIND_GENESIS, KIND_BINDING, KIND_TOKEN_TRANSITION})
+
 # members by spelling: cheaper than Enum.__call__, and an unknown spelling is a KeyError
 _STATES = {s.value: s for s in TokenState}
 _MODALITIES = {m.value: m for m in Modality}
 _HOLDER_KINDS = {k.value: k for k in HolderKind}
 
 
-def _is_admissible_verdict(record: AuditRecord) -> bool:
-    return record.kind == KIND_VERDICT and record.detail["outcome"] == OUTCOME_ADMISSIBLE
-
-
 # ----------------------------------------------------------------------
 # per-template checkers; each names in `kinds` the record kinds it reads, and
-# the monitor sends it no other record
+# the monitor sends it no other record, and no verdict but an admissible one
 
 
 class _SafetyChecker:
@@ -144,8 +143,6 @@ class _SafetyChecker:
         self.guard_burden = spec.param("guard_burden")
 
     def feed(self, record: AuditRecord, monitor: TraceMonitor) -> list[Violation]:
-        if not _is_admissible_verdict(record):
-            return []
         detail = record.detail
         if detail["action"] != self.guarded_action:
             return []
@@ -164,15 +161,15 @@ class _AuthorityChecker:
 
     def feed(self, record: AuditRecord, monitor: TraceMonitor) -> list[Violation]:
         detail = record.detail
-        if record.kind == KIND_TOKEN_TRANSITION and detail["to"] == "DISCHARGED":
+        if record.kind == KIND_VERDICT:
+            # a decision is made by discharging its burden; admitting it as an
+            # action bypasses the role, and no event both admits and discharges
+            if detail["action"] == self.decision_action:
+                return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
+        elif detail["to"] == "DISCHARGED":
             by, action = detail["by"], monitor._tokens.get(detail["token"]).action
             if action == self.decision_action and not monitor._bindings.has_role(by, self.authorized_role):
                 return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
-            return []
-        # a decision is made by discharging its burden; admitting it as an
-        # action bypasses the role, and no event both admits and discharges
-        if _is_admissible_verdict(record) and detail["action"] == self.decision_action:
-            return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
         return []
 
 
@@ -194,7 +191,7 @@ class _ProhibitionChecker:
 
     def feed(self, record: AuditRecord, monitor: TraceMonitor) -> list[Violation]:
         found: list[Violation] = []
-        if _is_admissible_verdict(record) and record.detail["action"] == self.action:
+        if record.kind == KIND_VERDICT and record.detail["action"] == self.action:
             if monitor._bindings.in_group(record.detail["actor"], self.group, self.template):
                 found.append(Violation(PROP_PROHIBITION, record.seq, (record.seq,)))
         # gap scan: the embargo must be HELD whenever a group member is bound.
@@ -280,9 +277,20 @@ class TraceMonitor:
         self.violations: list[Violation] = []
 
     def feed(self, record: AuditRecord) -> list[Violation]:
-        self._fold(record)
+        kind = record.kind
+        if kind == KIND_VERDICT:
+            detail = record.detail
+            # a checker reads these of an admissible verdict only, and may stop
+            # before the last; a verdict without one is malformed all the same
+            outcome, _, _ = detail["outcome"], detail["action"], detail["actor"]
+            if outcome != OUTCOME_ADMISSIBLE:
+                return []
+        elif kind in _FOLDED_KINDS:
+            self._fold(record)
+        else:  # no checker reads any other kind, and nothing of it is kept
+            return []
         found: list[Violation] = []
-        for checker in self._routes.get(record.kind, ()):
+        for checker in self._routes.get(kind, ()):
             hits = checker.feed(record, self)
             if hits:
                 found += hits
@@ -293,6 +301,7 @@ class TraceMonitor:
         return found
 
     def _fold(self, record: AuditRecord) -> None:
+        """Keep what a genesis, binding or token transition record tells."""
         detail = record.detail
         if record.kind == KIND_GENESIS:
             self._registered.add(detail["owner"]["id"])
@@ -308,10 +317,6 @@ class TraceMonitor:
                 self._bindings.remove(detail["role"], detail["agent"])
             else:
                 raise ValueError(f"unknown binding event {event_type!r}")
-        elif record.kind == KIND_VERDICT:
-            # a checker reads these of an admissible verdict only, and may stop
-            # before the last; a verdict without one is malformed all the same
-            detail["outcome"], detail["action"], detail["actor"]
         elif record.kind == KIND_TOKEN_TRANSITION:
             token_id, to = detail["token"], _STATES[detail["to"]]
             if detail["from"] != "CREATED":

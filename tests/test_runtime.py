@@ -38,6 +38,7 @@ from covenant.runtime import (
     KIND_BINDING,
     KIND_ESCALATION,
     KIND_GENESIS,
+    KIND_MODE_CHANGE,
     KIND_SPEECH_ACT,
     KIND_TOKEN_TRANSITION,
     KIND_VERDICT,
@@ -45,6 +46,7 @@ from covenant.runtime import (
     MODE_AUTONOMOUS,
     MODE_SUPERVISED,
     AuditRecord,
+    CommunityInstance,
     ObjectWrite,
     Principal,
     SpeechAct,
@@ -503,6 +505,16 @@ def test_malformed_payload_rejected():
     assert replay(parse_spec(WARD_SOURCE), text).export_log() == text
 
 
+class _LikeOfficer:
+    """Not a string, but a role lookup finds the role Officer under it."""
+
+    def __hash__(self):
+        return hash("Officer")
+
+    def __eq__(self, other):
+        return other == "Officer"
+
+
 @pytest.mark.parametrize(
     "submit, error",
     [
@@ -543,6 +555,8 @@ def test_malformed_payload_rejected():
         (lambda c: c.force_bind("Officer", None, "human", "Clinic"), TypeError),
         (lambda c: c.force_bind("Officer", "officer_2", "human", object()), TypeError),
         (lambda c: c.apply_speech_act(SpeechAct(SpeechActKind.PROPOSE, 5, {})), TypeError),
+        (lambda c: c.bind_agent(_LikeOfficer(), "officer_2", "human", "Clinic"), TypeError),
+        (lambda c: c.unbind_agent(_LikeOfficer(), "officer_1"), TypeError),
         (lambda c: c.register_principal("Agency", name=object()), TypeError),
         (lambda c: c.register_principal("Agency", name=0), TypeError),
         (lambda c: c.register_principal("Agency", name=False), TypeError),
@@ -567,6 +581,8 @@ def test_malformed_payload_rejected():
         "null_agent",
         "unencodable_principal_of_a_binding",
         "non_string_sender",
+        "non_string_role_of_a_binding",
+        "non_string_role_of_an_unbinding",
         "unencodable_principal_name",
         "zero_principal_name",
         "false_principal_name",
@@ -1466,42 +1482,177 @@ def test_an_edited_copy_of_an_imported_log_is_refused_where_import_log_refuses_i
             assert info.value.bad_seq == seq, (name, seq, str(info.value))
 
 
-def _count_encodings(monkeypatch) -> list[str]:
-    """Record the name of each encoder the runtime calls, canonical or boundary."""
+def _count_encodings(monkeypatch) -> list[tuple[str, object]]:
+    """Record in order each encoder call the runtime makes, as (encoder name,
+    value), and each record it writes, as ("record", record)."""
     calls = []
     for name in ("canonical_json", "_caller_json"):
         encode = getattr(runtime, name)
         monkeypatch.setattr(
-            runtime, name, lambda value, name=name, encode=encode: calls.append(name) or encode(value)
+            runtime, name, lambda value, name=name, encode=encode: calls.append((name, value)) or encode(value)
         )
+    append = CommunityInstance._append
+
+    def logged(self, *args):
+        record = append(self, *args)
+        calls.append(("record", record))
+        return record
+
+    monkeypatch.setattr(CommunityInstance, "_append", logged)
     return calls
 
 
 def test_each_record_is_encoded_once(monkeypatch):
     calls = _count_encodings(monkeypatch)
     c = drive_sample_history(staffed_ward())
-    requests = sum(r.kind == KIND_ACTION_REQUEST for r in c.records())
-    speech_acts = sum(r.kind == KIND_SPEECH_ACT for r in c.records())
-    assert (requests, speech_acts) == (2, 3)
-    # once, as each record is written; a request without effects is written with
-    # the text its boundary check made, and each payload is checked at the boundary
-    assert calls.count("canonical_json") == len(c.records()) - requests
-    assert calls.count("_caller_json") == requests + speech_acts
-    calls.clear()
-    c.submit_action("officer_1", "read_case", "case2")  # the request, then its verdict
-    assert calls == ["_caller_json", "canonical_json"]
-    calls.clear()
-    # a request with effects logs a copy, encoded afresh
     c.submit_action("officer_1", "read_case", effects=[{"object": "Ledger", "key": "k", "value": 1}])
-    assert calls == ["_caller_json", "canonical_json", "canonical_json"]
+    filed = {"action": "file", "holder": "officer_1"}
+    burden = c.apply_speech_act(SpeechAct(SpeechActKind.DECLARE_BURDEN, "officer_1", filed)).token_id
+    c.apply_speech_act(SpeechAct(SpeechActKind.TRANSFER, "officer_1", {"token": burden, "to": "reviewer_1"}))
+    c.bind_agent("Bot", "bot_1", "llm_agent", "Vendor")
+    c.apply_speech_act(SpeechAct(SpeechActKind.PROPOSE, "bot_1", {"body": {2: "two", 10: "ten"}}))
+    c.set_mode(MODE_SUPERVISED)
+    assert c.submit_action("bot_1", "close_case").verdict.outcome == "blocked"  # and escalates
+    # each record's writer composes its text; canonical_json encodes only a
+    # value inside it that the caller shaped, never a whole detail, and each once
+    written, values = [], []
+    for name, value in calls:
+        if name == "record":
+            written.append((value, values))
+            values = []
+        elif name == "canonical_json":
+            values.append(value)
+    assert values == [] and [r for r, _ in written] == list(c.records())
+    encoding = []
+    for record, values in written:
+        keys = [key for key, member in record.detail.items() if any(member is v for v in values)]
+        assert len(keys) == len(values), (record.seq, values)
+        if keys:
+            encoding.append((record.kind, keys))
+    assert encoding == [
+        (KIND_GENESIS, ["community", "mode", "owner", "disciplines"]),
+        (KIND_ACTION_REQUEST, ["effects"]),  # the copy's, encoded afresh
+        (KIND_TOKEN_TRANSITION, ["holder", "link"]),  # a delegation's return to HELD
+        (KIND_SPEECH_ACT, ["payload"]),  # a payload with integer keys is not flat
+        (KIND_MODE_CHANGE, ["from", "to"]),
+        (KIND_ESCALATION, ["condition"]),
+    ]
+    # the boundary checks each payload, and the request that has effects; a
+    # request without effects is written from its action and subject
+    checked = sum(name == "_caller_json" for name, _ in calls)
+    assert checked == sum(r.kind == KIND_SPEECH_ACT for r in c.records()) + 1 == 7
     calls.clear()
     text = c.export_log()
     assert calls == []  # the export writes each record's text as it is
     _, records = parse_export(text)
-    assert len(calls) == len(records)  # once per parsed record
+    assert [name for name, _ in calls] == ["canonical_json"] * len(records)  # once per parsed record
     calls.clear()
     verify_chain(records)
     assert calls == []
+
+
+def test_a_written_record_is_the_record_its_fields_make():
+    # the runtime makes its records without AuditRecord's type checks, as the
+    # same frozen, comparable and replaceable records
+    for r in drive_sample_history(staffed_ward()).records():
+        made = AuditRecord(r.seq, r.kind, r.actor, r.detail, r.prev_hash, r.hash)
+        assert type(r) is AuditRecord and not hasattr(r, "__dict__")
+        assert (r, repr(r), r.detail_json) == (made, repr(made), made.detail_json)
+        for f in dataclasses.fields(AuditRecord):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, f.name, getattr(r, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(r, f.name)
+        assert dataclasses.replace(r) == r
+        edited = dataclasses.replace(r, detail={**r.detail, "event": -1})
+        assert edited.detail_json == canonical_json(edited.detail) != r.detail_json
+
+
+class _Disguised(str):
+    """A str whose printing, formatting and ordering all disagree with its text."""
+
+    def __str__(self):
+        return "disguised"
+
+    def __format__(self, spec):
+        return "disguised"
+
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+
+# text that JSON escapes: non-ASCII, astral, quote, backslash, control characters, a lone surrogate
+_AWKWARD = 'é ☃ 𝄞 "q" \\ \x00\x1f\n \ud800'
+
+
+def test_every_writer_writes_a_disguised_or_awkward_string_as_its_text():
+    d = _Disguised
+    template = parse_spec(_WARD_WITH_HISTORY)
+    owner = Principal(d(f"Clinic {_AWKWARD}"), d(_AWKWARD), d("organization"))
+    c = instantiate_community(template, d(MODE_SUPERVISED), owner, {"CaseFile": "read_write"})
+    vendor = c.register_principal(d(f"Vendor {_AWKWARD}"), d(_AWKWARD), d("natural_person"))
+    # each agent's name, and a str subclass of the same text
+    texts = [f"{name} {_AWKWARD}" for name in ("officer", "reviewer", "bot")]
+    (officer_text, reviewer_text, bot_text), (officer, reviewer, bot) = texts, map(d, texts)
+    c.bind_agent(d("Officer"), officer, "human", owner.id)
+    c.bind_agent(d("Reviewer"), reviewer, "human", owner.id)
+    c.bind_agent(d("Bot"), bot, "llm_agent", vendor.id)
+    c.bind_agent(d("Officer"), d("officer_2"), "human", owner.id)
+
+    def act(kind, sender, payload, accepted=True):
+        result = c.apply_speech_act(SpeechAct(kind, sender, payload))
+        assert result.accepted is accepted, (kind, result.reason)
+        return result
+
+    # flat payloads: their boundary text is the record's
+    every_field = {
+        "action": f"sign {_AWKWARD}", "holder": officer_text, "subject": _AWKWARD, "deadline": c.head_seq + 8,
+        "requires_action": f"check {_AWKWARD}", "unless_action": f"waive {_AWKWARD}", "unless_target": "Reviewer",
+    }
+    act(SpeechActKind.DECLARE_BURDEN, officer, every_field)
+    moved = act(SpeechActKind.DECLARE_BURDEN, officer, {"action": f"file {_AWKWARD}", "holder": officer_text})
+    act(SpeechActKind.TRANSFER, officer, {"token": moved.token_id, "to": reviewer_text})
+    act(SpeechActKind.DISCHARGE, reviewer, {"token": moved.token_id, "evidence": 1})
+    granted = act(SpeechActKind.GRANT, officer, {"action": f"read {_AWKWARD}", "to": bot_text, "subject": _AWKWARD})
+    # payloads that are not flat: keys of a str subclass, integer keys, tuple values
+    act(SpeechActKind.DECLARE_EMBARGO, officer, {d("action"): f"shred {_AWKWARD}", d("holder"): "Bot"})
+    act(SpeechActKind.GRANT, bot, {7: (d(_AWKWARD), 1.5), 10: _AWKWARD}, accepted=False)
+    # verdicts: admitted with permits; blocked with blockers, escalating with a review burden; without a permit
+    c.submit_action(bot, d(f"read {_AWKWARD}"), d(_AWKWARD))
+    c.submit_action(bot, d(f"shred {_AWKWARD}"), d(_AWKWARD))
+    effect = {"object": "CaseFile", "op": "put", "key": d("k"), "value": {2: (d(_AWKWARD),), 10: 1}}
+    c.submit_action(officer, d(_AWKWARD), d(_AWKWARD), [effect])
+    act(SpeechActKind.REVOKE, officer, {"token": granted.token_id})
+    c.set_mode(d(MODE_ADVISORY), by=officer)
+    # recommendations a human approves (admitted again) and rejects
+    act(SpeechActKind.GRANT, officer, {"action": f"read {_AWKWARD}", "to": bot_text})
+    for decision in (SpeechActKind.ACCEPT, SpeechActKind.REJECT):
+        request = c.submit_action(bot, d(f"read {_AWKWARD}"), d(_AWKWARD)).request_seq
+        act(decision, reviewer, {"request_seq": request})
+    act(SpeechActKind.PROPOSE, bot, {"body": {3: (d(_AWKWARD), None)}})
+    act(SpeechActKind.REJECT, reviewer, {"body": _AWKWARD})
+    c.unbind_agent(d("Officer"), d("officer_2"))
+
+    records = c.records()
+    verdicts = [r.detail for r in records if r.kind == KIND_VERDICT]
+    assert {"permits", "approved_by"} <= set().union(*verdicts) and any("blockers" in v for v in verdicts)
+    assert {"no-permit", "embargo", "rejected"} <= {v.get("reason") for v in verdicts}
+    transitions = [r.detail for r in records if r.kind == KIND_TOKEN_TRANSITION]
+    moves = {t["to"] for t in transitions if t["from"] != "CREATED"}
+    assert moves == {"DELEGATED", "HELD", "DISCHARGED", "REVOKED", "VIOLATED"}
+    assert any({"subject", "deadline", "requires", "unless_action", "unless_target"} <= set(t) for t in transitions)
+    assert any({"request", "burden"} <= set(r.detail) for r in records if r.kind == KIND_ESCALATION)
+    for r in records:
+        assert r.detail_json == canonical_json(r.detail), r.seq
+    text = c.export_log()
+    assert replay(template, text).export_log() == text
+    # a reason is never the caller's, so the writers that log one are called directly
+    with c:
+        c._begin_event()
+        c._log_verdict(0, bot, d(_AWKWARD), d(_AWKWARD), deontic.Verdict("blocked", (1, 2), (3,), d(_AWKWARD)), reviewer)
+        c._log_act(bot, SpeechActKind.GRANT, {"to": _AWKWARD}, None, d(_AWKWARD))
+    for r in c.records()[-2:]:
+        assert r.detail_json == canonical_json(r.detail), r.seq
 
 
 def test_canonical_json_writes_what_the_standard_encoder_writes():

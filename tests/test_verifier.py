@@ -443,6 +443,41 @@ def test_the_monitor_sends_a_record_only_to_the_checkers_that_read_its_kind(monk
     assert calls == []
 
 
+def test_a_verdict_that_is_not_admitted_reaches_no_checker(monkeypatch):
+    c = drive_clinic(clinic())
+    records = list(c.records())
+    admitted = records[-1]
+    assert (admitted.kind, admitted.detail["outcome"]) == (KIND_VERDICT, "admissible")
+    monitor = TraceMonitor(ALL_SPECS, c.template)
+    for record in records[:-1]:
+        monitor.feed(record)
+    fed = []
+    for name in READS:
+        checker = getattr(verifier, name)
+        monkeypatch.setattr(
+            checker,
+            "feed",
+            lambda self, record, state, feed=checker.feed: fed.append(record) or feed(self, record, state),
+        )
+    # admitted, each action is a violation: an unguarded read, a decision, an embargoed close
+    for action, prop in (("read_file", PROP_SAFETY), ("decide", PROP_AUTHORITY), ("close_file", PROP_PROHIBITION)):
+        verdict = {**admitted.detail, "action": action}
+        for outcome in ("blocked", "recommended"):
+            record = dataclasses.replace(admitted, detail={**verdict, "outcome": outcome})
+            assert monitor.clone().feed(record) == [], (action, outcome)
+        assert fed == []
+        found = monitor.clone().feed(dataclasses.replace(admitted, detail=verdict))
+        assert found == [Violation(prop, admitted.seq, (admitted.seq,))], action
+        fed.clear()
+    # a verdict that is not admitted still needs each field a checker reads of an admitted one
+    blocked = {**admitted.detail, "outcome": "blocked"}
+    for key in ("outcome", "action", "actor"):
+        edited = records[:-1] + [dataclasses.replace(admitted, detail={k: v for k, v in blocked.items() if k != key})]
+        with pytest.raises(IntegrityError) as info:
+            run_checks(edited, ALL_SPECS, c.template)
+        assert info.value.bad_seq == admitted.seq, key
+
+
 def test_a_record_whose_kind_is_not_a_string_is_refused():
     c = drive_clinic(clinic())
     records = list(c.records())
