@@ -8,6 +8,10 @@ POSITION rather than audit seq. Equivalence tests drive the real runtime
 and this engine through identical event schemas, map runtime record seqs
 back to positions, and require the two violation sets to agree exactly.
 
+`state_key` spells an engine's state out as the `repr` of its attributes, in
+this module's own naive code, so that the oracle can step each distinct
+state once per schema instead of once per trace.
+
 Scope is intentionally narrow so the oracle stays obviously correct:
 autonomous mode only, no forced binds, no deadlines, no negotiation,
 escalation, or recommendation flows. Events outside that scope raise
@@ -45,6 +49,9 @@ _SUPPORTED_KINDS = set(_DECLARE_KINDS) | {
     SpeechActKind.DISCHARGE,
     SpeechActKind.REVOKE,
 }
+
+# what state_key leaves out: the constants every clone shares, then the violations
+_UNKEYED = ("template", "owner", "properties", "violations")
 
 
 class ReferenceEngine:
@@ -100,6 +107,24 @@ class ReferenceEngine:
         twin.gap_open = list(self.gap_open)
         twin.violations = list(self.violations)
         return twin
+
+    def state_key(self) -> str:
+        """The engine's state as text: two engines with equal keys decide alike.
+
+        The repr of every attribute by name, with a set's members sorted, but
+        for the constants an engine passes to its clones and the violations
+        flagged so far, which no step reads. So an attribute added later is
+        keyed without a change here. A step's violations depend on the state
+        and the schema only; its position merely labels them.
+        """
+        parts = []
+        for name, value in sorted(vars(self).items()):
+            if name in _UNKEYED:
+                continue
+            if isinstance(value, (set, frozenset)):
+                value = sorted(value, key=repr)
+            parts.append(f"{name}={value!r}")
+        return "\n".join(parts)
 
     # ------------------------------------------------------------------
     # template and binding lookups

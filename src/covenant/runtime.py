@@ -189,7 +189,7 @@ CALLER_FIELDS: dict[str, tuple[tuple[str, type, str], ...]] = {
     "principal": (("id", str, REQUIRED), ("name", str, REQUIRED), ("kind", str, REQUIRED)),
     "binding": (("agent", str, REQUIRED), ("principal", str, REQUIRED)),
     "mode_change": (("by", str, NULLABLE),),
-    "action_request": (("action", str, REQUIRED), ("subject", str, NULLABLE)),
+    "action_request": (("actor", str, REQUIRED), ("action", str, REQUIRED), ("subject", str, NULLABLE)),
     "speech_act": (("sender", str, REQUIRED),),
     SpeechActKind.DECLARE_BURDEN: _DECLARE,
     SpeechActKind.DECLARE_PERMIT: _DECLARE,
@@ -1028,6 +1028,9 @@ class CommunityInstance:
         effects: Iterable[ObjectWrite | dict] = (),
     ) -> ActionResult:
         with self:
+            # the actor is logged as it is sent: a non-string that a lookup takes
+            # for an agent's name must fail here, before the event
+            _check_fields({"actor": actor, "action": action, "subject": subject}, "action_request")
             if not self.is_agent(actor):
                 raise UnknownAgent(f"{actor!r} is not bound to any role")
             writes = tuple(map(self._coerce_write, effects))
@@ -1041,7 +1044,6 @@ class CommunityInstance:
                 request_detail["subject"] = subject
             if writes:
                 request_detail["effects"] = [w.to_detail() for w in writes]
-            _check_fields(request_detail, "action_request")
             head = f'{{"action":{_str_json(action)},'
             if writes:
                 # log and journal a copy: the caller may change its effect values

@@ -9,8 +9,12 @@ Four parameterized property templates are evaluated two ways:
 
 Independently of both, oracle_enumerate exhaustively applies small event
 alphabets through the straight-line reference engine and records which
-property fails at which trace position. Tests compare monitor output
-against the oracle over every enumerated trace.
+property fails at which trace position. It walks the engine's state graph:
+each distinct state (`ReferenceEngine.state_key`) is stepped once per
+schema, and every trace is read off the edges it takes. Its counterpart
+runtime_enumerate forks the real runtime and its monitor along every trace
+and returns the same mapping, so tests compare the two over every
+enumerated trace.
 """
 
 from __future__ import annotations
@@ -44,8 +48,10 @@ from .runtime import (
     KIND_TOKEN_TRANSITION,
     KIND_VERDICT,
     MODE_AUTONOMOUS,
+    Principal,
     RoleBinding,
     SpeechAct,
+    instantiate_community,
 )
 from .spec_lang.ast import (
     BUILTIN_GROUPS,
@@ -520,30 +526,106 @@ def oracle_enumerate(
 ) -> list[tuple[tuple[int, ...], tuple[tuple[str, int], ...]]]:
     """Exhaustively run every event sequence of length <= depth.
 
-    Returns one entry per enumerated trace: the schema indices applied and
-    the sorted (property, position) pairs the reference engine flagged.
-    Prologue violations carry position -1.
+    Returns one entry per enumerated trace, in depth-first order: the schema
+    indices applied and the sorted (property, position) pairs the reference
+    engine flagged. Prologue violations carry position -1.
+
+    The walk is over the engine's state graph, not its trace tree. States are
+    numbered by `ReferenceEngine.state_key`, one engine kept for each, and an
+    edge (state, schema) is stepped once, on a clone of that state's engine:
+    it keeps the next state's number and the property names the step flagged,
+    which each trace through it tags with its own position.
     """
-    if len(alphabet) > 8 or depth > 6:
-        raise ScopeTooLarge(
-            f"|alphabet|={len(alphabet)}, depth={depth}: bound is 8 schemas, depth 6"
-        )
+    _check_bound(alphabet, depth)
     base = ReferenceEngine(t, MODE_AUTONOMOUS, owner, properties)
     for schema in prologue:
         base.apply_schema(schema, -1)
 
+    numbers = {base.state_key(): 0}
+    engines = [base]
+    # edges[state][index]: (next state, names flagged), or None until stepped
+    edges: list[list[tuple[int, tuple[str, ...]] | None]] = [[None] * len(alphabet)]
+
+    def step(state: int, index: int) -> tuple[int, tuple[str, ...]]:
+        engine = engines[state]
+        child = engine.clone()
+        child.apply_schema(alphabet[index], 0)  # a position only labels what is flagged
+        flagged = tuple(name for name, _ in child.violations[len(engine.violations) :])
+        number = numbers.setdefault(child.state_key(), len(engines))
+        if number == len(engines):
+            engines.append(child)
+            edges.append([None] * len(alphabet))
+        return number, flagged
+
     results: list[tuple[tuple[int, ...], tuple[tuple[str, int], ...]]] = []
 
-    def walk(engine: ReferenceEngine, trace: list[int]) -> None:
-        results.append((tuple(trace), tuple(sorted(engine.violations))))
-        if len(trace) == depth:
+    def walk(state: int, trace: list[int], found: list[tuple[str, int]]) -> None:
+        results.append((tuple(trace), tuple(sorted(found))))
+        position = len(trace)
+        if position == depth:
             return
-        for index, schema in enumerate(alphabet):
-            child = engine.clone()
-            child.apply_schema(schema, len(trace))
+        out = edges[state]
+        for index, edge in enumerate(out):
+            if edge is None:
+                edge = out[index] = step(state, index)
+            target, flagged = edge
             trace.append(index)
-            walk(child, trace)
+            walk(target, trace, found + [(name, position) for name in flagged] if flagged else found)
             trace.pop()
 
-    walk(base, [])
+    walk(0, [], list(base.violations))
+    # walk's closure holds walk itself: unbound, the graph goes with this call
+    # instead of waiting for the cycle collector
+    del walk
+    return results
+
+
+def _check_bound(alphabet: Sequence[EventSchema], depth: int) -> None:
+    if len(alphabet) > 8 or depth > 6:
+        raise ScopeTooLarge(
+            f"|alphabet|={len(alphabet)}, depth={depth}: bound is 8 schemas, depth 6"
+        )
+
+
+def runtime_enumerate(fixture, depth: int) -> dict[tuple[int, ...], tuple[tuple[str, int], ...]]:
+    """`oracle_enumerate`'s counterpart over the real runtime and its monitor.
+
+    `fixture` names a template, an owner, a prologue, an alphabet and the
+    properties (as `scenarios.GateFixture` does). Every event sequence of
+    length <= depth forks the instance and its monitor, applies one schema
+    and feeds the new records. Returns each trace's sorted (property,
+    position) pairs: a violation is flagged at the record fed, so it belongs
+    to the event that wrote it, and the prologue's carry position -1.
+    """
+    _check_bound(fixture.alphabet, depth)
+    template = fixture.template
+    base = instantiate_community(
+        template, mode=MODE_AUTONOMOUS, owner=Principal(fixture.owner, fixture.owner)
+    )
+    for schema in fixture.prologue:
+        apply_schema(base, schema)
+    monitor = TraceMonitor(fixture.properties, template)
+    for record in base.records():
+        monitor.feed(record)
+
+    results: dict[tuple[int, ...], tuple[tuple[str, int], ...]] = {}
+
+    def walk(instance, mon, trace: list[int], found: list[tuple[str, int]]) -> None:
+        results[tuple(trace)] = tuple(sorted(found))
+        position = len(trace)
+        if position == depth:
+            return
+        fed = len(instance.records())
+        for index, schema in enumerate(fixture.alphabet):
+            child = instance.clone()
+            twin = mon.clone()
+            apply_schema(child, schema)
+            new = list(found)
+            for record in child.records()[fed:]:
+                new += [(v.property, position) for v in twin.feed(record)]
+            trace.append(index)
+            walk(child, twin, trace, new)
+            trace.pop()
+
+    walk(base, monitor, [], [(v.property, -1) for v in monitor.violations])
     return results

@@ -50,10 +50,10 @@ from covenant.verifier import (
     check_prohibition,
     check_safety,
     oracle_enumerate,
+    runtime_enumerate,
 )
 
 from test_spec_lang import make_random_template, round_trip_holds
-from test_verifier import runtime_enumerate
 
 GOLDEN = Path(__file__).parent / "data" / "clinical_layers.golden"
 

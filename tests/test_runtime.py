@@ -602,6 +602,39 @@ def test_an_event_that_cannot_be_logged_fails_before_it_is_numbered(submit, erro
     assert replay(parse_spec(WARD_SOURCE), text).export_log() == text
 
 
+class _LikeOfficerOne:
+    """Not a string, but an agent lookup finds the bound officer_1 under it."""
+
+    def __hash__(self):
+        return hash("officer_1")
+
+    def __eq__(self, other):
+        return other == "officer_1"
+
+
+def test_an_actor_that_is_not_a_string_fails_before_its_event():
+    c = staffed_ward()
+    declared = c.apply_speech_act(
+        SpeechAct(
+            SpeechActKind.DECLARE_BURDEN,
+            "officer_1",
+            {"action": "screen_case", "holder": "Officer", "deadline": c.head_seq + 1},
+        )
+    )
+    # the burden is overdue: the next event to be numbered expires it first
+    assert c.tokens.get(declared.token_id).state is TokenState.HELD
+    assert c.is_agent(_LikeOfficerOne())
+    before = (c.event_count, c.head_seq, c.records(), c.tokens.states())
+    with pytest.raises(TypeError, match="actor"):
+        c.submit_action(_LikeOfficerOne(), "ping")
+    assert (c.event_count, c.head_seq, c.records(), c.tokens.states()) == before
+    assert c.tokens.get(declared.token_id).state is TokenState.HELD
+    c.submit_action("officer_1", "ping")
+    assert c.tokens.get(declared.token_id).state is TokenState.VIOLATED
+    text = c.export_log()
+    assert replay(parse_spec(WARD_SOURCE), text).export_log() == text
+
+
 def test_full_token_lifecycle_record_shapes():
     c = staffed_ward()
     c.bind_agent("Officer", "officer_2", "human", "Clinic")

@@ -53,6 +53,7 @@ from covenant.verifier import (
     check_safety,
     oracle_enumerate,
     run_checks,
+    runtime_enumerate,
 )
 from test_runtime import DESK_SOURCE
 
@@ -695,6 +696,11 @@ def test_oracle_refuses_oversized_scopes():
         oracle_enumerate(fx.template, fx.alphabet + fx.alphabet[:1], 2, fx.properties)
     with pytest.raises(ScopeTooLarge):
         oracle_enumerate(fx.template, fx.alphabet, 7, fx.properties)
+    # its runtime counterpart keeps the same bound
+    with pytest.raises(ScopeTooLarge):
+        runtime_enumerate(fx, 7)
+    with pytest.raises(ScopeTooLarge):
+        runtime_enumerate(dataclasses.replace(fx, alphabet=fx.alphabet + fx.alphabet[:1]), 2)
 
 
 
@@ -723,48 +729,6 @@ def test_apply_schema_refuses_an_unknown_op_and_sends_a_last_request_it_cannot_r
     assert apply_schema(c, EventSchema("approve", "speech_act", approve)) == "rejected:MalformedPayload"
     logged = c.records()[-1]
     assert (logged.seq, logged.detail["payload"]) == (head + 1, {"request_seq": None})
-
-
-def runtime_enumerate(fx, depth):
-    """DFS over the real runtime, mapping violations back to trace positions."""
-    template = fx.template
-    base = instantiate_community(
-        template, mode=MODE_AUTONOMOUS, owner=Principal(fx.owner, fx.owner)
-    )
-    for schema in fx.prologue:
-        apply_schema(base, schema)
-    monitor = TraceMonitor(fx.properties, template)
-    for record in base.records():
-        monitor.feed(record)
-
-    results = {}
-
-    def positions(mon, cuts):
-        out = []
-        for v in mon.violations:
-            pos = -1
-            for k, (lo, hi) in enumerate(cuts):
-                if lo <= v.at_seq < hi:
-                    pos = k
-                    break
-            out.append((v.property, pos))
-        return tuple(sorted(out))
-
-    def walk(instance, mon, fed, cuts, trace):
-        results[tuple(trace)] = positions(mon, cuts)
-        if len(trace) == depth:
-            return
-        for index, schema in enumerate(fx.alphabet):
-            child = instance.clone()
-            twin = mon.clone()
-            apply_schema(child, schema)
-            records = child.records()
-            for record in records[fed:]:
-                twin.feed(record)
-            walk(child, twin, len(records), cuts + [(fed, len(records))], trace + [index])
-
-    walk(base, monitor, len(base.records()), [], [])
-    return results
 
 
 def test_monitor_agrees_with_oracle_to_depth_three():
@@ -822,26 +786,20 @@ _DESK_EVENTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "alphabet, flagged",
-    [
-        (
-            ("bind_p2", "bind_matcher", "usurp", "decide_matcher",
-             "p2_final", "grant_final", "grant_override", "matcher_final"),
-            {PROP_SAFETY: 380, PROP_PROHIBITION: 3, PROP_AUTHORITY: 2},
-        ),
-        (
-            ("bind_p2", "bind_matcher", "usurp", "decide_matcher",
-             "unbind_p1", "revoke_embargo", "p2_final", "matcher_final"),
-            {PROP_PROHIBITION: 634, PROP_SAFETY: 377, PROP_AUTHORITY: 2},
-        ),
-    ],
-    ids=["grants", "unbind_and_revoke"],
-)
-def test_monitor_agrees_with_oracle_on_the_decision_desk_to_depth_four(alphabet, flagged):
-    # the branches the gate fixture never takes: a transfer, the authority check
-    # on a discharge, an agent-held unless permit, a declared-group holder, an unbind
-    fx = GateFixture(
+_DESK_ALPHABETS = {
+    "grants": (
+        "bind_p2", "bind_matcher", "usurp", "decide_matcher",
+        "p2_final", "grant_final", "grant_override", "matcher_final",
+    ),
+    "unbind_and_revoke": (
+        "bind_p2", "bind_matcher", "usurp", "decide_matcher",
+        "unbind_p1", "revoke_embargo", "p2_final", "matcher_final",
+    ),
+}
+
+
+def _decision_desk(alphabet) -> GateFixture:
+    return GateFixture(
         template=parse_spec(DECISION_DESK_SOURCE),
         owner="Hospital",
         prologue=parse_script(DECISION_DESK_PROLOGUE),
@@ -853,6 +811,23 @@ def test_monitor_agrees_with_oracle_on_the_decision_desk_to_depth_four(alphabet,
             PropertySpec.accountability(),
         ),
     )
+
+
+@pytest.mark.parametrize(
+    "alphabet, flagged",
+    [
+        (_DESK_ALPHABETS["grants"], {PROP_SAFETY: 380, PROP_PROHIBITION: 3, PROP_AUTHORITY: 2}),
+        (
+            _DESK_ALPHABETS["unbind_and_revoke"],
+            {PROP_PROHIBITION: 634, PROP_SAFETY: 377, PROP_AUTHORITY: 2},
+        ),
+    ],
+    ids=list(_DESK_ALPHABETS),
+)
+def test_monitor_agrees_with_oracle_on_the_decision_desk_to_depth_four(alphabet, flagged):
+    # the branches the gate fixture never takes: a transfer, the authority check
+    # on a discharge, an agent-held unless permit, a declared-group holder, an unbind
+    fx = _decision_desk(alphabet)
     expected = dict(oracle_enumerate(fx.template, fx.alphabet, 4, fx.properties, fx.prologue, fx.owner))
     actual = runtime_enumerate(fx, 4)
     assert len(expected) == 1 + 8 + 64 + 512 + 4096
@@ -973,19 +948,17 @@ _BURDEN_POLICY = "policy burden(decide, Officer);"
 _EMBARGO_POLICY = "policy embargo(final, ALL_AI_AGENTS);"
 
 
-@pytest.mark.parametrize("token", [True, 25.9, "1"], ids=["true", "float", "string"])
-@pytest.mark.parametrize(
-    "kind, first, second, payload",
-    [
-        ("transfer", _BURDEN_POLICY, _EMBARGO_POLICY, {"to": "bot"}),
-        ("discharge", _BURDEN_POLICY, _EMBARGO_POLICY, {}),
-        ("revoke", _EMBARGO_POLICY, _BURDEN_POLICY, {}),
-    ],
-    ids=["transfer", "discharge", "revoke"],
-)
-def test_both_engines_reject_a_token_that_is_not_an_int(kind, first, second, payload, token):
+_ODD_TOKENS = {"true": True, "float": 25.9, "string": "1"}
+_ODD_TOKEN_ACTS = {
+    "transfer": ("transfer", _BURDEN_POLICY, _EMBARGO_POLICY, {"to": "bot"}),
+    "discharge": ("discharge", _BURDEN_POLICY, _EMBARGO_POLICY, {}),
+    "revoke": ("revoke", _EMBARGO_POLICY, _BURDEN_POLICY, {}),
+}
+
+
+def _odd_token_ledger(kind, first, second, payload, token) -> GateFixture:
     # token 1 is the first policy's, the one each act would move if it read true or "1" as 1
-    fx = GateFixture(
+    return GateFixture(
         template=parse_spec(TOKEN_TYPES_SOURCE.format(first=first, second=second)),
         owner="Hospital",
         prologue=parse_script(
@@ -1010,6 +983,12 @@ def test_both_engines_reject_a_token_that_is_not_an_int(kind, first, second, pay
             PropertySpec.accountability(),
         ),
     )
+
+
+@pytest.mark.parametrize("token", list(_ODD_TOKENS.values()), ids=list(_ODD_TOKENS))
+@pytest.mark.parametrize("kind, first, second, payload", list(_ODD_TOKEN_ACTS.values()), ids=list(_ODD_TOKEN_ACTS))
+def test_both_engines_reject_a_token_that_is_not_an_int(kind, first, second, payload, token):
+    fx = _odd_token_ledger(kind, first, second, payload, token)
     expected = dict(oracle_enumerate(fx.template, fx.alphabet, 2, fx.properties, fx.prologue, fx.owner))
     assert runtime_enumerate(fx, 2) == expected
     # the act changes nothing: a trace that starts with it flags what the rest flags, one position later
@@ -1027,3 +1006,153 @@ def test_oracle_positions_anchor_to_offending_event():
     assert results[(1, 4)] == tuple(sorted([(PROP_AUTHORITY, 1), (PROP_SAFETY, 1)]))
     assert results[(1,)] == ()
     assert results[()] == ()
+
+
+# ----------------------------------------------------------------------
+# the oracle's state graph against its trace tree
+
+
+def trace_tree_enumerate(t, alphabet, depth, properties, prologue=(), owner="community_owner"):
+    """The oracle's walk of the trace tree: each trace clones and steps its prefix's engine."""
+    base = ReferenceEngine(t, MODE_AUTONOMOUS, owner, properties)
+    for schema in prologue:
+        base.apply_schema(schema, -1)
+    results = []
+
+    def walk(engine, trace):
+        results.append((tuple(trace), tuple(sorted(engine.violations))))
+        if len(trace) == depth:
+            return
+        for index, schema in enumerate(alphabet):
+            child = engine.clone()
+            child.apply_schema(schema, len(trace))
+            trace.append(index)
+            walk(child, trace)
+            trace.pop()
+
+    walk(base, [])
+    return results
+
+
+# every fixture tier-1 enumerates, at the depth it does, and the gate fixture at criterion 5's
+_ENUMERATED = [
+    *(pytest.param(reduced_layer1_fixture, depth, id=f"layer1-{depth}") for depth in (2, 3, 5)),
+    *(
+        pytest.param(lambda name=name: _decision_desk(_DESK_ALPHABETS[name]), 4, id=f"desk_{name}-4")
+        for name in _DESK_ALPHABETS
+    ),
+    pytest.param(_colliding_desk, 3, id="colliding_desk-3"),
+    *(
+        pytest.param(lambda act=act, token=token: _odd_token_ledger(*_ODD_TOKEN_ACTS[act], token), 2, id=f"{act}_{name}-2")
+        for act in _ODD_TOKEN_ACTS
+        for name, token in _ODD_TOKENS.items()
+    ),
+]
+
+
+@pytest.mark.parametrize("build, depth", _ENUMERATED)
+def test_the_state_graph_walk_lists_what_the_trace_tree_walk_lists(build, depth):
+    fx = build()
+    args = (fx.template, fx.alphabet, depth, fx.properties, fx.prologue, fx.owner)
+    assert oracle_enumerate(*args) == trace_tree_enumerate(*args)
+
+
+def test_the_state_graph_walk_steps_each_state_once_per_schema(monkeypatch):
+    fx = reduced_layer1_fixture()
+    stepped = Counter()
+    apply = ReferenceEngine.apply_schema
+
+    def counted(self, schema, position):
+        stepped[self.state_key(), schema.name] += 1
+        apply(self, schema, position)
+
+    monkeypatch.setattr(ReferenceEngine, "apply_schema", counted)
+    results = oracle_enumerate(fx.template, fx.alphabet, 5, fx.properties, fx.prologue, fx.owner)
+    assert len(results) == 37449
+    # the two prologue events, then 72 states reached within depth 4, each stepped by all 8 schemas
+    assert sum(stepped.values()) == 2 + 576 and set(stepped.values()) == {1}
+
+
+def _stepped_engine() -> ReferenceEngine:
+    """The gate fixture's engine with a binding, a discharge, a grant and an embargo gap."""
+    fx = reduced_layer1_fixture()
+    engine = ReferenceEngine(fx.template, MODE_AUTONOMOUS, fx.owner, fx.properties)
+    for position, schema in enumerate(fx.prologue + fx.alphabet[:4] + fx.alphabet[6:]):
+        engine.apply_schema(schema, position)
+    return engine
+
+
+def test_a_state_key_changes_with_every_keyed_attribute():
+    engine = _stepped_engine()
+    key = engine.state_key()
+    assert engine.clone().state_key() == key
+    keyed = set(vars(engine)) - {"template", "owner", "properties", "violations"}
+    assert keyed >= {"principals", "bindings", "agent_names", "tokens", "next_token", "discharged", "gap_open"}
+    changed = {
+        set: lambda v: v | {"Stranger"},
+        frozenset: lambda v: v | {"stranger"},
+        list: lambda v: v[:-1],
+        dict: lambda v: {k: t for k, t in v.items() if k != max(v)},
+        int: lambda v: v + 1,
+    }
+    for name in keyed:
+        twin = engine.clone()
+        value = getattr(twin, name)
+        assert value, name  # each keyed attribute holds something to take away
+        setattr(twin, name, changed[type(value)](value))
+        assert twin.state_key() != key, name
+    # a change deep inside a token, a binding or a discharge counts too
+    for edit in (
+        lambda e: e.tokens[1].update(state="REVOKED"),
+        lambda e: e.bindings[0].update(principal="VendorX"),
+        lambda e: e.discharged[0].update(subject="p2"),
+        lambda e: e.gap_open.reverse(),
+    ):
+        twin = engine.clone()
+        edit(twin)
+        assert twin.state_key() != key
+    assert engine.state_key() == key
+
+
+def test_a_state_key_keys_an_attribute_set_after_construction_but_not_the_violations():
+    engine = _stepped_engine()
+    assert engine.violations
+    key = engine.state_key()
+    twin = engine.clone()
+    twin.violations += [(PROP_SAFETY, 9), (PROP_AUTHORITY, 9)]
+    assert twin.state_key() == key
+    twin.pending = []
+    assert twin.state_key() != key
+    # a set's members are sorted, whatever order they went in
+    twin = engine.clone()
+    twin.principals = set(sorted(engine.principals, reverse=True))
+    assert twin.state_key() == key
+
+
+def test_the_state_graph_walk_raises_scope_too_large_where_the_trace_tree_walk_does(monkeypatch):
+    fx = reduced_layer1_fixture()
+    args = (fx.template, fx.alphabet, 5, fx.properties, fx.prologue, fx.owner)
+    apply = ReferenceEngine.apply_schema
+
+    def bounded(self, schema, position):
+        # a scope that ends mid-walk, at the first read after a discharge
+        if self.discharged and schema.op == "action":
+            bound = sorted(b["agent"] for b in self.bindings)
+            raise ScopeTooLarge(f"{schema.name} after a discharge, with {bound} bound and {len(self.tokens)} tokens")
+        apply(self, schema, position)
+
+    monkeypatch.setattr(ReferenceEngine, "apply_schema", bounded)
+    with pytest.raises(ScopeTooLarge) as tree:
+        trace_tree_enumerate(*args)
+    with pytest.raises(ScopeTooLarge) as graph:
+        oracle_enumerate(*args)
+    assert str(graph.value) == str(tree.value)
+    monkeypatch.undo()
+    # an out-of-scope schema last in the alphabet is refused by both, with the same words
+    forced = EventSchema("force_ghost", "bind", {**fx.alphabet[0].params, "principal": "GhostCorp", "force": True})
+    args = (fx.template, fx.alphabet[:7] + (forced,), 3, fx.properties, fx.prologue, fx.owner)
+    with pytest.raises(ScopeTooLarge) as tree:
+        trace_tree_enumerate(*args)
+    with pytest.raises(ScopeTooLarge) as graph:
+        oracle_enumerate(*args)
+    assert str(graph.value) == str(tree.value)
