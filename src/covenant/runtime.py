@@ -16,7 +16,7 @@ import hashlib
 import itertools
 import json
 import weakref
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from threading import RLock, get_ident
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
@@ -244,10 +244,10 @@ class AuditRecord:
     is made: its digest and its export line are built around that text. So a
     record's detail must never be changed after it is written; to change one,
     make a new record (`dataclasses.replace(record, detail=...)` encodes the
-    new detail). `encoded_detail` passes in a text the caller already holds.
-    A field of another type than declared (a bool seq too) raises TypeError:
-    this is the one check of a record's types. The runtime's own records skip
-    it (`_written_record`), since their writers fix each field's type.
+    new detail). A field of another type than declared (a bool seq too) raises
+    TypeError, before the detail is encoded: this is the one check of a
+    record's types. The runtime's own records skip it (`_written_record`),
+    since their writers fix each field's type.
     """
 
     seq: int
@@ -256,10 +256,9 @@ class AuditRecord:
     detail: dict
     prev_hash: str
     hash: str
-    encoded_detail: InitVar[str | None] = None
     detail_json: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, encoded_detail: str | None) -> None:
+    def __post_init__(self) -> None:
         if type(self.seq) is not int:
             raise TypeError(f"seq {self.seq!r} is not an int")
         if not (isinstance(self.kind, str) and isinstance(self.prev_hash, str) and isinstance(self.hash, str)):
@@ -268,9 +267,7 @@ class AuditRecord:
             raise TypeError(f"actor {self.actor!r} is neither null nor a string")
         if not isinstance(self.detail, dict):
             raise TypeError(f"detail {self.detail!r} is not an object")
-        if encoded_detail is None:
-            encoded_detail = canonical_json(self.detail)
-        object.__setattr__(self, "detail_json", encoded_detail)
+        object.__setattr__(self, "detail_json", canonical_json(self.detail))
 
     def to_line(self) -> str:
         # the fields in their own order, each as JSON writes its declared type, and
@@ -877,12 +874,10 @@ class CommunityInstance:
         sender: str,
         kind: SpeechActKind,
         payload: dict,
-        payload_json: str | None,
+        payload_json: str,
         rejected_for: str | None = None,
     ) -> AuditRecord:
-        """Log a speech act; `payload_json` is the payload's canonical JSON, or None to encode it here."""
-        if payload_json is None:
-            payload_json = canonical_json(payload)
+        """Log a speech act; `payload_json` is the payload's canonical JSON."""
         detail: dict = {"kind": kind.value, "payload": payload}
         tail = f',"kind":{_str_json(kind.value)},"payload":{payload_json}'
         if rejected_for is not None:
@@ -891,7 +886,7 @@ class CommunityInstance:
         return self._append(KIND_SPEECH_ACT, sender, detail, "{", tail + "}")
 
     def _reject(
-        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str | None, reason: str
+        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str, reason: str
     ) -> ApplyResult:
         return ApplyResult(False, reason, self._log_act(sender, kind, payload, payload_json, reason).seq)
 
@@ -1120,7 +1115,7 @@ class CommunityInstance:
             payload_json = _caller_json(sent)
             payload = _scan_json(payload_json, 0)[0]
             if not _is_flat(sent):
-                payload_json = None  # not the copy's canonical text: the copy is encoded as it is logged
+                payload_json = canonical_json(payload)  # the caller's text is not the copy's
 
             self._begin_event()
             reason = self._authorize(act.sender, kind)
@@ -1146,9 +1141,9 @@ class CommunityInstance:
         return UnauthorizedSpeechAct.__name__
 
     def _dispatch(
-        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str | None
+        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str
     ) -> ApplyResult:
-        """Apply an authorized act; `payload_json` is its payload's canonical JSON, or None."""
+        """Apply an authorized act; `payload_json` is its payload's canonical JSON."""
         if kind in _CREATED_MODALITY:
             return self._act_create(sender, kind, payload, payload_json)
         # transfer, discharge and revoke log the payload fields they read, which
@@ -1166,7 +1161,7 @@ class CommunityInstance:
         raise RuntimeError(f"unhandled speech act kind {kind}")  # pragma: no cover
 
     def _act_create(
-        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str | None
+        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str
     ) -> ApplyResult:
         if kind is SpeechActKind.GRANT:
             # grant = permit for one concrete agent; it takes a guard and nothing else
@@ -1223,7 +1218,7 @@ class CommunityInstance:
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     def _act_negotiation(
-        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str | None
+        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str
     ) -> ApplyResult:
         if kind in (SpeechActKind.ACCEPT, SpeechActKind.REJECT) and "request_seq" in payload:
             return self._decide_recommendation(sender, kind, payload)
@@ -1281,7 +1276,7 @@ class CommunityInstance:
                 self.objects[write.object].apply(write)
         return ApplyResult(True, seq=record.seq)
 
-    def _act_escalate(self, sender: str, payload: dict, payload_json: str | None) -> ApplyResult:
+    def _act_escalate(self, sender: str, payload: dict, payload_json: str) -> ApplyResult:
         condition = payload["condition"]
         # the burden comes before the event's first record, so a failure to
         # create it leaves a single rejected record, as every other act does
@@ -1396,7 +1391,7 @@ def _record_of(raw, names: dict, prev: str | None) -> AuditRecord:
     if prev_hash == prev:
         prev_hash = prev
     digest = raw["hash"]  # read before the seq, so a record lacking both names the hash
-    return AuditRecord(raw["seq"], kind, actor, detail, prev_hash, digest, canonical_json(detail))
+    return AuditRecord(raw["seq"], kind, actor, detail, prev_hash, digest)
 
 
 def parse_export(text: str) -> tuple[dict, list[AuditRecord]]:

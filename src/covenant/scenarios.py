@@ -7,16 +7,19 @@ exchange under compliance and PHI embargoes). Agents are deterministic
 scripts; their "reasoning" appears only as opaque audited actions, so the
 governance layer is the entire subject under test.
 
-Every built-in stage, the events the mutations insert, and the enumeration
-fixture are written in the public script format (`parse_script`, one event
-per line) and parsed once, at import; a stage's community and cast are
-derived from its template and script by `stage_from_script`. The parser
+Every built-in stage, the events the injected variants write in, and the
+enumeration fixture are written in the public script format (`parse_script`,
+one event per line) and parsed once, at import; a stage's community and cast
+are derived from its template and script by `stage_from_script`. The parser
 checks a `select=` against the token modalities and token states, so a
 misspelled selector is a `ScriptError` with its line number.
 
 Each built-in scenario carries expected verdicts and expected property
 violations. inject_violation produces minimally mutated variants that
-must trip exactly one property template and leave the others clean.
+must trip exactly one property template and leave the others clean. Each
+variant is one row of `_MUTATIONS`, keyed by (scenario, property): which
+stage to edit, a clause to cut from its source, labels to drop from its
+script, events to write in, verdicts to add and the label that must violate.
 """
 
 from __future__ import annotations
@@ -774,145 +777,51 @@ def run_stage(stage: Stage) -> StageReport:
 
 _GUARD_CLAUSE = "\n    requires discharged burden(verify_consent, ConsentManager)"
 
-
-def _drop_events(script: tuple[EventSchema, ...], labels: set[str]) -> tuple[EventSchema, ...]:
-    return tuple(ev for ev in script if ev.name not in labels)
-
-
-def _replace_event(
-    script: tuple[EventSchema, ...], label: str, new: EventSchema
-) -> tuple[EventSchema, ...]:
-    out = tuple(new if ev.name == label else ev for ev in script)
-    if new not in out:
-        raise CannotInject(f"no event labeled {label!r} to replace")
-    return out
-
-
-def _insert_after(
-    script: tuple[EventSchema, ...], label: str, new: EventSchema
-) -> tuple[EventSchema, ...]:
-    out: list[EventSchema] = []
-    hit = False
-    for ev in script:
-        out.append(ev)
-        if ev.name == label:
-            out.append(new)
-            hit = True
-    if not hit:
-        raise CannotInject(f"no event labeled {label!r} to insert after")
-    return tuple(out)
-
-
-def _keep_verdicts(
-    expected: tuple[tuple[str, str], ...], script: tuple[EventSchema, ...]
-) -> tuple[tuple[str, str], ...]:
-    labels = {ev.name for ev in script}
-    return tuple((label, want) for label, want in expected if label in labels)
-
-
-def _swap_stage(s: Scenario, index: int, stage: Stage) -> Scenario:
-    return replace(s, stages=s.stages[:index] + (stage,) + s.stages[index + 1 :])
-
-
-def _drop_consent_guard(s: Scenario) -> Scenario:
-    # drop the consent guard from the template and the consent events from
-    # the script: the read becomes admissible with no discharged burden
-    stage = s.stages[0]
-    if _GUARD_CLAUSE not in stage.source:
-        raise CannotInject("layer 1 permit is not guarded")
-    script = _drop_events(stage.script, {"declare_consent", "discharge_consent"})
-    mutated = replace(
-        stage,
-        source=stage.source.replace(_GUARD_CLAUSE, "", 1),
-        script=script,
-        expected_verdicts=_keep_verdicts(stage.expected_verdicts, script),
-        expected_violations=((PROP_SAFETY, "read_demographics"),),
-    )
-    return _swap_stage(s, 0, mutated)
-
-
-def _revoke_embargo(s: Scenario, after: str, revoke: EventSchema) -> Scenario:
-    stage = s.stages[0]
-    mutated = replace(
-        stage,
-        script=_insert_after(stage.script, after, revoke),
-        expected_violations=((PROP_PROHIBITION, revoke.name),),
-    )
-    return _swap_stage(s, 0, mutated)
-
-
-def _ghost_principal(s: Scenario, label: str, ghost: str) -> Scenario:
-    # rebind the agent, forced, for a principal that was never registered
-    stage = s.stages[0]
-    bind = next((ev for ev in stage.script if ev.name == label and ev.op == "bind"), None)
-    if bind is None:
-        raise CannotInject(f"no bind event labeled {label!r}")
-    rogue = replace(bind, params={**bind.params, "principal": ghost, "force": True})
-    mutated = replace(
-        stage,
-        script=_replace_event(stage.script, label, rogue),
-        expected_violations=((PROP_ACCOUNTABILITY, label),),
-    )
-    return _swap_stage(s, 0, mutated)
-
-
 # physician_1 hands the decision burden to the AI matcher, which discharges it
-_USURP_TRANSFER, _USURP_DECIDE = parse_script("""\
+_USURP = parse_script("""\
 transfer_decision: speech_act physician_1 transfer to=matcher select=burden:make_enrollment_decision:HELD
 decide: speech_act matcher discharge select=burden:make_enrollment_decision:HELD
 """)
 
-
-def _usurp_decision(s: Scenario, stage_index: int) -> Scenario:
-    if stage_index >= len(s.stages):
-        raise CannotInject("no decision stage")
-    stage = s.stages[stage_index]
-    script = stage.script
-    inserted = not any(ev.name == "transfer_decision" for ev in script)
-    if inserted:
-        script = _insert_after(script, "eval_match", _USURP_TRANSFER)
-    else:
-        script = _replace_event(script, "transfer_decision", _USURP_TRANSFER)
-    script = _replace_event(script, "decide", _USURP_DECIDE)
-    expected = _keep_verdicts(stage.expected_verdicts, script)
-    if inserted:
-        expected += (("transfer_decision", "accepted"),)
-    mutated = replace(
-        stage,
-        script=script,
-        expected_verdicts=expected,
-        expected_violations=((PROP_AUTHORITY, "decide"),),
-    )
-    return _swap_stage(s, stage_index, mutated)
-
-
-# (scenario, property) -> (mutation, its arguments after the scenario)
+# (scenario, property) -> (stage index, clause cut from its source, labels
+# dropped from its script, events written in, anchor label, verdicts added,
+# the label that must violate). An event written in replaces the event with
+# its label, or else goes right after the anchor.
 _MUTATIONS = {
-    ("happy_path", PROP_SAFETY): (_drop_consent_guard, ()),
+    # no consent guard and no consent events: the read is admissible unconsented
+    ("happy_path", PROP_SAFETY): (
+        0, _GUARD_CLAUSE, ("declare_consent", "discharge_consent"), (), None, (), "read_demographics"
+    ),
     ("happy_path", PROP_PROHIBITION): (
-        _revoke_embargo,
-        (
-            "bind_officer",
-            *parse_script(
-                "revoke_consent_embargo: speech_act officer_dga revoke"
-                " select=embargo:access_without_consent:HELD"
-            ),
+        0, "", (),
+        parse_script(
+            "revoke_consent_embargo: speech_act officer_dga revoke"
+            " select=embargo:access_without_consent:HELD"
         ),
+        "bind_officer", (), "revoke_consent_embargo",
     ),
-    ("happy_path", PROP_ACCOUNTABILITY): (_ghost_principal, ("bind_extract_bot", "GhostCorp")),
-    ("happy_path", PROP_AUTHORITY): (_usurp_decision, (1,)),
+    # a forced rebind for a principal that was never registered
+    ("happy_path", PROP_ACCOUNTABILITY): (
+        0, "", (),
+        parse_script("bind_extract_bot: force_bind DataExtractionAgent extract_bot llm_agent GhostCorp"),
+        None, (), "bind_extract_bot",
+    ),
+    ("happy_path", PROP_AUTHORITY): (1, "", (), _USURP, "eval_match", (), "decide"),
     ("rogue_ai", PROP_PROHIBITION): (
-        _revoke_embargo,
-        (
-            "bind_physician",
-            *parse_script(
-                "revoke_final_embargo: speech_act physician_1 revoke"
-                " select=embargo:final_decision:HELD"
-            ),
+        0, "", (),
+        parse_script(
+            "revoke_final_embargo: speech_act physician_1 revoke select=embargo:final_decision:HELD"
         ),
+        "bind_physician", (), "revoke_final_embargo",
     ),
-    ("rogue_ai", PROP_AUTHORITY): (_usurp_decision, (0,)),
-    ("rogue_ai", PROP_ACCOUNTABILITY): (_ghost_principal, ("bind_matcher", "ShadowLab")),
+    ("rogue_ai", PROP_AUTHORITY): (
+        0, "", (), _USURP, "eval_match", (("transfer_decision", "accepted"),), "decide"
+    ),
+    ("rogue_ai", PROP_ACCOUNTABILITY): (
+        0, "", (),
+        parse_script("bind_matcher: force_bind CriteriaMatcher matcher agentic_ai ShadowLab"),
+        None, (), "bind_matcher",
+    ),
 }
 
 
@@ -927,8 +836,36 @@ def inject_violation(scenario: Scenario, kind: str) -> Scenario:
         raise CannotInject(
             f"scenario {scenario.name!r} has no construct for a {PROPERTY_NAMES[kind]} violation"
         )
-    mutate, args = mutation
-    return replace(mutate(scenario, *args), name=f"{scenario.name}__{PROPERTY_NAMES[kind]}")
+    index, cut, drop, written, anchor, added, label = mutation
+    if index >= len(scenario.stages):
+        raise CannotInject(f"scenario {scenario.name!r} has no stage {index}")
+    stage = scenario.stages[index]
+    if cut not in stage.source:
+        raise CannotInject(f"{stage.community} is not guarded by {cut.strip()!r}")
+    by_label = {ev.name: ev for ev in written}
+    present = {ev.name for ev in stage.script}
+    inserted = tuple(ev for ev in written if ev.name not in present)
+    script = []
+    for ev in stage.script:
+        if ev.name not in drop:
+            script.append(by_label.get(ev.name, ev))
+        if ev.name == anchor:
+            script += inserted
+            inserted = ()
+    if inserted:
+        raise CannotInject(f"{stage.community} has no event to write {inserted[0].name!r} over or after")
+    mutated = replace(
+        stage,
+        source=stage.source.replace(cut, "", 1),
+        script=tuple(script),
+        expected_verdicts=tuple(v for v in stage.expected_verdicts if v[0] not in drop) + added,
+        expected_violations=((kind, label),),
+    )
+    return replace(
+        scenario,
+        name=f"{scenario.name}__{PROPERTY_NAMES[kind]}",
+        stages=scenario.stages[:index] + (mutated,) + scenario.stages[index + 1 :],
+    )
 
 
 # ----------------------------------------------------------------------

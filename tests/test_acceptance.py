@@ -53,7 +53,7 @@ from covenant.verifier import (
     runtime_enumerate,
 )
 
-from test_spec_lang import make_random_template, round_trip_holds
+from shared import make_random_template, round_trip_holds
 
 GOLDEN = Path(__file__).parent / "data" / "clinical_layers.golden"
 

@@ -64,6 +64,8 @@ from covenant.spec_lang import parse_spec
 from covenant.spec_lang.ast import CommunityTemplate, RoleKind, SpeechActKind
 from covenant.verifier import PropertySpec, TraceMonitor, run_checks
 
+from shared import DESK_SOURCE, _ward_module
+
 WARD_SOURCE = """\
 community Ward {
   role Officer: human [0..2];
@@ -1011,8 +1013,6 @@ def test_an_unreadable_record_line_is_refused_at_its_position(spell):
 
 def _ward(records: int, seed: int = 1):
     """The Ward of bench/ward.py, 20 agents, driven until its log holds `records` records."""
-    from test_verifier import _ward_module  # here: test_verifier imports this module
-
     ward = _ward_module()
     tpl, c, caller = ward.populate(seed, 20, 20, 50, action_share=0.6)
     while c.head_seq + 1 < records:
@@ -1290,7 +1290,7 @@ def _rechain(header: str, records) -> str:
     for seq, r in enumerate(records):
         detail_json = canonical_json(r.detail)
         digest = record_digest(prev, seq, r.kind, r.actor, detail_json)
-        lines.append(AuditRecord(seq, r.kind, r.actor, r.detail, prev, digest, detail_json).to_line())
+        lines.append(AuditRecord(seq, r.kind, r.actor, r.detail, prev, digest).to_line())
         prev = digest
     return "\n".join(lines) + "\n"
 
@@ -1683,7 +1683,7 @@ def test_every_writer_writes_a_disguised_or_awkward_string_as_its_text():
     with c:
         c._begin_event()
         c._log_verdict(0, bot, d(_AWKWARD), d(_AWKWARD), deontic.Verdict("blocked", (1, 2), (3,), d(_AWKWARD)), reviewer)
-        c._log_act(bot, SpeechActKind.GRANT, {"to": _AWKWARD}, None, d(_AWKWARD))
+        c._log_act(bot, SpeechActKind.GRANT, {"to": _AWKWARD}, canonical_json({"to": _AWKWARD}), d(_AWKWARD))
     for r in c.records()[-2:]:
         assert r.detail_json == canonical_json(r.detail), r.seq
 
@@ -1852,7 +1852,7 @@ def test_a_record_carries_its_detail_text():
     assert "detail_json" not in repr(record)
     # the text is not part of equality: a record read back equals the one written
     r = record
-    assert AuditRecord(r.seq, r.kind, r.actor, r.detail, r.prev_hash, r.hash, "{}") == record
+    assert runtime._written_record(r.seq, r.kind, r.actor, r.detail, r.prev_hash, r.hash, "{}") == record
     # a replaced detail is encoded afresh
     edited = dataclasses.replace(record, detail={"event": 7, "b": [1.5, None], "a": True})
     assert edited.detail_json == '{"a":true,"b":[1.5,null],"event":7}'
@@ -1903,8 +1903,6 @@ def test_a_record_refuses_a_field_of_the_wrong_type():
     for fields in _ILL_TYPED:
         with pytest.raises(TypeError):
             AuditRecord(*fields)
-        with pytest.raises(TypeError):
-            AuditRecord(*fields, "{}")
     template = parse_spec(WARD_SOURCE)
     text = drive_sample_history(staffed_ward()).export_log()
     lines = text.splitlines()
@@ -2113,29 +2111,6 @@ def test_clone_isolates_state():
 # because the original run and the replay change together. These pins hold
 # the head hash of fixed runs, so any change to a record's bytes, to the
 # order of records within an event, or to token id allocation shows.
-
-DESK_SOURCE = """\
-community Desk {
-  role Officer: human [0..2];
-  role Reviewer: human [0..2];
-  role Bot: llm_agent [0..2];
-
-  object CaseFile;
-
-  policy burden(screen_case, Officer);
-  policy permit(read_case, Bot) requires discharged burden(screen_case, Officer);
-  policy embargo(close_case, ALL_AI_AGENTS)
-    unless permit(override_close, Reviewer);
-
-  contract DeskRules {
-    allow Officer: declare_burden, declare_permit, declare_embargo, grant, revoke, transfer, discharge, escalate;
-    allow Reviewer: discharge, accept, reject, escalate;
-    allow Bot: propose, counter_propose, accept, reject, escalate;
-    escalate when policy_violation to Reviewer;
-    escalate when low_confidence to Officer;
-  }
-}
-"""
 
 _NO_POLICY_RULE = DESK_SOURCE.replace("    escalate when policy_violation to Reviewer;\n", "")
 
@@ -2762,8 +2737,6 @@ _REJECTED = (
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_event_fuzz_refused_calls_change_nothing_and_every_export_replays(seed):
-    from test_verifier import _ward_module  # here: test_verifier imports this module
-
     ward = _ward_module()
     tpl, c, caller = ward.populate(seed, 40, 40, 20, action_share=0.75)
     monitor = TraceMonitor(ward.PROPERTIES, tpl)

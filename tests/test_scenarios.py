@@ -192,22 +192,46 @@ def test_advisory_gate_approval_flow():
     assert outcomes["veto_beta"] == "accepted"
 
 
+_ACCESS_VERDICTS = (
+    ("discharge_consent", "accepted"),
+    ("read_demographics", "admissible"),
+    ("access_probe", "blocked"),
+)
+_MATCHING_VERDICTS = (
+    ("embed_profile", "admissible"),
+    ("eval_match", "admissible"),
+    ("explain", "accepted"),
+    ("transfer_decision", "accepted"),
+    ("decide", "accepted"),
+)
+_ROGUE_VERDICTS = (("rogue_attempt", "blocked"), ("eval_match", "admissible"), ("decide", "accepted"))
+
+# (scenario, property) -> (property, violating label, mutated stage, its expected verdicts)
 MUTANT_TABLE = {
-    ("happy_path", "safety"): (PROP_SAFETY, "read_demographics"),
-    ("happy_path", "authority"): (PROP_AUTHORITY, "decide"),
-    ("happy_path", "prohibition"): (PROP_PROHIBITION, "revoke_consent_embargo"),
-    ("happy_path", "accountability"): (PROP_ACCOUNTABILITY, "bind_extract_bot"),
-    ("rogue_ai", "authority"): (PROP_AUTHORITY, "decide"),
-    ("rogue_ai", "prohibition"): (PROP_PROHIBITION, "revoke_final_embargo"),
-    ("rogue_ai", "accountability"): (PROP_ACCOUNTABILITY, "bind_matcher"),
+    ("happy_path", "safety"): (PROP_SAFETY, "read_demographics", 0, _ACCESS_VERDICTS[1:]),
+    ("happy_path", "authority"): (PROP_AUTHORITY, "decide", 1, _MATCHING_VERDICTS),
+    ("happy_path", "prohibition"): (PROP_PROHIBITION, "revoke_consent_embargo", 0, _ACCESS_VERDICTS),
+    ("happy_path", "accountability"): (PROP_ACCOUNTABILITY, "bind_extract_bot", 0, _ACCESS_VERDICTS),
+    ("rogue_ai", "authority"): (
+        PROP_AUTHORITY, "decide", 0, _ROGUE_VERDICTS + (("transfer_decision", "accepted"),)
+    ),
+    ("rogue_ai", "prohibition"): (PROP_PROHIBITION, "revoke_final_embargo", 0, _ROGUE_VERDICTS),
+    ("rogue_ai", "accountability"): (PROP_ACCOUNTABILITY, "bind_matcher", 0, _ROGUE_VERDICTS),
 }
 
 
 @pytest.mark.parametrize("name,alias", sorted(MUTANT_TABLE))
 def test_mutants_violate_exactly_the_requested_property(name, alias):
-    prop, label = MUTANT_TABLE[(name, alias)]
-    mutant = inject_violation(get_scenario(name), alias)
+    prop, label, index, verdicts = MUTANT_TABLE[(name, alias)]
+    scenario = get_scenario(name)
+    mutant = inject_violation(scenario, alias)
     assert mutant.name == f"{name}__{alias}"
+    # one stage is edited, and every other is the built-in's own
+    assert len(mutant.stages) == len(scenario.stages)
+    edited = [i for i, (old, new) in enumerate(zip(scenario.stages, mutant.stages)) if old is not new]
+    assert edited == [index]
+    assert mutant.stages[index].expected_verdicts == verdicts
+    assert mutant.stages[index].expected_violations == ((prop, label),)
     report = run_scenario(mutant)
     assert report.ok, report.summary()
     found = [v for stage in report.stages for v in stage.violations]
@@ -238,6 +262,18 @@ def test_inject_rejects_unsupported_combinations():
         inject_violation(get_scenario("negotiation"), "authority")
     with pytest.raises(CannotInject):
         inject_violation(get_scenario("happy_path"), "liveness")
+
+
+def test_inject_refuses_a_scenario_without_the_stage_or_anchor_it_edits():
+    happy = get_scenario("happy_path")
+    with pytest.raises(CannotInject, match="no stage 1"):
+        inject_violation(dataclasses.replace(happy, stages=happy.stages[:1]), "authority")
+    rogue = get_scenario("rogue_ai")
+    stage = rogue.stages[0]
+    script = tuple(ev for ev in stage.script if ev.name != "eval_match")
+    without_anchor = dataclasses.replace(rogue, stages=(dataclasses.replace(stage, script=script),))
+    with pytest.raises(CannotInject, match="'transfer_decision'"):
+        inject_violation(without_anchor, "authority")
 
 
 def test_unknown_scenario_name_raises():

@@ -9,21 +9,10 @@ import pytest
 from covenant.errors import CannotInject, ParseError
 from covenant.scenarios import built_in_scenarios, inject_violation
 from covenant.spec_lang import format_spec, parse_spec, validate_template
-from covenant.spec_lang.ast import (
-    BUILTIN_GROUPS,
-    CommunityTemplate,
-    ContractDecl,
-    DeonticAtom,
-    EscalationRule,
-    GroupDecl,
-    Modality,
-    ObjectDecl,
-    PolicyDecl,
-    RoleDecl,
-    RoleKind,
-    SpeechActKind,
-)
+from covenant.spec_lang.ast import DeonticAtom, Modality, RoleDecl, RoleKind, SpeechActKind
 from covenant.spec_lang.validate import SEVERITY_ERROR, SEVERITY_WARNING
+
+from shared import make_random_template, round_trip_holds
 
 MINIMAL = """\
 community Tiny {
@@ -331,81 +320,6 @@ def test_comments_are_ignored():
         "}\n"
     )
     assert len(t.roles) == 1 and len(t.policies) == 1
-
-
-# ----------------------------------------------------------------------
-# seeded template fuzzer; also reused by the acceptance checks
-
-_CONDITIONS = ("policy_violation", "low_confidence", "timeout", "cond_override")
-
-
-def make_random_template(rng: random.Random, index: int) -> CommunityTemplate:
-    """A structurally valid template; validator errors are a generator bug."""
-    kinds = list(RoleKind)
-    roles = tuple(
-        RoleDecl(
-            f"Role{chr(65 + i)}{index % 7}",
-            rng.choice(kinds),
-            *rng.choice(((1, 1), (0, 1), (1, None), (0, None), (2, 5), (1, 3))),
-        )
-        for i in range(rng.randint(1, 5))
-    )
-    role_names = [r.name for r in roles]
-
-    groups = []
-    for g in range(rng.randint(0, 2)):
-        size = rng.randint(1, len(role_names))
-        groups.append(GroupDecl(f"Group{g}_{index % 5}", tuple(rng.sample(role_names, size))))
-    groups = tuple(groups)
-
-    objects = tuple(ObjectDecl(f"Store{o}") for o in range(rng.randint(0, 3)))
-
-    targets = role_names + [g.name for g in groups] + list(BUILTIN_GROUPS)
-    actions = [f"act_{chr(97 + a)}" for a in range(6)]
-
-    policies = []
-    for _ in range(rng.randint(0, 6)):
-        modality = rng.choice(list(Modality))
-        atom = DeonticAtom(modality, rng.choice(actions), rng.choice(targets))
-        requires = None
-        unless = None
-        if rng.random() < 0.3:
-            requires = DeonticAtom(Modality.BURDEN, rng.choice(actions), rng.choice(targets))
-        if modality is Modality.EMBARGO and rng.random() < 0.4:
-            unless = DeonticAtom(Modality.PERMIT, rng.choice(actions), rng.choice(targets))
-        policies.append(PolicyDecl(atom, requires, unless))
-    policies = tuple(policies)
-
-    contracts = []
-    for c in range(rng.randint(0, 2)):
-        allows = tuple(
-            (
-                rng.choice(role_names),
-                tuple(rng.sample(list(SpeechActKind), rng.randint(1, 4))),
-            )
-            for _ in range(rng.randint(1, 3))
-        )
-        escalations = tuple(
-            EscalationRule(rng.choice(_CONDITIONS), rng.choice(role_names))
-            for _ in range(rng.randint(0, 2))
-        )
-        contracts.append(ContractDecl(f"Pact{c}_{index % 5}", allows, escalations))
-    contracts = tuple(contracts)
-
-    return CommunityTemplate(
-        name=f"Fuzz{index}",
-        roles=roles,
-        groups=groups,
-        objects=objects,
-        policies=policies,
-        contracts=contracts,
-    )
-
-
-def round_trip_holds(template: CommunityTemplate) -> bool:
-    text = format_spec(template)
-    reparsed = parse_spec(text)
-    return reparsed == template and parse_spec(format_spec(reparsed)) == reparsed
 
 
 def test_fuzzed_templates_round_trip_and_validate():

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import json
 import sys
 import threading
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -55,7 +53,7 @@ from covenant.verifier import (
     run_checks,
     runtime_enumerate,
 )
-from test_runtime import DESK_SOURCE
+from shared import DESK_SOURCE, _ward_module
 
 CLINIC_SOURCE = """\
 community Clinic {
@@ -549,15 +547,6 @@ def test_a_token_created_for_an_unregistered_principal_is_unaccountable():
     expected = [Violation(PROP_ACCOUNTABILITY, s, (s,)) for s in (4, 6)]
     assert monitor.violations == expected
     assert check_accountability(c.records()) == expected
-
-
-def _ward_module():
-    """bench/ward.py: the Ward community and its seeded caller."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "ward.py"
-    spec = importlib.util.spec_from_file_location("ward", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_online_violations_equal_offline_ones_on_ward_runs():
