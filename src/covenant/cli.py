@@ -66,19 +66,27 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the flags of an ad-hoc run; a scenario brings its own spec, script, owner and mode
+_SCRIPT_FLAGS = ("spec", "script", "owner", "mode")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.scenario:
+        for flag in _SCRIPT_FLAGS:
+            if getattr(args, flag) is not None:
+                print(f"run --scenario takes no --{flag}", file=sys.stderr)
+                return EXIT_USAGE
         scenario = get_scenario(args.scenario)
         if args.inject:
             scenario = inject_violation(scenario, args.inject)
         report = run_scenario(scenario)
+    elif args.inject:
+        print("--inject needs --scenario", file=sys.stderr)
+        return EXIT_USAGE
     elif args.spec and args.script:
-        stage = stage_from_script(
-            _read(args.spec),
-            parse_script(_read(args.script)),
-            owner=args.owner,
-            mode=args.mode,
-        )
+        # an owner or a mode not given is stage_from_script's default
+        options = {flag: getattr(args, flag) for flag in ("owner", "mode") if getattr(args, flag) is not None}
+        stage = stage_from_script(_read(args.spec), parse_script(_read(args.script)), **options)
         report = ScenarioReport(name=Path(args.script).stem, stages=(run_stage(stage),))
     else:
         print("run needs either --scenario or both --spec and --script", file=sys.stderr)
@@ -185,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--spec", help="community spec for an ad-hoc script run")
     p.add_argument("--script", help="event script file for an ad-hoc run")
-    p.add_argument("--owner", default="community_owner", help="owning principal for ad-hoc runs")
-    p.add_argument("--mode", default=MODE_AUTONOMOUS, choices=MODES, help="deployment mode")
+    p.add_argument("--owner", help="owning principal for ad-hoc runs (default community_owner)")
+    p.add_argument("--mode", choices=MODES, help=f"deployment mode for ad-hoc runs (default {MODE_AUTONOMOUS})")
     p.add_argument("--out", default=".", help="directory for audit exports")
     p.set_defaults(func=_cmd_run)
 

@@ -267,7 +267,11 @@ def _remove(index: dict[tuple, tuple[int, ...]], key: tuple, token_id: int) -> N
 
 
 class BindingResolver(Protocol):
-    """Runtime-supplied view of principals, agents, and role coverage."""
+    """Runtime-supplied view of principals, agents, and role coverage.
+
+    `runtime.Roster` implements it, for the runtime and its monitor alike;
+    the deontic tests resolve through their own fakes of this protocol.
+    """
 
     def is_principal(self, name: str) -> bool: ...
 

@@ -327,17 +327,23 @@ class RoleBinding(NamedTuple):
     bound_at: int
 
 
-class Bindings:
-    """Role bindings indexed by agent, with a count per role and a count of
-    AI-kind bindings; they iterate in bind order.
+class Roster:
+    """Who is who in one community: its principals, its agents' role bindings,
+    and the template that declares its roles and groups (None in a monitor
+    without one). The runtime and its monitor each keep one, and it is the
+    `deontic.BindingResolver` of both.
 
-    The one place (besides the reference engine) that decides which agents
-    fill a role, a declared group, ALL or ALL_AI_AGENTS. An agent's kind and
-    principal are those of its first binding. An agent unbound from its last
-    role keeps an empty entry, so a name once bound stays an agent's name.
+    Bindings are indexed by agent, with a count per role and a count of
+    AI-kind bindings; they iterate in bind order. The one place (besides the
+    reference engine) that decides which agents fill a role, a declared
+    group, ALL or ALL_AI_AGENTS. An agent's kind and principal are those of
+    its first binding. An agent unbound from its last role keeps an empty
+    entry, so a name once bound stays an agent's name.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, template: CommunityTemplate | None) -> None:
+        self.template = template
+        self.principals: dict[str, Principal] = {}
         # every name ever bound, with its current bindings
         self._by_agent: dict[str, tuple[RoleBinding, ...]] = {}
         self._count: dict[str, int] = {}  # role -> fillers
@@ -347,9 +353,6 @@ class Bindings:
         # bound_at is the seq of the binding's record, so bind order is bound_at order
         bound = itertools.chain.from_iterable(self._by_agent.values())
         return iter(sorted(bound, key=lambda b: b.bound_at))
-
-    def __bool__(self) -> bool:
-        return any(self._count.values())
 
     def add(self, binding: RoleBinding) -> None:
         self._by_agent[binding.agent] = self._by_agent.get(binding.agent, ()) + (binding,)
@@ -368,11 +371,20 @@ class Bindings:
                     self._ai -= 1
                 return
 
+    def is_principal(self, name: str) -> bool:
+        return name in self.principals
+
     def is_agent(self, agent: str) -> bool:
         return bool(self._by_agent.get(agent))
 
     def ever_bound(self, name: str) -> bool:
         return name in self._by_agent
+
+    def is_role(self, name: str) -> bool:
+        return self.template is not None and self.template.role(name) is not None
+
+    def is_group(self, name: str) -> bool:
+        return name in BUILTIN_GROUPS or (self.template is not None and self.template.group(name) is not None)
 
     def agent_kind(self, agent: str) -> RoleKind | None:
         bound = self._by_agent.get(agent)
@@ -394,12 +406,19 @@ class Bindings:
     def count(self, role: str) -> int:
         return self._count.get(role, 0)
 
-    def in_group(self, agent: str, group: str, template: CommunityTemplate | None) -> bool:
+    def covers(self, holder: HolderRef, agent: str) -> bool:
+        if holder.kind is HolderKind.AGENT:
+            return holder.name == agent
+        if holder.kind is HolderKind.ROLE:
+            return self.has_role(agent, holder.name)
+        return self.in_group(agent, holder.name)
+
+    def in_group(self, agent: str, group: str) -> bool:
         if group == "ALL":
             return self.is_agent(agent)
         if group == "ALL_AI_AGENTS":
             return self.agent_kind(agent) in AI_ROLE_KINDS
-        decl = template.group(group) if template is not None else None
+        decl = self.template.group(group) if self.template is not None else None
         if decl is None:
             return False
         for b in self._by_agent.get(agent, ()):
@@ -407,18 +426,20 @@ class Bindings:
                 return True
         return False
 
-    def any_in_group(self, group: str, template: CommunityTemplate | None) -> bool:
+    def any_in_group(self, group: str) -> bool:
         if group == "ALL":
-            return bool(self)
+            return any(self._count.values())
         if group == "ALL_AI_AGENTS":
             return self._ai > 0
-        decl = template.group(group) if template is not None else None
+        decl = self.template.group(group) if self.template is not None else None
         if decl is None:
             return False
         return any(self.count(role) for role in decl.members)
 
-    def clone(self) -> Bindings:
-        twin = Bindings.__new__(Bindings)
+    def clone(self) -> Roster:
+        twin = Roster.__new__(Roster)
+        twin.template = self.template
+        twin.principals = dict(self.principals)
         twin._by_agent = dict(self._by_agent)
         twin._count = dict(self._count)
         twin._ai = self._ai
@@ -578,8 +599,8 @@ class CommunityInstance:
         self.mode = mode
         self.owner = owner
         self.tokens = TokenStore()
-        self._bindings = Bindings()
-        self._principals: dict[str, Principal] = {owner.id: owner}
+        self.roster = Roster(template)
+        self.roster.principals[owner.id] = owner
         self._records: list[AuditRecord] = []
         self._next_seq = 0
         self._event_counter = 0
@@ -609,10 +630,10 @@ class CommunityInstance:
                 f',"mode":{canonical_json(mode)},"owner":{canonical_json(owner_detail)}}}',
             )
             for policy in template.policies:
-                holder = deontic.holder_for_name(self, policy.target)
+                holder = deontic.holder_for_name(self.roster, policy.target)
                 token = deontic.create_token(
                     self.tokens,
-                    self,
+                    self.roster,
                     policy.modality,
                     policy.action,
                     holder,
@@ -626,41 +647,10 @@ class CommunityInstance:
                 self._log_token_created(token, origin="policy")
 
     # ------------------------------------------------------------------
-    # BindingResolver protocol (deontic ops call back into these)
-
-    def is_principal(self, name: str) -> bool:
-        return name in self._principals
-
-    def is_agent(self, name: str) -> bool:
-        return self._bindings.is_agent(name)
-
-    def is_role(self, name: str) -> bool:
-        return self.template.role(name) is not None
-
-    def is_group(self, name: str) -> bool:
-        return name in BUILTIN_GROUPS or self.template.group(name) is not None
-
-    def principal_of(self, agent: str) -> str | None:
-        return self._bindings.principal_of(agent)
-
-    def covers(self, holder: HolderRef, agent: str) -> bool:
-        if holder.kind is HolderKind.AGENT:
-            return holder.name == agent
-        if holder.kind is HolderKind.ROLE:
-            return self._bindings.has_role(agent, holder.name)
-        return self._bindings.in_group(agent, holder.name, self.template)
-
-    # ------------------------------------------------------------------
     # queries
 
-    def agent_kind(self, agent: str) -> RoleKind | None:
-        return self._bindings.agent_kind(agent)
-
-    def roles_of(self, agent: str) -> tuple[str, ...]:
-        return self._bindings.roles_of(agent)
-
     def bindings(self) -> tuple[RoleBinding, ...]:
-        return tuple(self._bindings)
+        return tuple(self.roster)
 
     def records(self) -> tuple[AuditRecord, ...]:
         return tuple(self._records)
@@ -842,7 +832,7 @@ class CommunityInstance:
             return None
         return deontic.create_token(
             self.tokens,
-            self,
+            self.roster,
             Modality.BURDEN,
             REVIEW_ACTION,
             HolderRef(HolderKind.ROLE, rule.to_role),
@@ -897,13 +887,14 @@ class CommunityInstance:
         self, principal_id: str, name: str | None = None, kind: str = "organization"
     ) -> Principal:
         with self:
-            if principal_id in self._principals:
-                return self._principals[principal_id]
-            if self._bindings.ever_bound(principal_id):
+            principals = self.roster.principals
+            if principal_id in principals:
+                return principals[principal_id]
+            if self.roster.ever_bound(principal_id):
                 raise NameCollision(f"{principal_id!r} names an agent, not a principal")
             # only a null or empty name gives way to the id: Principal refuses 0 and False
             principal = Principal(principal_id, principal_id if name in (None, "") else name, kind)
-            self._principals[principal_id] = principal
+            principals[principal_id] = principal
             self._begin_event()
             self._append(
                 KIND_BINDING,
@@ -924,7 +915,7 @@ class CommunityInstance:
         self, role: str, agent: str, kind: RoleKind | str, principal: str
     ) -> RoleBinding:
         with self:
-            if principal not in self._principals:
+            if not self.roster.is_principal(principal):
                 raise UnknownPrincipal(f"principal {principal!r} is not registered")
             return self._bind(role, agent, kind, principal)
 
@@ -941,7 +932,8 @@ class CommunityInstance:
 
     def _bind(self, role: str, agent: str, kind: RoleKind | str, principal: str) -> RoleBinding:
         _check_fields({"agent": agent, "principal": principal}, "binding")
-        if self.is_principal(agent) or self.is_role(agent) or self.is_group(agent):
+        roster = self.roster
+        if roster.is_principal(agent) or roster.is_role(agent) or roster.is_group(agent):
             raise NameCollision(f"{agent!r} names a principal, a role or a group, not an agent")
         decl = self.template.role(role)
         if decl is None:
@@ -952,17 +944,17 @@ class CommunityInstance:
             raise KindMismatch(f"unknown agent kind {kind!r}") from None
         if kind is not decl.kind:
             raise KindMismatch(f"role {role!r} requires kind {decl.kind.value}, got {kind.value}")
-        existing_kind = self.agent_kind(agent)
+        existing_kind = roster.agent_kind(agent)
         if existing_kind is not None and existing_kind is not kind:
             raise KindMismatch(f"agent {agent!r} is already bound with kind {existing_kind.value}")
-        existing_principal = self.principal_of(agent)
+        existing_principal = roster.principal_of(agent)
         if existing_principal is not None and existing_principal != principal:
             raise UnknownPrincipal(
                 f"agent {agent!r} already acts for principal {existing_principal!r}"
             )
-        if self._bindings.has_role(agent, role):
+        if roster.has_role(agent, role):
             raise CardinalityExceeded(f"agent {agent!r} already fills role {role!r}")
-        count = self._bindings.count(role)
+        count = roster.count(role)
         if decl.max_card is not None and count + 1 > decl.max_card:
             raise CardinalityExceeded(
                 f"role {role!r} already has {count} of at most {decl.max_card} fillers"
@@ -973,7 +965,7 @@ class CommunityInstance:
         tail = f',"event_type":"bind","principal":{_str_json(principal)},"role":{_str_json(role)}}}'
         self._begin_event()
         binding = RoleBinding(role, agent, kind, principal, self._next_seq)
-        self._bindings.add(binding)
+        roster.add(binding)
         detail = {
             "event_type": "bind",
             "role": role,
@@ -988,13 +980,13 @@ class CommunityInstance:
         with self:
             if self.template.role(role) is None:
                 raise UnknownRole(f"role {role!r} is not declared")
-            if not self._bindings.has_role(agent, role):
+            if not self.roster.has_role(agent, role):
                 raise UnknownAgent(f"agent {agent!r} does not fill role {role!r}")
             # the text comes before the event: the role and agent were only looked up
             head = f'{{"agent":{_str_json(agent)},'
             tail = f',"event_type":"unbind","role":{_str_json(role)}}}'
             self._begin_event()
-            self._bindings.remove(role, agent)
+            self.roster.remove(role, agent)
             detail = {"event_type": "unbind", "role": role, "agent": agent}
             self._append(KIND_BINDING, agent, detail, head, tail)
 
@@ -1026,7 +1018,7 @@ class CommunityInstance:
             # the actor is logged as it is sent: a non-string that a lookup takes
             # for an agent's name must fail here, before the event
             _check_fields({"actor": actor, "action": action, "subject": subject}, "action_request")
-            if not self.is_agent(actor):
+            if not self.roster.is_agent(actor):
                 raise UnknownAgent(f"{actor!r} is not bound to any role")
             writes = tuple(map(self._coerce_write, effects))
             for write in writes:
@@ -1057,11 +1049,9 @@ class CommunityInstance:
             self._begin_event()
             request = self._append(KIND_ACTION_REQUEST, actor, request_detail, head, tail)
 
-            verdict = deontic.check_action_admissible(self.tokens, self, actor, action, subject)
+            verdict = deontic.check_action_admissible(self.tokens, self.roster, actor, action, subject)
             # only the advisory and supervised modes treat an AI actor apart
-            actor_is_ai = self.mode != MODE_AUTONOMOUS and self._bindings.in_group(
-                actor, "ALL_AI_AGENTS", self.template
-            )
+            actor_is_ai = self.mode != MODE_AUTONOMOUS and self.roster.in_group(actor, "ALL_AI_AGENTS")
 
             if verdict.admissible and self.mode == MODE_ADVISORY and actor_is_ai:
                 verdict = Verdict(
@@ -1131,9 +1121,9 @@ class CommunityInstance:
             return self._reject(act.sender, kind, payload, payload_json, reason)
 
     def _authorize(self, sender: str, kind: SpeechActKind) -> str | None:
-        if not self.is_agent(sender):
+        if not self.roster.is_agent(sender):
             return UnknownAgent.__name__
-        roles = self.roles_of(sender)
+        roles = self.roster.roles_of(sender)
         for contract in self.template.contracts:
             for role, kinds in contract.allows:
                 if kind in kinds and role in roles:
@@ -1166,16 +1156,16 @@ class CommunityInstance:
         if kind is SpeechActKind.GRANT:
             # grant = permit for one concrete agent; it takes a guard and nothing else
             grantee = payload["to"]
-            if not self.is_agent(grantee):
+            if not self.roster.is_agent(grantee):
                 raise UnknownAgent(f"grantee {grantee!r} is not bound to any role")
             holder = HolderRef(HolderKind.AGENT, grantee)
             fields = ("requires_action",)
         else:
             fields = ("deadline", "requires_action", "unless_action", "unless_target")
-            holder = deontic.holder_for_name(self, payload["holder"])
+            holder = deontic.holder_for_name(self.roster, payload["holder"])
         token = deontic.create_token(
             self.tokens,
-            self,
+            self.roster,
             _CREATED_MODALITY[kind],
             payload["action"],
             holder,
@@ -1190,7 +1180,7 @@ class CommunityInstance:
 
     def _act_transfer(self, sender: str, payload: dict) -> ApplyResult:
         token_id, to = payload["token"], payload["to"]
-        token = deontic.delegate_burden(self.tokens, self, token_id, sender, to, self._next_seq)
+        token = deontic.delegate_burden(self.tokens, self.roster, token_id, sender, to, self._next_seq)
         payload_json = f'{{"to":{_str_json(to)},"token":{token_id}}}'
         record = self._log_act(sender, SpeechActKind.TRANSFER, {"token": token_id, "to": to}, payload_json)
         self._transition(token, TokenState.HELD, TokenState.DELEGATED, by=sender, target=to)
@@ -1205,14 +1195,14 @@ class CommunityInstance:
 
     def _act_discharge(self, sender: str, payload: dict) -> ApplyResult:
         token_id, evidence = payload["token"], payload.get("evidence", self.head_seq)
-        token = deontic.discharge_burden(self.tokens, self, token_id, sender, evidence, self.head_seq)
+        token = deontic.discharge_burden(self.tokens, self.roster, token_id, sender, evidence, self.head_seq)
         payload_json = f'{{"evidence":{evidence},"token":{token_id}}}'
         record = self._log_act(sender, SpeechActKind.DISCHARGE, {"token": token_id, "evidence": evidence}, payload_json)
         self._transition(token, TokenState.HELD, TokenState.DISCHARGED, by=sender, evidence=evidence)
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     def _act_revoke(self, sender: str, payload: dict) -> ApplyResult:
-        token = deontic.revoke_token(self.tokens, self, payload["token"], sender)
+        token = deontic.revoke_token(self.tokens, self.roster, payload["token"], sender)
         record = self._log_act(sender, SpeechActKind.REVOKE, {"token": token.id}, f'{{"token":{token.id}}}')
         self._transition(token, TokenState.HELD, TokenState.REVOKED, by=sender)
         return ApplyResult(True, seq=record.seq, token_id=token.id)
@@ -1252,7 +1242,7 @@ class CommunityInstance:
         if pending is None:
             raise ProtocolViolation(f"no pending recommendation for request {request_seq}")
         approve = kind is SpeechActKind.ACCEPT
-        if self.agent_kind(sender) is not RoleKind.HUMAN:
+        if self.roster.agent_kind(sender) is not RoleKind.HUMAN:
             verb = "approve" if approve else "reject"
             raise ProtocolViolation(f"only a human may {verb} a recommendation")
         del self._pending[request_seq]
@@ -1261,7 +1251,7 @@ class CommunityInstance:
             subject = pending.subject
             try:
                 verdict = deontic.check_action_admissible(
-                    self.tokens, self, pending.actor, pending.action, subject
+                    self.tokens, self.roster, pending.actor, pending.action, subject
                 )
             except UnknownAgent:
                 verdict = Verdict(OUTCOME_BLOCKED, reason=UnknownAgent.__name__)
@@ -1307,8 +1297,7 @@ class CommunityInstance:
             twin.mode = self.mode
             twin.owner = self.owner
             twin.tokens = self.tokens.clone()
-            twin._bindings = self._bindings.clone()
-            twin._principals = dict(self._principals)
+            twin.roster = self.roster.clone()
             twin._records = list(self._records)
             twin._next_seq = self._next_seq
             twin._event_counter = self._event_counter

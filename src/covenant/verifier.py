@@ -31,7 +31,14 @@ from .deontic import (
     TokenState,
     TokenStore,
 )
-from .errors import GovernanceError, IntegrityError, ScopeTooLarge, UnknownIdentifier, UnknownToken
+from .errors import (
+    GovernanceError,
+    IntegrityError,
+    ProtocolViolation,
+    ScopeTooLarge,
+    UnknownIdentifier,
+    UnknownToken,
+)
 from .reference import (
     PROP_ACCOUNTABILITY,
     PROP_AUTHORITY,
@@ -41,7 +48,6 @@ from .reference import (
 )
 from .runtime import (
     AuditRecord,
-    Bindings,
     CommunityInstance,
     KIND_BINDING,
     KIND_GENESIS,
@@ -50,6 +56,7 @@ from .runtime import (
     MODE_AUTONOMOUS,
     Principal,
     RoleBinding,
+    Roster,
     SpeechAct,
     instantiate_community,
 )
@@ -174,7 +181,7 @@ class _AuthorityChecker:
                 return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
         elif detail["to"] == "DISCHARGED":
             by, action = detail["by"], monitor._tokens.get(detail["token"]).action
-            if action == self.decision_action and not monitor._bindings.has_role(by, self.authorized_role):
+            if action == self.decision_action and not monitor._roster.has_role(by, self.authorized_role):
                 return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
         return []
 
@@ -182,10 +189,9 @@ class _AuthorityChecker:
 class _ProhibitionChecker:
     kinds = (KIND_VERDICT, KIND_BINDING, KIND_TOKEN_TRANSITION)
 
-    def __init__(self, spec: PropertySpec, template: CommunityTemplate | None):
+    def __init__(self, spec: PropertySpec):
         self.action = spec.param("action")
         self.group = spec.param("group")
-        self.template = template
 
     def _embargo_held(self, monitor: TraceMonitor) -> bool:
         # a group embargo is never agent-held: it is in the role/group bucket
@@ -198,7 +204,7 @@ class _ProhibitionChecker:
     def feed(self, record: AuditRecord, monitor: TraceMonitor) -> list[Violation]:
         found: list[Violation] = []
         if record.kind == KIND_VERDICT and record.detail["action"] == self.action:
-            if monitor._bindings.in_group(record.detail["actor"], self.group, self.template):
+            if monitor._roster.in_group(record.detail["actor"], self.group):
                 found.append(Violation(PROP_PROHIBITION, record.seq, (record.seq,)))
         # gap scan: the embargo must be HELD whenever a group member is bound.
         # Only a binding, or a transition of an embargo on the action, changes
@@ -209,7 +215,7 @@ class _ProhibitionChecker:
                 return found
         elif record.kind != KIND_BINDING:
             return found
-        bound = monitor._bindings.any_in_group(self.group, self.template)
+        bound = monitor._roster.any_in_group(self.group)
         exposed = bound and not self._embargo_held(monitor)
         if exposed and self not in monitor._gaps:
             monitor._gaps.add(self)
@@ -225,10 +231,10 @@ class _AccountabilityChecker:
     def feed(self, record: AuditRecord, monitor: TraceMonitor) -> list[Violation]:
         detail = record.detail
         if record.kind == KIND_BINDING and detail["event_type"] == "bind":
-            if detail["principal"] not in monitor._registered:
+            if not monitor._roster.is_principal(detail["principal"]):
                 return [Violation(PROP_ACCOUNTABILITY, record.seq, (record.seq,))]
         elif record.kind == KIND_TOKEN_TRANSITION and detail["from"] == "CREATED":
-            if detail["chain_head"] not in monitor._registered:
+            if not monitor._roster.is_principal(detail["chain_head"]):
                 return [Violation(PROP_ACCOUNTABILITY, record.seq, (record.seq,))]
         return []
 
@@ -251,7 +257,7 @@ def _build_checker(spec: PropertySpec, template: CommunityTemplate | None):
                 )
             if template.group(group) is None:
                 raise UnknownIdentifier(f"group {group!r} is not declared")
-        return _ProhibitionChecker(spec, template)
+        return _ProhibitionChecker(spec)
     if spec.template == PROP_ACCOUNTABILITY:
         return _AccountabilityChecker()
     raise UnknownIdentifier(f"unknown property template {spec.template!r}")
@@ -261,17 +267,18 @@ class TraceMonitor:
     """Online monitor: feed audit records, collect violations incrementally.
 
     The monitor keeps everything it learns from the records; its checkers keep
-    nothing. Bindings and tokens live in the runtime's own indexes, written
-    only through their `add`/`remove` and `add`/`update`, so the monitor looks
-    up what it checks the way the runtime does instead of scanning. Its tokens
-    carry no delegation chain (`chain` is None), since no checker reads one.
+    nothing. Principals and bindings live in a `runtime.Roster` and tokens in
+    a `deontic.TokenStore`, the runtime's own structures, written only through
+    `principals`, `add`/`remove` and `add`/`update`, so the monitor looks up
+    who is who and what is held the way the runtime does instead of scanning.
+    Its tokens carry no delegation chain (`chain` is None), since no checker
+    reads one.
     """
 
     def __init__(
         self, specs: Iterable[PropertySpec], template: CommunityTemplate | None = None
     ):
-        self._registered: set[str] = set()
-        self._bindings = Bindings()
+        self._roster = Roster(template)
         self._tokens = TokenStore()
         self._gaps: set[_ProhibitionChecker] = set()  # checkers in an embargo gap
         # record kind -> the checkers that read it, in spec order
@@ -310,17 +317,19 @@ class TraceMonitor:
         """Keep what a genesis, binding or token transition record tells."""
         detail = record.detail
         if record.kind == KIND_GENESIS:
-            self._registered.add(detail["owner"]["id"])
+            owner = detail["owner"]
+            self._roster.principals[owner["id"]] = Principal(owner["id"], owner["name"], owner["kind"])
         elif record.kind == KIND_BINDING:
             event_type = detail["event_type"]
             if event_type == "register_principal":
-                self._registered.add(detail["principal"])
+                principal = detail["principal"]
+                self._roster.principals[principal] = Principal(principal, detail["name"], detail["kind"])
             elif event_type == "bind":
                 role, agent = detail["role"], detail["agent"]
                 kind, principal = ROLE_KINDS[detail["agent_kind"]], detail["principal"]
-                self._bindings.add(RoleBinding(role, agent, kind, principal, record.seq))
+                self._roster.add(RoleBinding(role, agent, kind, principal, record.seq))
             elif event_type == "unbind":
-                self._bindings.remove(detail["role"], detail["agent"])
+                self._roster.remove(detail["role"], detail["agent"])
             else:
                 raise ValueError(f"unknown binding event {event_type!r}")
         elif record.kind == KIND_TOKEN_TRANSITION:
@@ -355,9 +364,14 @@ class TraceMonitor:
         """Start monitoring a live instance, catching up on its history.
 
         Both steps are one `with instance:` block, so no event is logged
-        between them and the monitor sees each record exactly once.
+        between them and the monitor sees each record exactly once. A monitor
+        that has folded a genesis record already (its roster holds a
+        principal) would see that history twice: ProtocolViolation, raised
+        before it is fed anything or listens.
         """
         with instance:
+            if self._roster.principals:
+                raise ProtocolViolation("this monitor has folded a genesis record already")
             for record in instance.records():
                 self.feed(record)
             instance.add_listener(self.feed)
@@ -365,8 +379,7 @@ class TraceMonitor:
     def clone(self) -> TraceMonitor:
         """Independent copy that shares the template, the checkers and their routes."""
         twin = TraceMonitor.__new__(TraceMonitor)
-        twin._registered = set(self._registered)
-        twin._bindings = self._bindings.clone()
+        twin._roster = self._roster.clone()
         twin._tokens = self._tokens.clone()
         twin._gaps = set(self._gaps)
         twin._routes = self._routes

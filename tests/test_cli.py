@@ -98,6 +98,30 @@ def test_run_rejects_unknown_injection(capsys):
     assert "safety" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--spec", "S", "--script", "X"], ["--script", "X"], ["--owner", "Clinic"], ["--mode", "advisory"]],
+)
+def test_a_scenario_run_refuses_the_flags_of_an_ad_hoc_run(tmp_path, capsys, flags):
+    code = main(["run", "--scenario", "happy_path", *flags, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_ad_hoc_run_refuses_an_injection(tmp_path, capsys):
+    spec = tmp_path / "gate.community"
+    spec.write_text(GOOD_SPEC, encoding="utf-8")
+    script = tmp_path / "session.events"
+    script.write_text("bind Officer officer_1 human community_owner\n", encoding="utf-8")
+    code = main(
+        ["run", "--spec", str(spec), "--script", str(script), "--inject", "safety", "--out", str(tmp_path / "out")]
+    )
+    assert code == EXIT_USAGE
+    assert "--inject" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_ad_hoc_script_run(tmp_path, capsys):
     spec = tmp_path / "gate.community"
     spec.write_text(GOOD_SPEC, encoding="utf-8")

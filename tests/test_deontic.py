@@ -41,7 +41,7 @@ from covenant.errors import (
     UnknownIssuer,
     UnresolvedHolder,
 )
-from covenant.runtime import Bindings, RoleBinding
+from covenant.runtime import RoleBinding, Roster
 from covenant.spec_lang.ast import AI_ROLE_KINDS, Modality, RoleKind
 
 
@@ -763,7 +763,7 @@ def test_an_exception_asks_only_about_permits_on_the_verdicts_subject_or_unscope
 def test_the_ai_binding_count_follows_binds_unbinds_and_clones():
     rng = random.Random(16)
     roles, agents, kinds = ["Physician", "Matcher"], ["a0", "a1", "a2", "a3"], list(RoleKind)
-    pool, seen = [Bindings()], set()
+    pool, seen = [Roster(None)], set()
     for step in range(800):
         bindings = rng.choice(pool)
         bound = list(bindings)
@@ -784,7 +784,7 @@ def test_the_ai_binding_count_follows_binds_unbinds_and_clones():
             pool.append(bindings.clone())
         for each in pool:
             scan = any(b.agent_kind in AI_ROLE_KINDS for b in each)
-            assert each.any_in_group("ALL_AI_AGENTS", None) == scan, f"step {step}"
+            assert each.any_in_group("ALL_AI_AGENTS") == scan, f"step {step}"
             seen.add(scan)
     assert seen == {False, True}
 

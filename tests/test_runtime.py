@@ -234,17 +234,17 @@ def test_a_bound_agents_name_cannot_be_registered_as_a_principal():
     with pytest.raises(NameCollision):
         c.register_principal("bot_1")
     assert (c.records(), c.event_count, c.bindings()) == before
-    assert not c.is_principal("bot_1")
+    assert not c.roster.is_principal("bot_1")
 
 
 def test_a_name_once_bound_stays_an_agents_name():
     c = _staffed_clinic()
     c.unbind_agent("Bot", "bot_1")
-    assert not c.is_agent("bot_1")
+    assert not c.roster.is_agent("bot_1")
     before = (c.records(), c.event_count)
     with pytest.raises(NameCollision):
         c.register_principal("bot_1")
-    assert (c.records(), c.event_count) == before and not c.is_principal("bot_1")
+    assert (c.records(), c.event_count) == before and not c.roster.is_principal("bot_1")
     # a log that registers it after the unbind no longer replays
     text = c.export_log()
     header, records = text.splitlines()[0], parse_export(text)[1]
@@ -258,13 +258,13 @@ def test_a_name_once_bound_stays_an_agents_name():
     assert info.value.bad_seq == len(records)
     # it may still be bound again, as the agent it was
     c.bind_agent("Bot", "bot_1", "llm_agent", "VendorX")
-    assert c.is_agent("bot_1")
+    assert c.roster.is_agent("bot_1")
 
 
 def test_unbind_removes_binding_and_logs():
     c = staffed_ward()
     c.unbind_agent("Bot", "bot_1")
-    assert not c.is_agent("bot_1")
+    assert not c.roster.is_agent("bot_1")
     last = c.records()[-1]
     assert last.kind == KIND_BINDING and last.detail["event_type"] == "unbind"
     with pytest.raises(UnknownAgent):
@@ -274,7 +274,11 @@ def test_unbind_removes_binding_and_logs():
 def test_bind_fuzz_matches_reference_model():
     # independent model: kind and principal stick to an agent while bound;
     # (role, agent) unique; per-role count capped by the declaration
-    c = make_ward()
+    groups = ("ALL", "ALL_AI_AGENTS", "Staff", "Machines")
+    declared = "  group Staff = {Officer, Reviewer};\n  group Machines = {Bot};\n  object CaseFile;"
+    c = make_ward(source=WARD_SOURCE.replace("  object CaseFile;", declared))
+    live = TraceMonitor([PropertySpec.accountability()], c.template)
+    live.attach(c)
     for p in ("P1", "P2"):
         c.register_principal(p)
     decl_max = {"Officer": 2, "Reviewer": 2, "Bot": 2}
@@ -284,7 +288,20 @@ def test_bind_fuzz_matches_reference_model():
     agents = [f"a{i}" for i in range(6)]
     kinds = ["human", "llm_agent"]
     principals = ["P1", "P2"]
+
+    def assert_same_roster(roster):
+        # the monitor's roster answers who is who as the instance's does
+        assert roster.principals == c.roster.principals
+        for agent in agents:
+            for query in ("roles_of", "agent_kind", "principal_of"):
+                assert getattr(roster, query)(agent) == getattr(c.roster, query)(agent), (query, agent)
+            for group in groups:
+                assert roster.in_group(agent, group) == c.roster.in_group(agent, group), (agent, group)
+        for group in groups:
+            assert roster.any_in_group(group) == c.roster.any_in_group(group), group
+
     for _ in range(400):
+        assert_same_roster(live._roster)
         role = rng.choice(list(decl_max))
         agent = rng.choice(agents)
         kind = rng.choice(kinds)
@@ -299,7 +316,7 @@ def test_bind_fuzz_matches_reference_model():
             p
             for r, a in bound
             if a == agent
-            for p in [c.principal_of(a)]
+            for p in [c.roster.principal_of(a)]
         }
         ok = (
             kind == decl_kind[role]
@@ -315,11 +332,13 @@ def test_bind_fuzz_matches_reference_model():
         except (KindMismatch, UnknownPrincipal, CardinalityExceeded):
             assert not ok, f"model accepted rejected bind {role} {agent} {kind} {principal}"
     assert {(b.role, b.agent) for b in c.bindings()} == bound
+    assert_same_roster(live._roster)
     # a monitor rebuilds the same index from the records alone
     monitor = TraceMonitor([PropertySpec.accountability()], c.template)
     for record in c.records():
         monitor.feed(record)
-    index = monitor._bindings
+    index = monitor._roster
+    assert_same_roster(index)
     assert tuple(index) == c.bindings()
     assert [b.bound_at for b in c.bindings()] == sorted(b.bound_at for b in c.bindings())
     for agent in agents:
@@ -625,7 +644,7 @@ def test_an_actor_that_is_not_a_string_fails_before_its_event():
     )
     # the burden is overdue: the next event to be numbered expires it first
     assert c.tokens.get(declared.token_id).state is TokenState.HELD
-    assert c.is_agent(_LikeOfficerOne())
+    assert c.roster.is_agent(_LikeOfficerOne())
     before = (c.event_count, c.head_seq, c.records(), c.tokens.states())
     with pytest.raises(TypeError, match="actor"):
         c.submit_action(_LikeOfficerOne(), "ping")
@@ -1354,6 +1373,21 @@ def test_replay_refuses_a_log_that_gives_an_agent_a_principals_name():
     assert info.value.bad_seq == len(records)
 
 
+def test_a_principal_record_whose_name_is_not_a_string_is_refused_at_its_seq():
+    # replay re-executes it into a Principal, and the monitor folds it into one
+    template = parse_spec(WARD_SOURCE)
+    text = drive_sample_history(staffed_ward()).export_log()
+    header, records = text.splitlines()[0], parse_export(text)[1]
+    assert records[4].detail["event_type"] == "register_principal"
+    owner = records[0].detail["owner"]
+    for seq, edit in [(4, {"name": name}) for name in (7, True, None, ["Vendor"])] + [(0, {"owner": {**owner, "name": 7}})]:
+        forged = import_log(_rechain(header, _edited(records, seq, **edit)))[1]
+        assert _replay_fails_at(template, forged) == seq, edit
+        with pytest.raises(IntegrityError) as info:
+            run_checks(forged, [PropertySpec.accountability()], template)
+        assert info.value.bad_seq == seq, edit
+
+
 def test_replay_checks_the_expiry_sweep_before_a_missing_or_failing_record():
     template = parse_spec(WARD_SOURCE)
     c = staffed_ward()
@@ -1954,7 +1988,7 @@ def test_event_values_behave_as_they_did_as_dataclasses():
     assert binding == runtime.RoleBinding("Officer", "officer_2", RoleKind.HUMAN, "Clinic", c.head_seq)
     assert binding in c.bindings()
 
-    blocked = deontic.check_action_admissible(c.tokens, c, "bot_1", "close_case", "case1")
+    blocked = deontic.check_action_admissible(c.tokens, c.roster, "bot_1", "close_case", "case1")
     embargo = next(t.id for t in c.tokens if t.action == "close_case")
     assert blocked == deontic.Verdict("blocked", blockers=(embargo,), reason="embargo")
     assert not blocked.admissible
@@ -2192,7 +2226,7 @@ def test_a_listener_that_calls_back_never_wedges_its_instance(call_back):
     # the outer event is logged whole, and the inner call left no record, event or state
     assert [r.kind for r in c.records()[before:]] == [KIND_ACTION_REQUEST, KIND_VERDICT]
     assert (c.event_count, c.tokens.states(), c.mode) == (events + 1, tokens, MODE_AUTONOMOUS)
-    assert not c.is_principal("Latecomer") and fed == []
+    assert not c.roster.is_principal("Latecomer") and fed == []
     export = c.export_log()
     if call_back in _READERS:
         assert outcome[0].verdict.outcome == "blocked"

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from covenant import verifier
-from covenant.errors import IntegrityError, ScopeTooLarge, UnknownIdentifier
+from covenant.errors import IntegrityError, ProtocolViolation, ScopeTooLarge, UnknownIdentifier
 from covenant.deontic import TokenState
 from covenant.reference import (
     PROP_ACCOUNTABILITY,
@@ -355,6 +355,34 @@ def test_monitor_attach_catches_up_on_history():
     assert len(monitor.violations) == 2
 
 
+def test_a_second_attach_is_refused_before_it_feeds_a_record():
+    # without policies a second catch-up would flag the ghost's binding at seq 1 again
+    ward = parse_spec("community Ward { role Nurse: human [0..2]; }")
+    c = instantiate_community(ward, owner=Principal("W", "W"))
+    c.force_bind("Nurse", "nurse_1", "human", "Ghost")
+    monitor = TraceMonitor([PropertySpec.accountability()], c.template)
+    monitor.attach(c)
+    with pytest.raises(ProtocolViolation):
+        monitor.attach(c)
+    assert monitor.violations == [Violation(PROP_ACCOUNTABILITY, 1, (1,))]
+    # listening once: the next ghost binding is flagged once
+    c.force_bind("Nurse", "nurse_2", "human", "Ghost")
+    assert monitor.violations == [Violation(PROP_ACCOUNTABILITY, s, (s,)) for s in (1, 2)]
+
+
+def test_a_second_attach_to_a_community_with_policies_is_a_protocol_violation():
+    # its catch-up would fold the policy tokens again, out of order
+    c = clinic()
+    monitor = TraceMonitor(ALL_SPECS, c.template)
+    monitor.attach(c)
+    with pytest.raises(ProtocolViolation):
+        monitor.attach(c)
+    assert monitor._tokens.states() == c.tokens.states()
+    drive_clinic(c)
+    assert monitor.violations == run_checks(c.records(), ALL_SPECS, c.template)
+    assert monitor._tokens.states() == c.tokens.states()
+
+
 def test_monitor_clone_is_independent():
     c = clinic()
     monitor = TraceMonitor(ALL_SPECS, c.template)
@@ -390,7 +418,7 @@ def test_monitor_keeps_duplicate_binds_of_an_edited_log():
         return AuditRecord(seq, KIND_BINDING, detail["agent"], detail, "", "")
 
     monitor = TraceMonitor([PropertySpec.prohibition("close_file", "ALL_AI_AGENTS")])
-    index = monitor._bindings
+    index = monitor._roster
 
     def seen():
         return index.agent_kind("x"), index.principal_of("x"), index.count("Bot")
@@ -701,7 +729,7 @@ def test_apply_schema_honours_force_and_the_oracle_refuses_it():
     forced = EventSchema("force_ghost", "bind", {**bind, "principal": "GhostCorp", "force": True})
     assert apply_schema(c, plain) == "raised:UnknownPrincipal"
     assert apply_schema(c, forced) == "ok"
-    assert c.principal_of("consent_mgr") == "GhostCorp"
+    assert c.roster.principal_of("consent_mgr") == "GhostCorp"
     # the reference engine cannot model a forced bind, so it must not ignore one
     with pytest.raises(ScopeTooLarge, match="forced binds"):
         oracle_enumerate(fx.template, (forced,), 1, fx.properties, fx.prologue, fx.owner)
@@ -905,7 +933,7 @@ def test_neither_engine_lets_a_former_agents_name_become_a_principal():
     ]
     (permit,) = c.tokens
     assert (permit.issuer, permit.state) == ("ann", TokenState.HELD)
-    assert not c.is_principal("ann")
+    assert not c.roster.is_principal("ann")
     # bound for ann by force, bob still does not act for ann's permit
     c.force_bind("Officer", "bob", "human", "ann")
     assert apply_schema(c, events[-1]) == "rejected:NotIssuer"
