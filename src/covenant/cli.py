@@ -21,7 +21,7 @@ from .errors import (
     ScriptError,
     UnknownIdentifier,
 )
-from .runtime import MODE_AUTONOMOUS, MODES, check_community, import_log
+from .runtime import MODE_AUTONOMOUS, MODES, AuditRecord, import_log, replay
 from .scenarios import (
     ScenarioReport,
     built_in_scenarios,
@@ -34,8 +34,9 @@ from .scenarios import (
     stage_from_script,
 )
 from .spec_lang import format_spec, parse_spec
+from .spec_lang.ast import CommunityTemplate
 from .spec_lang.validate import SEVERITY_ERROR, validate_template
-from .verifier import PROPERTY_NAMES, PropertySpec, run_checks
+from .verifier import PROPERTIES, PropertySpec, run_checks
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -108,27 +109,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _property_spec(args: argparse.Namespace) -> PropertySpec:
-    name = args.property
-    if name == "safety":
-        if not args.action or not args.burden:
-            raise UnknownIdentifier("safety needs --action and --burden")
-        return PropertySpec.safety(args.action, args.burden)
-    if name == "authority":
-        if not args.action or not args.role:
-            raise UnknownIdentifier("authority needs --action and --role")
-        return PropertySpec.authority(args.action, args.role)
-    if name == "prohibition":
-        if not args.action or not args.group:
-            raise UnknownIdentifier("prohibition needs --action and --group")
-        return PropertySpec.prohibition(args.action, args.group)
-    return PropertySpec.accountability()
+    template, row = next((t, row) for t, row in PROPERTIES.items() if row.name == args.property)
+    values = [getattr(args, param.flag) for param in row.params]
+    if not all(values):
+        raise UnknownIdentifier(f"{row.name} needs " + " and ".join(f"--{param.flag}" for param in row.params))
+    # in key order, as PropertySpec's named constructors build it
+    return PropertySpec(template, tuple(sorted(zip((param.key for param in row.params), values))))
+
+
+def _import(args: argparse.Namespace) -> tuple[tuple[AuditRecord, ...], CommunityTemplate | None]:
+    """The export's records once their chain holds and, given --spec, once replay re-derives each.
+
+    A chain alone shows only that the records are in order, since anyone can
+    re-hash one; replay re-executes the log under the spec's rules, so a
+    forged verdict or transition fails at its seq. A log of another community
+    is refused by check_community, inside replay.
+    """
+    _header, records = import_log(_read(args.trace))
+    if not args.spec:
+        return records, None
+    template = parse_spec(_read(args.spec))
+    replay(template, records)
+    return records, template
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _header, records = import_log(_read(args.trace))
-    template = parse_spec(_read(args.spec)) if args.spec else None
-    if template is not None:
-        check_community(records, template)
+    records, template = _import(args)
     spec = _property_spec(args)
     violations = run_checks(records, (spec,), template)
     lines = [v.to_line() for v in violations]
@@ -142,7 +148,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    _header, records = import_log(_read(args.trace))
+    records, template = _import(args)
+    if template is None:
+        print("note: only the hash chain was checked; --spec also re-derives each record", file=sys.stderr)
     head = records[-1]
     print(f"ok: {len(records)} records, head seq {head.seq}, digest {head.hash}")
     return EXIT_OK
@@ -188,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="built-in scenario name")
     p.add_argument(
         "--inject",
-        choices=tuple(PROPERTY_NAMES.values()),
+        choices=[row.name for row in PROPERTIES.values()],
         help="run the mutated variant that violates the given property",
     )
     p.add_argument("--spec", help="community spec for an ad-hoc script run")
@@ -203,18 +211,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--property",
         required=True,
-        choices=tuple(PROPERTY_NAMES.values()),
+        choices=[row.name for row in PROPERTIES.values()],
     )
-    p.add_argument("--action", help="action the property constrains")
-    p.add_argument("--burden", help="guard burden action (safety)")
-    p.add_argument("--role", help="authorized role (authority)")
-    p.add_argument("--group", help="prohibited group (prohibition)")
-    p.add_argument("--spec", help="community spec for declared group and role lookups")
+    uses: dict[str, list[str]] = {}  # each parameter flag -> the parameters it sets
+    for row in PROPERTIES.values():
+        for param in row.params:
+            uses.setdefault(param.flag, []).append(f"{param.key} ({row.name})")
+    for flag, keys in uses.items():
+        p.add_argument(f"--{flag}", help=", ".join(keys))
+    p.add_argument("--spec", help="community spec to replay the export against, and for role and group lookups")
     p.add_argument("--report", help="write the violation report to this file")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("audit", help="re-verify hash-chain integrity of an export")
     p.add_argument("--trace", required=True, help="audit export file")
+    p.add_argument("--spec", help="community spec to replay the export against")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("scenarios", help="list or run the built-in scenarios")

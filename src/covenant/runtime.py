@@ -418,11 +418,10 @@ class Roster:
             return self.is_agent(agent)
         if group == "ALL_AI_AGENTS":
             return self.agent_kind(agent) in AI_ROLE_KINDS
-        decl = self.template.group(group) if self.template is not None else None
-        if decl is None:
-            return False
+        # any other group is declared: its holder or its property spec was checked against the template
+        members = self.template.group(group).members
         for b in self._by_agent.get(agent, ()):
-            if b.role in decl.members:
+            if b.role in members:
                 return True
         return False
 
@@ -431,10 +430,7 @@ class Roster:
             return any(self._count.values())
         if group == "ALL_AI_AGENTS":
             return self._ai > 0
-        decl = self.template.group(group) if self.template is not None else None
-        if decl is None:
-            return False
-        return any(self.count(role) for role in decl.members)
+        return any(self.count(role) for role in self.template.group(group).members)
 
     def clone(self) -> Roster:
         twin = Roster.__new__(Roster)
@@ -536,6 +532,16 @@ _VALID_TEMPLATES: weakref.WeakValueDictionary[int, CommunityTemplate] = (
 )
 
 
+def _check_valid(template: CommunityTemplate) -> None:
+    """Raise InvalidTemplate if `template` has validation errors; each template object is validated once."""
+    if _VALID_TEMPLATES.get(id(template)) is not template:
+        findings = validate_template(template)
+        errors = [f for f in findings if f.severity == SEVERITY_ERROR]
+        if errors:
+            raise InvalidTemplate("; ".join(str(f) for f in errors))
+        _VALID_TEMPLATES[id(template)] = template
+
+
 class CommunityInstance:
     """One running community; each event is one `with self:` block, serialized under a lock."""
 
@@ -586,12 +592,7 @@ class CommunityInstance:
         owner: Principal,
         object_disciplines: dict[str, str] | None = None,
     ):
-        if _VALID_TEMPLATES.get(id(template)) is not template:
-            findings = validate_template(template)
-            errors = [f for f in findings if f.severity == SEVERITY_ERROR]
-            if errors:
-                raise InvalidTemplate("; ".join(str(f) for f in errors))
-            _VALID_TEMPLATES[id(template)] = template
+        _check_valid(template)
         if mode not in MODES:
             raise InvalidTemplate(f"unknown deployment mode {mode!r}")
 
@@ -924,7 +925,7 @@ class CommunityInstance:
     ) -> RoleBinding:
         """Bind without requiring a registered principal.
 
-        Exists for fault injection: the accountability checker must be able
+        Exists for fault injection: the accountability property must be able
         to see a binding whose principal was never registered.
         """
         with self:
@@ -1510,7 +1511,8 @@ def replay(
     chain check. The instance keeps the input record, so it holds one copy of
     each. On a chained input, IntegrityError names the first seq that
     differs, that is never regenerated, that lies beyond the input's end, or
-    whose initiating record cannot be re-executed.
+    whose initiating record cannot be re-executed. A template of another
+    community, or one with validation errors, is an InvalidTemplate.
     """
     if isinstance(text_or_records, str):
         _, records = import_log(text_or_records)
@@ -1523,6 +1525,7 @@ def replay(
     if not records or records[0].kind != KIND_GENESIS:
         raise IntegrityError("export does not start with a genesis record", 0)
     check_community(records, template)
+    _check_valid(template)  # the caller's fault, not the log's: not an IntegrityError
     genesis = records[0].detail
     instance = CommunityInstance.__new__(CommunityInstance)
     instance._replay_input = records  # before __init__ writes event 0

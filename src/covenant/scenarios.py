@@ -53,7 +53,7 @@ from .verifier import (
     PROP_AUTHORITY,
     PROP_PROHIBITION,
     PROP_SAFETY,
-    PROPERTY_NAMES,
+    PROPERTIES,
     PropertySpec,
     TraceMonitor,
     apply_schema,
@@ -827,14 +827,13 @@ _MUTATIONS = {
 
 def inject_violation(scenario: Scenario, kind: str) -> Scenario:
     """A minimally mutated copy whose run violates exactly the given template."""
-    if kind in PROPERTY_NAMES.values():
-        kind = next(k for k, v in PROPERTY_NAMES.items() if v == kind)
-    if kind not in PROPERTY_NAMES:
+    kind = next((template for template, row in PROPERTIES.items() if kind in (template, row.name)), kind)
+    if kind not in PROPERTIES:
         raise CannotInject(f"unknown property template {kind!r}")
     mutation = _MUTATIONS.get((scenario.name, kind))
     if mutation is None:
         raise CannotInject(
-            f"scenario {scenario.name!r} has no construct for a {PROPERTY_NAMES[kind]} violation"
+            f"scenario {scenario.name!r} has no construct for a {PROPERTIES[kind].name} violation"
         )
     index, cut, drop, written, anchor, added, label = mutation
     if index >= len(scenario.stages):
@@ -863,7 +862,7 @@ def inject_violation(scenario: Scenario, kind: str) -> Scenario:
     )
     return replace(
         scenario,
-        name=f"{scenario.name}__{PROPERTY_NAMES[kind]}",
+        name=f"{scenario.name}__{PROPERTIES[kind].name}",
         stages=scenario.stages[:index] + (mutated,) + scenario.stages[index + 1 :],
     )
 

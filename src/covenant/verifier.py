@@ -1,9 +1,10 @@
 """Governance property verification.
 
-Four parameterized property templates are evaluated two ways:
+Four parameterized property templates, one row each of the PROPERTIES table,
+are evaluated two ways:
 
 * online — a TraceMonitor fed each audit record as it is appended,
-* offline — the same incremental checkers run over a trace of audit
+* offline — the same monitor and rules run over a trace of audit
   records, such as `instance.records()` or an imported export (so online
   and offline agree by construction).
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .deontic import (
     OUTCOME_ADMISSIBLE,
@@ -67,15 +68,6 @@ from .spec_lang.ast import (
     Modality,
     speech_act_kind,
 )
-
-
-# each property template's short name, as `inject_violation` and the CLI take it
-PROPERTY_NAMES = {
-    PROP_SAFETY: "safety",
-    PROP_AUTHORITY: "authority",
-    PROP_PROHIBITION: "prohibition",
-    PROP_ACCOUNTABILITY: "accountability",
-}
 
 
 @dataclass(frozen=True)
@@ -144,134 +136,125 @@ _HOLDER_KINDS = {k.value: k for k in HolderKind}
 
 
 # ----------------------------------------------------------------------
-# per-template checkers; each names in `kinds` the record kinds it reads, and
-# the monitor sends it no other record, and no verdict but an admissible one
+# the property table. A row's rule says whether a record violates its property,
+# given the monitor, the spec's position and its values in the row's order;
+# the monitor sends it only the row's kinds, and only admissible verdicts.
 
 
-class _SafetyChecker:
-    kinds = (KIND_VERDICT,)
+@dataclass(frozen=True)
+class Param:
+    key: str  # its key in PropertySpec.params
+    flag: str  # the `covenant verify` option that sets it
+    names: str  # what its value names: "action", "role" or "group"
 
-    def __init__(self, spec: PropertySpec):
-        self.guarded_action = spec.param("guarded_action")
-        self.guard_burden = spec.param("guard_burden")
 
-    def feed(self, record: AuditRecord, monitor: TraceMonitor) -> list[Violation]:
+@dataclass(frozen=True)
+class Property:
+    name: str  # the short name `inject_violation` and the CLI take
+    params: tuple[Param, ...]
+    kinds: tuple[str, ...]  # the record kinds the rule reads
+    rule: Callable[[TraceMonitor, AuditRecord, int, tuple[str, ...]], bool]
+
+
+def _unguarded(monitor: TraceMonitor, record: AuditRecord, at: int, values: tuple[str, ...]) -> bool:
+    guarded_action, guard_burden = values
+    detail = record.detail
+    if detail["action"] != guarded_action:
+        return False
+    # records come in order, so every discharge seen precedes the verdict
+    return not monitor._tokens.guard_discharged(guard_burden, detail.get("subject"))
+
+
+def _usurped(monitor: TraceMonitor, record: AuditRecord, at: int, values: tuple[str, ...]) -> bool:
+    decision_action, authorized_role = values
+    detail = record.detail
+    if record.kind == KIND_VERDICT:
+        # a decision is made by discharging its burden; admitting it as an
+        # action bypasses the role, and no event both admits and discharges
+        return detail["action"] == decision_action
+    if detail["to"] != "DISCHARGED":
+        return False
+    by, action = detail["by"], monitor._tokens.get(detail["token"]).action
+    return action == decision_action and not monitor._roster.has_role(by, authorized_role)
+
+
+def _embargo_held(monitor: TraceMonitor, action: str, group: str) -> bool:
+    # a group embargo is never agent-held: it is in the role/group bucket
+    tokens = monitor._tokens
+    return any(
+        t.holder.kind is HolderKind.GROUP and t.holder.name in (group, "ALL")
+        for t in map(tokens.get, tokens.held_by(Modality.EMBARGO, action, None))
+    )
+
+
+def _unembargoed(monitor: TraceMonitor, record: AuditRecord, at: int, values: tuple[str, ...]) -> bool:
+    action, group = values
+    if record.kind == KIND_VERDICT:
         detail = record.detail
-        if detail["action"] != self.guarded_action:
-            return []
-        # records come in order, so every discharge seen precedes the verdict
-        if monitor._tokens.guard_discharged(self.guard_burden, detail.get("subject")):
-            return []
-        return [Violation(PROP_SAFETY, record.seq, (record.seq,))]
+        return detail["action"] == action and monitor._roster.in_group(detail["actor"], group)
+    # gap scan: the embargo must be HELD whenever a group member is bound, and
+    # the record that opens a gap violates. Only a binding, or a transition of
+    # an embargo on the action, changes what the scan reads.
+    if record.kind == KIND_TOKEN_TRANSITION:
+        token = monitor._tokens.get(record.detail["token"])
+        if token.modality is not Modality.EMBARGO or token.action != action:
+            return False
+    if monitor._roster.any_in_group(group) and not _embargo_held(monitor, action, group):
+        if at in monitor._gaps:
+            return False
+        monitor._gaps.add(at)
+        return True
+    monitor._gaps.discard(at)
+    return False
 
 
-class _AuthorityChecker:
-    kinds = (KIND_VERDICT, KIND_TOKEN_TRANSITION)
-
-    def __init__(self, spec: PropertySpec):
-        self.decision_action = spec.param("decision_action")
-        self.authorized_role = spec.param("authorized_role")
-
-    def feed(self, record: AuditRecord, monitor: TraceMonitor) -> list[Violation]:
-        detail = record.detail
-        if record.kind == KIND_VERDICT:
-            # a decision is made by discharging its burden; admitting it as an
-            # action bypasses the role, and no event both admits and discharges
-            if detail["action"] == self.decision_action:
-                return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
-        elif detail["to"] == "DISCHARGED":
-            by, action = detail["by"], monitor._tokens.get(detail["token"]).action
-            if action == self.decision_action and not monitor._roster.has_role(by, self.authorized_role):
-                return [Violation(PROP_AUTHORITY, record.seq, (record.seq,))]
-        return []
+def _untraceable(monitor: TraceMonitor, record: AuditRecord, at: int, values: tuple[str, ...]) -> bool:
+    detail = record.detail
+    if record.kind == KIND_BINDING:
+        return detail["event_type"] == "bind" and not monitor._roster.is_principal(detail["principal"])
+    return detail["from"] == "CREATED" and not monitor._roster.is_principal(detail["chain_head"])
 
 
-class _ProhibitionChecker:
-    kinds = (KIND_VERDICT, KIND_BINDING, KIND_TOKEN_TRANSITION)
-
-    def __init__(self, spec: PropertySpec):
-        self.action = spec.param("action")
-        self.group = spec.param("group")
-
-    def _embargo_held(self, monitor: TraceMonitor) -> bool:
-        # a group embargo is never agent-held: it is in the role/group bucket
-        tokens = monitor._tokens
-        return any(
-            t.holder.kind is HolderKind.GROUP and t.holder.name in (self.group, "ALL")
-            for t in map(tokens.get, tokens.held_by(Modality.EMBARGO, self.action, None))
-        )
-
-    def feed(self, record: AuditRecord, monitor: TraceMonitor) -> list[Violation]:
-        found: list[Violation] = []
-        if record.kind == KIND_VERDICT and record.detail["action"] == self.action:
-            if monitor._roster.in_group(record.detail["actor"], self.group):
-                found.append(Violation(PROP_PROHIBITION, record.seq, (record.seq,)))
-        # gap scan: the embargo must be HELD whenever a group member is bound.
-        # Only a binding, or a transition of an embargo on the action, changes
-        # what the scan reads.
-        if record.kind == KIND_TOKEN_TRANSITION:
-            token = monitor._tokens.get(record.detail["token"])
-            if token.modality is not Modality.EMBARGO or token.action != self.action:
-                return found
-        elif record.kind != KIND_BINDING:
-            return found
-        bound = monitor._roster.any_in_group(self.group)
-        exposed = bound and not self._embargo_held(monitor)
-        if exposed and self not in monitor._gaps:
-            monitor._gaps.add(self)
-            found.append(Violation(PROP_PROHIBITION, record.seq, (record.seq,)))
-        elif not exposed:
-            monitor._gaps.discard(self)
-        return found
+# every property template, by the name its violations carry
+PROPERTIES = {
+    PROP_SAFETY: Property(
+        "safety", (Param("guarded_action", "action", "action"), Param("guard_burden", "burden", "action")),
+        (KIND_VERDICT,), _unguarded,
+    ),
+    PROP_AUTHORITY: Property(
+        "authority", (Param("decision_action", "action", "action"), Param("authorized_role", "role", "role")),
+        (KIND_VERDICT, KIND_TOKEN_TRANSITION), _usurped,
+    ),
+    PROP_PROHIBITION: Property(
+        "prohibition", (Param("action", "action", "action"), Param("group", "group", "group")),
+        (KIND_VERDICT, KIND_BINDING, KIND_TOKEN_TRANSITION), _unembargoed,
+    ),
+    PROP_ACCOUNTABILITY: Property("accountability", (), (KIND_BINDING, KIND_TOKEN_TRANSITION), _untraceable),
+}
 
 
-class _AccountabilityChecker:
-    kinds = (KIND_BINDING, KIND_TOKEN_TRANSITION)
-
-    def feed(self, record: AuditRecord, monitor: TraceMonitor) -> list[Violation]:
-        detail = record.detail
-        if record.kind == KIND_BINDING and detail["event_type"] == "bind":
-            if not monitor._roster.is_principal(detail["principal"]):
-                return [Violation(PROP_ACCOUNTABILITY, record.seq, (record.seq,))]
-        elif record.kind == KIND_TOKEN_TRANSITION and detail["from"] == "CREATED":
-            if not monitor._roster.is_principal(detail["chain_head"]):
-                return [Violation(PROP_ACCOUNTABILITY, record.seq, (record.seq,))]
-        return []
-
-
-def _build_checker(spec: PropertySpec, template: CommunityTemplate | None):
-    if spec.template == PROP_SAFETY:
-        return _SafetyChecker(spec)
-    if spec.template == PROP_AUTHORITY:
-        if template is not None and template.role(spec.param("authorized_role")) is None:
-            raise UnknownIdentifier(
-                f"role {spec.param('authorized_role')!r} is not declared"
-            )
-        return _AuthorityChecker(spec)
-    if spec.template == PROP_PROHIBITION:
-        group = spec.param("group")
-        if group not in BUILTIN_GROUPS:
-            if template is None:
-                raise UnknownIdentifier(
-                    f"group {group!r} needs the community template to resolve members"
-                )
-            if template.group(group) is None:
-                raise UnknownIdentifier(f"group {group!r} is not declared")
-        return _ProhibitionChecker(spec)
-    if spec.template == PROP_ACCOUNTABILITY:
-        return _AccountabilityChecker()
-    raise UnknownIdentifier(f"unknown property template {spec.template!r}")
+def _check_name(names: str, value: str, template: CommunityTemplate | None) -> None:
+    """Refuse a role or a group that `template` does not declare."""
+    if names == "role":
+        if template is not None and template.role(value) is None:
+            raise UnknownIdentifier(f"role {value!r} is not declared")
+    elif names == "group" and value not in BUILTIN_GROUPS:
+        if template is None:
+            raise UnknownIdentifier(f"group {value!r} needs the community template to resolve members")
+        if template.group(value) is None:
+            raise UnknownIdentifier(f"group {value!r} is not declared")
 
 
 class TraceMonitor:
     """Online monitor: feed audit records, collect violations incrementally.
 
-    The monitor keeps everything it learns from the records; its checkers keep
-    nothing. Principals and bindings live in a `runtime.Roster` and tokens in
-    a `deontic.TokenStore`, the runtime's own structures, written only through
+    The monitor keeps everything it learns from the records; the rules of
+    `PROPERTIES` keep nothing but the prohibition's gap flag, in `_gaps`.
+    Principals and bindings live in a `runtime.Roster` and tokens in a
+    `deontic.TokenStore`, the runtime's own structures, written only through
     `principals`, `add`/`remove` and `add`/`update`, so the monitor looks up
     who is who and what is held the way the runtime does instead of scanning.
-    Its tokens carry no delegation chain (`chain` is None), since no checker
+    Its tokens carry no delegation chain (`chain` is None), since no rule
     reads one.
     """
 
@@ -280,33 +263,41 @@ class TraceMonitor:
     ):
         self._roster = Roster(template)
         self._tokens = TokenStore()
-        self._gaps: set[_ProhibitionChecker] = set()  # checkers in an embargo gap
-        # record kind -> the checkers that read it, in spec order
+        self._gaps: set[int] = set()  # positions of the specs in an embargo gap
+        # record kind -> (template, rule, position, values) of each spec whose
+        # row reads it, in spec order
         self._routes: dict[str, tuple] = {}
-        for spec in specs:
-            checker = _build_checker(spec, template)
-            for kind in checker.kinds:
-                self._routes[kind] = self._routes.get(kind, ()) + (checker,)
+        for at, spec in enumerate(specs):
+            row = PROPERTIES.get(spec.template)
+            if row is None:
+                raise UnknownIdentifier(f"unknown property template {spec.template!r}")
+            values = tuple(spec.param(param.key) for param in row.params)
+            for param, value in zip(row.params, values):
+                _check_name(param.names, value, template)
+            route = (spec.template, row.rule, at, values)
+            for kind in row.kinds:
+                self._routes[kind] = self._routes.get(kind, ()) + (route,)
+        self._fed = False
         self.violations: list[Violation] = []
 
     def feed(self, record: AuditRecord) -> list[Violation]:
+        self._fed = True
         kind = record.kind
         if kind == KIND_VERDICT:
             detail = record.detail
-            # a checker reads these of an admissible verdict only, and may stop
+            # a rule reads these of an admissible verdict only, and may stop
             # before the last; a verdict without one is malformed all the same
             outcome, _, _ = detail["outcome"], detail["action"], detail["actor"]
             if outcome != OUTCOME_ADMISSIBLE:
                 return []
         elif kind in _FOLDED_KINDS:
             self._fold(record)
-        else:  # no checker reads any other kind, and nothing of it is kept
+        else:  # no rule reads any other kind, and nothing of it is kept
             return []
         found: list[Violation] = []
-        for checker in self._routes.get(kind, ()):
-            hits = checker.feed(record, self)
-            if hits:
-                found += hits
+        for template, rule, at, values in self._routes.get(kind, ()):
+            if rule(self, record, at, values):
+                found.append(Violation(template, record.seq, (record.seq,)))
         if found:
             if len(found) > 1:
                 found.sort(key=_sort_key)
@@ -346,7 +337,7 @@ class TraceMonitor:
             # the runtime numbers tokens as it creates them, one record each
             if token_id != len(self._tokens) + 1:
                 raise ValueError(f"token {token_id!r} is not the next token created")
-            # no checker reads a chain (accountability reads the head off the
+            # no rule reads a chain (accountability reads the head off the
             # record), but a record without a head is malformed all the same
             detail["chain_head"]
             holder = detail["holder"]
@@ -365,24 +356,25 @@ class TraceMonitor:
 
         Both steps are one `with instance:` block, so no event is logged
         between them and the monitor sees each record exactly once. A monitor
-        that has folded a genesis record already (its roster holds a
-        principal) would see that history twice: ProtocolViolation, raised
-        before it is fed anything or listens.
+        that has been fed a record already would fold the history on top of
+        what it holds: ProtocolViolation, raised before it is fed anything or
+        listens.
         """
         with instance:
-            if self._roster.principals:
-                raise ProtocolViolation("this monitor has folded a genesis record already")
+            if self._fed:
+                raise ProtocolViolation("this monitor has been fed a record already")
             for record in instance.records():
                 self.feed(record)
             instance.add_listener(self.feed)
 
     def clone(self) -> TraceMonitor:
-        """Independent copy that shares the template, the checkers and their routes."""
+        """Independent copy that shares the template and the routes."""
         twin = TraceMonitor.__new__(TraceMonitor)
         twin._roster = self._roster.clone()
         twin._tokens = self._tokens.clone()
         twin._gaps = set(self._gaps)
         twin._routes = self._routes
+        twin._fed = self._fed
         twin.violations = list(self.violations)
         return twin
 

@@ -6,6 +6,7 @@ import importlib.util
 import random
 from pathlib import Path
 
+from covenant.deontic import HolderKind
 from covenant.spec_lang import format_spec, parse_spec
 from covenant.spec_lang.ast import (
     BUILTIN_GROUPS,
@@ -21,6 +22,42 @@ from covenant.spec_lang.ast import (
     RoleKind,
     SpeechActKind,
 )
+
+
+# the deontic tests and acceptance criterion 8 resolve holders without a runtime
+class StaticResolver:
+    """Fixed principal and binding view; no runtime machinery."""
+
+    def __init__(self, principals=(), agents=None, roles=(), groups=None):
+        self.principals = set(principals)
+        self.agents = dict(agents or {})  # agent -> (principal, {roles})
+        self.roles = set(roles)
+        self.groups = dict(groups or {})  # group -> {agents}
+
+    def is_principal(self, name):
+        return name in self.principals
+
+    def is_agent(self, name):
+        return name in self.agents
+
+    def is_role(self, name):
+        return name in self.roles
+
+    def is_group(self, name):
+        return name in self.groups
+
+    def principal_of(self, agent):
+        entry = self.agents.get(agent)
+        return entry[0] if entry else None
+
+    def covers(self, holder, agent):
+        if holder.kind is HolderKind.AGENT:
+            return holder.name == agent
+        if holder.kind is HolderKind.ROLE:
+            entry = self.agents.get(agent)
+            return bool(entry) and holder.name in entry[1]
+        return agent in self.groups.get(holder.name, set())
+
 
 # the runtime tests pin the export digests of runs on this community, and the
 # verifier tests check their monitors on it

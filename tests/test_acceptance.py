@@ -53,7 +53,7 @@ from covenant.verifier import (
     runtime_enumerate,
 )
 
-from shared import make_random_template, round_trip_holds
+from shared import StaticResolver, make_random_template, round_trip_holds
 
 GOLDEN = Path(__file__).parent / "data" / "clinical_layers.golden"
 
@@ -386,8 +386,6 @@ def test_criterion_7_round_trip_stability(capsys):
 
 
 def test_criterion_8_delegation_and_intent(capsys):
-    from test_deontic import StaticResolver
-
     with report(capsys, "8/8 delegation keeps the principal on the hook"):
         resolver = StaticResolver(
             principals={"Hospital", "Vendor"},

@@ -11,7 +11,7 @@ import pytest
 from covenant import cli
 from covenant.cli import EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
 from covenant.runtime import GENESIS_PREV_HASH, canonical_json
-from covenant.scenarios import LAYER2_SOURCE, get_scenario
+from covenant.scenarios import LAYER1_SOURCE, LAYER2_SOURCE, built_in_scenarios, get_scenario
 
 GOOD_SPEC = """\
 community Clinic {
@@ -248,7 +248,9 @@ def test_verify_refuses_a_spec_for_another_community(tmp_path, capsys):
     assert capsys.readouterr() == refused("Clinic")
     trace = _rechained(tmp_path, 0, _with(community="Clinic"))
     capsys.readouterr()
-    assert verify(clinic, "--property", "accountability") == EXIT_OK
+    # past the community check, replay finds that the Clinic spec cannot re-derive the log
+    assert verify(clinic, "--property", "accountability") == EXIT_INTEGRITY
+    assert capsys.readouterr().err.startswith("integrity failure at seq 0: genesis cannot be re-executed")
 
 def test_verify_needs_property_parameters(tmp_path, capsys):
     run_happy(tmp_path)
@@ -428,6 +430,58 @@ def test_audit_detects_tampering(tmp_path, capsys):
     assert main(["audit", "--trace", str(trace)]) == EXIT_INTEGRITY
     err = capsys.readouterr().err
     assert "integrity failure at seq 4" in err
+
+
+def test_a_re_chained_forged_verdict_passes_the_chain_but_not_the_replay(tmp_path, capsys):
+    # seq 18: the embargo blocked extract_bot's access_without_consent; the forgery admits it
+    trace = _rechained(tmp_path, 18, _with(outcome="admissible"))
+    spec = tmp_path / "layer1.community"
+    spec.write_text(LAYER1_SOURCE, encoding="utf-8")
+    capsys.readouterr()
+    # the chain alone holds, and says so
+    assert main(["audit", "--trace", str(trace)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("ok: 20 records,")
+    assert captured.err.startswith("note: only the hash chain was checked")
+    assert main(["verify", "--trace", str(trace), "--property", "accountability"]) == EXIT_OK
+    capsys.readouterr()
+    # the spec's rules block the access again: the replayed verdict differs at seq 18
+    for argv in (["audit"], ["verify", "--property", "accountability"]):
+        assert main([*argv, "--trace", str(trace), "--spec", str(spec)]) == EXIT_INTEGRITY, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("integrity failure at seq 18: digest mismatch at seq 18"), argv
+
+
+def test_a_spec_with_validation_errors_is_a_usage_error_not_an_integrity_failure(tmp_path, capsys):
+    run_happy(tmp_path)
+    trace = tmp_path / "happy_path.0.DataAccessCommunity.audit"
+    spec = tmp_path / "layer1.community"
+    source = LAYER1_SOURCE.replace("burden(verify_consent, ConsentManager)", "burden(verify_consent, Nobody)")
+    spec.write_text(source, encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["audit"], ["verify", "--property", "accountability"]):
+        assert main([*argv, "--trace", str(trace), "--spec", str(spec)]) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and "'Nobody'" in captured.err, argv
+
+
+def test_every_built_in_stage_export_passes_audit_against_its_spec(tmp_path, capsys):
+    audited = 0
+    for scenario in built_in_scenarios():
+        assert main(["run", "--scenario", scenario.name, "--out", str(tmp_path)]) == EXIT_OK
+        for index, stage in enumerate(scenario.stages):
+            (trace,) = tmp_path.glob(f"{scenario.name}.{index}.*.audit")
+            spec = tmp_path / f"{stage.community}.community"
+            spec.write_text(stage.source, encoding="utf-8")
+            capsys.readouterr()
+            assert main(["audit", "--trace", str(trace)]) == EXIT_OK
+            chain_only = capsys.readouterr().out
+            assert main(["audit", "--trace", str(trace), "--spec", str(spec)]) == EXIT_OK, trace.name
+            # the same head line, and no note
+            assert capsys.readouterr() == (chain_only, ""), trace.name
+            audited += 1
+    assert audited == len(list(tmp_path.glob("*.audit"))) == 5
 
 
 def test_parse_prints_canonical_form(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Property checker tests: each checker alone, monitors, and the oracle."""
+"""Property tests: each rule of the property table alone, monitors, and the oracle."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from covenant import verifier
+from covenant import cli, verifier
 from covenant.errors import IntegrityError, ProtocolViolation, ScopeTooLarge, UnknownIdentifier
 from covenant.deontic import TokenState
 from covenant.reference import (
@@ -35,7 +35,14 @@ from covenant.runtime import (
     parse_export,
     replay,
 )
-from covenant.scenarios import GateFixture, get_scenario, parse_script, reduced_layer1_fixture, run_scenario
+from covenant.scenarios import (
+    LAYER1_SOURCE,
+    GateFixture,
+    get_scenario,
+    parse_script,
+    reduced_layer1_fixture,
+    run_scenario,
+)
 from covenant.spec_lang import parse_spec
 from covenant.spec_lang.ast import SpeechActKind
 from covenant.verifier import (
@@ -224,13 +231,24 @@ def test_prohibition_gap_dedupes_until_cover_restored():
     assert len(found) == 2
 
 
+def test_two_equal_prohibition_specs_each_flag_the_gap():
+    c = clinic()
+    token_id = _select_token(c, {"modality": "embargo", "action": "close_file", "state": "HELD"})
+    say(c, SpeechActKind.REVOKE, "officer_1", token=token_id)
+    c.submit_action("officer_1", "ping")
+    spec = PropertySpec.prohibition("close_file", "ALL_AI_AGENTS")
+    once = run_checks(c.records(), [spec], c.template)
+    assert len(once) == 1
+    assert run_checks(c.records(), [spec, spec], c.template) == once * 2
+
+
 def test_the_gap_scan_runs_on_a_binding_or_a_transition_of_an_embargo_on_its_action(monkeypatch):
     scans = []
-    held = verifier._ProhibitionChecker._embargo_held
+    held = verifier._embargo_held
     monkeypatch.setattr(
-        verifier._ProhibitionChecker,
+        verifier,
         "_embargo_held",
-        lambda self, state: scans.append(self.action) or held(self, state),
+        lambda monitor, action, group: scans.append(action) or held(monitor, action, group),
     )
     c = clinic()
     monitor = TraceMonitor([PropertySpec.prohibition("close_file", "ALL_AI_AGENTS")], c.template)
@@ -370,6 +388,23 @@ def test_a_second_attach_is_refused_before_it_feeds_a_record():
     assert monitor.violations == [Violation(PROP_ACCOUNTABILITY, s, (s,)) for s in (1, 2)]
 
 
+def test_a_monitor_fed_a_record_without_a_genesis_is_refused_an_attach():
+    # its catch-up would bind the ghost again and flag its binding a second time
+    c = instantiate_community(parse_spec(LAYER1_SOURCE), owner=Principal("Owner", "Owner"))
+    c.force_bind("DataExtractionAgent", "ghost", "llm_agent", "Ghost")
+    bound = c.records()[-1]
+    monitor = TraceMonitor([PropertySpec.accountability()], c.template)
+    assert monitor.feed(bound) == [Violation(PROP_ACCOUNTABILITY, bound.seq, (bound.seq,))]
+    assert not monitor._roster.principals  # no genesis was fed
+    with pytest.raises(ProtocolViolation):
+        monitor.attach(c)
+    assert monitor.violations == [Violation(PROP_ACCOUNTABILITY, bound.seq, (bound.seq,))]
+    assert monitor._roster.roles_of("ghost") == ("DataExtractionAgent",)
+    # nor does it listen: the next ghost binding reaches no monitor
+    c.force_bind("ConsentManager", "ghost_2", "llm_agent", "Ghost")
+    assert len(monitor.violations) == 1 and not monitor._roster.ever_bound("ghost_2")
+
+
 def test_a_second_attach_to_a_community_with_policies_is_a_protocol_violation():
     # its catch-up would fold the policy tokens again, out of order
     c = clinic()
@@ -433,35 +468,36 @@ def test_monitor_keeps_duplicate_binds_of_an_edited_log():
     assert [v.at_seq for v in monitor.violations] == [0]
 
 
-# the record kinds each checker reads; the monitor sends it no other
+# the record kinds each row's rule reads, in the order of ALL_SPECS; the monitor sends it no other
 READS = {
-    "_SafetyChecker": {KIND_VERDICT},
-    "_AuthorityChecker": {KIND_VERDICT, KIND_TOKEN_TRANSITION},
-    "_ProhibitionChecker": {KIND_VERDICT, KIND_BINDING, KIND_TOKEN_TRANSITION},
-    "_AccountabilityChecker": {KIND_BINDING, KIND_TOKEN_TRANSITION},
+    PROP_SAFETY: {KIND_VERDICT},
+    PROP_AUTHORITY: {KIND_VERDICT, KIND_TOKEN_TRANSITION},
+    PROP_PROHIBITION: {KIND_VERDICT, KIND_BINDING, KIND_TOKEN_TRANSITION},
+    PROP_ACCOUNTABILITY: {KIND_BINDING, KIND_TOKEN_TRANSITION},
 }
 
 
-def test_the_monitor_sends_a_record_only_to_the_checkers_that_read_its_kind(monkeypatch):
-    calls = []
-    for name in READS:
-        checker = getattr(verifier, name)
-        feed = checker.feed
-        monkeypatch.setattr(
-            checker,
-            "feed",
-            lambda self, record, state, feed=feed, name=name: calls.append((record.seq, name))
-            or feed(self, record, state),
+def spy_on_rules(monkeypatch, seen):
+    """Wrap each row's rule so that it first calls seen(record, template)."""
+    for template in READS:
+        row = verifier.PROPERTIES[template]
+        spied = lambda monitor, record, at, values, rule=row.rule, template=template: (
+            seen(record, template) or rule(monitor, record, at, values)
         )
+        monkeypatch.setitem(verifier.PROPERTIES, template, dataclasses.replace(row, rule=spied))
+
+
+def test_the_monitor_sends_a_record_only_to_the_rules_that_read_its_kind(monkeypatch):
+    calls = []
+    spy_on_rules(monkeypatch, lambda record, template: calls.append((record.seq, template)))
     c = clinic()
     monitor = TraceMonitor(ALL_SPECS, c.template)
     monitor.attach(c)
     drive_clinic(c)
     records = c.records()
-    # READS names the checkers in the order of ALL_SPECS
-    assert calls == [(r.seq, name) for r in records for name in READS if r.kind in READS[name]]
+    assert calls == [(r.seq, template) for r in records for template in READS if r.kind in READS[template]]
     assert len(monitor.violations) == 3
-    # no checker reads a speech act or an action request
+    # no rule reads a speech act or an action request
     ignored = [r for r in records if r.kind in (KIND_SPEECH_ACT, KIND_ACTION_REQUEST)]
     assert len(ignored) == 5
     calls.clear()
@@ -470,22 +506,46 @@ def test_the_monitor_sends_a_record_only_to_the_checkers_that_read_its_kind(monk
     assert calls == []
 
 
-def test_a_verdict_that_is_not_admitted_reaches_no_checker(monkeypatch):
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.template)
+def test_each_row_of_the_property_table(monkeypatch, spec):
+    row = verifier.PROPERTIES[spec.template]
+    values = [spec.param(param.key) for param in row.params]
+    # the row lists its parameters in the order of its named constructor's arguments
+    assert getattr(PropertySpec, row.name)(*values) == spec
+    # and the CLI builds that spec from the row's flags, each of which it needs
+    flags = [arg for param, value in zip(row.params, values) for arg in (f"--{param.flag}", value)]
+
+    def built(flags):
+        args = cli.build_parser().parse_args(["verify", "--trace", "t", "--property", row.name, *flags])
+        return cli._property_spec(args)
+
+    assert built(flags) == spec
+    for i in range(len(row.params)):
+        with pytest.raises(UnknownIdentifier, match=f"^{row.name} needs --"):
+            built(flags[: 2 * i] + flags[2 * i + 2 :])
+    # the monitor sends the row's rule each record of the row's kinds, verdicts admitted only
+    sent = []
+    spy_on_rules(monkeypatch, lambda record, template: template == spec.template and sent.append(record.seq))
+    c = clinic()
+    TraceMonitor([spec], c.template).attach(c)
+    records = drive_clinic(c).records()
+    read = [r for r in records if r.kind in row.kinds and r.detail.get("outcome", "admissible") == "admissible"]
+    assert sent == [r.seq for r in read]
+    assert {r.kind for r in read} == set(row.kinds) == READS[spec.template]
+
+
+def test_a_verdict_that_is_not_admitted_reaches_no_rule(monkeypatch):
     c = drive_clinic(clinic())
     records = list(c.records())
     admitted = records[-1]
     assert (admitted.kind, admitted.detail["outcome"]) == (KIND_VERDICT, "admissible")
+    fed = []
+    # the monitor takes its rules from the table when it is built
+    spy_on_rules(monkeypatch, lambda record, template: fed.append(record))
     monitor = TraceMonitor(ALL_SPECS, c.template)
     for record in records[:-1]:
         monitor.feed(record)
-    fed = []
-    for name in READS:
-        checker = getattr(verifier, name)
-        monkeypatch.setattr(
-            checker,
-            "feed",
-            lambda self, record, state, feed=checker.feed: fed.append(record) or feed(self, record, state),
-        )
+    fed.clear()
     # admitted, each action is a violation: an unguarded read, a decision, an embargoed close
     for action, prop in (("read_file", PROP_SAFETY), ("decide", PROP_AUTHORITY), ("close_file", PROP_PROHIBITION)):
         verdict = {**admitted.detail, "action": action}
@@ -496,7 +556,7 @@ def test_a_verdict_that_is_not_admitted_reaches_no_checker(monkeypatch):
         found = monitor.clone().feed(dataclasses.replace(admitted, detail=verdict))
         assert found == [Violation(prop, admitted.seq, (admitted.seq,))], action
         fed.clear()
-    # a verdict that is not admitted still needs each field a checker reads of an admitted one
+    # a verdict that is not admitted still needs each field a rule reads of an admitted one
     blocked = {**admitted.detail, "outcome": "blocked"}
     for key in ("outcome", "action", "actor"):
         edited = records[:-1] + [dataclasses.replace(admitted, detail={k: v for k, v in blocked.items() if k != key})]
@@ -542,7 +602,7 @@ def test_a_record_without_a_field_its_checkers_read_is_refused_at_its_seq():
         with pytest.raises(IntegrityError) as info:
             run_checks(edited, ALL_SPECS, c.template)
         assert info.value.bad_seq == record.seq, key
-    # a field a checker only compares, of another type, reads as not matching
+    # a field a rule only compares, of another type, reads as not matching
     edited = list(records)
     edited[admitted.seq] = dataclasses.replace(admitted, detail={**admitted.detail, "outcome": 7})
     assert run_checks(edited, ALL_SPECS, c.template) == expected[:2]
@@ -667,14 +727,16 @@ def test_a_monitor_attached_mid_run_sees_each_record_once():
 
 def test_unknown_identifiers_are_rejected():
     template = parse_spec(CLINIC_SOURCE)
-    with pytest.raises(UnknownIdentifier):
+    with pytest.raises(UnknownIdentifier, match="^role 'Judge' is not declared$"):
         run_checks((), [PropertySpec.authority("decide", "Judge")], template)
-    with pytest.raises(UnknownIdentifier):
+    with pytest.raises(UnknownIdentifier, match="^group 'Cabal' is not declared$"):
         run_checks((), [PropertySpec.prohibition("close_file", "Cabal")], template)
-    with pytest.raises(UnknownIdentifier):
+    with pytest.raises(UnknownIdentifier, match="^group 'Cabal' needs the community template to resolve members$"):
         # custom group names need a template to resolve membership
         run_checks((), [PropertySpec.prohibition("close_file", "Cabal")], None)
     run_checks((), [PropertySpec.prohibition("close_file", "ALL")], None)
+    # without a template a role is not looked up
+    run_checks((), [PropertySpec.authority("decide", "Judge")], None)
     with pytest.raises(UnknownIdentifier, match="unknown property template 'liveness'"):
         TraceMonitor([PropertySpec("liveness")], template)
 
