@@ -149,23 +149,6 @@ _decode_json = _decoder.decode
 _scan_json = _decoder.scan_once
 
 
-# the types of a flat payload's values: JSON writes each as the value it decodes to writes it
-_FLAT_VALUE_TYPES = frozenset({str, int, float, bool, type(None)})
-
-
-def _is_flat(payload: dict) -> bool:
-    """Whether `payload`'s canonical JSON is that of its decoded copy.
-
-    So it is where each key is an exact str and each value is an exact str, int,
-    float, bool or None. An integer key sorts as a number but decodes as a
-    string, and a str subclass may sort otherwise than its text.
-    """
-    for key, value in payload.items():
-        if type(key) is not str or type(value) not in _FLAT_VALUE_TYPES:
-            return False
-    return True
-
-
 # How a field of CALLER_FIELDS may be sent: REQUIRED, present; NULLABLE, absent,
 # null or of its type; OMITTABLE, absent or of its type, never null
 REQUIRED, NULLABLE, OMITTABLE = "required", "nullable", "omittable"
@@ -187,7 +170,8 @@ _DECLARE = (
 # nothing.
 CALLER_FIELDS: dict[str, tuple[tuple[str, type, str], ...]] = {
     "principal": (("id", str, REQUIRED), ("name", str, REQUIRED), ("kind", str, REQUIRED)),
-    "binding": (("agent", str, REQUIRED), ("principal", str, REQUIRED)),
+    "binding": (("role", str, REQUIRED), ("agent", str, REQUIRED), ("principal", str, REQUIRED)),
+    "unbinding": (("role", str, REQUIRED), ("agent", str, REQUIRED)),
     "mode_change": (("by", str, NULLABLE),),
     "action_request": (("actor", str, REQUIRED), ("action", str, REQUIRED), ("subject", str, NULLABLE)),
     "speech_act": (("sender", str, REQUIRED),),
@@ -708,7 +692,9 @@ class CommunityInstance:
     # JSON but for the event number, which _append writes: a string with
     # _str_json (never format(), which a str subclass overrides), an int as the
     # exact int the runtime or _check_fields allows, and a value the caller
-    # shaped, nested or of a type no check fixed, with canonical_json.
+    # shaped, nested or of a type no check fixed, with canonical_json. A
+    # speech act's payload is always such a value: _log_act encodes it, whether
+    # it is the boundary's copy or the fields a handler read.
 
     def _transition(
         self,
@@ -861,25 +847,17 @@ class CommunityInstance:
             self._log_token_created(burden, origin="escalation")
 
     def _log_act(
-        self,
-        sender: str,
-        kind: SpeechActKind,
-        payload: dict,
-        payload_json: str,
-        rejected_for: str | None = None,
+        self, sender: str, kind: SpeechActKind, payload: dict, rejected_for: str | None = None
     ) -> AuditRecord:
-        """Log a speech act; `payload_json` is the payload's canonical JSON."""
         detail: dict = {"kind": kind.value, "payload": payload}
-        tail = f',"kind":{_str_json(kind.value)},"payload":{payload_json}'
+        tail = f',"kind":{_str_json(kind.value)},"payload":{canonical_json(payload)}'
         if rejected_for is not None:
             detail.update(rejected=True, reason=rejected_for)
             tail += f',"reason":{_str_json(rejected_for)},"rejected":true'
         return self._append(KIND_SPEECH_ACT, sender, detail, "{", tail + "}")
 
-    def _reject(
-        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str, reason: str
-    ) -> ApplyResult:
-        return ApplyResult(False, reason, self._log_act(sender, kind, payload, payload_json, reason).seq)
+    def _reject(self, sender: str, kind: SpeechActKind, payload: dict, reason: str) -> ApplyResult:
+        return ApplyResult(False, reason, self._log_act(sender, kind, payload, reason).seq)
 
     # ------------------------------------------------------------------
     # principals and bindings
@@ -932,7 +910,7 @@ class CommunityInstance:
             return self._bind(role, agent, kind, principal)
 
     def _bind(self, role: str, agent: str, kind: RoleKind | str, principal: str) -> RoleBinding:
-        _check_fields({"agent": agent, "principal": principal}, "binding")
+        _check_fields({"role": role, "agent": agent, "principal": principal}, "binding")
         roster = self.roster
         if roster.is_principal(agent) or roster.is_role(agent) or roster.is_group(agent):
             raise NameCollision(f"{agent!r} names a principal, a role or a group, not an agent")
@@ -960,10 +938,6 @@ class CommunityInstance:
             raise CardinalityExceeded(
                 f"role {role!r} already has {count} of at most {decl.max_card} fillers"
             )
-        # the text comes before the event: a role the lookup found need not be a
-        # string, and then nothing is bound or numbered
-        head = f'{{"agent":{_str_json(agent)},"agent_kind":{_str_json(kind.value)},'
-        tail = f',"event_type":"bind","principal":{_str_json(principal)},"role":{_str_json(role)}}}'
         self._begin_event()
         binding = RoleBinding(role, agent, kind, principal, self._next_seq)
         roster.add(binding)
@@ -974,21 +948,23 @@ class CommunityInstance:
             "agent_kind": kind.value,
             "principal": principal,
         }
+        head = f'{{"agent":{_str_json(agent)},"agent_kind":{_str_json(kind.value)},'
+        tail = f',"event_type":"bind","principal":{_str_json(principal)},"role":{_str_json(role)}}}'
         self._append(KIND_BINDING, agent, detail, head, tail)
         return binding
 
     def unbind_agent(self, role: str, agent: str) -> None:
         with self:
+            _check_fields({"role": role, "agent": agent}, "unbinding")
             if self.template.role(role) is None:
                 raise UnknownRole(f"role {role!r} is not declared")
             if not self.roster.has_role(agent, role):
                 raise UnknownAgent(f"agent {agent!r} does not fill role {role!r}")
-            # the text comes before the event: the role and agent were only looked up
-            head = f'{{"agent":{_str_json(agent)},'
-            tail = f',"event_type":"unbind","role":{_str_json(role)}}}'
             self._begin_event()
             self.roster.remove(role, agent)
             detail = {"event_type": "unbind", "role": role, "agent": agent}
+            head = f'{{"agent":{_str_json(agent)},'
+            tail = f',"event_type":"unbind","role":{_str_json(role)}}}'
             self._append(KIND_BINDING, agent, detail, head, tail)
 
     # ------------------------------------------------------------------
@@ -1030,22 +1006,19 @@ class CommunityInstance:
             request_detail: dict = {"action": action}
             if subject is not None:
                 request_detail["subject"] = subject
-            if writes:
-                request_detail["effects"] = [w.to_detail() for w in writes]
+            # _check_fields has shown the action and subject to be strings
             head = f'{{"action":{_str_json(action)},'
+            tail = "}" if subject is None else f',"subject":{_str_json(subject)}}}'
             if writes:
                 # log and journal a copy: the caller may change its effect values
                 # later. Encoding it fails before the event if it is unloggable. The
-                # copy's effects are encoded afresh: JSON makes integer keys strings,
-                # which sort otherwise ({2: …, 10: …} is checked as {"2":…,"10":…},
-                # and the copy's canonical text is {"10":…,"2":…}). The copy's "event"
-                # holds its key's place; _append gives it the event's number
-                request_detail["event"] = None
-                request_detail = _scan_json(_caller_json(request_detail), 0)[0]
-                writes = tuple(map(self._coerce_write, request_detail["effects"]))
-                head += f'"effects":{canonical_json(request_detail["effects"])},'
-            # _check_fields has shown the action and subject to be strings
-            tail = "}" if subject is None else f',"subject":{_str_json(subject)}}}'
+                # copy is encoded afresh: JSON makes integer keys strings, which sort
+                # otherwise ({2: …, 10: …} is checked as {"2":…,"10":…}, and the
+                # copy's canonical text is {"10":…,"2":…})
+                effects = _scan_json(_caller_json([w.to_detail() for w in writes]), 0)[0]
+                request_detail["effects"] = effects
+                writes = tuple(map(self._coerce_write, effects))
+                head += f'"effects":{canonical_json(effects)},'
 
             self._begin_event()
             request = self._append(KIND_ACTION_REQUEST, actor, request_detail, head, tail)
@@ -1100,13 +1073,9 @@ class CommunityInstance:
         with self:
             kind = act.kind if type(act.kind) is SpeechActKind else SpeechActKind(act.kind)
             _check_fields(vars(act), "speech_act")
-            # fails before the event if the payload cannot be logged; the copy it
-            # returns is what replay reads back and shares nothing with the caller
-            sent = dict(act.payload)
-            payload_json = _caller_json(sent)
-            payload = _scan_json(payload_json, 0)[0]
-            if not _is_flat(sent):
-                payload_json = canonical_json(payload)  # the caller's text is not the copy's
+            # fails before the event if the payload cannot be logged; the copy is
+            # what replay reads back and shares nothing with the caller
+            payload = _scan_json(_caller_json(dict(act.payload)), 0)[0]
 
             self._begin_event()
             reason = self._authorize(act.sender, kind)
@@ -1114,12 +1083,12 @@ class CommunityInstance:
                 try:
                     _check_fields(payload, kind)
                 except TypeError:
-                    return self._reject(act.sender, kind, payload, payload_json, "MalformedPayload")
+                    return self._reject(act.sender, kind, payload, "MalformedPayload")
                 try:
-                    return self._dispatch(act.sender, kind, payload, payload_json)
+                    return self._dispatch(act.sender, kind, payload)
                 except GovernanceError as exc:
                     reason = exc.code
-            return self._reject(act.sender, kind, payload, payload_json, reason)
+            return self._reject(act.sender, kind, payload, reason)
 
     def _authorize(self, sender: str, kind: SpeechActKind) -> str | None:
         if not self.roster.is_agent(sender):
@@ -1131,14 +1100,11 @@ class CommunityInstance:
                     return None
         return UnauthorizedSpeechAct.__name__
 
-    def _dispatch(
-        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str
-    ) -> ApplyResult:
-        """Apply an authorized act; `payload_json` is its payload's canonical JSON."""
+    def _dispatch(self, sender: str, kind: SpeechActKind, payload: dict) -> ApplyResult:
+        """Apply an authorized act."""
         if kind in _CREATED_MODALITY:
-            return self._act_create(sender, kind, payload, payload_json)
-        # transfer, discharge and revoke log the payload fields they read, which
-        # _check_fields has shown to be a str and exact ints
+            return self._act_create(sender, kind, payload)
+        # transfer, discharge and revoke log the payload fields they read
         if kind is SpeechActKind.TRANSFER:
             return self._act_transfer(sender, payload)
         if kind is SpeechActKind.DISCHARGE:
@@ -1146,14 +1112,12 @@ class CommunityInstance:
         if kind is SpeechActKind.REVOKE:
             return self._act_revoke(sender, payload)
         if kind in NEGOTIATION_KINDS:
-            return self._act_negotiation(sender, kind, payload, payload_json)
+            return self._act_negotiation(sender, kind, payload)
         if kind is SpeechActKind.ESCALATE:
-            return self._act_escalate(sender, payload, payload_json)
+            return self._act_escalate(sender, payload)
         raise RuntimeError(f"unhandled speech act kind {kind}")  # pragma: no cover
 
-    def _act_create(
-        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str
-    ) -> ApplyResult:
+    def _act_create(self, sender: str, kind: SpeechActKind, payload: dict) -> ApplyResult:
         if kind is SpeechActKind.GRANT:
             # grant = permit for one concrete agent; it takes a guard and nothing else
             grantee = payload["to"]
@@ -1175,15 +1139,14 @@ class CommunityInstance:
             self._next_seq,
             **{name: payload.get(name) for name in fields},
         )
-        record = self._log_act(sender, kind, payload, payload_json)
+        record = self._log_act(sender, kind, payload)
         self._log_token_created(token, origin="speech_act")
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     def _act_transfer(self, sender: str, payload: dict) -> ApplyResult:
         token_id, to = payload["token"], payload["to"]
         token = deontic.delegate_burden(self.tokens, self.roster, token_id, sender, to, self._next_seq)
-        payload_json = f'{{"to":{_str_json(to)},"token":{token_id}}}'
-        record = self._log_act(sender, SpeechActKind.TRANSFER, {"token": token_id, "to": to}, payload_json)
+        record = self._log_act(sender, SpeechActKind.TRANSFER, {"token": token_id, "to": to})
         self._transition(token, TokenState.HELD, TokenState.DELEGATED, by=sender, target=to)
         self._transition(
             token,
@@ -1197,20 +1160,17 @@ class CommunityInstance:
     def _act_discharge(self, sender: str, payload: dict) -> ApplyResult:
         token_id, evidence = payload["token"], payload.get("evidence", self.head_seq)
         token = deontic.discharge_burden(self.tokens, self.roster, token_id, sender, evidence, self.head_seq)
-        payload_json = f'{{"evidence":{evidence},"token":{token_id}}}'
-        record = self._log_act(sender, SpeechActKind.DISCHARGE, {"token": token_id, "evidence": evidence}, payload_json)
+        record = self._log_act(sender, SpeechActKind.DISCHARGE, {"token": token_id, "evidence": evidence})
         self._transition(token, TokenState.HELD, TokenState.DISCHARGED, by=sender, evidence=evidence)
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
     def _act_revoke(self, sender: str, payload: dict) -> ApplyResult:
         token = deontic.revoke_token(self.tokens, self.roster, payload["token"], sender)
-        record = self._log_act(sender, SpeechActKind.REVOKE, {"token": token.id}, f'{{"token":{token.id}}}')
+        record = self._log_act(sender, SpeechActKind.REVOKE, {"token": token.id})
         self._transition(token, TokenState.HELD, TokenState.REVOKED, by=sender)
         return ApplyResult(True, seq=record.seq, token_id=token.id)
 
-    def _act_negotiation(
-        self, sender: str, kind: SpeechActKind, payload: dict, payload_json: str
-    ) -> ApplyResult:
+    def _act_negotiation(self, sender: str, kind: SpeechActKind, payload: dict) -> ApplyResult:
         if kind in (SpeechActKind.ACCEPT, SpeechActKind.REJECT) and "request_seq" in payload:
             return self._decide_recommendation(sender, kind, payload)
 
@@ -1226,7 +1186,7 @@ class CommunityInstance:
                 raise ProtocolViolation("proposer cannot answer its own proposal")
             self._negotiation_proposer = sender if kind is SpeechActKind.COUNTER_PROPOSE else None
 
-        record = self._log_act(sender, kind, payload, payload_json)
+        record = self._log_act(sender, kind, payload)
         history = self.objects.get("NegotiationHistory")
         if history is not None:
             entry: dict = {"kind": kind.value, "by": sender}
@@ -1247,7 +1207,7 @@ class CommunityInstance:
             verb = "approve" if approve else "reject"
             raise ProtocolViolation(f"only a human may {verb} a recommendation")
         del self._pending[request_seq]
-        record = self._log_act(sender, kind, {"request_seq": request_seq}, f'{{"request_seq":{request_seq}}}')
+        record = self._log_act(sender, kind, {"request_seq": request_seq})
         if approve:
             subject = pending.subject
             try:
@@ -1267,14 +1227,14 @@ class CommunityInstance:
                 self.objects[write.object].apply(write)
         return ApplyResult(True, seq=record.seq)
 
-    def _act_escalate(self, sender: str, payload: dict, payload_json: str) -> ApplyResult:
+    def _act_escalate(self, sender: str, payload: dict) -> ApplyResult:
         condition = payload["condition"]
         # the burden comes before the event's first record, so a failure to
         # create it leaves a single rejected record, as every other act does
         burden = self._review_burden(condition, sender, payload.get("subject"))
         if burden is None:
-            return self._reject(sender, SpeechActKind.ESCALATE, payload, payload_json, "no-escalation-rule")
-        record = self._log_act(sender, SpeechActKind.ESCALATE, payload, payload_json)
+            return self._reject(sender, SpeechActKind.ESCALATE, payload, "no-escalation-rule")
+        record = self._log_act(sender, SpeechActKind.ESCALATE, payload)
         self._escalate(sender, condition, burden)
         return ApplyResult(True, seq=record.seq, token_id=burden.id)
 

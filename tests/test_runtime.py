@@ -537,9 +537,9 @@ class _LikeOfficer:
 
 
 @pytest.mark.parametrize(
-    "submit, error",
+    "submit, error, match",
     [
-        (lambda c: c.apply_speech_act(SpeechAct("shout", "officer_1", {})), ValueError),
+        (lambda c: c.apply_speech_act(SpeechAct("shout", "officer_1", {})), ValueError, None),
         (
             lambda c: c.apply_speech_act(
                 SpeechAct(
@@ -548,44 +548,44 @@ class _LikeOfficer:
                     {"action": "sign", "holder": "officer_1", 7: "x"},
                 )
             ),
-            TypeError,
+            TypeError, None,
         ),
         (
             lambda c: c.submit_action(
                 "officer_1", "note", effects=[{"object": "CaseFile", "key": "k", "value": {1}}]
             ),
-            TypeError,
+            TypeError, None,
         ),
         (
             lambda c: c.apply_speech_act(
                 SpeechAct(SpeechActKind.PROPOSE, "bot_1", {"body": float("nan")})
             ),
-            ValueError,
+            ValueError, None,
         ),
         (
             lambda c: c.submit_action(
                 "officer_1", "note", effects=[{"object": "CaseFile", "key": "k", "value": 1e999}]
             ),
-            ValueError,
+            ValueError, None,
         ),
-        (lambda c: c.submit_action("officer_1", "ping", {1}), TypeError),
-        (lambda c: c.submit_action("officer_1", ["read_case"]), TypeError),
-        (lambda c: c.submit_action("officer_1", "read_case", {"case": 1}), TypeError),
-        (lambda c: c.set_mode(MODE_SUPERVISED, by=5), TypeError),
-        (lambda c: c.bind_agent("Officer", 5, "human", "Clinic"), TypeError),
-        (lambda c: c.force_bind("Officer", None, "human", "Clinic"), TypeError),
-        (lambda c: c.force_bind("Officer", "officer_2", "human", object()), TypeError),
-        (lambda c: c.apply_speech_act(SpeechAct(SpeechActKind.PROPOSE, 5, {})), TypeError),
-        (lambda c: c.bind_agent(_LikeOfficer(), "officer_2", "human", "Clinic"), TypeError),
-        (lambda c: c.unbind_agent(_LikeOfficer(), "officer_1"), TypeError),
-        (lambda c: c.register_principal("Agency", name=object()), TypeError),
-        (lambda c: c.register_principal("Agency", name=0), TypeError),
-        (lambda c: c.register_principal("Agency", name=False), TypeError),
-        (lambda c: c.register_principal("Agency", kind=float("nan")), TypeError),
-        (lambda c: c.register_principal(("Agency", "North")), TypeError),
+        (lambda c: c.submit_action("officer_1", "ping", {1}), TypeError, None),
+        (lambda c: c.submit_action("officer_1", ["read_case"]), TypeError, None),
+        (lambda c: c.submit_action("officer_1", "read_case", {"case": 1}), TypeError, None),
+        (lambda c: c.set_mode(MODE_SUPERVISED, by=5), TypeError, None),
+        (lambda c: c.bind_agent("Officer", 5, "human", "Clinic"), TypeError, None),
+        (lambda c: c.force_bind("Officer", None, "human", "Clinic"), TypeError, None),
+        (lambda c: c.force_bind("Officer", "officer_2", "human", object()), TypeError, None),
+        (lambda c: c.apply_speech_act(SpeechAct(SpeechActKind.PROPOSE, 5, {})), TypeError, None),
+        (lambda c: c.bind_agent(_LikeOfficer(), "officer_2", "human", "Clinic"), TypeError, "^role .* is not a string$"),
+        (lambda c: c.unbind_agent(_LikeOfficer(), "officer_1"), TypeError, "^role .* is not a string$"),
+        (lambda c: c.register_principal("Agency", name=object()), TypeError, None),
+        (lambda c: c.register_principal("Agency", name=0), TypeError, None),
+        (lambda c: c.register_principal("Agency", name=False), TypeError, None),
+        (lambda c: c.register_principal("Agency", kind=float("nan")), TypeError, None),
+        (lambda c: c.register_principal(("Agency", "North")), TypeError, None),
         (
             lambda c: instantiate_community(c.template, owner=Principal("Clinic", "Clinic", float("nan"))),
-            TypeError,
+            TypeError, None,
         ),
     ],
     ids=[
@@ -612,10 +612,10 @@ class _LikeOfficer:
         "nan_owner_kind",
     ],
 )
-def test_an_event_that_cannot_be_logged_fails_before_it_is_numbered(submit, error):
+def test_an_event_that_cannot_be_logged_fails_before_it_is_numbered(submit, error, match):
     c = staffed_ward()
     before = (c.event_count, c.records(), c.tokens.states(), c.bindings(), c.mode)
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         submit(c)
     assert (c.event_count, c.records(), c.tokens.states(), c.bindings(), c.mode) == before
     c.submit_action("officer_1", "ping")
@@ -1581,7 +1581,9 @@ def test_each_record_is_encoded_once(monkeypatch):
     c.set_mode(MODE_SUPERVISED)
     assert c.submit_action("bot_1", "close_case").verdict.outcome == "blocked"  # and escalates
     # each record's writer composes its text; canonical_json encodes only a
-    # value inside it that the caller shaped, never a whole detail, and each once
+    # value inside it that the caller shaped, never a whole detail, and each once.
+    # _log_act encodes every speech act's payload: the boundary's copy, or the
+    # fields a discharge or a transfer read
     written, values = [], []
     for name, value in calls:
         if name == "record":
@@ -1596,11 +1598,17 @@ def test_each_record_is_encoded_once(monkeypatch):
         assert len(keys) == len(values), (record.seq, values)
         if keys:
             encoding.append((record.kind, keys))
+    act = (KIND_SPEECH_ACT, ["payload"])
     assert encoding == [
         (KIND_GENESIS, ["community", "mode", "owner", "disciplines"]),
+        act,  # declare
+        act,  # discharge
+        act,  # grant
         (KIND_ACTION_REQUEST, ["effects"]),  # the copy's, encoded afresh
+        act,  # declare
+        act,  # transfer
         (KIND_TOKEN_TRANSITION, ["holder", "link"]),  # a delegation's return to HELD
-        (KIND_SPEECH_ACT, ["payload"]),  # a payload with integer keys is not flat
+        act,  # propose, its body's integer keys made strings in the copy
         (KIND_MODE_CHANGE, ["from", "to"]),
         (KIND_ESCALATION, ["condition"]),
     ]
@@ -1671,7 +1679,7 @@ def test_every_writer_writes_a_disguised_or_awkward_string_as_its_text():
         assert result.accepted is accepted, (kind, result.reason)
         return result
 
-    # flat payloads: their boundary text is the record's
+    # payloads of exact strings and ints: the copy holds what was sent
     every_field = {
         "action": f"sign {_AWKWARD}", "holder": officer_text, "subject": _AWKWARD, "deadline": c.head_seq + 8,
         "requires_action": f"check {_AWKWARD}", "unless_action": f"waive {_AWKWARD}", "unless_target": "Reviewer",
@@ -1681,7 +1689,7 @@ def test_every_writer_writes_a_disguised_or_awkward_string_as_its_text():
     act(SpeechActKind.TRANSFER, officer, {"token": moved.token_id, "to": reviewer_text})
     act(SpeechActKind.DISCHARGE, reviewer, {"token": moved.token_id, "evidence": 1})
     granted = act(SpeechActKind.GRANT, officer, {"action": f"read {_AWKWARD}", "to": bot_text, "subject": _AWKWARD})
-    # payloads that are not flat: keys of a str subclass, integer keys, tuple values
+    # payloads whose copy holds other types than were sent: keys of a str subclass, integer keys, tuple values
     act(SpeechActKind.DECLARE_EMBARGO, officer, {d("action"): f"shred {_AWKWARD}", d("holder"): "Bot"})
     act(SpeechActKind.GRANT, bot, {7: (d(_AWKWARD), 1.5), 10: _AWKWARD}, accepted=False)
     # verdicts: admitted with permits; blocked with blockers, escalating with a review burden; without a permit
@@ -1717,7 +1725,7 @@ def test_every_writer_writes_a_disguised_or_awkward_string_as_its_text():
     with c:
         c._begin_event()
         c._log_verdict(0, bot, d(_AWKWARD), d(_AWKWARD), deontic.Verdict("blocked", (1, 2), (3,), d(_AWKWARD)), reviewer)
-        c._log_act(bot, SpeechActKind.GRANT, {"to": _AWKWARD}, canonical_json({"to": _AWKWARD}), d(_AWKWARD))
+        c._log_act(bot, SpeechActKind.GRANT, {"to": _AWKWARD}, d(_AWKWARD))
     for r in c.records()[-2:]:
         assert r.detail_json == canonical_json(r.detail), r.seq
 
@@ -2748,6 +2756,8 @@ _RAISING = (
     lambda c, officer, agent: c.bind_agent("Nurse", "nurse_x", "robot", "WardHospital"),
     lambda c, officer, agent: c.bind_agent("Nurse", "nurse_x", "human", "Nobody"),
     lambda c, officer, agent: c.unbind_agent("Nurse", "ghost"),
+    lambda c, officer, agent: c.bind_agent(_LikeOfficer(), "officer_x", "human", "WardHospital"),
+    lambda c, officer, agent: c.unbind_agent(_LikeOfficer(), officer),
     lambda c, officer, agent: c.apply_speech_act(SpeechAct("shout", agent, {})),
     lambda c, officer, agent: c.apply_speech_act(SpeechAct(SpeechActKind.GRANT, 5, {})),
     lambda c, officer, agent: c.apply_speech_act(SpeechAct(SpeechActKind.GRANT, officer, {"action": float("nan")})),
@@ -2798,7 +2808,11 @@ def test_event_fuzz_refused_calls_change_nothing_and_every_export_replays(seed):
             assert all((r.kind, r.detail["to"]) == (KIND_TOKEN_TRANSITION, "VIOLATED") for r in expired)
             assert (c.event_count, c.bindings(), c.mode, len(c.tokens)) == (events + 1, bindings, mode, len(tokens))
         if step % 150 == 0:
+            # each record's text is that of its detail, rejections of ill-typed payloads too
+            for record in c.records():
+                assert record.detail_json == canonical_json(record.detail), (step, record.seq)
             text = c.export_log()
             assert replay(tpl, text).export_log() == text, step
+    assert any(r.detail.get("reason") == "MalformedPayload" for r in c.records())
     online = sorted(monitor.violations, key=lambda v: (v.at_seq, v.property))
     assert online == run_checks(c.records(), ward.PROPERTIES, tpl)
