@@ -110,11 +110,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _property_spec(args: argparse.Namespace) -> PropertySpec:
     template, row = next((t, row) for t, row in PROPERTIES.items() if row.name == args.property)
-    values = [getattr(args, param.flag) for param in row.params]
+    values = tuple(getattr(args, param.flag) for param in row.params)
     if not all(values):
         raise UnknownIdentifier(f"{row.name} needs " + " and ".join(f"--{param.flag}" for param in row.params))
-    # in key order, as PropertySpec's named constructors build it
-    return PropertySpec(template, tuple(sorted(zip((param.key for param in row.params), values))))
+    return PropertySpec(template, values)
 
 
 def _import(args: argparse.Namespace) -> tuple[tuple[AuditRecord, ...], CommunityTemplate | None]:
@@ -123,7 +122,7 @@ def _import(args: argparse.Namespace) -> tuple[tuple[AuditRecord, ...], Communit
     A chain alone shows only that the records are in order, since anyone can
     re-hash one; replay re-executes the log under the spec's rules, so a
     forged verdict or transition fails at its seq. A log of another community
-    is refused by check_community, inside replay.
+    is refused by replay, which reads its genesis record.
     """
     _header, records = import_log(_read(args.trace))
     if not args.spec:

@@ -475,17 +475,15 @@ class ReferenceEngine:
         for index, spec in enumerate(self.properties):
             name = spec.template
             if name == PROP_SAFETY:
+                guarded_action, guard_burden = spec.values
                 if (
                     admissible is not None
-                    and admissible["action"] == spec.param("guarded_action")
-                    and not self._guard_discharged(
-                        spec.param("guard_burden"), admissible["subject"]
-                    )
+                    and admissible["action"] == guarded_action
+                    and not self._guard_discharged(guard_burden, admissible["subject"])
                 ):
                     self.violations.append((PROP_SAFETY, position))
             elif name == PROP_AUTHORITY:
-                decision = spec.param("decision_action")
-                role = spec.param("authorized_role")
+                decision, role = spec.values
                 if discharge is not None and discharge["action"] == decision:
                     by = discharge["by"]
                     if not any(
@@ -495,8 +493,7 @@ class ReferenceEngine:
                 if admissible is not None and admissible["action"] == decision:
                     self.violations.append((PROP_AUTHORITY, position))
             elif name == PROP_PROHIBITION:
-                action = spec.param("action")
-                group = spec.param("group")
+                action, group = spec.values
                 if (
                     admissible is not None
                     and admissible["action"] == action

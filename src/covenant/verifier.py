@@ -72,34 +72,22 @@ from .spec_lang.ast import (
 
 @dataclass(frozen=True)
 class PropertySpec:
-    """One property template plus its parameters."""
+    """One property template plus its parameters' values, in its row's order."""
 
     template: str
-    params: tuple[tuple[str, str], ...] = ()
-
-    def param(self, key: str) -> str:
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
+    values: tuple[str, ...] = ()
 
     @staticmethod
     def safety(guarded_action: str, guard_burden: str) -> PropertySpec:
-        return PropertySpec(
-            PROP_SAFETY,
-            (("guard_burden", guard_burden), ("guarded_action", guarded_action)),
-        )
+        return PropertySpec(PROP_SAFETY, (guarded_action, guard_burden))
 
     @staticmethod
     def authority(decision_action: str, authorized_role: str) -> PropertySpec:
-        return PropertySpec(
-            PROP_AUTHORITY,
-            (("authorized_role", authorized_role), ("decision_action", decision_action)),
-        )
+        return PropertySpec(PROP_AUTHORITY, (decision_action, authorized_role))
 
     @staticmethod
     def prohibition(action: str, group: str) -> PropertySpec:
-        return PropertySpec(PROP_PROHIBITION, (("action", action), ("group", group)))
+        return PropertySpec(PROP_PROHIBITION, (action, group))
 
     @staticmethod
     def accountability() -> PropertySpec:
@@ -143,7 +131,7 @@ _HOLDER_KINDS = {k.value: k for k in HolderKind}
 
 @dataclass(frozen=True)
 class Param:
-    key: str  # its key in PropertySpec.params
+    key: str  # its name, as `covenant verify --help` shows it
     flag: str  # the `covenant verify` option that sets it
     names: str  # what its value names: "action", "role" or "group"
 
@@ -271,7 +259,9 @@ class TraceMonitor:
             row = PROPERTIES.get(spec.template)
             if row is None:
                 raise UnknownIdentifier(f"unknown property template {spec.template!r}")
-            values = tuple(spec.param(param.key) for param in row.params)
+            values = spec.values
+            if len(values) != len(row.params):
+                raise UnknownIdentifier(f"property {spec.template!r} takes {len(row.params)} values, not {len(values)}")
             for param, value in zip(row.params, values):
                 _check_name(param.names, value, template)
             route = (spec.template, row.rule, at, values)

@@ -10,8 +10,10 @@ import pytest
 
 from covenant import cli
 from covenant.cli import EXIT_INTEGRITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
+from covenant.errors import CannotInject
 from covenant.runtime import GENESIS_PREV_HASH, canonical_json
-from covenant.scenarios import LAYER1_SOURCE, LAYER2_SOURCE, built_in_scenarios, get_scenario
+from covenant.scenarios import LAYER1_SOURCE, LAYER2_SOURCE, built_in_scenarios, get_scenario, inject_violation
+from covenant.verifier import PROPERTIES
 
 GOOD_SPEC = """\
 community Clinic {
@@ -467,21 +469,42 @@ def test_a_spec_with_validation_errors_is_a_usage_error_not_an_integrity_failure
 
 
 def test_every_built_in_stage_export_passes_audit_against_its_spec(tmp_path, capsys):
+    def audit(trace, source):
+        spec = trace.with_suffix(".community")
+        spec.write_text(source, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["audit", "--trace", str(trace)]) == EXIT_OK
+        chain_only = capsys.readouterr().out
+        assert main(["audit", "--trace", str(trace), "--spec", str(spec)]) == EXIT_OK, trace.name
+        # the same head line, and no note
+        assert capsys.readouterr() == (chain_only, ""), trace.name
+
     audited = 0
     for scenario in built_in_scenarios():
         assert main(["run", "--scenario", scenario.name, "--out", str(tmp_path)]) == EXIT_OK
         for index, stage in enumerate(scenario.stages):
             (trace,) = tmp_path.glob(f"{scenario.name}.{index}.*.audit")
-            spec = tmp_path / f"{stage.community}.community"
-            spec.write_text(stage.source, encoding="utf-8")
-            capsys.readouterr()
-            assert main(["audit", "--trace", str(trace)]) == EXIT_OK
-            chain_only = capsys.readouterr().out
-            assert main(["audit", "--trace", str(trace), "--spec", str(spec)]) == EXIT_OK, trace.name
-            # the same head line, and no note
-            assert capsys.readouterr() == (chain_only, ""), trace.name
+            audit(trace, stage.source)
             audited += 1
     assert audited == len(list(tmp_path.glob("*.audit"))) == 5
+    # each injected variant's stage logs pass against the built-in stage's own spec, but
+    # for the safety variant's layer-1 log: that variant edits the template (CHANGES.md's
+    # FOUND line on `inject_violation` and the safety variant's in-memory source)
+    injected = tmp_path / "injected"
+    for scenario in built_in_scenarios():
+        for row in PROPERTIES.values():
+            try:
+                inject_violation(scenario, row.name)
+            except CannotInject:
+                continue
+            argv = ["run", "--scenario", scenario.name, "--inject", row.name, "--out", str(injected)]
+            assert main(argv) == EXIT_VIOLATIONS
+    logs = sorted(injected.glob("*.audit"))
+    assert len(logs) == 11
+    for trace in logs:
+        variant, index = trace.name.split(".")[:2]
+        if (variant, index) != ("happy_path__safety", "0"):
+            audit(trace, get_scenario(variant.split("__")[0]).stages[int(index)].source)
 
 
 def test_parse_prints_canonical_form(tmp_path, capsys):

@@ -51,7 +51,6 @@ from covenant.runtime import (
     Principal,
     SpeechAct,
     canonical_json,
-    check_community,
     import_log,
     instantiate_community,
     parse_export,
@@ -888,15 +887,19 @@ def test_the_export_header_is_what_json_dumps_writes(name):
     assert header == json.dumps(fields, separators=(",", ":"))
 
 
-def test_check_community_reads_the_genesis_record_only():
+def test_replay_reads_the_community_off_the_genesis_record():
     _header, records = parse_export(drive_sample_history(staffed_ward()).export_log())
-    check_community(records, parse_spec(WARD_SOURCE))
+    replay(parse_spec(WARD_SOURCE), records)
     desk = CommunityTemplate("Desk")
     with pytest.raises(InvalidTemplate, match="^log is for community 'Ward', not 'Desk'$"):
-        check_community(records, desk)
+        replay(desk, records)
     # a log that does not start with a genesis record, or holds none, names no community
-    check_community(records[1:], desk)
-    check_community([], desk)
+    with pytest.raises(IntegrityError, match="^export does not start with a genesis record$") as empty:
+        replay(desk, [])
+    assert empty.value.bad_seq == 0
+    with pytest.raises(IntegrityError, match="^sequence gap: expected 0, found 1$") as headless:
+        replay(desk, records[1:])
+    assert headless.value.bad_seq == 1
 
 def test_replay_reproduces_states_and_bytes():
     c = drive_sample_history(staffed_ward())

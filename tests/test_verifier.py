@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import sys
 import threading
@@ -509,9 +510,11 @@ def test_the_monitor_sends_a_record_only_to_the_rules_that_read_its_kind(monkeyp
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.template)
 def test_each_row_of_the_property_table(monkeypatch, spec):
     row = verifier.PROPERTIES[spec.template]
-    values = [spec.param(param.key) for param in row.params]
-    # the row lists its parameters in the order of its named constructor's arguments
-    assert getattr(PropertySpec, row.name)(*values) == spec
+    values = spec.values
+    # the row lists its parameters by the names and in the order of its named constructor's arguments
+    named = getattr(PropertySpec, row.name)
+    assert tuple(inspect.signature(named).parameters) == tuple(param.key for param in row.params)
+    assert named(*values) == spec
     # and the CLI builds that spec from the row's flags, each of which it needs
     flags = [arg for param, value in zip(row.params, values) for arg in (f"--{param.flag}", value)]
 
@@ -532,6 +535,13 @@ def test_each_row_of_the_property_table(monkeypatch, spec):
     read = [r for r in records if r.kind in row.kinds and r.detail.get("outcome", "admissible") == "admissible"]
     assert sent == [r.seq for r in read]
     assert {r.kind for r in read} == set(row.kinds) == READS[spec.template]
+    # one value too few or one too many is refused, by the monitor and by run_checks
+    for wrong in [values + ("Staff",)] + ([values[:-1]] if values else []):
+        message = f"^property {spec.template!r} takes {len(values)} values, not {len(wrong)}$"
+        with pytest.raises(UnknownIdentifier, match=message):
+            TraceMonitor([PropertySpec(spec.template, wrong)], c.template)
+        with pytest.raises(UnknownIdentifier, match=message):
+            run_checks(records, [PropertySpec(spec.template, wrong)], c.template)
 
 
 def test_a_verdict_that_is_not_admitted_reaches_no_rule(monkeypatch):
