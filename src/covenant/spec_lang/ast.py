@@ -192,16 +192,3 @@ class CommunityTemplate:
     @cached_property
     def _groups_by_name(self) -> dict[str, GroupDecl]:
         return {g.name: g for g in reversed(self.groups)}
-
-    def role_names(self) -> frozenset[str]:
-        return frozenset(r.name for r in self.roles)
-
-    def group_names(self) -> frozenset[str]:
-        return frozenset(g.name for g in self.groups) | frozenset(BUILTIN_GROUPS)
-
-    def object_names(self) -> frozenset[str]:
-        return frozenset(o.name for o in self.objects)
-
-    def resolvable_targets(self) -> frozenset[str]:
-        """Names a policy target or token holder may legally reference."""
-        return self.role_names() | self.group_names() | self.object_names()

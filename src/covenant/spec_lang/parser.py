@@ -18,12 +18,16 @@ The concrete syntax:
     escalation:= "escalate" "when" IDENT "to" IDENT ";"
     object    := "object" IDENT ";"
 
-`#` starts a comment running to end of line. Whitespace is insignificant.
+INT is ASCII digits; IDENT starts with a letter or "_" and goes on with
+letters, digits and "_". The blanks are a space, a tab, CR and LF, and "#"
+starts a comment running to end of line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Callable
 
 from ..errors import ParseError
 from .ast import (
@@ -66,13 +70,17 @@ KEYWORDS = frozenset(
     }
 )
 
-_PUNCT = {"{", "}", "(", ")", "[", "]", ":", ";", ",", "=", "*"}
-# ASCII only, as in the script reader: "٣" or "²" is an unexpected character
-_DIGITS = frozenset("0123456789")
-
 _ROLE_KINDS = tuple(k.value for k in RoleKind)
 _MODALITIES = tuple(m.value for m in Modality)
 _SPEECH_ACT_KINDS = tuple(k.value for k in SpeechActKind)
+
+# One group per token kind, tried in this order. An integer is ASCII digits
+# only, as in the script reader; a word that starts with another digit ("²a",
+# "٣") is an unexpected character, as is anything no group matches.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>#[^\n]*)"
+    r"|(?P<punct>\.\.|[{}()\[\]:;,=*])|(?P<int>[0-9]+)|(?P<word>\w+)"
+)
 
 
 @dataclass(frozen=True)
@@ -83,65 +91,26 @@ class Token:
     column: int
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     i = 0
-    line = 1
-    col = 1
-    n = len(source)
-    while i < n:
+    line = col = 1
+    while i < len(source):
+        match = _TOKEN.match(source, i)
         ch = source[i]
-        if ch == "\n":
-            i += 1
+        if match is None or (match.lastgroup == "word" and not (ch.isalpha() or ch == "_")):
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        kind, text = match.lastgroup, match.group()
+        i = match.end()
+        if kind == "newline":
             line += 1
             col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == "." and i + 1 < n and source[i + 1] == ".":
-            tokens.append(Token("punct", "..", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("int", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            word = source[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+        elif kind != "comment":  # a comment leaves the column at its "#"
+            if kind == "word":
+                kind = "keyword" if text in KEYWORDS else "ident"
+            if kind != "blank":
+                tokens.append(Token(kind, text, line, col))
+            col += len(text)
     tokens.append(Token("eof", "", line, col))
     return tokens
 
@@ -163,22 +132,22 @@ class _Parser:
             self._i += 1
         return tok
 
-    def _at_keyword(self, word: str) -> bool:
-        return self._cur.type == "keyword" and self._cur.value == word
-
     def _fail(self, expected: tuple[str, ...]) -> ParseError:
         tok = self._cur
         shown = tok.value if tok.type != "eof" else "end of input"
         return ParseError(f"unexpected {shown!r}", tok.line, tok.column, expected)
 
-    def _expect_keyword(self, word: str) -> Token:
-        if not self._at_keyword(word):
-            raise self._fail((word,))
-        return self._advance()
+    # No identifier is spelt like a keyword or a mark, so a spelling alone
+    # tells one keyword, mark or speech-act kind from any other token.
+    def _at(self, spelling: str) -> bool:
+        return self._cur.value == spelling
 
-    def _expect_punct(self, mark: str) -> Token:
-        if not (self._cur.type == "punct" and self._cur.value == mark):
-            raise self._fail((mark,))
+    def _expect(self, spelling: str) -> Token:
+        return self._expect_one_of((spelling,))
+
+    def _expect_one_of(self, spellings: tuple[str, ...]) -> Token:
+        if self._cur.value not in spellings:
+            raise self._fail(spellings)
         return self._advance()
 
     def _expect_ident(self, what: str = "identifier") -> Token:
@@ -195,37 +164,45 @@ class _Parser:
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
             raise ParseError(f"unreadable integer: {exc}", tok.line, tok.column) from None
 
+    def _comma_list(self, read: Callable[..., Token], arg: object) -> tuple[str, ...]:
+        """The spellings of `read(arg)`, once and then once after each comma."""
+        items = [read(arg).value]
+        while self._at(","):
+            self._advance()
+            items.append(read(arg).value)
+        return tuple(items)
+
     # grammar productions ----------------------------------------------
 
     def parse_spec_file(self) -> list[CommunityTemplate]:
         communities = [self.parse_community()]
-        while not self._cur.type == "eof":
+        while self._cur.type != "eof":
             communities.append(self.parse_community())
         return communities
 
     def parse_community(self) -> CommunityTemplate:
-        head = self._expect_keyword("community")
+        head = self._expect("community")
         name = self._expect_ident("community name")
-        self._expect_punct("{")
+        self._expect("{")
         roles: list[RoleDecl] = []
         groups: list[GroupDecl] = []
         objects: list[ObjectDecl] = []
         policies: list[PolicyDecl] = []
         contracts: list[ContractDecl] = []
-        while not (self._cur.type == "punct" and self._cur.value == "}"):
-            if self._at_keyword("role"):
+        while not self._at("}"):
+            if self._at("role"):
                 roles.append(self._parse_role())
-            elif self._at_keyword("group"):
+            elif self._at("group"):
                 groups.append(self._parse_group())
-            elif self._at_keyword("policy"):
+            elif self._at("policy"):
                 policies.append(self._parse_policy())
-            elif self._at_keyword("contract"):
+            elif self._at("contract"):
                 contracts.append(self._parse_contract())
-            elif self._at_keyword("object"):
+            elif self._at("object"):
                 objects.append(self._parse_object())
             else:
                 raise self._fail(("role", "group", "policy", "contract", "object", "}"))
-        self._expect_punct("}")
+        self._expect("}")
         return CommunityTemplate(
             name=name.value,
             roles=tuple(roles),
@@ -237,18 +214,14 @@ class _Parser:
         )
 
     def _parse_role(self) -> RoleDecl:
-        head = self._expect_keyword("role")
+        head = self._expect("role")
         name = self._expect_ident("role name")
-        self._expect_punct(":")
-        tok = self._cur
-        if not (tok.type == "keyword" and tok.value in _ROLE_KINDS):
-            raise self._fail(_ROLE_KINDS)
-        self._advance()
-        kind = RoleKind(tok.value)
+        self._expect(":")
+        kind = RoleKind(self._expect_one_of(_ROLE_KINDS).value)
         min_card, max_card = 1, 1
-        if self._cur.type == "punct" and self._cur.value == "[":
+        if self._at("["):
             min_card, max_card = self._parse_cardinality()
-        self._expect_punct(";")
+        self._expect(";")
         return RoleDecl(
             name=name.value,
             kind=kind,
@@ -258,80 +231,74 @@ class _Parser:
         )
 
     def _parse_cardinality(self) -> tuple[int, int | None]:
-        self._expect_punct("[")
+        self._expect("[")
         lo = self._expect_int()
-        self._expect_punct("..")
-        if self._cur.type == "punct" and self._cur.value == "*":
+        self._expect("..")
+        if self._at("*"):
             self._advance()
             hi: int | None = None
         elif self._cur.type == "int":
             hi = self._expect_int()
         else:
             raise self._fail(("integer", "*"))
-        self._expect_punct("]")
+        self._expect("]")
         return lo, hi
 
     def _parse_group(self) -> GroupDecl:
-        head = self._expect_keyword("group")
+        head = self._expect("group")
         name = self._expect_ident("group name")
-        self._expect_punct("=")
-        self._expect_punct("{")
-        members = [self._expect_ident("role name").value]
-        while self._cur.type == "punct" and self._cur.value == ",":
-            self._advance()
-            members.append(self._expect_ident("role name").value)
-        self._expect_punct("}")
-        self._expect_punct(";")
-        return GroupDecl(name=name.value, members=tuple(members), pos=Pos(head.line, head.column))
+        self._expect("=")
+        self._expect("{")
+        members = self._comma_list(self._expect_ident, "role name")
+        self._expect("}")
+        self._expect(";")
+        return GroupDecl(name=name.value, members=members, pos=Pos(head.line, head.column))
 
     def _parse_policy(self) -> PolicyDecl:
-        head = self._expect_keyword("policy")
+        head = self._expect("policy")
         atom = self._parse_deontic_atom()
         requires = None
         unless = None
-        if self._at_keyword("requires"):
+        if self._at("requires"):
             self._advance()
-            self._expect_keyword("discharged")
+            self._expect("discharged")
             requires = self._parse_deontic_atom()
-        if self._at_keyword("unless"):
+        if self._at("unless"):
             self._advance()
             unless = self._parse_deontic_atom()
-        self._expect_punct(";")
+        self._expect(";")
         return PolicyDecl(
             atom=atom, requires=requires, unless=unless, pos=Pos(head.line, head.column)
         )
 
     def _parse_deontic_atom(self) -> DeonticAtom:
-        tok = self._cur
-        if not (tok.type == "keyword" and tok.value in _MODALITIES):
-            raise self._fail(_MODALITIES)
-        self._advance()
-        self._expect_punct("(")
+        head = self._expect_one_of(_MODALITIES)
+        self._expect("(")
         action = self._expect_ident("action name")
-        self._expect_punct(",")
+        self._expect(",")
         target = self._expect_ident("target name")
-        self._expect_punct(")")
+        self._expect(")")
         return DeonticAtom(
-            modality=Modality(tok.value),
+            modality=Modality(head.value),
             action=action.value,
             target=target.value,
-            pos=Pos(tok.line, tok.column),
+            pos=Pos(head.line, head.column),
         )
 
     def _parse_contract(self) -> ContractDecl:
-        head = self._expect_keyword("contract")
+        head = self._expect("contract")
         name = self._expect_ident("contract name")
-        self._expect_punct("{")
+        self._expect("{")
         allows: list[tuple[str, tuple[SpeechActKind, ...]]] = []
         escalations: list[EscalationRule] = []
-        while not (self._cur.type == "punct" and self._cur.value == "}"):
-            if self._at_keyword("allow"):
+        while not self._at("}"):
+            if self._at("allow"):
                 allows.append(self._parse_allow())
-            elif self._at_keyword("escalate"):
+            elif self._at("escalate"):
                 escalations.append(self._parse_escalation())
             else:
                 raise self._fail(("allow", "escalate", "}"))
-        self._expect_punct("}")
+        self._expect("}")
         return ContractDecl(
             name=name.value,
             allows=tuple(allows),
@@ -340,39 +307,28 @@ class _Parser:
         )
 
     def _parse_allow(self) -> tuple[str, tuple[SpeechActKind, ...]]:
-        self._expect_keyword("allow")
+        self._expect("allow")
         role = self._expect_ident("role name")
-        self._expect_punct(":")
-        kinds = [self._parse_speech_act_kind()]
-        while self._cur.type == "punct" and self._cur.value == ",":
-            self._advance()
-            kinds.append(self._parse_speech_act_kind())
-        self._expect_punct(";")
-        return role.value, tuple(kinds)
-
-    def _parse_speech_act_kind(self) -> SpeechActKind:
-        # "escalate" doubles as a keyword, hence the two-type check.
-        tok = self._cur
-        if tok.type not in ("ident", "keyword") or tok.value not in _SPEECH_ACT_KINDS:
-            raise self._fail(_SPEECH_ACT_KINDS)
-        self._advance()
-        return SpeechActKind(tok.value)
+        self._expect(":")
+        kinds = self._comma_list(self._expect_one_of, _SPEECH_ACT_KINDS)
+        self._expect(";")
+        return role.value, tuple(map(SpeechActKind, kinds))
 
     def _parse_escalation(self) -> EscalationRule:
-        head = self._expect_keyword("escalate")
-        self._expect_keyword("when")
+        head = self._expect("escalate")
+        self._expect("when")
         condition = self._expect_ident("condition name")
-        self._expect_keyword("to")
+        self._expect("to")
         role = self._expect_ident("role name")
-        self._expect_punct(";")
+        self._expect(";")
         return EscalationRule(
             condition=condition.value, to_role=role.value, pos=Pos(head.line, head.column)
         )
 
     def _parse_object(self) -> ObjectDecl:
-        head = self._expect_keyword("object")
+        head = self._expect("object")
         name = self._expect_ident("object name")
-        self._expect_punct(";")
+        self._expect(";")
         return ObjectDecl(name=name.value, pos=Pos(head.line, head.column))
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ast import CommunityTemplate, Modality, Pos, RoleKind
+from .ast import BUILTIN_GROUPS, CommunityTemplate, Modality, Pos, RoleKind
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -63,10 +63,9 @@ def _check_unique_names(t: CommunityTemplate, findings: list[ValidationFinding])
 
 
 def _check_group_members(t: CommunityTemplate, findings: list[ValidationFinding]) -> None:
-    roles = t.role_names()
     for g in t.groups:
         for member in g.members:
-            if member not in roles:
+            if t.role(member) is None:
                 _error(
                     findings,
                     f"group {g.name!r} names undeclared role {member!r}",
@@ -85,10 +84,12 @@ def _check_cardinalities(t: CommunityTemplate, findings: list[ValidationFinding]
 
 
 def _check_policies(t: CommunityTemplate, findings: list[ValidationFinding]) -> None:
-    targets = t.resolvable_targets()
     for p in t.policies:
         for atom in (p.atom, p.requires, p.unless):
-            if atom is not None and atom.target not in targets:
+            # a policy names a role or a group; an object holds no token
+            if atom is None or atom.target in BUILTIN_GROUPS:
+                continue
+            if t.role(atom.target) is None and t.group(atom.target) is None:
                 _error(findings, f"unresolved target {atom.target!r}", atom.pos)
         if p.unless is not None and p.modality is not Modality.EMBARGO:
             _error(
@@ -111,30 +112,28 @@ def _check_policies(t: CommunityTemplate, findings: list[ValidationFinding]) -> 
 
 
 def _check_contracts(t: CommunityTemplate, findings: list[ValidationFinding]) -> None:
-    roles = t.role_names()
     for c in t.contracts:
         for role, _kinds in c.allows:
-            if role not in roles:
+            if t.role(role) is None:
                 _error(
                     findings,
                     f"contract {c.name!r} authorizes undeclared role {role!r}",
                     c.pos,
                 )
         for rule in c.escalations:
-            if rule.to_role not in roles:
+            decl = t.role(rule.to_role)
+            if decl is None:
                 _error(
                     findings,
                     f"contract {c.name!r} escalates to undeclared role {rule.to_role!r}",
                     rule.pos,
                 )
-            else:
-                decl = t.role(rule.to_role)
-                if decl is not None and decl.kind is not RoleKind.HUMAN:
-                    _warn(
-                        findings,
-                        f"escalation target {rule.to_role!r} is not a human role",
-                        rule.pos,
-                    )
+            elif decl.kind is not RoleKind.HUMAN:
+                _warn(
+                    findings,
+                    f"escalation target {rule.to_role!r} is not a human role",
+                    rule.pos,
+                )
 
 
 def _check_conflicts(t: CommunityTemplate, findings: list[ValidationFinding]) -> None:

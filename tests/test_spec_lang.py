@@ -6,10 +6,24 @@ import random
 
 import pytest
 
-from covenant.errors import CannotInject, ParseError
+from covenant.errors import CannotInject, InvalidTemplate, ParseError
+from covenant.runtime import CommunityInstance, instantiate_community
 from covenant.scenarios import built_in_scenarios, inject_violation
 from covenant.spec_lang import format_spec, parse_spec, validate_template
-from covenant.spec_lang.ast import DeonticAtom, Modality, RoleDecl, RoleKind, SpeechActKind
+from covenant.spec_lang.ast import (
+    BUILTIN_GROUPS,
+    CommunityTemplate,
+    ContractDecl,
+    DeonticAtom,
+    EscalationRule,
+    GroupDecl,
+    Modality,
+    ObjectDecl,
+    PolicyDecl,
+    RoleDecl,
+    RoleKind,
+    SpeechActKind,
+)
 from covenant.spec_lang.validate import SEVERITY_ERROR, SEVERITY_WARNING
 
 from shared import make_random_template, round_trip_holds
@@ -83,6 +97,26 @@ _ONE_ROLE = "community X {\n  role A: human;\n"
             tuple(sorted(k.value for k in SpeechActKind)),
         ),
         (_ONE_ROLE + "}\ncommunity Y {\n}\n", 4, 1, ("end of input",)),
+        # the column is not advanced over a comment: end of input stands at its "#"
+        (
+            "community X {\n  role A: human; # open",
+            2,
+            18,
+            ("contract", "group", "object", "policy", "role", "}"),
+        ),
+        (_ONE_ROLE + "\t@\n}\n", 3, 2, ()),
+        (
+            "community X {\r\n  role A: robot;\r\n}\r\n",
+            2,
+            11,
+            tuple(sorted(k.value for k in RoleKind)),
+        ),
+        ("community X {\n  role A: human [0...1];\n}\n", 2, 21, ()),
+        # only a space, a tab, CR and LF are blanks
+        (_ONE_ROLE + "\u00a0role B: human;\n}\n", 3, 1, ()),
+        (_ONE_ROLE + "\x0brole B: human;\n}\n", 3, 1, ()),
+        # an integer ends at its last digit, and a word follows it
+        ("community X {\n  role A: human [1abc..2];\n}\n", 2, 19, ("..",)),
     ],
     ids=[
         "unexpected_character",
@@ -99,12 +133,24 @@ _ONE_ROLE = "community X {\n  role A: human;\n"
         "bad_contract_member",
         "bad_speech_act_kind",
         "trailing_input",
+        "end_of_input_after_a_trailing_comment",
+        "tab_before_an_unexpected_character",
+        "crlf_line_ends",
+        "three_dots",
+        "no_break_space",
+        "vertical_tab",
+        "word_after_an_integer",
     ],
 )
 def test_a_parse_error_is_placed_at_the_offending_token(source, line, column, expected):
     with pytest.raises(ParseError) as info:
         parse_spec(source)
     assert (info.value.line, info.value.column, info.value.expected) == (line, column, expected)
+
+
+def test_an_identifier_may_hold_a_digit_after_its_first_character():
+    t = parse_spec("community X {\n  role A\u00b2: human;\n}\n")
+    assert t.roles == (RoleDecl("A\u00b2", RoleKind.HUMAN),)
 
 
 def test_every_built_in_stage_source_round_trips():
@@ -155,6 +201,90 @@ def test_group_member_must_be_declared():
         "community C {\n  role A: human;\n  group G = {A, Missing};\n}\n"
     )
     assert any("undeclared role 'Missing'" in f.message for f in errors_of(t))
+
+
+@pytest.mark.parametrize(
+    "clause",
+    [
+        "policy permit(read, Cache);",
+        "policy permit(read, R) requires discharged burden(check, Cache);",
+        "policy embargo(read, ALL) unless permit(open, Cache);",
+    ],
+    ids=["atom", "requires", "unless"],
+)
+def test_a_policy_may_not_name_an_object(clause):
+    # an object holds no token: as the atom's target it never resolves at
+    # genesis, as a guard it is never read, and as an exception it would
+    # match only an agent spelt like the object
+    t = parse_spec(f"community C {{ role R: human [0..2]; object Cache; {clause} }}")
+    assert [f.message for f in errors_of(t)] == ["unresolved target 'Cache'"]
+    with pytest.raises(InvalidTemplate, match="unresolved target 'Cache'"):
+        instantiate_community(t)
+
+
+def _draw_template(rng: random.Random, index: int) -> CommunityTemplate:
+    """A small template, now and then with a defect: a target, member or role that is
+    an object's or an undeclared name, a duplicate name, an empty range or a clause of
+    the wrong modality."""
+    cards = ((1, 1), (0, 2), (0, None), (1, 3), (2, 1))
+    roles = tuple(
+        RoleDecl(f"R{i}", rng.choice(list(RoleKind)), *rng.choice(cards))
+        for i in range(rng.randint(1, 3))
+    )
+    objects = tuple(
+        ObjectDecl(rng.choice((f"O{i}",) * 9 + ("R0",))) for i in range(rng.randint(0, 2))
+    )
+    strays = [o.name for o in objects] + ["G1", "Nobody"]
+
+    def name(holders: list[str]) -> str:
+        return rng.choice(strays if rng.random() < 0.05 else holders)
+
+    role_names = [r.name for r in roles]
+    groups = tuple(GroupDecl("G0", (name(role_names),)) for _ in range(rng.randint(0, 1)))
+    targets = role_names + [g.name for g in groups] + list(BUILTIN_GROUPS)
+
+    def atom(modality: Modality) -> DeonticAtom:
+        if rng.random() < 0.05:
+            modality = rng.choice(list(Modality))
+        return DeonticAtom(modality, rng.choice("xyz"), name(targets))
+
+    policies = tuple(
+        PolicyDecl(
+            atom(rng.choice(list(Modality))),
+            atom(Modality.BURDEN) if rng.random() < 0.3 else None,
+            atom(Modality.PERMIT) if rng.random() < 0.2 else None,
+        )
+        for _ in range(rng.randint(0, 4))
+    )
+    contracts = tuple(
+        ContractDecl(
+            "K0",
+            ((name(role_names), tuple(rng.sample(list(SpeechActKind), 2))),),
+            (EscalationRule("timeout", name(role_names)),),
+        )
+        for _ in range(rng.randint(0, 1))
+    )
+    return CommunityTemplate(f"Draw{index}", roles, groups, objects, policies, contracts)
+
+
+def test_validation_and_instantiation_are_total():
+    # validate_template never raises; instantiate_community builds an instance
+    # exactly when validation finds no error, and refuses with InvalidTemplate
+    # otherwise, never with another exception
+    rng = random.Random(0x7074)
+    built = refused = 0
+    for index in range(400):
+        template = _draw_template(rng, index)
+        errors = errors_of(template)
+        try:
+            instance = instantiate_community(template)
+        except InvalidTemplate:
+            assert errors, f"template #{index} was refused with no validation error"
+            refused += 1
+        else:
+            assert not errors and isinstance(instance, CommunityInstance), f"template #{index}"
+            built += 1
+    assert built > 50 and refused > 50, (built, refused)
 
 
 def test_unless_only_on_embargo():
